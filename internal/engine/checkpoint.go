@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -43,19 +44,30 @@ type Checkpoint struct {
 	// cache key (see internal/engine/cache.go for the key scheme).
 	LabelKeys map[string]string `json:"label_keys,omitempty"`
 	// Labeled inlines the pseudo-labeled datasets themselves, per
-	// family, up to the executor's checkpoint byte budget. This is what
-	// lets a cold replacement worker skip the train/sample/label stages
-	// entirely: the discover stage needs only Dnew and the real
-	// validation data, not the trained model. Families whose dataset did
-	// not fit the budget keep only their keys — a warm worker still
-	// hits its caches, a cold one recomputes.
-	Labeled map[string]*dataset.Dataset `json:"labeled,omitempty"`
+	// family, in dataset.MarshalBinary's layout (base64 strings in JSON),
+	// up to the checkpointBytes budget. This is what lets a cold
+	// replacement worker skip the train/sample/label stages entirely: the
+	// discover stage needs only Dnew and the real validation data, not the
+	// trained model. Families whose dataset did not fit the budget keep
+	// only their keys — a warm worker still hits its caches, a cold one
+	// recomputes. Each set is encoded once, when its label stage
+	// finishes; every later snapshot, fetch, persist and forward moves
+	// the same bytes, and only a worker that resumes from a set decodes
+	// it.
+	Labeled map[string][]byte `json:"labeled,omitempty"`
 	// ElapsedSeconds accumulates the wall-clock time every execution of
 	// the job has spent so far. A resumed execution subtracts it from
 	// the request's deadline budget, so a job deadline bounds the job —
 	// not each failover attempt separately.
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
 }
+
+// checkpointBytes bounds the total encoded size of the labeled
+// datasets inlined into one execution's checkpoints. Within it a cold
+// replacement worker resumes without retraining or relabeling; beyond
+// it, checkpoints carry only the cache keys. An L = 10^5 set with 8
+// inputs encodes to 7.2 MB, so four such families fit.
+const checkpointBytes = 32 << 20
 
 // checkpointRecorder accumulates one execution's reusable work and
 // publishes immutable Checkpoint snapshots through the progress sink.
@@ -67,36 +79,61 @@ type checkpointRecorder struct {
 	sink        *progressSink
 	seq         uint64
 	datasetHash string
-	// budgetLeft bounds the total bytes of inline labeled datasets.
+	// budgetLeft bounds the total encoded bytes of inline labeled sets.
 	budgetLeft int64
 	variants   []VariantResult
 	modelKeys  map[string]string
 	labelKeys  map[string]string
-	labeled    map[string]*dataset.Dataset
-	// inbound maps label-cache key → dataset from the checkpoint this
+	// labeled maps family → its encoded labeled dataset.
+	labeled map[string][]byte
+	// labeling holds one Once per family whose label stage this
+	// execution records; see labelStageDone.
+	labeling map[string]*sync.Once
+	// inbound maps label-cache key → labeled set from the checkpoint this
 	// execution resumed from. Keying by the full cache key (rather than
 	// family) makes the lookup self-validating: if this worker computes
 	// a different key — different seed, sampler, L — the stale dataset
-	// is simply not found and the stage recomputes.
-	inbound map[string]*dataset.Dataset
+	// is simply not found and the stage recomputes. Read-only after
+	// construction.
+	inbound map[string]*inboundLabeled
 	// start anchors this execution's contribution to ElapsedSeconds;
 	// baseElapsed carries what earlier executions already spent.
 	start       time.Time
 	baseElapsed float64
 }
 
+// inboundLabeled is one labeled set of the inbound checkpoint, decoded
+// on first use: only a variant that resumes from it pays for the
+// decode, and its sibling variants share the result.
+type inboundLabeled struct {
+	blob []byte
+	once sync.Once
+	d    *dataset.Dataset // nil when the blob does not decode
+}
+
+func (in *inboundLabeled) decoded() *dataset.Dataset {
+	in.once.Do(func() {
+		d := new(dataset.Dataset)
+		if d.UnmarshalBinary(in.blob) == nil {
+			in.d = d
+		}
+	})
+	return in.d
+}
+
 // newCheckpointRecorder seeds a recorder for one execution. cp is the
 // inbound checkpoint (nil for a fresh run) — its hash must already be
 // validated by the caller.
-func newCheckpointRecorder(cp *Checkpoint, datasetHash string, budget int64, sink *progressSink) *checkpointRecorder {
+func newCheckpointRecorder(cp *Checkpoint, datasetHash string, sink *progressSink) *checkpointRecorder {
 	r := &checkpointRecorder{
 		sink:        sink,
 		datasetHash: datasetHash,
-		budgetLeft:  budget,
+		budgetLeft:  checkpointBytes,
 		modelKeys:   make(map[string]string),
 		labelKeys:   make(map[string]string),
-		labeled:     make(map[string]*dataset.Dataset),
-		inbound:     make(map[string]*dataset.Dataset),
+		labeled:     make(map[string][]byte),
+		labeling:    make(map[string]*sync.Once),
+		inbound:     make(map[string]*inboundLabeled),
 		start:       time.Now(),
 	}
 	if cp == nil {
@@ -105,52 +142,69 @@ func newCheckpointRecorder(cp *Checkpoint, datasetHash string, budget int64, sin
 	r.seq = cp.Seq
 	r.baseElapsed = cp.ElapsedSeconds
 	r.variants = append(r.variants, cp.Variants...)
-	for fam, k := range cp.ModelKeys {
-		r.modelKeys[fam] = k
-	}
+	maps.Copy(r.modelKeys, cp.ModelKeys)
 	for fam, k := range cp.LabelKeys {
 		r.labelKeys[fam] = k
-		if d := cp.Labeled[fam]; d != nil {
-			r.inbound[k] = d
-			// Carry the inline dataset forward so the next failover can
+		if blob := cp.Labeled[fam]; blob != nil {
+			r.inbound[k] = &inboundLabeled{blob: blob}
+			// Carry the blob forward unchanged so the next failover can
 			// still resume cold; it already fit the previous budget.
-			r.labeled[fam] = d
-			r.budgetLeft -= datasetBytes(d)
+			r.labeled[fam] = blob
+			r.budgetLeft -= int64(len(blob))
 		}
 	}
 	return r
 }
 
 // resumeLabeled returns the inbound checkpoint's labeled dataset for
-// the given label-cache key, or nil when the checkpoint has none (or
-// was computed under different inputs).
+// the given label-cache key, or nil when the checkpoint has none, was
+// computed under different inputs, or carries a blob that does not
+// decode.
 func (r *checkpointRecorder) resumeLabeled(labelKey string) *dataset.Dataset {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inbound[labelKey]
+	if in := r.inbound[labelKey]; in != nil {
+		return in.decoded()
+	}
+	return nil
 }
 
 // labelStageDone records that a family's pseudo-labeling finished (keys
-// always; the dataset itself while the byte budget lasts) and publishes
-// a new snapshot. Idempotent per family — concurrent variants of one
-// family record once.
+// always; the encoded dataset while the byte budget lasts) and
+// publishes a new snapshot. Idempotent per family. Concurrent variants
+// of one family record once: the first encodes the dataset outside the
+// recorder's lock, and its siblings wait until the snapshot carrying it
+// is published, so none of them publishes one that names the family
+// without its dataset.
 func (r *checkpointRecorder) labelStageDone(family, modelKey, labelKey string, d *dataset.Dataset) {
 	r.mu.Lock()
 	if _, ok := r.labelKeys[family]; ok {
 		r.mu.Unlock()
 		return
 	}
-	r.modelKeys[family] = modelKey
-	r.labelKeys[family] = labelKey
-	if d != nil {
-		if w := datasetBytes(d); w <= r.budgetLeft {
-			r.labeled[family] = d
-			r.budgetLeft -= w
-		}
+	once := r.labeling[family]
+	if once == nil {
+		once = new(sync.Once)
+		r.labeling[family] = once
 	}
-	cp := r.snapshotLocked()
+	fits := d != nil && int64(d.BinarySize()) <= r.budgetLeft
 	r.mu.Unlock()
-	r.sink.setCheckpoint(cp)
+
+	once.Do(func() {
+		var blob []byte
+		if fits {
+			blob, _ = d.MarshalBinary() // a malformed dataset just stays out of the checkpoint
+		}
+		r.mu.Lock()
+		r.modelKeys[family] = modelKey
+		r.labelKeys[family] = labelKey
+		// Another family may have taken the budget while this one encoded.
+		if blob != nil && int64(len(blob)) <= r.budgetLeft {
+			r.labeled[family] = blob
+			r.budgetLeft -= int64(len(blob))
+		}
+		cp := r.snapshotLocked()
+		r.mu.Unlock()
+		r.sink.setCheckpoint(cp)
+	})
 }
 
 // variantDone records a finished variant and publishes a new snapshot.
@@ -164,29 +218,21 @@ func (r *checkpointRecorder) variantDone(vr VariantResult) {
 
 // snapshotLocked builds an immutable Checkpoint from the current state.
 // Timings are filled in by the sink at publish time, so the snapshot's
-// trace exactly matches the progress it travels with. Caller holds
-// r.mu.
+// trace exactly matches the progress it travels with. The encoded
+// labeled sets are shared, never copied: nothing mutates them. Caller
+// holds r.mu.
 func (r *checkpointRecorder) snapshotLocked() *Checkpoint {
 	r.seq++
 	cp := &Checkpoint{
 		Seq:            r.seq,
 		DatasetHash:    r.datasetHash,
 		Variants:       append([]VariantResult(nil), r.variants...),
-		ModelKeys:      make(map[string]string, len(r.modelKeys)),
-		LabelKeys:      make(map[string]string, len(r.labelKeys)),
+		ModelKeys:      maps.Clone(r.modelKeys),
+		LabelKeys:      maps.Clone(r.labelKeys),
 		ElapsedSeconds: r.baseElapsed + time.Since(r.start).Seconds(),
 	}
-	for fam, k := range r.modelKeys {
-		cp.ModelKeys[fam] = k
-	}
-	for fam, k := range r.labelKeys {
-		cp.LabelKeys[fam] = k
-	}
 	if len(r.labeled) > 0 {
-		cp.Labeled = make(map[string]*dataset.Dataset, len(r.labeled))
-		for fam, d := range r.labeled {
-			cp.Labeled[fam] = d
-		}
+		cp.Labeled = maps.Clone(r.labeled)
 	}
 	return cp
 }

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/engine/store"
 )
 
@@ -73,6 +75,9 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 	}
 	if finished == 0 {
 		t.Fatalf("checkpoint carries no finished variants: %+v", cp.Variants)
+	}
+	if len(cp.Labeled) == 0 {
+		t.Fatalf("checkpoint inlines no labeled set, so the resume below would not read one")
 	}
 
 	// Phase 2: plant the crash footprint — a running record plus the
@@ -148,10 +153,58 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 		t.Fatalf("resumed trace has %d discover spans, want one per variant (3): %+v", discovers, snap.Timings)
 	}
 
-	// Terminal jobs shed their checkpoint.
-	if raw, ok, _ := e.store.GetCheckpoint("job-000003"); ok {
-		t.Fatalf("checkpoint survived job completion: %s", raw)
+	// Resuming changes nothing but bookkeeping: the variants re-run from
+	// the checkpoint's decoded labeled set, and the ones adopted from it,
+	// equal an uninterrupted run of the same request.
+	fresh, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), req, nil)
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
 	}
+	if got, want := resultOutcome(t, res), resultOutcome(t, fresh); got != want {
+		t.Fatalf("resumed result differs from an uninterrupted run:\nresumed: %s\nfresh:   %s", got, want)
+	}
+
+	waitCheckpointGone(t, e, "job-000003")
+}
+
+// waitCheckpointGone waits for a terminal job to shed its stored
+// checkpoint, which the engine deletes right after persisting the
+// terminal record.
+func waitCheckpointGone(t *testing.T, e *Engine, id JobID) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		raw, ok, _ := e.store.GetCheckpoint(string(id))
+		if !ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpoint survived job completion: %.200s", raw)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// resultOutcome renders what a job found — every variant's box, rule,
+// WRAcc, PR-AUC and trajectory — leaving out the fields that describe
+// how it got there: elapsed time, cache hits and resumption.
+func resultOutcome(t *testing.T, res *Result) string {
+	t.Helper()
+	out := *res
+	out.ElapsedSeconds = 0
+	out.Variants = append([]VariantResult(nil), res.Variants...)
+	strip := func(vr *VariantResult) {
+		vr.CacheHit, vr.LabelCacheHit, vr.Resumed = false, false, false
+	}
+	strip(&out.Best)
+	for i := range out.Variants {
+		strip(&out.Variants[i])
+	}
+	raw, err := json.Marshal(&out)
+	if err != nil {
+		t.Fatalf("marshal result: %v", err)
+	}
+	return string(raw)
 }
 
 // TestCheckpointRejectedOnDatasetMismatch plants a checkpoint whose
@@ -255,5 +308,230 @@ func TestDrainLeavesQueuedJobsPending(t *testing.T) {
 		if rec.ID == string(queued) && rec.Status != string(StatusPending) {
 			t.Fatalf("stored record of queued job = %s, want pending", rec.Status)
 		}
+	}
+}
+
+// checkpointSpy wraps an executor and records whether any progress
+// report carried a checkpoint.
+type checkpointSpy struct {
+	Executor
+	saw atomic.Bool
+}
+
+func (s *checkpointSpy) Execute(ctx context.Context, req Request, onProgress func(Progress)) (*Result, error) {
+	return s.Executor.Execute(ctx, req, func(p Progress) {
+		if p.Checkpoint != nil {
+			s.saw.Store(true)
+		}
+		onProgress(p)
+	})
+}
+
+// TestFinishedJobPinsNoCheckpoint: the engine persists checkpoints as
+// they arrive, so a job's retained progress must not keep one (and the
+// labeled datasets it inlines) alive until the job's TTL.
+func TestFinishedJobPinsNoCheckpoint(t *testing.T) {
+	spy := &checkpointSpy{Executor: NewLocalExecutor(LocalExecutorOptions{})}
+	e := newTestEngine(t, Options{Workers: 1, Executor: spy})
+	defer e.Close()
+	id, err := e.Submit(Request{Dataset: testDataset(200, rand.New(rand.NewSource(24))), L: 600, Seed: 2})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if snap := waitTerminal(t, e, id, 60*time.Second); snap.Status != StatusDone {
+		t.Fatalf("job finished %s: %s", snap.Status, snap.Error)
+	}
+	if !spy.saw.Load() {
+		t.Fatalf("the executor never reported a checkpoint; the test proves nothing")
+	}
+	e.mu.Lock()
+	j := e.jobs[id]
+	e.mu.Unlock()
+	j.mu.Lock()
+	cp := j.progress.Checkpoint
+	j.mu.Unlock()
+	if cp != nil {
+		t.Fatalf("finished job still holds checkpoint seq %d", cp.Seq)
+	}
+}
+
+// TestPreChangeCheckpointRunsCold: checkpoints once inlined labeled
+// sets as JSON objects ({"x": [[...]], "y": [...]}). Such a checkpoint
+// — left in a durable store by an older build, or forwarded by a gateway
+// of one — must be ignored, not trusted and not fatal: the job runs
+// from scratch and ends done.
+func TestPreChangeCheckpointRunsCold(t *testing.T) {
+	d := testDataset(250, rand.New(rand.NewSource(25)))
+	req := Request{Dataset: d, L: 800, Seed: 6, SD: []string{"prim", "bi"}}
+	// A variant the checkpoint claims finished: trusting the checkpoint
+	// would adopt its "pre-change" rule verbatim.
+	preChange, err := json.Marshal(map[string]any{
+		"seq":          2,
+		"dataset_hash": d.Hash(),
+		"variants":     []VariantResult{{Metamodel: "rf", SD: "prim", Rule: "pre-change"}},
+		"label_keys":   map[string]string{"rf": "k"},
+		"labeled":      map[string]*dataset.Dataset{"rf": testDataset(20, rand.New(rand.NewSource(26)))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranCold := func(t *testing.T, res *Result) {
+		t.Helper()
+		for _, vr := range res.Variants {
+			if vr.Resumed || vr.Rule == "pre-change" || vr.Error != "" {
+				t.Fatalf("variant %s/%s after a pre-change checkpoint: %+v", vr.Metamodel, vr.SD, vr)
+			}
+		}
+	}
+
+	t.Run("store", func(t *testing.T) {
+		dir := t.TempDir()
+		fs := openFS(t, dir)
+		reqJSON, _ := json.Marshal(req)
+		now := time.Now()
+		if err := fs.PutJob(store.Record{
+			ID:          "job-000001",
+			Status:      string(StatusRunning),
+			SubmittedAt: now.Add(-time.Minute),
+			StartedAt:   now.Add(-50 * time.Second),
+			Request:     reqJSON,
+		}); err != nil {
+			t.Fatalf("planting running record: %v", err)
+		}
+		if err := fs.PutCheckpoint("job-000001", preChange); err != nil {
+			t.Fatalf("planting checkpoint: %v", err)
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatalf("closing store: %v", err)
+		}
+
+		e := newTestEngine(t, Options{Workers: 1, Store: openFS(t, dir)})
+		defer e.Close()
+		if rec := e.Recovery(); rec.Resumed != 1 || rec.Orphaned != 0 {
+			t.Fatalf("recovery stats = %+v, want the job recovered", rec)
+		}
+		snap := waitTerminal(t, e, "job-000001", 120*time.Second)
+		if snap.Status != StatusDone {
+			t.Fatalf("job finished %s: %s", snap.Status, snap.Error)
+		}
+		if trains, labels := countStages(snap.Timings); trains == 0 || labels == 0 {
+			t.Fatalf("job did not run train and label itself: %+v", snap.Timings)
+		}
+		res, err := e.Result("job-000001")
+		if err != nil {
+			t.Fatalf("result: %v", err)
+		}
+		ranCold(t, res)
+		waitCheckpointGone(t, e, "job-000001")
+	})
+
+	t.Run("worker", func(t *testing.T) {
+		srv, _ := newTestWorker(t)
+		remote := &RemoteExecutor{BaseURL: srv.URL}
+		var body map[string]json.RawMessage
+		raw, _ := json.Marshal(req)
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
+		}
+		body["checkpoint"] = preChange
+		raw, _ = json.Marshal(body)
+		id, err := remote.start(context.Background(), raw)
+		if err != nil {
+			t.Fatalf("worker refused a request with a pre-change checkpoint: %v", err)
+		}
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			st, err := remote.poll(context.Background(), id)
+			if err != nil {
+				t.Fatalf("poll: %v", err)
+			}
+			if st.Status.Terminal() {
+				if st.Status != StatusDone {
+					t.Fatalf("execution finished %s: %s", st.Status, st.Error)
+				}
+				ranCold(t, st.Result)
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("execution never finished")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
+// TestCheckpointRecorderLabeledSets: sibling variants that finish one
+// family's label stage together record it once, and none of them
+// publishes a snapshot naming the family without its labeled set;
+// labeled sets are charged to the inline budget by encoded length; a
+// resumed execution carries the inbound bytes forward unchanged, decodes
+// a set once for all its variants, and treats a blob that does not
+// decode as absent.
+func TestCheckpointRecorderLabeledSets(t *testing.T) {
+	labeled := testDataset(20000, rand.New(rand.NewSource(27)))
+	size := int64(labeled.BinarySize())
+	var published []*Checkpoint
+	rec := newCheckpointRecorder(nil, "h", newProgressSink(func(p Progress) {
+		published = append(published, p.Checkpoint) // the sink serializes callbacks
+	}))
+	rec.budgetLeft = size + 10
+
+	var wg sync.WaitGroup
+	for _, sd := range []string{"prim", "bumping", "bi", "prim-bumping"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec.labelStageDone("rf", "m-rf", "l-rf", labeled)
+			rec.variantDone(VariantResult{Metamodel: "rf", SD: sd})
+		}()
+	}
+	wg.Wait()
+	rec.labelStageDone("xgb", "m-xgb", "l-xgb", labeled) // past the budget: keys only
+	if len(published) != 6 {
+		t.Fatalf("%d snapshots published, want one per family and one per variant (6)", len(published))
+	}
+	for _, cp := range published {
+		if _, named := cp.LabelKeys["rf"]; named && int64(len(cp.Labeled["rf"])) != size {
+			t.Fatalf("snapshot %d names family rf but inlines %d of its %d bytes", cp.Seq, len(cp.Labeled["rf"]), size)
+		}
+	}
+	if rec.budgetLeft != 10 {
+		t.Fatalf("budget left = %d, want 10 after one %d-byte set", rec.budgetLeft, size)
+	}
+	last := published[5]
+	blob := last.Labeled["rf"]
+	if len(last.Labeled) != 1 || last.LabelKeys["xgb"] != "l-xgb" {
+		t.Fatalf("checkpoint inlines %d sets with label keys %v, want rf only", len(last.Labeled), last.LabelKeys)
+	}
+
+	inbound := *last
+	inbound.LabelKeys = map[string]string{"rf": "l-rf", "xgb": "l-xgb", "svm": "l-svm"}
+	inbound.Labeled = map[string][]byte{"rf": blob, "svm": []byte("not a dataset")}
+	res := newCheckpointRecorder(&inbound, "h", newProgressSink(nil))
+	if &res.labeled["rf"][0] != &blob[0] {
+		t.Fatalf("inbound set was copied, not carried forward")
+	}
+	if want := int64(checkpointBytes - len(blob) - len("not a dataset")); res.budgetLeft != want {
+		t.Fatalf("resumed budget left = %d, want %d", res.budgetLeft, want)
+	}
+	got := make([]*dataset.Dataset, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = res.resumeLabeled("l-rf")
+		}()
+	}
+	wg.Wait()
+	if got[0] == nil || got[0].Hash() != labeled.Hash() {
+		t.Fatalf("resumed set does not match the labeled one")
+	}
+	for _, d := range got[1:] {
+		if d != got[0] {
+			t.Fatalf("variants decoded the set separately")
+		}
+	}
+	if res.resumeLabeled("l-svm") != nil || res.resumeLabeled("l-xgb") != nil {
+		t.Fatalf("a bad blob or a keys-only family resumed")
 	}
 }

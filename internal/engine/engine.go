@@ -501,9 +501,15 @@ func (e *Engine) execute(j *job) {
 	// crashed jobs that have one). The request copy keeps j.req pristine:
 	// snapshots and retries must not see infrastructure state.
 	req := j.req
-	if raw, ok, cerr := e.store.GetCheckpoint(string(j.id)); cerr == nil && ok {
+	raw, hadCheckpoint, cerr := e.store.GetCheckpoint(string(j.id))
+	if cerr == nil && hadCheckpoint {
 		var cp Checkpoint
-		if uerr := json.Unmarshal(raw, &cp); uerr == nil {
+		if uerr := json.Unmarshal(raw, &cp); uerr != nil {
+			// Written by a build with another checkpoint layout (labeled
+			// sets as JSON objects before they were binary): run cold.
+			e.log.Warn("ignoring undecodable persisted checkpoint",
+				"job_id", string(j.id), "request_id", rid, "error", uerr)
+		} else {
 			req.Checkpoint = &cp
 			e.log.Info("job resuming from persisted checkpoint",
 				"job_id", string(j.id), "request_id", rid, "checkpoint_seq", cp.Seq)
@@ -585,7 +591,7 @@ func (e *Engine) execute(j *job) {
 	}
 	e.persist(rec)
 	// Terminal jobs have no use for their checkpoint anymore.
-	if persistedSeq > 0 || req.Checkpoint != nil {
+	if persistedSeq > 0 || hadCheckpoint {
 		if cerr := e.store.PutCheckpoint(string(j.id), nil); cerr != nil {
 			e.log.Error("deleting checkpoint failed", "job_id", string(j.id), "error", cerr)
 		}

@@ -230,11 +230,6 @@ type LocalExecutorOptions struct {
 	// LabelCacheTTL expires cached pseudo-labeled datasets this long
 	// after labeling (0 = never).
 	LabelCacheTTL time.Duration
-	// CheckpointBytes bounds the total size of pseudo-labeled datasets
-	// inlined into one execution's checkpoints (default 32 MiB). Within
-	// the budget a cold replacement worker resumes without retraining or
-	// relabeling; beyond it, checkpoints carry only the cache keys.
-	CheckpointBytes int64
 	// RulesetCacheBytes bounds the distilled rule-set cache (default 64
 	// MiB — distilled models are small; this is hundreds of entries).
 	RulesetCacheBytes int64
@@ -272,9 +267,6 @@ func (o LocalExecutorOptions) withDefaults() LocalExecutorOptions {
 	if o.LabelCacheBytes <= 0 {
 		o.LabelCacheBytes = 256 << 20
 	}
-	if o.CheckpointBytes <= 0 {
-		o.CheckpointBytes = 32 << 20
-	}
 	if o.RulesetCacheBytes <= 0 {
 		o.RulesetCacheBytes = 64 << 20
 	}
@@ -311,8 +303,6 @@ type LocalExecutor struct {
 	trainQuality float64
 	trainModeMu  sync.Mutex
 	trainModes   map[string]trainResolution
-	// checkpointBytes bounds the inline labeled data per checkpoint.
-	checkpointBytes int64
 	// stageSeconds is the per-stage latency histogram
 	// (reds_exec_stage_seconds{stage,metamodel,sd}); children are
 	// resolved per variant at execution start, off the hot path.
@@ -354,7 +344,6 @@ func NewLocalExecutor(opts LocalExecutorOptions) *LocalExecutor {
 		trainBins:       opts.TrainBins,
 		trainQuality:    opts.TrainQuality,
 		trainModes:      make(map[string]trainResolution),
-		checkpointBytes: opts.CheckpointBytes,
 		stageSeconds: reg.HistogramVec("reds_exec_stage_seconds",
 			"Pipeline stage latency, labeled by stage (simulate, train, sample, label, discover) and variant.",
 			telemetry.ExponentialBuckets(0.001, 2, 16), "stage", "metamodel", "sd"),

@@ -38,8 +38,8 @@ import (
 
 // maxExecBodyBytes bounds /internal/v1/execute payloads. Larger than
 // the public submit cap: a dispatched request carries the inline
-// dataset plus — on failover — a checkpoint inlining up to the
-// executor's labeled-dataset byte budget (32 MiB by default).
+// dataset plus — on failover — a checkpoint inlining up to the 32 MiB
+// labeled-data budget (base64 on the wire, a third more).
 const maxExecBodyBytes = 256 << 20
 
 // execStatusResponse is the wire form of one execution's state, shared
@@ -237,10 +237,16 @@ func (s *ExecServer) handleStart(w http.ResponseWriter, r *http.Request) {
 	// infrastructure payloads: a forwarded request can carry an inline
 	// dataset plus a checkpoint with inlined labeled datasets.
 	r.Body = http.MaxBytesReader(w, r.Body, maxExecBodyBytes)
-	var req Request
+	// The checkpoint decodes on its own: one this build cannot read (a
+	// gateway of another version laid it out differently) is ignored and
+	// the execution runs cold, rather than failing the job.
+	var wire struct {
+		Request
+		Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+	}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&wire); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge,
@@ -249,6 +255,13 @@ func (s *ExecServer) handleStart(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, http.StatusBadRequest, errBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
+	}
+	req := wire.Request
+	if len(wire.Checkpoint) > 0 {
+		if err := json.Unmarshal(wire.Checkpoint, &req.Checkpoint); err != nil {
+			req.Checkpoint = nil
+			s.log.Warn("ignoring undecodable checkpoint", "error", err)
+		}
 	}
 	if err := req.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, errBadRequest, err)

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -228,5 +230,78 @@ func TestExecServerRetentionSweep(t *testing.T) {
 	time.Sleep(retention + 100*time.Millisecond)
 	if _, err := remote.poll(context.Background(), id); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("swept execution still served: err = %v", err)
+	}
+}
+
+// TestRemoteExecutorFetchesCheckpointOnlyWhileFailoverPossible runs
+// against a stub worker whose first poll already reports a terminal
+// status with an advanced checkpoint seq. A done execution carries its
+// result and a failed one is never retried, so neither may cost a
+// checkpoint fetch; a canceled one fails over, so its checkpoint must
+// still be fetched and reach the caller.
+func TestRemoteExecutorFetchesCheckpointOnlyWhileFailoverPossible(t *testing.T) {
+	cases := []struct {
+		status      Status
+		wantFetches int64
+	}{
+		{StatusDone, 0},
+		{StatusFailed, 0},
+		{StatusCanceled, 1},
+	}
+	for _, tc := range cases {
+		t.Run(string(tc.status), func(t *testing.T) {
+			var fetches atomic.Int64
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /internal/v1/execute", func(w http.ResponseWriter, r *http.Request) {
+				writeJSON(w, http.StatusAccepted, map[string]string{"id": "exec-1"})
+			})
+			mux.HandleFunc("GET /internal/v1/execute/{id}", func(w http.ResponseWriter, r *http.Request) {
+				st := execStatusResponse{ID: "exec-1", Status: tc.status, CheckpointSeq: 4}
+				switch tc.status {
+				case StatusDone:
+					st.Result = &Result{DatasetHash: "h"}
+				case StatusFailed:
+					st.Error = "boom"
+				}
+				writeJSON(w, http.StatusOK, st)
+			})
+			mux.HandleFunc("GET /internal/v1/execute/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+				fetches.Add(1)
+				writeJSON(w, http.StatusOK, &Checkpoint{Seq: 4, Labeled: map[string][]byte{"rf": {1, 2, 3}}})
+			})
+			mux.HandleFunc("DELETE /internal/v1/execute/{id}", func(w http.ResponseWriter, r *http.Request) {
+				writeJSON(w, http.StatusOK, map[string]any{"id": "exec-1"})
+			})
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+
+			remote := &RemoteExecutor{BaseURL: srv.URL, PollInterval: time.Millisecond}
+			var seen *Checkpoint
+			_, err := remote.Execute(context.Background(), Request{Function: "morris"}, func(p Progress) {
+				if p.Checkpoint != nil {
+					seen = p.Checkpoint
+				}
+			})
+			if got := fetches.Load(); got != tc.wantFetches {
+				t.Fatalf("%d checkpoint fetches, want %d", got, tc.wantFetches)
+			}
+			switch tc.status {
+			case StatusDone:
+				if err != nil {
+					t.Fatalf("done execution: %v", err)
+				}
+			case StatusFailed:
+				if err == nil || errors.Is(err, ErrUnavailable) {
+					t.Fatalf("failed execution: err = %v, want a plain error", err)
+				}
+			case StatusCanceled:
+				if !errors.Is(err, ErrUnavailable) {
+					t.Fatalf("canceled execution: err = %v, want ErrUnavailable", err)
+				}
+				if seen == nil || seen.Seq != 4 || string(seen.Labeled["rf"]) != "\x01\x02\x03" {
+					t.Fatalf("caller got checkpoint %+v, want the fetched seq-4 snapshot", seen)
+				}
+			}
+		})
 	}
 }

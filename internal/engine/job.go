@@ -476,8 +476,11 @@ func (j *job) transitionLocked() store.Record {
 }
 
 // setProgress replaces the job's progress with the executor's latest
-// report.
+// report, minus its checkpoint: the engine persists checkpoints as they
+// arrive and no snapshot reads them, so keeping one here would pin its
+// labeled datasets until the job's TTL.
 func (j *job) setProgress(p Progress) {
+	p.Checkpoint = nil
 	j.mu.Lock()
 	j.progress = p
 	j.mu.Unlock()

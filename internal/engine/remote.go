@@ -192,8 +192,11 @@ func (r *RemoteExecutor) Execute(ctx context.Context, req Request, onProgress fu
 		// A new checkpoint seq means the worker has more resumable work
 		// recorded; fetch the snapshot so the dispatcher can forward it
 		// if this worker dies. Best-effort: a failed fetch leaves lastCP
-		// behind and the next poll tries again.
-		if st.CheckpointSeq > 0 && (lastCP == nil || st.CheckpointSeq > lastCP.Seq) {
+		// behind and the next poll tries again. A done execution carries
+		// its result and a failed one is never retried, so neither can
+		// use a checkpoint; a canceled one still fails over.
+		finished := st.Status == StatusDone || st.Status == StatusFailed
+		if !finished && st.CheckpointSeq > 0 && (lastCP == nil || st.CheckpointSeq > lastCP.Seq) {
 			if cp, err := r.fetchCheckpoint(ctx, id); err == nil && cp != nil {
 				lastCP = cp
 			}

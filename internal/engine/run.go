@@ -219,7 +219,7 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 			sink.preload(cp.Timings)
 		}
 	}
-	ckpt := newCheckpointRecorder(cp, hash, x.checkpointBytes, sink)
+	ckpt := newCheckpointRecorder(cp, hash, sink)
 	finished := make(map[variantSpec]VariantResult)
 	if cp != nil {
 		for _, vr := range cp.Variants {

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -126,5 +128,27 @@ func TestTrainModeValidate(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, r)
 		}
+	}
+}
+
+// TestBinnedJobDeterministicAcrossGOMAXPROCS: a job is a pure function
+// of its request at any core count — the model cache, the label cache
+// and checkpoint resume all rely on it. Binned rf training once broke it
+// by carrying a worker's feature-sampling state from tree to tree.
+func TestBinnedJobDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	req := Request{Dataset: testDataset(300, rand.New(rand.NewSource(31))), L: 2000, Seed: 32, TrainMode: "binned"}
+	run := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), req, nil)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if res.Best.TrainMode != "binned" {
+			t.Fatalf("GOMAXPROCS=%d: train mode %q (fallback %q), want binned", procs, res.Best.TrainMode, res.Best.TrainFallbackReason)
+		}
+		return resultOutcome(t, res)
+	}
+	if one, four := run(1), run(4); one != four {
+		t.Fatalf("binned job differs between GOMAXPROCS 1 and 4:\n1: %.300s\n4: %.300s", one, four)
 	}
 }

@@ -247,6 +247,13 @@ func newBinnedTreeBuilder(bins *dataset.Bins, y []float64, m, nRows int, cfg tre
 // build grows one tree on the bootstrap rows idx (dataset row ids, with
 // multiplicity, in draw order).
 func (b *binnedTreeBuilder) build(idx []int, rng *binnedRNG) *tree {
+	// A builder is reused across trees and sampleFeats shuffles feats in
+	// place: restart from the identity so a tree's feature sampling
+	// depends on its own RNG only, not on which trees this builder grew
+	// before it.
+	for f := range b.feats {
+		b.feats[f] = f
+	}
 	b.rows = append(b.rows[:0], idx...)
 	b.t = &tree{gains: make([]float64, b.m)}
 	b.rng = rng
