@@ -495,7 +495,7 @@ func BenchmarkLabelStage100k(b *testing.B) {
 	model := benchPaperForest(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reds.PseudoLabel(context.Background(), model, reds.LatinHypercube{}, 100000, 10, 16, false, nil); err != nil {
+		if _, err := reds.PseudoLabel(context.Background(), model, reds.LatinHypercube{}, 100000, 10, 16, false, reds.BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -556,7 +556,7 @@ func BenchmarkLabelStage100kDistilled(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reds.PseudoLabel(context.Background(), distilled, reds.LatinHypercube{}, 100000, 10, 16, false, nil); err != nil {
+		if _, err := reds.PseudoLabel(context.Background(), distilled, reds.LatinHypercube{}, 100000, 10, 16, false, reds.BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -225,7 +225,7 @@ func componentBenchmarks() []struct {
 		// GOMAXPROCS the host gives (CI and the committed snapshots use 1).
 		{"label_batch", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PseudoLabel(context.Background(), rfPaper, sample.LatinHypercube{}, 100000, 10, 17, false, nil); err != nil {
+				if _, err := core.PseudoLabel(context.Background(), rfPaper, sample.LatinHypercube{}, 100000, 10, 17, false, metamodel.BatchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -266,7 +266,7 @@ func componentBenchmarks() []struct {
 		}},
 		{"label_distilled", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PseudoLabel(context.Background(), rfDistilled, sample.LatinHypercube{}, 100000, 10, 17, false, nil); err != nil {
+				if _, err := core.PseudoLabel(context.Background(), rfDistilled, sample.LatinHypercube{}, 100000, 10, 17, false, metamodel.BatchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

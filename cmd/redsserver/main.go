@@ -127,10 +127,6 @@ func main() {
 	labelCacheTTL := flag.Duration("labelcache.ttl", 0, "expiry of cached pseudo-labeled datasets (0: never)")
 	rulesetCacheBytes := flag.Int64("rulesetcache.bytes", 64<<20, "distilled rule-set cache budget in approximate bytes")
 	rulesetCacheTTL := flag.Duration("rulesetcache.ttl", 0, "expiry of cached distilled rule sets (0: never)")
-	distillFidelity := flag.Float64("distill.fidelity", 0.99, "default holdout fidelity a distilled labeling kernel must reach; below it jobs fall back to the full ensemble")
-	trainBinned := flag.Bool("train.binned", false, "default tree-ensemble training to the histogram-binned fast path (requests override per job via train_mode)")
-	trainBins := flag.Int("train.bins", 0, "default per-feature bin budget for binned training (0: the trainers' default, 64)")
-	trainQuality := flag.Float64("train.quality", 0, "default holdout accuracy the binned gate model must reach; below it families fall back to exact training (0: the executor default, 0.55)")
 	storeDir := flag.String("store.dir", "", "directory for the durable job store (empty: in-memory only)")
 	storeTTL := flag.Duration("store.ttl", 0, "retention of finished jobs before garbage collection (0: keep forever)")
 	storeSweep := flag.Duration("store.sweep-interval", time.Minute, "how often the TTL sweeper runs")
@@ -191,10 +187,6 @@ func main() {
 
 	// One executor serves both the engine's own jobs and gateway-
 	// dispatched executions, so they share the metamodel cache.
-	trainMode := ""
-	if *trainBinned {
-		trainMode = "binned"
-	}
 	executor := engine.NewLocalExecutor(engine.LocalExecutorOptions{
 		CacheBytes:        *cacheBytes,
 		CacheTTL:          *cacheTTL,
@@ -202,10 +194,6 @@ func main() {
 		LabelCacheTTL:     *labelCacheTTL,
 		RulesetCacheBytes: *rulesetCacheBytes,
 		RulesetCacheTTL:   *rulesetCacheTTL,
-		DistillFidelity:   *distillFidelity,
-		TrainMode:         trainMode,
-		TrainBins:         *trainBins,
-		TrainQuality:      *trainQuality,
 		Metrics:           reg,
 	})
 	eng, err := engine.New(engine.Options{

@@ -133,8 +133,15 @@ func TestClusterCheckpointedFailover(t *testing.T) {
 			trains, labels, discovers, snap.Timings)
 	}
 
-	// Terminal jobs shed their checkpoint.
-	if _, ok, _ := st.GetCheckpoint(string(id)); ok {
-		t.Fatalf("checkpoint survived job completion")
+	// Terminal jobs shed their checkpoint. The engine deletes it right
+	// after persisting the terminal record, which may trail the
+	// snapshot's terminal status by a moment.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if _, ok, _ := st.GetCheckpoint(string(id)); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpoint survived job completion")
+		}
 	}
 }

@@ -18,38 +18,6 @@ import (
 	"github.com/reds-go/reds/internal/sd"
 )
 
-// Stage identifies one step of the REDS pipeline for progress reporting.
-type Stage string
-
-// The pipeline stages, in execution order.
-const (
-	StageTrain    Stage = "train"    // fit the metamodel (Algorithm 4, line 2)
-	StageSample   Stage = "sample"   // draw the L fresh points (line 3)
-	StageLabel    Stage = "label"    // pseudo-label them (lines 4-6)
-	StageDiscover Stage = "discover" // downstream subgroup discovery (line 7)
-)
-
-// Hooks let a caller — in practice the concurrent engine — observe a
-// running discovery. All callbacks are optional and may be invoked from
-// the goroutine executing the pipeline; OnLabelProgress may additionally
-// be invoked concurrently from several labeling workers.
-type Hooks struct {
-	// OnStage fires when a pipeline stage begins.
-	OnStage func(s Stage)
-	// OnLabelProgress reports pseudo-labeling progress: done of total
-	// points labeled so far.
-	OnLabelProgress func(done, total int)
-	// LabelWorkers caps the pseudo-labeling worker pool (default
-	// GOMAXPROCS).
-	LabelWorkers int
-}
-
-func (h *Hooks) stage(s Stage) {
-	if h != nil && h.OnStage != nil {
-		h.OnStage(s)
-	}
-}
-
 // REDS composes a metamodel, a sampler and a subgroup-discovery
 // algorithm. It implements sd.Discoverer, so it can be used anywhere a
 // conventional algorithm is — including inside its own covering loop.
@@ -74,29 +42,6 @@ type REDS struct {
 	// selected box comparable to conventional PRIM's. Exposed for the
 	// ablation study (redsbench -exp ablation).
 	ValidateOnPseudo bool
-	// LabelStage, when non-nil, replaces the sample and label stages
-	// (Algorithm 4, lines 3-6): it must return the pseudo-labeled
-	// dataset mined downstream, with dim-wide rows and the Discrete
-	// mask already set. The engine uses this seam to share one
-	// pseudo-labeled dataset across the variants of a job and to serve
-	// it from its byte-weighted cache; the returned dataset may
-	// therefore be shared and must be treated as immutable. When set,
-	// the pipeline RNG is not consumed by sampling — the stage owns its
-	// own seeding.
-	LabelStage func(ctx context.Context, model metamodel.Model, dim int) (*dataset.Dataset, error)
-	// Prelabeled, when non-nil, is a pseudo-labeled dataset Dnew computed
-	// by an earlier execution: the train, sample and label stages (and
-	// their hooks) are skipped entirely and the pipeline goes straight to
-	// subgroup discovery on it. The engine uses this seam to resume a
-	// failed-over job from a checkpoint on a cold worker without
-	// retraining the metamodel — the discover stage only needs Dnew and
-	// the real validation data. The dataset may be shared across variants
-	// and must be treated as immutable. Metamodel and LabelStage are
-	// ignored when set.
-	Prelabeled *dataset.Dataset
-	// Hooks observe the pipeline (stage transitions, labeling
-	// progress). Nil means no observation.
-	Hooks *Hooks
 }
 
 // checkTrain validates the shape of a training set before the pipeline
@@ -132,14 +77,7 @@ func checkTrain(train *dataset.Dataset) error {
 // drilling into artifacts of the metamodel. When val is nil, train
 // doubles as the validation set.
 func (r *REDS) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Result, error) {
-	return r.DiscoverContext(context.Background(), train, val, rng)
-}
-
-// DiscoverContext is Discover with cooperative cancellation: the pipeline
-// checks ctx between stages and while pseudo-labeling, and returns
-// ctx.Err() once it fires. Progress is reported through r.Hooks.
-func (r *REDS) DiscoverContext(ctx context.Context, train, val *dataset.Dataset, rng *rand.Rand) (*sd.Result, error) {
-	if r.SD == nil || (r.Metamodel == nil && r.Prelabeled == nil) {
+	if r.Metamodel == nil || r.SD == nil {
 		return nil, fmt.Errorf("core: REDS needs both a metamodel and an SD algorithm")
 	}
 	if err := checkTrain(train); err != nil {
@@ -156,69 +94,23 @@ func (r *REDS) DiscoverContext(ctx context.Context, train, val *dataset.Dataset,
 	if smp == nil {
 		smp = sample.LatinHypercube{}
 	}
-
-	var dnew *dataset.Dataset
-	var err error
-	if r.Prelabeled != nil {
-		dnew = r.Prelabeled
-	} else {
-		dnew, err = r.trainAndLabel(ctx, train, rng, l, smp)
-		if err != nil {
-			return nil, err
-		}
+	model, err := r.Metamodel.Train(train, rng)
+	if err != nil {
+		return nil, fmt.Errorf("core: training metamodel %s: %w", r.Metamodel.Name(), err)
 	}
+	pts := smp.Sample(l, train.M(), rng)
+	dnew, err := labelPoints(context.Background(), model, pts, r.ProbLabels, metamodel.BatchOptions{})
+	if err != nil {
+		return nil, err
+	}
+	dnew.Discrete = train.Discrete
 	switch {
 	case r.ValidateOnPseudo:
 		val = dnew
 	case val == nil:
 		val = train
 	}
-	r.Hooks.stage(StageDiscover)
-	res, err := r.SD.Discover(dnew, val, rng)
-	if err != nil {
-		return res, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// trainAndLabel runs the train, sample and label stages (Algorithm 4,
-// lines 2-6) and returns the pseudo-labeled dataset Dnew.
-func (r *REDS) trainAndLabel(ctx context.Context, train *dataset.Dataset, rng *rand.Rand, l int, smp sample.Sampler) (*dataset.Dataset, error) {
-	r.Hooks.stage(StageTrain)
-	model, err := r.Metamodel.Train(train, rng)
-	if err != nil {
-		return nil, fmt.Errorf("core: training metamodel %s: %w", r.Metamodel.Name(), err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var dnew *dataset.Dataset
-	if r.LabelStage != nil {
-		// The stage owns both sampling and labeling; it reports its own
-		// labeling progress through whatever hooks its creator wired in.
-		r.Hooks.stage(StageSample)
-		r.Hooks.stage(StageLabel)
-		dnew, err = r.LabelStage(ctx, model, train.M())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		r.Hooks.stage(StageSample)
-		pts := smp.Sample(l, train.M(), rng)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.Hooks.stage(StageLabel)
-		dnew, err = r.labelPointsCtx(ctx, model, pts)
-		if err != nil {
-			return nil, err
-		}
-		dnew.Discrete = train.Discrete
-	}
-	return dnew, nil
+	return r.SD.Discover(dnew, val, rng)
 }
 
 // DiscoverSemiSupervised runs REDS in the semi-supervised setting of
@@ -244,7 +136,7 @@ func (r *REDS) DiscoverSemiSupervised(train *dataset.Dataset, pool [][]float64, 
 	if err != nil {
 		return nil, fmt.Errorf("core: training metamodel %s: %w", r.Metamodel.Name(), err)
 	}
-	dnew, err := r.labelPointsCtx(context.Background(), model, pool)
+	dnew, err := labelPoints(context.Background(), model, pool, r.ProbLabels, metamodel.BatchOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: pseudo-labeling pool: %w", err)
 	}
@@ -252,19 +144,13 @@ func (r *REDS) DiscoverSemiSupervised(train *dataset.Dataset, pool [][]float64, 
 	return r.SD.Discover(dnew, train, rng)
 }
 
-// labelPointsCtx applies lines 4-6 of Algorithm 4 with cancellation
-// and progress: the points are sharded across a worker pool, ctx is
-// checked per chunk, and models with a metamodel.BatchModel fast path
-// are evaluated through it.
-func (r *REDS) labelPointsCtx(ctx context.Context, model metamodel.Model, pts [][]float64) (*dataset.Dataset, error) {
-	opts := metamodel.BatchOptions{}
-	if r.Hooks != nil {
-		opts.Progress = r.Hooks.OnLabelProgress
-		opts.Workers = r.Hooks.LabelWorkers
-	}
+// labelPoints applies lines 4-6 of Algorithm 4: the points are
+// sharded across a worker pool, ctx is checked per chunk, and models
+// with a metamodel.BatchModel fast path are evaluated through it.
+func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
 	var y []float64
 	var err error
-	if r.ProbLabels {
+	if probLabels {
 		y, err = metamodel.PredictProbBatchCtx(ctx, model, pts, opts)
 	} else {
 		y, err = metamodel.PredictLabelBatchCtx(ctx, model, pts, opts)
@@ -282,9 +168,9 @@ func (r *REDS) labelPointsCtx(ctx context.Context, model metamodel.Model, pts []
 // otherwise). Factoring the stage out of the pipeline is what makes
 // its result shareable — the engine calls it once per metamodel
 // family and serves every variant (and cache-hitting repeat job) the
-// same dataset. Labeling progress and the worker budget come from
-// hooks; ctx cancels between chunks.
-func PseudoLabel(ctx context.Context, model metamodel.Model, smp sample.Sampler, l, dim int, seed int64, probLabels bool, hooks *Hooks) (*dataset.Dataset, error) {
+// same dataset. opts carries labeling progress and the worker budget;
+// ctx cancels between chunks.
+func PseudoLabel(ctx context.Context, model metamodel.Model, smp sample.Sampler, l, dim int, seed int64, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
 	if smp == nil {
 		smp = sample.LatinHypercube{}
 	}
@@ -292,6 +178,5 @@ func PseudoLabel(ctx context.Context, model metamodel.Model, smp sample.Sampler,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := &REDS{ProbLabels: probLabels, Hooks: hooks}
-	return r.labelPointsCtx(ctx, model, pts)
+	return labelPoints(ctx, model, pts, probLabels, opts)
 }

@@ -194,18 +194,18 @@ func TestPseudoLabelDeterministicAndShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, false, nil)
+	a, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, false, metamodel.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, false, nil)
+	b, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, false, metamodel.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Hash() != b.Hash() {
 		t.Fatal("same seed produced different pseudo-labeled datasets")
 	}
-	p, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, true, nil)
+	p, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, true, metamodel.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,43 +218,4 @@ func TestPseudoLabelDeterministicAndShared(t *testing.T) {
 		}
 	}
 	t.Log("all probability labels were 0/1 (acceptable for a crisp model)")
-}
-
-// TestLabelStageSeam asserts a custom LabelStage replaces the sample
-// and label stages: the SD stage mines exactly the dataset the seam
-// returned.
-func TestLabelStageSeam(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	train := funcs.Generate(funcs.F2, 150, sample.LatinHypercube{}, rng)
-	model, err := (&rf.Trainer{NTrees: 20}).Train(train, rand.New(rand.NewSource(34)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 2000, train.M(), 35, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	r := &REDS{
-		Metamodel: &rf.Trainer{NTrees: 20},
-		SD:        &prim.Peeler{},
-		L:         7, // would be an absurd pseudo-sample; the seam must win
-		LabelStage: func(ctx context.Context, m metamodel.Model, dim int) (*dataset.Dataset, error) {
-			calls++
-			if dim != train.M() {
-				t.Fatalf("seam got dim %d, want %d", dim, train.M())
-			}
-			return fixed, nil
-		},
-	}
-	res, err := r.Discover(train, train, rand.New(rand.NewSource(36)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("LabelStage called %d times, want 1", calls)
-	}
-	if res.Final() == nil {
-		t.Fatal("no final box")
-	}
 }

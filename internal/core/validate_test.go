@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -14,18 +12,6 @@ import (
 
 func validREDS() *REDS {
 	return &REDS{Metamodel: &rf.Trainer{NTrees: 10}, L: 500, SD: &prim.Peeler{}}
-}
-
-func cornerData(n int, rng *rand.Rand) *dataset.Dataset {
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = []float64{rng.Float64(), rng.Float64()}
-		if x[i][0] < 0.4 {
-			y[i] = 1
-		}
-	}
-	return dataset.MustNew(x, y)
 }
 
 // TestDiscoverRejectsMalformedData covers the zero-width and ragged-row
@@ -55,54 +41,5 @@ func TestDiscoverRejectsMalformedData(t *testing.T) {
 		if _, err := validREDS().DiscoverSemiSupervised(tc.d, [][]float64{{0.5, 0.5}}, rng); err == nil {
 			t.Errorf("%s: DiscoverSemiSupervised accepted malformed data", tc.name)
 		}
-	}
-}
-
-func TestDiscoverContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := validREDS().DiscoverContext(ctx, cornerData(100, rand.New(rand.NewSource(2))), nil, rand.New(rand.NewSource(3)))
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestDiscoverHooksReportStagesAndProgress(t *testing.T) {
-	var mu sync.Mutex
-	var stages []Stage
-	labeled := 0
-	r := validREDS()
-	r.Hooks = &Hooks{
-		OnStage: func(s Stage) {
-			mu.Lock()
-			stages = append(stages, s)
-			mu.Unlock()
-		},
-		OnLabelProgress: func(done, total int) {
-			mu.Lock()
-			if done > labeled {
-				labeled = done
-			}
-			mu.Unlock()
-		},
-	}
-	res, err := r.DiscoverContext(context.Background(), cornerData(150, rand.New(rand.NewSource(4))), nil, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final() == nil {
-		t.Fatal("no final box")
-	}
-	want := []Stage{StageTrain, StageSample, StageLabel, StageDiscover}
-	if len(stages) != len(want) {
-		t.Fatalf("stages = %v, want %v", stages, want)
-	}
-	for i := range want {
-		if stages[i] != want[i] {
-			t.Fatalf("stage %d = %s, want %s", i, stages[i], want[i])
-		}
-	}
-	if labeled != 500 {
-		t.Fatalf("labeled %d points, want 500 (L)", labeled)
 	}
 }

@@ -298,11 +298,8 @@ func NewHandler(e *Engine, opts ...HandlerOption) http.Handler {
 		// share one labeling (and therefore one kernel resolution), so
 		// their ruleset entries would be identical.
 		type rulesetEntry struct {
-			Metamodel      string          `json:"metamodel"`
-			LabelKernel    string          `json:"label_kernel,omitempty"`
-			LabelFidelity  float64         `json:"label_fidelity,omitempty"`
-			FallbackReason string          `json:"fallback_reason,omitempty"`
-			Ruleset        json.RawMessage `json:"ruleset,omitempty"`
+			Metamodel string `json:"metamodel"`
+			KernelReport
 		}
 		seen := map[string]bool{}
 		entries := []rulesetEntry{}
@@ -311,13 +308,7 @@ func NewHandler(e *Engine, opts ...HandlerOption) http.Handler {
 				continue
 			}
 			seen[vr.Metamodel] = true
-			entries = append(entries, rulesetEntry{
-				Metamodel:      vr.Metamodel,
-				LabelKernel:    vr.LabelKernel,
-				LabelFidelity:  vr.LabelFidelity,
-				FallbackReason: vr.FallbackReason,
-				Ruleset:        vr.Ruleset,
-			})
+			entries = append(entries, rulesetEntry{Metamodel: vr.Metamodel, KernelReport: vr.KernelReport})
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"id":           id,

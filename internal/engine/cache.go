@@ -9,12 +9,11 @@ import (
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/metamodel"
-	"github.com/reds-go/reds/internal/ruleset"
 	"github.com/reds-go/reds/internal/telemetry"
 )
 
 // CacheStats are cumulative counters of one byte-weighted cache (the
-// metamodel cache and the pseudo-label cache each report their own),
+// metamodel, pseudo-label and rule-set caches each report their own),
 // exposed on /v1/healthz.
 type CacheStats struct {
 	// Hits and Misses count lookups. A caller that waited on another's
@@ -33,9 +32,13 @@ type CacheStats struct {
 
 // byteCache is an LRU cache bounded by the approximate total byte size
 // of the cached values rather than their count, with singleflight
-// deduplication of concurrent computations and an optional TTL. It is
-// the shared machinery behind the metamodel cache and the
-// pseudo-label dataset cache.
+// deduplication of concurrent computations and an optional TTL. The
+// executor keeps one per artifact kind: trained models, pseudo-labeled
+// datasets, distilled rule sets and binned-gate resolutions (their keys
+// are built in runVariant and resolveTrainMode). A TTL expires entries
+// a fixed time after they were computed, so a long-lived worker
+// eventually drops artifacts of datasets nobody asks about even when
+// the byte budget never fills.
 //
 // Counters and size gauges are telemetry instruments registered under
 // reds_cache_*{cache=<label>}. They are the single source of truth:
@@ -45,6 +48,7 @@ type byteCache[V any] struct {
 	mu       sync.Mutex
 	maxBytes int64
 	ttl      time.Duration
+	size     func(V) int64    // a value's approximate byte weight
 	now      func() time.Time // injectable for TTL tests
 	entries  map[string]*list.Element
 	order    *list.List // front = most recent
@@ -68,14 +72,14 @@ type entry[V any] struct {
 type call[V any] struct {
 	done  chan struct{}
 	value V
-	size  int64
 	err   error
 }
 
-// newByteCache builds a cache whose instruments live in reg under the
-// given cache label ("model" or "label"). A nil reg gets a private
-// registry — instruments still work, nothing is exposed.
-func newByteCache[V any](maxBytes int64, ttl time.Duration, reg *telemetry.Registry, label string) *byteCache[V] {
+// newByteCache builds a cache that weighs each value with size and
+// whose instruments live in reg under the given cache label ("model",
+// "label", "ruleset" or "gate"). A nil reg gets a private registry —
+// instruments still work, nothing is exposed.
+func newByteCache[V any](maxBytes int64, ttl time.Duration, size func(V) int64, reg *telemetry.Registry, label string) *byteCache[V] {
 	if maxBytes < 1 {
 		maxBytes = 256 << 20
 	}
@@ -85,6 +89,7 @@ func newByteCache[V any](maxBytes int64, ttl time.Duration, reg *telemetry.Regis
 	return &byteCache[V]{
 		maxBytes: maxBytes,
 		ttl:      ttl,
+		size:     size,
 		now:      time.Now,
 		entries:  make(map[string]*list.Element),
 		order:    list.New(),
@@ -110,8 +115,8 @@ func (c *byteCache[V]) syncSizeLocked() {
 }
 
 // getOrCompute returns the cached value for key, or runs compute once
-// — even under concurrent callers — and caches its result with the
-// byte weight compute reports. hit reports whether the value came from
+// — even under concurrent callers — and caches its result, weighed by
+// the cache's size function. hit reports whether the value came from
 // the cache (a caller that waited on another's in-flight computation
 // counts as a hit: it did not compute). A waiter whose in-flight
 // computation failed with a context error retries the computation
@@ -119,7 +124,7 @@ func (c *byteCache[V]) syncSizeLocked() {
 // unrelated caller that shares the key (the pseudo-label stage
 // computes under the first job's context; a second job waiting on it
 // survives the first job's cancellation).
-func (c *byteCache[V]) getOrCompute(key string, compute func() (V, int64, error)) (v V, hit bool, err error) {
+func (c *byteCache[V]) getOrCompute(key string, compute func() (V, error)) (v V, hit bool, err error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -151,13 +156,17 @@ func (c *byteCache[V]) getOrCompute(key string, compute func() (V, int64, error)
 		c.misses.Inc()
 		c.mu.Unlock()
 
-		cl.value, cl.size, cl.err = compute()
+		cl.value, cl.err = compute()
 		close(cl.done)
+		var size int64
+		if cl.err == nil {
+			size = c.size(cl.value)
+		}
 
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if cl.err == nil {
-			c.insert(key, cl.value, cl.size)
+			c.insert(key, cl.value, size)
 		}
 		c.mu.Unlock()
 		return cl.value, false, cl.err
@@ -209,13 +218,6 @@ func (c *byteCache[V]) Stats() CacheStats {
 	}
 }
 
-// Len returns the number of cached values.
-func (c *byteCache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // defaultModelBytes is the weight of a cached model that does not report
 // its own size. It is deliberately pessimistic (1 MiB) so unknown model
 // types cannot silently blow the budget.
@@ -233,50 +235,6 @@ func modelSizeBytes(m metamodel.Model) int64 {
 	return defaultModelBytes
 }
 
-// modelCache is the byte-weighted LRU cache of trained metamodels (a
-// tuned 500-tree forest and a 20-vector SVM are not the same cost to
-// keep). Keys follow the scheme built in cachedTrainer (run.go):
-//
-//	<dataset SHA-256>|<family>|tuned=<bool>|seed=<train seed>
-//
-// i.e. dataset content hash (dataset.Hash, so any load path of the same
-// bits hits) + trainer configuration (family name and whether
-// cross-validated tuning ran) + the training seed. Anything that can
-// change the trained model is part of the key; anything that cannot
-// (the SD algorithm, L, the sampler) deliberately is not, so all SD
-// variants of one metamodel family share a single entry. Repeated jobs
-// over the same data skip retraining entirely — the dominant cost for
-// tuned trainers. Concurrent requests for the same key are deduplicated
-// singleflight-style: the first caller trains, the rest block and share
-// the result. An optional TTL expires entries a fixed time after
-// training, so long-lived workers eventually drop models for datasets
-// nobody asks about anymore even when the byte budget never fills.
-type modelCache struct {
-	c *byteCache[metamodel.Model]
-}
-
-func newModelCache(maxBytes int64, ttl time.Duration, reg *telemetry.Registry) *modelCache {
-	return &modelCache{c: newByteCache[metamodel.Model](maxBytes, ttl, reg, "model")}
-}
-
-// getOrTrain returns the cached model for key, or runs train once —
-// even under concurrent callers — and caches its result.
-func (c *modelCache) getOrTrain(key string, train func() (metamodel.Model, error)) (metamodel.Model, bool, error) {
-	return c.c.getOrCompute(key, func() (metamodel.Model, int64, error) {
-		m, err := train()
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, modelSizeBytes(m), nil
-	})
-}
-
-// Stats returns cumulative counters and the current contents.
-func (c *modelCache) Stats() CacheStats { return c.c.Stats() }
-
-// Len returns the number of cached models.
-func (c *modelCache) Len() int { return c.c.Len() }
-
 // datasetBytes is the byte weight of a cached pseudo-labeled dataset:
 // the flat rows, the labels, and the row headers. The lazily derived
 // columnar views (which a cached dataset shared by several variants
@@ -290,76 +248,3 @@ func datasetBytes(d *dataset.Dataset) int64 {
 		int64(d.N()+d.M())*sliceHeader + // row + column headers
 		int64(d.N())*int64(d.M())*8 // sorted index orders
 }
-
-// labelCache is the byte-weighted LRU cache of pseudo-labeled
-// datasets. At L = 10^5 a single entry is ~10 MiB before the columnar
-// views — pseudo-labeled data dominates a busy worker's memory, which
-// is why the cache is byte-bounded like the model cache rather than
-// counted. Keys (built in run.go) extend the model-cache key with
-// everything else that determines the dataset:
-//
-//	<model cache key>|sampler=<name>|L=<l>|lseed=<label seed>|prob=<bool>
-//
-// so the rf×prim, rf×bumping and rf×bi variants of one job — same
-// family, same label seed — share one labeling, and repeat jobs over
-// the same data skip the stage entirely. Cached datasets are served to
-// several variants at once and must be treated as immutable (their
-// lazy columnar views are internally synchronized, and shared for
-// free).
-type labelCache struct {
-	c *byteCache[*dataset.Dataset]
-}
-
-func newLabelCache(maxBytes int64, ttl time.Duration, reg *telemetry.Registry) *labelCache {
-	return &labelCache{c: newByteCache[*dataset.Dataset](maxBytes, ttl, reg, "label")}
-}
-
-// getOrLabel returns the cached pseudo-labeled dataset for key, or
-// runs label once — even under concurrent variants — and caches its
-// result.
-func (c *labelCache) getOrLabel(key string, label func() (*dataset.Dataset, error)) (*dataset.Dataset, bool, error) {
-	return c.c.getOrCompute(key, func() (*dataset.Dataset, int64, error) {
-		d, err := label()
-		if err != nil {
-			return nil, 0, err
-		}
-		return d, datasetBytes(d), nil
-	})
-}
-
-// Stats returns cumulative counters and the current contents.
-func (c *labelCache) Stats() CacheStats { return c.c.Stats() }
-
-// rulesetCache is the byte-weighted LRU cache of distilled rule sets.
-// Keys extend the parent model's cache key with the distillation
-// parameters (see run.go):
-//
-//	<model cache key>|distill|maxrules=<n>|dseed=<seed>
-//
-// so repeat jobs over the same trained model — and sibling SD variants
-// of one family — distill once. Distilled models are tiny next to
-// their parents (a handful of simplified trees plus the JSON export),
-// so the default budget holds hundreds of them.
-type rulesetCache struct {
-	c *byteCache[*ruleset.Model]
-}
-
-func newRulesetCache(maxBytes int64, ttl time.Duration, reg *telemetry.Registry) *rulesetCache {
-	return &rulesetCache{c: newByteCache[*ruleset.Model](maxBytes, ttl, reg, "ruleset")}
-}
-
-// getOrDistill returns the cached distilled model for key, or runs
-// distill once — even under concurrent variants — and caches its
-// result.
-func (c *rulesetCache) getOrDistill(key string, distill func() (*ruleset.Model, error)) (*ruleset.Model, bool, error) {
-	return c.c.getOrCompute(key, func() (*ruleset.Model, int64, error) {
-		m, err := distill()
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, m.ApproxMemoryBytes(), nil
-	})
-}
-
-// Stats returns cumulative counters and the current contents.
-func (c *rulesetCache) Stats() CacheStats { return c.c.Stats() }

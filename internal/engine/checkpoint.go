@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/json"
+	"io"
 	"maps"
 	"sync"
 	"time"
@@ -16,7 +18,7 @@ import (
 // only what the checkpoint cannot prove finished.
 //
 // A checkpoint is self-validating: DatasetHash pins it to the training
-// data, and the cache keys pin the labeled datasets to the exact
+// data, and the label-cache keys pin the labeled datasets to the exact
 // model/sampler/seed tuple, so a worker never resumes from a snapshot
 // computed under different inputs.
 type Checkpoint struct {
@@ -37,24 +39,14 @@ type Checkpoint struct {
 	// job's final timings are the union of every execution's spans with
 	// no duplicates for skipped work.
 	Timings []StageTiming `json:"timings,omitempty"`
-	// ModelKeys maps metamodel family → model-cache key: a warm resuming
-	// worker hits its cache under the same key.
-	ModelKeys map[string]string `json:"model_keys,omitempty"`
-	// LabelKeys maps metamodel family → content-addressed label-dataset
-	// cache key (see internal/engine/cache.go for the key scheme).
-	LabelKeys map[string]string `json:"label_keys,omitempty"`
-	// Labeled inlines the pseudo-labeled datasets themselves, per
-	// family, in dataset.MarshalBinary's layout (base64 strings in JSON),
-	// up to the checkpointBytes budget. This is what lets a cold
-	// replacement worker skip the train/sample/label stages entirely: the
-	// discover stage needs only Dnew and the real validation data, not the
-	// trained model. Families whose dataset did not fit the budget keep
-	// only their keys — a warm worker still hits its caches, a cold one
-	// recomputes. Each set is encoded once, when its label stage
-	// finishes; every later snapshot, fetch, persist and forward moves
-	// the same bytes, and only a worker that resumes from a set decodes
-	// it.
-	Labeled map[string][]byte `json:"labeled,omitempty"`
+	// Labeled maps metamodel family → its label artifact. An artifact
+	// inlines the pseudo-labeled dataset while the checkpointBytes budget
+	// lasts: that is what lets a cold replacement worker skip the
+	// train/sample/label stages entirely, since the discover stage needs
+	// only Dnew and the real validation data, not the trained model. A
+	// family whose dataset did not fit keeps its key and report, and a
+	// resuming worker recomputes it.
+	Labeled map[string]LabeledSet `json:"labeled,omitempty"`
 	// ElapsedSeconds accumulates the wall-clock time every execution of
 	// the job has spent so far. A resumed execution subtracts it from
 	// the request's deadline budget, so a job deadline bounds the job —
@@ -62,11 +54,42 @@ type Checkpoint struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
 }
 
+// decodeCheckpoint decodes a checkpoint in this build's layout only: a
+// field it does not know means another build wrote the checkpoint, and
+// its labeled sets or variants may mean something else. Callers ignore
+// a checkpoint that fails to decode, and the job runs cold.
+func decodeCheckpoint(r io.Reader) (*Checkpoint, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var cp Checkpoint
+	if err := dec.Decode(&cp); err != nil {
+		return nil, err
+	}
+	return &cp, nil
+}
+
+// LabeledSet is one metamodel family's label artifact in a checkpoint.
+type LabeledSet struct {
+	// Key is the label-cache key the dataset was computed under. A
+	// resuming worker adopts the dataset only under the key it computes
+	// itself, so a set computed under other inputs is never found.
+	Key string `json:"key"`
+	// Data is the pseudo-labeled dataset in dataset.MarshalBinary's
+	// layout (a base64 string in JSON), absent when it did not fit the
+	// budget. It is encoded once, when the label stage finishes; every
+	// later snapshot, fetch, persist and forward moves the same bytes,
+	// and only a worker that resumes from it decodes it.
+	Data []byte `json:"data,omitempty"`
+	// KernelReport is how the dataset was labeled. A variant that
+	// resumes from the dataset reports it as its own.
+	KernelReport
+}
+
 // checkpointBytes bounds the total encoded size of the labeled
 // datasets inlined into one execution's checkpoints. Within it a cold
 // replacement worker resumes without retraining or relabeling; beyond
-// it, checkpoints carry only the cache keys. An L = 10^5 set with 8
-// inputs encodes to 7.2 MB, so four such families fit.
+// it, checkpoints carry only the keys and reports. An L = 10^5 set with
+// 8 inputs encodes to 7.2 MB, so four such families fit.
 const checkpointBytes = 32 << 20
 
 // checkpointRecorder accumulates one execution's reusable work and
@@ -82,19 +105,17 @@ type checkpointRecorder struct {
 	// budgetLeft bounds the total encoded bytes of inline labeled sets.
 	budgetLeft int64
 	variants   []VariantResult
-	modelKeys  map[string]string
-	labelKeys  map[string]string
-	// labeled maps family → its encoded labeled dataset.
-	labeled map[string][]byte
+	// labeled maps family → its recorded label artifact.
+	labeled map[string]LabeledSet
 	// labeling holds one Once per family whose label stage this
 	// execution records; see labelStageDone.
 	labeling map[string]*sync.Once
 	// inbound maps label-cache key → labeled set from the checkpoint this
 	// execution resumed from. Keying by the full cache key (rather than
 	// family) makes the lookup self-validating: if this worker computes
-	// a different key — different seed, sampler, L — the stale dataset
-	// is simply not found and the stage recomputes. Read-only after
-	// construction.
+	// a different key — different seed, sampler, L, rule budget — the
+	// stale dataset is simply not found and the stage recomputes.
+	// Read-only after construction.
 	inbound map[string]*inboundLabeled
 	// start anchors this execution's contribution to ElapsedSeconds;
 	// baseElapsed carries what earlier executions already spent.
@@ -106,15 +127,15 @@ type checkpointRecorder struct {
 // on first use: only a variant that resumes from it pays for the
 // decode, and its sibling variants share the result.
 type inboundLabeled struct {
-	blob []byte
+	set  LabeledSet
 	once sync.Once
-	d    *dataset.Dataset // nil when the blob does not decode
+	d    *dataset.Dataset // nil when the data does not decode
 }
 
 func (in *inboundLabeled) decoded() *dataset.Dataset {
 	in.once.Do(func() {
 		d := new(dataset.Dataset)
-		if d.UnmarshalBinary(in.blob) == nil {
+		if d.UnmarshalBinary(in.set.Data) == nil {
 			in.d = d
 		}
 	})
@@ -129,9 +150,7 @@ func newCheckpointRecorder(cp *Checkpoint, datasetHash string, sink *progressSin
 		sink:        sink,
 		datasetHash: datasetHash,
 		budgetLeft:  checkpointBytes,
-		modelKeys:   make(map[string]string),
-		labelKeys:   make(map[string]string),
-		labeled:     make(map[string][]byte),
+		labeled:     make(map[string]LabeledSet),
 		labeling:    make(map[string]*sync.Once),
 		inbound:     make(map[string]*inboundLabeled),
 		start:       time.Now(),
@@ -142,41 +161,40 @@ func newCheckpointRecorder(cp *Checkpoint, datasetHash string, sink *progressSin
 	r.seq = cp.Seq
 	r.baseElapsed = cp.ElapsedSeconds
 	r.variants = append(r.variants, cp.Variants...)
-	maps.Copy(r.modelKeys, cp.ModelKeys)
-	for fam, k := range cp.LabelKeys {
-		r.labelKeys[fam] = k
-		if blob := cp.Labeled[fam]; blob != nil {
-			r.inbound[k] = &inboundLabeled{blob: blob}
-			// Carry the blob forward unchanged so the next failover can
-			// still resume cold; it already fit the previous budget.
-			r.labeled[fam] = blob
-			r.budgetLeft -= int64(len(blob))
+	for fam, set := range cp.Labeled {
+		// Carry every set forward unchanged so the next failover can
+		// still resume cold; its data already fit the previous budget.
+		r.labeled[fam] = set
+		if set.Data != nil {
+			r.inbound[set.Key] = &inboundLabeled{set: set}
+			r.budgetLeft -= int64(len(set.Data))
 		}
 	}
 	return r
 }
 
 // resumeLabeled returns the inbound checkpoint's labeled dataset for
-// the given label-cache key, or nil when the checkpoint has none, was
-// computed under different inputs, or carries a blob that does not
-// decode.
-func (r *checkpointRecorder) resumeLabeled(labelKey string) *dataset.Dataset {
-	if in := r.inbound[labelKey]; in != nil {
-		return in.decoded()
+// the given label-cache key with its kernel report, or a nil dataset
+// when the checkpoint has none, was computed under different inputs,
+// or carries data that does not decode.
+func (r *checkpointRecorder) resumeLabeled(labelKey string) (*dataset.Dataset, KernelReport) {
+	in := r.inbound[labelKey]
+	if in == nil {
+		return nil, KernelReport{}
 	}
-	return nil
+	return in.decoded(), in.set.KernelReport
 }
 
-// labelStageDone records that a family's pseudo-labeling finished (keys
-// always; the encoded dataset while the byte budget lasts) and
-// publishes a new snapshot. Idempotent per family. Concurrent variants
-// of one family record once: the first encodes the dataset outside the
-// recorder's lock, and its siblings wait until the snapshot carrying it
-// is published, so none of them publishes one that names the family
-// without its dataset.
-func (r *checkpointRecorder) labelStageDone(family, modelKey, labelKey string, d *dataset.Dataset) {
+// labelStageDone records that a family's pseudo-labeling finished (its
+// key and report always; the encoded dataset while the byte budget
+// lasts) and publishes a new snapshot. Idempotent per family.
+// Concurrent variants of one family record once: the first encodes the
+// dataset outside the recorder's lock, and its siblings wait until the
+// snapshot carrying it is published, so none of them publishes one that
+// names the family without its dataset.
+func (r *checkpointRecorder) labelStageDone(family string, set LabeledSet, d *dataset.Dataset) {
 	r.mu.Lock()
-	if _, ok := r.labelKeys[family]; ok {
+	if _, ok := r.labeled[family]; ok {
 		r.mu.Unlock()
 		return
 	}
@@ -189,18 +207,16 @@ func (r *checkpointRecorder) labelStageDone(family, modelKey, labelKey string, d
 	r.mu.Unlock()
 
 	once.Do(func() {
-		var blob []byte
 		if fits {
-			blob, _ = d.MarshalBinary() // a malformed dataset just stays out of the checkpoint
+			set.Data, _ = d.MarshalBinary() // a malformed dataset just stays out of the checkpoint
 		}
 		r.mu.Lock()
-		r.modelKeys[family] = modelKey
-		r.labelKeys[family] = labelKey
 		// Another family may have taken the budget while this one encoded.
-		if blob != nil && int64(len(blob)) <= r.budgetLeft {
-			r.labeled[family] = blob
-			r.budgetLeft -= int64(len(blob))
+		if int64(len(set.Data)) > r.budgetLeft {
+			set.Data = nil
 		}
+		r.budgetLeft -= int64(len(set.Data))
+		r.labeled[family] = set
 		cp := r.snapshotLocked()
 		r.mu.Unlock()
 		r.sink.setCheckpoint(cp)
@@ -223,16 +239,11 @@ func (r *checkpointRecorder) variantDone(vr VariantResult) {
 // holds r.mu.
 func (r *checkpointRecorder) snapshotLocked() *Checkpoint {
 	r.seq++
-	cp := &Checkpoint{
+	return &Checkpoint{
 		Seq:            r.seq,
 		DatasetHash:    r.datasetHash,
 		Variants:       append([]VariantResult(nil), r.variants...),
-		ModelKeys:      maps.Clone(r.modelKeys),
-		LabelKeys:      maps.Clone(r.labelKeys),
+		Labeled:        maps.Clone(r.labeled),
 		ElapsedSeconds: r.baseElapsed + time.Since(r.start).Seconds(),
 	}
-	if len(r.labeled) > 0 {
-		cp.Labeled = maps.Clone(r.labeled)
-	}
-	return cp
 }

@@ -33,11 +33,19 @@ func countStages(spans []StageTiming) (trains, labels int) {
 // store persistence do), the process "crashes" — simulated by planting
 // the running record plus the checkpoint in a durable store — and the
 // next engine must re-enqueue the job, resume it, and finish without
-// re-running the variants the checkpoint already carries.
+// re-running the variants the checkpoint already carries. A distilled
+// job resumes with its distillation's report: fidelity and rules.
 func TestCheckpointResumeAfterCrash(t *testing.T) {
-	dir := t.TempDir()
 	d := testDataset(250, rand.New(rand.NewSource(21)))
-	req := Request{Dataset: d, L: 800, Seed: 5, SD: []string{"prim", "bumping", "bi"}}
+	for _, tc := range []struct{ name, kernel string }{{"full", ""}, {"distilled", "distilled"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkResumeAfterCrash(t, Request{Dataset: d, L: 800, Seed: 5, SD: []string{"prim", "bumping", "bi"}, LabelKernel: tc.kernel})
+		})
+	}
+}
+
+func checkResumeAfterCrash(t *testing.T, req Request) {
+	dir := t.TempDir()
 	if err := req.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
@@ -73,10 +81,10 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 			finished++
 		}
 	}
-	if finished == 0 {
-		t.Fatalf("checkpoint carries no finished variants: %+v", cp.Variants)
+	if finished == 0 || finished == len(req.SD) {
+		t.Fatalf("checkpoint carries %d of %d variants finished, want some but not all: %+v", finished, len(req.SD), cp.Variants)
 	}
-	if len(cp.Labeled) == 0 {
+	if len(cp.Labeled["rf"].Data) == 0 {
 		t.Fatalf("checkpoint inlines no labeled set, so the resume below would not read one")
 	}
 
@@ -159,6 +167,9 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 	fresh, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), req, nil)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
+	}
+	if want := req.effectiveLabelKernel(); fresh.Best.LabelKernel != want {
+		t.Fatalf("uninterrupted run labeled with %q (fallback %q), want %q", fresh.Best.LabelKernel, fresh.Best.FallbackReason, want)
 	}
 	if got, want := resultOutcome(t, res), resultOutcome(t, fresh); got != want {
 		t.Fatalf("resumed result differs from an uninterrupted run:\nresumed: %s\nfresh:   %s", got, want)
@@ -356,24 +367,35 @@ func TestFinishedJobPinsNoCheckpoint(t *testing.T) {
 }
 
 // TestPreChangeCheckpointRunsCold: checkpoints once inlined labeled
-// sets as JSON objects ({"x": [[...]], "y": [...]}). Such a checkpoint
-// — left in a durable store by an older build, or forwarded by a gateway
-// of one — must be ignored, not trusted and not fatal: the job runs
-// from scratch and ends done.
+// sets as JSON objects ({"x": [[...]], "y": [...]}), and later as bare
+// binary blobs per family with their cache keys in maps of their own.
+// Such a checkpoint — left in a durable store by an older build, or
+// forwarded by a gateway of one — must be ignored, not trusted and not
+// fatal: the job runs from scratch and ends done.
 func TestPreChangeCheckpointRunsCold(t *testing.T) {
 	d := testDataset(250, rand.New(rand.NewSource(25)))
 	req := Request{Dataset: d, L: 800, Seed: 6, SD: []string{"prim", "bi"}}
-	// A variant the checkpoint claims finished: trusting the checkpoint
-	// would adopt its "pre-change" rule verbatim.
-	preChange, err := json.Marshal(map[string]any{
-		"seq":          2,
-		"dataset_hash": d.Hash(),
-		"variants":     []VariantResult{{Metamodel: "rf", SD: "prim", Rule: "pre-change"}},
-		"label_keys":   map[string]string{"rf": "k"},
-		"labeled":      map[string]*dataset.Dataset{"rf": testDataset(20, rand.New(rand.NewSource(26)))},
-	})
+	old := testDataset(20, rand.New(rand.NewSource(26)))
+	blob, err := old.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
+	}
+	layouts := map[string]json.RawMessage{}
+	for name, cp := range map[string]map[string]any{
+		"json-sets": {"labeled": map[string]*dataset.Dataset{"rf": old}},
+		"blob-sets": {"labeled": map[string][]byte{"rf": blob}, "model_keys": map[string]string{"rf": "m"}},
+	} {
+		// A variant the checkpoint claims finished: trusting the
+		// checkpoint would adopt its "pre-change" rule verbatim.
+		cp["seq"] = 2
+		cp["dataset_hash"] = d.Hash()
+		cp["variants"] = []VariantResult{{Metamodel: "rf", SD: "prim", Rule: "pre-change"}}
+		cp["label_keys"] = map[string]string{"rf": "k"}
+		raw, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layouts[name] = raw
 	}
 	ranCold := func(t *testing.T, res *Result) {
 		t.Helper()
@@ -385,77 +407,85 @@ func TestPreChangeCheckpointRunsCold(t *testing.T) {
 	}
 
 	t.Run("store", func(t *testing.T) {
-		dir := t.TempDir()
-		fs := openFS(t, dir)
-		reqJSON, _ := json.Marshal(req)
-		now := time.Now()
-		if err := fs.PutJob(store.Record{
-			ID:          "job-000001",
-			Status:      string(StatusRunning),
-			SubmittedAt: now.Add(-time.Minute),
-			StartedAt:   now.Add(-50 * time.Second),
-			Request:     reqJSON,
-		}); err != nil {
-			t.Fatalf("planting running record: %v", err)
-		}
-		if err := fs.PutCheckpoint("job-000001", preChange); err != nil {
-			t.Fatalf("planting checkpoint: %v", err)
-		}
-		if err := fs.Close(); err != nil {
-			t.Fatalf("closing store: %v", err)
-		}
+		for name, preChange := range layouts {
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				fs := openFS(t, dir)
+				reqJSON, _ := json.Marshal(req)
+				now := time.Now()
+				if err := fs.PutJob(store.Record{
+					ID:          "job-000001",
+					Status:      string(StatusRunning),
+					SubmittedAt: now.Add(-time.Minute),
+					StartedAt:   now.Add(-50 * time.Second),
+					Request:     reqJSON,
+				}); err != nil {
+					t.Fatalf("planting running record: %v", err)
+				}
+				if err := fs.PutCheckpoint("job-000001", preChange); err != nil {
+					t.Fatalf("planting checkpoint: %v", err)
+				}
+				if err := fs.Close(); err != nil {
+					t.Fatalf("closing store: %v", err)
+				}
 
-		e := newTestEngine(t, Options{Workers: 1, Store: openFS(t, dir)})
-		defer e.Close()
-		if rec := e.Recovery(); rec.Resumed != 1 || rec.Orphaned != 0 {
-			t.Fatalf("recovery stats = %+v, want the job recovered", rec)
+				e := newTestEngine(t, Options{Workers: 1, Store: openFS(t, dir)})
+				defer e.Close()
+				if rec := e.Recovery(); rec.Resumed != 1 || rec.Orphaned != 0 {
+					t.Fatalf("recovery stats = %+v, want the job recovered", rec)
+				}
+				snap := waitTerminal(t, e, "job-000001", 120*time.Second)
+				if snap.Status != StatusDone {
+					t.Fatalf("job finished %s: %s", snap.Status, snap.Error)
+				}
+				if trains, labels := countStages(snap.Timings); trains == 0 || labels == 0 {
+					t.Fatalf("job did not run train and label itself: %+v", snap.Timings)
+				}
+				res, err := e.Result("job-000001")
+				if err != nil {
+					t.Fatalf("result: %v", err)
+				}
+				ranCold(t, res)
+				waitCheckpointGone(t, e, "job-000001")
+			})
 		}
-		snap := waitTerminal(t, e, "job-000001", 120*time.Second)
-		if snap.Status != StatusDone {
-			t.Fatalf("job finished %s: %s", snap.Status, snap.Error)
-		}
-		if trains, labels := countStages(snap.Timings); trains == 0 || labels == 0 {
-			t.Fatalf("job did not run train and label itself: %+v", snap.Timings)
-		}
-		res, err := e.Result("job-000001")
-		if err != nil {
-			t.Fatalf("result: %v", err)
-		}
-		ranCold(t, res)
-		waitCheckpointGone(t, e, "job-000001")
 	})
 
 	t.Run("worker", func(t *testing.T) {
 		srv, _ := newTestWorker(t)
 		remote := &RemoteExecutor{BaseURL: srv.URL}
-		var body map[string]json.RawMessage
-		raw, _ := json.Marshal(req)
-		if err := json.Unmarshal(raw, &body); err != nil {
-			t.Fatal(err)
-		}
-		body["checkpoint"] = preChange
-		raw, _ = json.Marshal(body)
-		id, err := remote.start(context.Background(), raw)
-		if err != nil {
-			t.Fatalf("worker refused a request with a pre-change checkpoint: %v", err)
-		}
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			st, err := remote.poll(context.Background(), id)
-			if err != nil {
-				t.Fatalf("poll: %v", err)
-			}
-			if st.Status.Terminal() {
-				if st.Status != StatusDone {
-					t.Fatalf("execution finished %s: %s", st.Status, st.Error)
+		for name, preChange := range layouts {
+			t.Run(name, func(t *testing.T) {
+				var body map[string]json.RawMessage
+				raw, _ := json.Marshal(req)
+				if err := json.Unmarshal(raw, &body); err != nil {
+					t.Fatal(err)
 				}
-				ranCold(t, st.Result)
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("execution never finished")
-			}
-			time.Sleep(5 * time.Millisecond)
+				body["checkpoint"] = preChange
+				raw, _ = json.Marshal(body)
+				id, err := remote.start(context.Background(), raw)
+				if err != nil {
+					t.Fatalf("worker refused a request with a pre-change checkpoint: %v", err)
+				}
+				deadline := time.Now().Add(60 * time.Second)
+				for {
+					st, err := remote.poll(context.Background(), id)
+					if err != nil {
+						t.Fatalf("poll: %v", err)
+					}
+					if st.Status.Terminal() {
+						if st.Status != StatusDone {
+							t.Fatalf("execution finished %s: %s", st.Status, st.Error)
+						}
+						ranCold(t, st.Result)
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("execution never finished")
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			})
 		}
 	})
 }
@@ -463,10 +493,11 @@ func TestPreChangeCheckpointRunsCold(t *testing.T) {
 // TestCheckpointRecorderLabeledSets: sibling variants that finish one
 // family's label stage together record it once, and none of them
 // publishes a snapshot naming the family without its labeled set;
-// labeled sets are charged to the inline budget by encoded length; a
-// resumed execution carries the inbound bytes forward unchanged, decodes
-// a set once for all its variants, and treats a blob that does not
-// decode as absent.
+// labeled sets are charged to the inline budget by encoded length, and
+// a family past the budget keeps its key and report; a resumed
+// execution carries the inbound bytes forward unchanged, decodes a set
+// once for all its variants, hands back the set's kernel report, and
+// treats data that does not decode as absent.
 func TestCheckpointRecorderLabeledSets(t *testing.T) {
 	labeled := testDataset(20000, rand.New(rand.NewSource(27)))
 	size := int64(labeled.BinarySize())
@@ -476,39 +507,43 @@ func TestCheckpointRecorderLabeledSets(t *testing.T) {
 	}))
 	rec.budgetLeft = size + 10
 
+	report := KernelReport{LabelKernel: "distilled", LabelFidelity: 0.995, Ruleset: json.RawMessage(`{"rules":[]}`)}
 	var wg sync.WaitGroup
 	for _, sd := range []string{"prim", "bumping", "bi", "prim-bumping"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec.labelStageDone("rf", "m-rf", "l-rf", labeled)
+			rec.labelStageDone("rf", LabeledSet{Key: "l-rf", KernelReport: report}, labeled)
 			rec.variantDone(VariantResult{Metamodel: "rf", SD: sd})
 		}()
 	}
 	wg.Wait()
-	rec.labelStageDone("xgb", "m-xgb", "l-xgb", labeled) // past the budget: keys only
+	rec.labelStageDone("xgb", LabeledSet{Key: "l-xgb", KernelReport: KernelReport{LabelKernel: "full"}}, labeled) // past the budget
 	if len(published) != 6 {
 		t.Fatalf("%d snapshots published, want one per family and one per variant (6)", len(published))
 	}
 	for _, cp := range published {
-		if _, named := cp.LabelKeys["rf"]; named && int64(len(cp.Labeled["rf"])) != size {
-			t.Fatalf("snapshot %d names family rf but inlines %d of its %d bytes", cp.Seq, len(cp.Labeled["rf"]), size)
+		if set, named := cp.Labeled["rf"]; named && int64(len(set.Data)) != size {
+			t.Fatalf("snapshot %d names family rf but inlines %d of its %d bytes", cp.Seq, len(set.Data), size)
 		}
 	}
 	if rec.budgetLeft != 10 {
 		t.Fatalf("budget left = %d, want 10 after one %d-byte set", rec.budgetLeft, size)
 	}
 	last := published[5]
-	blob := last.Labeled["rf"]
-	if len(last.Labeled) != 1 || last.LabelKeys["xgb"] != "l-xgb" {
-		t.Fatalf("checkpoint inlines %d sets with label keys %v, want rf only", len(last.Labeled), last.LabelKeys)
+	blob := last.Labeled["rf"].Data
+	if xgb := last.Labeled["xgb"]; xgb.Key != "l-xgb" || xgb.Data != nil || xgb.LabelKernel != "full" {
+		t.Fatalf("family past the budget recorded as %+v, want its key and report without data", xgb)
 	}
 
 	inbound := *last
-	inbound.LabelKeys = map[string]string{"rf": "l-rf", "xgb": "l-xgb", "svm": "l-svm"}
-	inbound.Labeled = map[string][]byte{"rf": blob, "svm": []byte("not a dataset")}
+	inbound.Labeled = map[string]LabeledSet{
+		"rf":  last.Labeled["rf"],
+		"xgb": last.Labeled["xgb"],
+		"svm": {Key: "l-svm", Data: []byte("not a dataset")},
+	}
 	res := newCheckpointRecorder(&inbound, "h", newProgressSink(nil))
-	if &res.labeled["rf"][0] != &blob[0] {
+	if &res.labeled["rf"].Data[0] != &blob[0] {
 		t.Fatalf("inbound set was copied, not carried forward")
 	}
 	if want := int64(checkpointBytes - len(blob) - len("not a dataset")); res.budgetLeft != want {
@@ -519,7 +554,7 @@ func TestCheckpointRecorderLabeledSets(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = res.resumeLabeled("l-rf")
+			got[i], _ = res.resumeLabeled("l-rf")
 		}()
 	}
 	wg.Wait()
@@ -531,7 +566,13 @@ func TestCheckpointRecorderLabeledSets(t *testing.T) {
 			t.Fatalf("variants decoded the set separately")
 		}
 	}
-	if res.resumeLabeled("l-svm") != nil || res.resumeLabeled("l-xgb") != nil {
-		t.Fatalf("a bad blob or a keys-only family resumed")
+	if _, r := res.resumeLabeled("l-rf"); r.LabelKernel != report.LabelKernel ||
+		r.LabelFidelity != report.LabelFidelity || string(r.Ruleset) != string(report.Ruleset) {
+		t.Fatalf("resumed report = %+v, want %+v", r, report)
+	}
+	for _, key := range []string{"l-svm", "l-xgb"} {
+		if d, _ := res.resumeLabeled(key); d != nil {
+			t.Fatalf("%s resumed from data that is bad or absent", key)
+		}
 	}
 }

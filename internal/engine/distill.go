@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -17,41 +16,19 @@ import (
 // independent of every other seeded stream of the job.
 const distillSeedOffset = 7919
 
-// kernelResolution is the outcome of choosing a labeling kernel for
-// one variant: which kernel actually runs, the model that implements
-// it, and — when a distillation was involved — its measured fidelity,
-// exported rules, and the reason it was rejected (if it was).
-type kernelResolution struct {
-	// kernel is "full" or "distilled" — the kernel that labels, after
-	// any fallback.
-	kernel string
-	// model is the labeling model: the distilled ruleset.Model, or the
-	// parent ensemble itself.
-	model metamodel.Model
-	// fidelity is the distillation's holdout label agreement with the
-	// parent (0 when no distillation ran).
-	fidelity float64
-	// fallbackReason is non-empty when a requested distilled kernel was
-	// not used ("unsupported", "fidelity ... below threshold ...").
-	fallbackReason string
-	// rulesJSON is the canonical rule-set export of the kernel that
-	// labels; nil unless kernel == "distilled".
-	rulesJSON json.RawMessage
-}
-
-// resolveKernel picks the labeling kernel for one variant. Full-kernel
-// requests short-circuit; distilled requests fetch (or compute) the
-// distillation from the ruleset cache keyed off the parent model's
-// cache key, then gate it behind the fidelity threshold. Every path
-// that cannot honor a distilled request counts one fallback and
-// returns the full ensemble — a job never fails because distillation
-// did, it just labels the expensive way and says so.
-func (x *LocalExecutor) resolveKernel(req Request, modelKey string, parent metamodel.Model, dim int, distillSeed int64) kernelResolution {
+// resolveKernel picks the labeling kernel for one variant and returns
+// the model that labels with its report. Full-kernel requests
+// short-circuit; distilled requests fetch (or compute) the distillation
+// from the rule-set cache under rulesetKey, then gate it behind the
+// fidelity threshold. Every path that cannot honor a distilled request
+// counts one fallback and returns the full ensemble — a job never fails
+// because distillation did, it just labels the expensive way and says
+// so.
+func (x *LocalExecutor) resolveKernel(req Request, rulesetKey string, parent metamodel.Model, dim int, distillSeed int64) (metamodel.Model, KernelReport) {
 	if req.effectiveLabelKernel() != "distilled" {
-		return kernelResolution{kernel: "full", model: parent}
+		return parent, KernelReport{LabelKernel: "full"}
 	}
-	key := fmt.Sprintf("%s|distill|maxrules=%d|dseed=%d", modelKey, req.DistillMaxRules, distillSeed)
-	m, _, err := x.rulesets.getOrDistill(key, func() (*ruleset.Model, error) {
+	m, _, err := x.rulesets.getOrCompute(rulesetKey, func() (*ruleset.Model, error) {
 		start := time.Now()
 		m, err := ruleset.Distill(parent, ruleset.Options{
 			Dim:      dim,
@@ -75,22 +52,16 @@ func (x *LocalExecutor) resolveKernel(req Request, modelKey string, parent metam
 		if errors.Is(err, ruleset.ErrNotDistillable) {
 			reason = "unsupported"
 		}
-		return kernelResolution{kernel: "full", model: parent, fallbackReason: reason}
+		return parent, KernelReport{LabelKernel: "full", FallbackReason: reason}
 	}
-	st := m.Stats()
-	if threshold := req.effectiveDistillFidelity(x.distillFidelity); st.LabelFidelity < threshold {
+	fidelity := m.Stats().LabelFidelity
+	if threshold := req.effectiveDistillFidelity(); fidelity < threshold {
 		x.mDistillFallback.Inc()
-		return kernelResolution{
-			kernel:         "full",
-			model:          parent,
-			fidelity:       st.LabelFidelity,
-			fallbackReason: fmt.Sprintf("fidelity %.4f below threshold %.4g", st.LabelFidelity, threshold),
+		return parent, KernelReport{
+			LabelKernel:    "full",
+			LabelFidelity:  fidelity,
+			FallbackReason: fmt.Sprintf("fidelity %.4f below threshold %.4g", fidelity, threshold),
 		}
 	}
-	return kernelResolution{
-		kernel:    "distilled",
-		model:     m,
-		fidelity:  st.LabelFidelity,
-		rulesJSON: m.ExportJSON(),
-	}
+	return m, KernelReport{LabelKernel: "distilled", LabelFidelity: fidelity, Ruleset: m.ExportJSON()}
 }

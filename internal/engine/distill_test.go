@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -216,8 +217,9 @@ func TestDistilledUnsupportedFamilyFallsBack(t *testing.T) {
 
 // TestLabelCacheKeyIncludesKernel is the cache-poisoning regression:
 // distilled-labeled data must never serve a full-ensemble job (or vice
-// versa). Back-to-back jobs differing only in the kernel must both
-// miss; a repeat with the same kernel hits.
+// versa), because labels are keyed by the model that made them — the
+// ensemble or its rule set. Back-to-back jobs differing only in the
+// kernel must both miss; a repeat with the same kernel hits.
 func TestLabelCacheKeyIncludesKernel(t *testing.T) {
 	x := NewLocalExecutor(LocalExecutorOptions{})
 	e := newTestEngine(t, Options{Workers: 1, Executor: x})
@@ -236,7 +238,7 @@ func TestLabelCacheKeyIncludesKernel(t *testing.T) {
 		t.Fatalf("distilled job labeled with %q", dist.Best.LabelKernel)
 	}
 	if ls := x.LabelCacheStats(); ls.Misses != 2 {
-		t.Fatalf("label cache misses = %d, want 2 (kernel is part of the key)", ls.Misses)
+		t.Fatalf("label cache misses = %d, want 2 (the labeling model is part of the key)", ls.Misses)
 	}
 	// Same kernel again: now it hits.
 	_, dist2 := runJob(t, e, Request{Dataset: d, L: 2000, Seed: 42, LabelKernel: "distilled"})
@@ -245,6 +247,36 @@ func TestLabelCacheKeyIncludesKernel(t *testing.T) {
 	}
 	if ls := x.LabelCacheStats(); ls.Misses != 2 || ls.Hits < 1 {
 		t.Fatalf("label cache stats after repeat = %+v, want 2 misses and a hit", ls)
+	}
+}
+
+// TestDistilledLabelsKeyedByRuleBudget: a distilled rule set is a model
+// of its own, so the labels it makes are keyed by it, rule budget
+// included. A one-rule job that follows an unbounded one over the same
+// data and seed must label afresh, and find what it finds on a fresh
+// executor.
+func TestDistilledLabelsKeyedByRuleBudget(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	defer e.Close()
+
+	d := noisyTestDataset(300, rand.New(rand.NewSource(6)))
+	unbounded := Request{Dataset: d, L: 2000, Seed: 6, LabelKernel: "distilled", DistillFidelity: 0.01}
+	bounded := unbounded
+	bounded.DistillMaxRules = 1
+	runJob(t, e, unbounded)
+	_, res := runJob(t, e, bounded)
+	if res.Best.LabelKernel != "distilled" {
+		t.Fatalf("one-rule job labeled with %q (fallback %q), want distilled", res.Best.LabelKernel, res.Best.FallbackReason)
+	}
+	if res.Best.LabelCacheHit {
+		t.Fatalf("one-rule job was served the unbounded rule set's labels")
+	}
+	fresh, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), bounded, nil)
+	if err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+	if got, want := resultOutcome(t, res), resultOutcome(t, fresh); got != want {
+		t.Fatalf("one-rule job differs from a fresh executor's run:\nwarm:  %.300s\nfresh: %.300s", got, want)
 	}
 }
 

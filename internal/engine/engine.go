@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,17 +30,10 @@ type Options struct {
 	QueueSize int
 
 	// Executor is the execution layer jobs are handed to. nil defaults
-	// to an in-process LocalExecutor built from CacheBytes/CacheTTL. A
+	// to an in-process LocalExecutor with default cache budgets. A
 	// RemoteExecutor or a cluster.Dispatcher turns the same engine into
 	// the orchestration tier of a multi-process deployment.
 	Executor Executor
-	// CacheBytes bounds the default LocalExecutor's metamodel cache by
-	// approximate model size (default 256 MiB). Ignored when Executor is
-	// set.
-	CacheBytes int64
-	// CacheTTL expires the default LocalExecutor's cached models this
-	// long after training (0 = never). Ignored when Executor is set.
-	CacheTTL time.Duration
 
 	// Store persists jobs and results across restarts. nil defaults to
 	// a fresh in-memory store, which preserves the historical behavior:
@@ -80,10 +74,7 @@ func (o Options) withDefaults() Options {
 		o.QueueSize = 64
 	}
 	if o.Executor == nil {
-		o.Executor = NewLocalExecutor(LocalExecutorOptions{
-			CacheBytes: o.CacheBytes,
-			CacheTTL:   o.CacheTTL,
-		})
+		o.Executor = NewLocalExecutor(LocalExecutorOptions{})
 	}
 	if o.SweepInterval <= 0 {
 		o.SweepInterval = time.Minute
@@ -503,14 +494,12 @@ func (e *Engine) execute(j *job) {
 	req := j.req
 	raw, hadCheckpoint, cerr := e.store.GetCheckpoint(string(j.id))
 	if cerr == nil && hadCheckpoint {
-		var cp Checkpoint
-		if uerr := json.Unmarshal(raw, &cp); uerr != nil {
-			// Written by a build with another checkpoint layout (labeled
-			// sets as JSON objects before they were binary): run cold.
+		if cp, uerr := decodeCheckpoint(bytes.NewReader(raw)); uerr != nil {
+			// Written by a build with another checkpoint layout: run cold.
 			e.log.Warn("ignoring undecodable persisted checkpoint",
 				"job_id", string(j.id), "request_id", rid, "error", uerr)
 		} else {
-			req.Checkpoint = &cp
+			req.Checkpoint = cp
 			e.log.Info("job resuming from persisted checkpoint",
 				"job_id", string(j.id), "request_id", rid, "checkpoint_seq", cp.Seq)
 		}

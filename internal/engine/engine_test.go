@@ -271,6 +271,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Dataset: &dataset.Dataset{}},
 		{Dataset: dataset.MustNew([][]float64{{math.NaN(), 1}}, []float64{1})},
 		{Dataset: dataset.MustNew([][]float64{{0, 1}}, []float64{math.Inf(1)})},
+		{Dataset: &dataset.Dataset{X: [][]float64{{0, 1}, {2}}, Y: []float64{0, 1}}}, // ragged rows
+		{Dataset: &dataset.Dataset{X: [][]float64{{0, 1}, {2, 3}}, Y: []float64{0}}}, // fewer labels than rows
 	}
 	for i, req := range cases {
 		if _, err := e.Submit(req); err == nil {
@@ -310,12 +312,12 @@ func TestQueueBackpressure(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// Budget fits two mock models (1 MiB default weight each).
-	c := newModelCache(2<<20, 0, nil)
+	c := newByteCache(2<<20, 0, modelSizeBytes, nil, "model")
 	for _, key := range []string{"a", "b", "c", "a"} {
-		c.getOrTrain(key, func() (metamodel.Model, error) { return mockModel{}, nil })
+		c.getOrCompute(key, func() (metamodel.Model, error) { return mockModel{}, nil })
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache len = %d, want 2", c.Len())
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("cache len = %d, want 2", n)
 	}
 	// "b" was evicted by "c"; "a" was re-trained after eviction.
 	cs := c.Stats()
@@ -344,9 +346,9 @@ type sizedModel struct {
 func (m sizedModel) ApproxMemoryBytes() int64 { return m.size }
 
 func TestCacheSizeWeightedEviction(t *testing.T) {
-	c := newModelCache(100, 0, nil)
+	c := newByteCache(100, 0, modelSizeBytes, nil, "model")
 	add := func(key string, size int64) {
-		c.getOrTrain(key, func() (metamodel.Model, error) { return sizedModel{size: size}, nil })
+		c.getOrCompute(key, func() (metamodel.Model, error) { return sizedModel{size: size}, nil })
 	}
 	add("small-1", 40)
 	add("small-2", 40)
@@ -360,7 +362,7 @@ func TestCacheSizeWeightedEviction(t *testing.T) {
 	if cs.Entries != 1 || cs.Bytes != 90 || cs.Evictions != 2 {
 		t.Fatalf("after big insert: %+v, want 1 entry / 90 bytes / 2 evictions", cs)
 	}
-	if _, hit, _ := c.getOrTrain("big", nil); !hit {
+	if _, hit, _ := c.getOrCompute("big", nil); !hit {
 		t.Fatalf("big model was evicted by its own insert")
 	}
 	// An oversized model is cached alone rather than thrashing.
@@ -371,17 +373,17 @@ func TestCacheSizeWeightedEviction(t *testing.T) {
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
-	c := newModelCache(1<<20, time.Minute, nil)
+	c := newByteCache(1<<20, time.Minute, modelSizeBytes, nil, "model")
 	now := time.Unix(1000, 0)
-	c.c.now = func() time.Time { return now }
+	c.now = func() time.Time { return now }
 
-	c.getOrTrain("k", func() (metamodel.Model, error) { return sizedModel{size: 10}, nil })
-	if _, hit, _ := c.getOrTrain("k", nil); !hit {
+	c.getOrCompute("k", func() (metamodel.Model, error) { return sizedModel{size: 10}, nil })
+	if _, hit, _ := c.getOrCompute("k", nil); !hit {
 		t.Fatalf("fresh entry missed")
 	}
 	now = now.Add(61 * time.Second)
 	trained := false
-	c.getOrTrain("k", func() (metamodel.Model, error) {
+	c.getOrCompute("k", func() (metamodel.Model, error) {
 		trained = true
 		return sizedModel{size: 10}, nil
 	})

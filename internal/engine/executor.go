@@ -9,6 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/metamodel"
+	"github.com/reds-go/reds/internal/ruleset"
 	"github.com/reds-go/reds/internal/telemetry"
 )
 
@@ -174,43 +177,44 @@ func (r Request) effectiveLabelKernel() string {
 	return r.LabelKernel
 }
 
+// The fast-path gates' default thresholds, applied when a request
+// leaves its threshold at 0.
+const (
+	// defaultDistillFidelity is the holdout label agreement a distilled
+	// kernel must reach before it labels a job.
+	defaultDistillFidelity = 0.99
+	// defaultTrainQuality is the holdout accuracy the binned gate model
+	// must reach before the fast path trains a family: just above
+	// coin-flipping. The gate catches pathologies; the differential test
+	// suite owns the fine-grained parity guarantees.
+	defaultTrainQuality = 0.55
+)
+
 // effectiveDistillFidelity is the fidelity threshold a distilled kernel
-// must clear, with the executor default applied.
-func (r Request) effectiveDistillFidelity(def float64) float64 {
+// must clear.
+func (r Request) effectiveDistillFidelity() float64 {
 	if r.DistillFidelity > 0 {
 		return r.DistillFidelity
 	}
-	return def
+	return defaultDistillFidelity
 }
 
-// effectiveTrainMode is the requested training mode with the executor
-// default applied.
-func (r Request) effectiveTrainMode(def string) string {
-	if r.TrainMode != "" {
-		return r.TrainMode
+// effectiveTrainMode is the requested training mode with the default
+// applied.
+func (r Request) effectiveTrainMode() string {
+	if r.TrainMode == "" {
+		return "exact"
 	}
-	if def != "" {
-		return def
-	}
-	return "exact"
-}
-
-// effectiveTrainBins is the binned training bin budget with the
-// executor default applied (0 = the trainers' own default).
-func (r Request) effectiveTrainBins(def int) int {
-	if r.TrainBins > 0 {
-		return r.TrainBins
-	}
-	return def
+	return r.TrainMode
 }
 
 // effectiveTrainQuality is the holdout accuracy threshold the binned
-// gate model must clear, with the executor default applied.
-func (r Request) effectiveTrainQuality(def float64) float64 {
+// gate model must clear.
+func (r Request) effectiveTrainQuality() float64 {
 	if r.TrainQuality > 0 {
 		return r.TrainQuality
 	}
-	return def
+	return defaultTrainQuality
 }
 
 // LocalExecutorOptions configure the in-process execution layer.
@@ -236,25 +240,8 @@ type LocalExecutorOptions struct {
 	// RulesetCacheTTL expires cached distilled models this long after
 	// distillation (0 = never).
 	RulesetCacheTTL time.Duration
-	// DistillFidelity is the default holdout label agreement a distilled
-	// kernel must reach before it labels a job; below it the executor
-	// falls back to the full ensemble (default 0.99). Requests can raise
-	// or lower it per job (Request.DistillFidelity).
-	DistillFidelity float64
-	// TrainMode is the default training mode for tree-ensemble
-	// metamodels: "exact" (the default) or "binned" (the histogram fast
-	// path). Requests override it per job (Request.TrainMode).
-	TrainMode string
-	// TrainBins is the default per-feature bin budget for binned
-	// training (0 = the trainers' default, 64).
-	TrainBins int
-	// TrainQuality is the default holdout accuracy the binned gate model
-	// must reach before the fast path trains a variant (default 0.55 —
-	// just above coin-flipping; the gate catches pathologies, the
-	// differential test suite owns the fine-grained parity guarantees).
-	TrainQuality float64
 	// Metrics is the registry the executor's instruments live in: the
-	// per-stage latency histograms and both caches' counters. nil gets
+	// per-stage latency histograms and the caches' counters. nil gets
 	// a private registry, which keeps instruments working (and tests
 	// hermetic) without exposition.
 	Metrics *telemetry.Registry
@@ -270,12 +257,6 @@ func (o LocalExecutorOptions) withDefaults() LocalExecutorOptions {
 	if o.RulesetCacheBytes <= 0 {
 		o.RulesetCacheBytes = 64 << 20
 	}
-	if o.DistillFidelity <= 0 {
-		o.DistillFidelity = 0.99
-	}
-	if o.TrainQuality <= 0 {
-		o.TrainQuality = 0.55
-	}
 	return o
 }
 
@@ -286,23 +267,13 @@ func (o LocalExecutorOptions) withDefaults() LocalExecutorOptions {
 // the execution layer the engine used before the orchestration/
 // execution split, now behind the Executor seam.
 type LocalExecutor struct {
-	cache  *modelCache
-	labels *labelCache
-	// rulesets caches distilled rule sets keyed off the parent model's
-	// cache key (plus the distillation parameters), so repeat jobs and
-	// sibling variants distill once.
-	rulesets *rulesetCache
-	// distillFidelity is the default fallback threshold for distilled
-	// labeling kernels.
-	distillFidelity float64
-	// Train-mode defaults (LocalExecutorOptions.Train*) and the
-	// per-(family, data, knobs) resolution memo, so sibling variants and
-	// repeat jobs run the binned quality gate once.
-	trainMode    string
-	trainBins    int
-	trainQuality float64
-	trainModeMu  sync.Mutex
-	trainModes   map[string]trainResolution
+	// The artifact caches: trained models, pseudo-labeled datasets,
+	// distilled rule sets and binned-gate resolutions. runVariant and
+	// resolveTrainMode build their keys.
+	models   *byteCache[metamodel.Model]
+	labels   *byteCache[*dataset.Dataset]
+	rulesets *byteCache[*ruleset.Model]
+	gates    *byteCache[trainResolution]
 	// stageSeconds is the per-stage latency histogram
 	// (reds_exec_stage_seconds{stage,metamodel,sd}); children are
 	// resolved per variant at execution start, off the hot path.
@@ -328,7 +299,7 @@ type LocalExecutor struct {
 }
 
 // NewLocalExecutor returns an in-process executor with its own
-// metamodel and pseudo-label caches.
+// artifact caches.
 func NewLocalExecutor(opts LocalExecutorOptions) *LocalExecutor {
 	opts = opts.withDefaults()
 	reg := opts.Metrics
@@ -336,14 +307,10 @@ func NewLocalExecutor(opts LocalExecutorOptions) *LocalExecutor {
 		reg = telemetry.NewRegistry()
 	}
 	return &LocalExecutor{
-		cache:           newModelCache(opts.CacheBytes, opts.CacheTTL, reg),
-		labels:          newLabelCache(opts.LabelCacheBytes, opts.LabelCacheTTL, reg),
-		rulesets:        newRulesetCache(opts.RulesetCacheBytes, opts.RulesetCacheTTL, reg),
-		distillFidelity: opts.DistillFidelity,
-		trainMode:       opts.TrainMode,
-		trainBins:       opts.TrainBins,
-		trainQuality:    opts.TrainQuality,
-		trainModes:      make(map[string]trainResolution),
+		models:   newByteCache(opts.CacheBytes, opts.CacheTTL, modelSizeBytes, reg, "model"),
+		labels:   newByteCache(opts.LabelCacheBytes, opts.LabelCacheTTL, datasetBytes, reg, "label"),
+		rulesets: newByteCache(opts.RulesetCacheBytes, opts.RulesetCacheTTL, (*ruleset.Model).ApproxMemoryBytes, reg, "ruleset"),
+		gates:    newByteCache(gateCacheBytes, 0, func(trainResolution) int64 { return gateEntryBytes }, reg, "gate"),
 		stageSeconds: reg.HistogramVec("reds_exec_stage_seconds",
 			"Pipeline stage latency, labeled by stage (simulate, train, sample, label, discover) and variant.",
 			telemetry.ExponentialBuckets(0.001, 2, 16), "stage", "metamodel", "sd"),
@@ -373,7 +340,7 @@ func NewLocalExecutor(opts LocalExecutorOptions) *LocalExecutor {
 }
 
 // CacheStats returns cumulative metamodel cache counters.
-func (x *LocalExecutor) CacheStats() CacheStats { return x.cache.Stats() }
+func (x *LocalExecutor) CacheStats() CacheStats { return x.models.Stats() }
 
 // LabelCacheStats returns cumulative pseudo-label dataset cache
 // counters.

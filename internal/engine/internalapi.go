@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -258,9 +259,10 @@ func (s *ExecServer) handleStart(w http.ResponseWriter, r *http.Request) {
 	}
 	req := wire.Request
 	if len(wire.Checkpoint) > 0 {
-		if err := json.Unmarshal(wire.Checkpoint, &req.Checkpoint); err != nil {
-			req.Checkpoint = nil
+		if cp, err := decodeCheckpoint(bytes.NewReader(wire.Checkpoint)); err != nil {
 			s.log.Warn("ignoring undecodable checkpoint", "error", err)
+		} else {
+			req.Checkpoint = cp
 		}
 	}
 	if err := req.Validate(); err != nil {

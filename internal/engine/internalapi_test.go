@@ -267,7 +267,7 @@ func TestRemoteExecutorFetchesCheckpointOnlyWhileFailoverPossible(t *testing.T) 
 			})
 			mux.HandleFunc("GET /internal/v1/execute/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 				fetches.Add(1)
-				writeJSON(w, http.StatusOK, &Checkpoint{Seq: 4, Labeled: map[string][]byte{"rf": {1, 2, 3}}})
+				writeJSON(w, http.StatusOK, &Checkpoint{Seq: 4, Labeled: map[string]LabeledSet{"rf": {Data: []byte{1, 2, 3}}}})
 			})
 			mux.HandleFunc("DELETE /internal/v1/execute/{id}", func(w http.ResponseWriter, r *http.Request) {
 				writeJSON(w, http.StatusOK, map[string]any{"id": "exec-1"})
@@ -298,7 +298,7 @@ func TestRemoteExecutorFetchesCheckpointOnlyWhileFailoverPossible(t *testing.T) 
 				if !errors.Is(err, ErrUnavailable) {
 					t.Fatalf("canceled execution: err = %v, want ErrUnavailable", err)
 				}
-				if seen == nil || seen.Seq != 4 || string(seen.Labeled["rf"]) != "\x01\x02\x03" {
+				if seen == nil || seen.Seq != 4 || string(seen.Labeled["rf"].Data) != "\x01\x02\x03" {
 					t.Fatalf("caller got checkpoint %+v, want the fetched seq-4 snapshot", seen)
 				}
 			}

@@ -114,10 +114,10 @@ type Request struct {
 	// holdout fidelity misses the threshold. The kernel actually used is
 	// reported per variant (VariantResult.LabelKernel).
 	LabelKernel string `json:"label_kernel,omitempty"`
-	// DistillFidelity overrides the executor's fidelity threshold for
-	// this job: a distilled kernel whose holdout label agreement with
-	// the parent falls below it is discarded in favor of the full
-	// ensemble. 0 keeps the executor default (0.99).
+	// DistillFidelity is the fidelity threshold of this job: a distilled
+	// kernel whose holdout label agreement with the parent falls below it
+	// is discarded in favor of the full ensemble. 0 keeps the default
+	// (0.99).
 	DistillFidelity float64 `json:"distill_fidelity,omitempty"`
 	// DistillMaxRules caps the distilled rule budget (0 = unbounded).
 	// Mostly a test lever: a tiny budget deterministically forces the
@@ -130,16 +130,15 @@ type Request struct {
 	// quantization) — automatically falling back to exact when the
 	// family has no binned path (svm) or a quick holdout quality gate
 	// misses the threshold. The mode actually used is reported per
-	// variant (VariantResult.TrainMode). Empty keeps the executor
-	// default.
+	// variant (VariantResult.TrainMode). Empty means "exact".
 	TrainMode string `json:"train_mode,omitempty"`
 	// TrainBins caps the per-feature quantile bin budget of binned
 	// training (2..256; 0 keeps the default, 64).
 	TrainBins int `json:"train_bins,omitempty"`
-	// TrainQuality overrides the executor's holdout accuracy threshold
-	// the binned gate model must reach before the fast path trains a
-	// variant; below it the family falls back to exact training. 0 keeps
-	// the executor default (0.55).
+	// TrainQuality is the holdout accuracy threshold the binned gate
+	// model must reach before the fast path trains a variant; below it
+	// the family falls back to exact training. 0 keeps the default
+	// (0.55).
 	TrainQuality float64 `json:"train_quality,omitempty"`
 	// DeadlineSeconds bounds the job's wall-clock execution time: a job
 	// still running this long after execution starts fails with a
@@ -171,6 +170,9 @@ func (r *Request) Validate() error {
 			return fmt.Errorf("engine: %w", err)
 		}
 	default:
+		if _, err := dataset.New(r.Dataset.X, r.Dataset.Y); err != nil {
+			return fmt.Errorf("engine: inline dataset: %w", err)
+		}
 		if r.Dataset.N() == 0 {
 			return fmt.Errorf("engine: inline dataset is empty")
 		}
@@ -236,6 +238,30 @@ func (r *Request) Validate() error {
 	return nil
 }
 
+// KernelReport says which kernel pseudo-labeled a metamodel family's
+// dataset and, when a distillation ran, how it fared. Variant results,
+// checkpoints and GET /v1/jobs/{id}/rules carry it.
+type KernelReport struct {
+	// LabelKernel is the pseudo-labeling kernel that actually ran:
+	// "distilled" (the compact rule set) or "full" (the trained
+	// ensemble). A request that asked for "distilled" can still report
+	// "full" here — see FallbackReason.
+	LabelKernel string `json:"label_kernel,omitempty"`
+	// LabelFidelity is the distilled kernel's measured holdout label
+	// agreement with the parent ensemble. Only set when a distillation
+	// ran (even one that fell back).
+	LabelFidelity float64 `json:"label_fidelity,omitempty"`
+	// FallbackReason explains why a requested distilled kernel was not
+	// used: "unsupported" (the family has no tree structure, e.g. svm)
+	// or "fidelity <measured> below threshold <t>".
+	FallbackReason string `json:"fallback_reason,omitempty"`
+	// Ruleset is the distilled rule set's canonical JSON export
+	// (ruleset.Export), present when the distilled kernel labeled. GET
+	// /v1/jobs/{id}/rules serves it; the /result payload strips it to
+	// stay small.
+	Ruleset json.RawMessage `json:"ruleset,omitempty"`
+}
+
 // VariantResult is the outcome of one metamodel × SD combination.
 type VariantResult struct {
 	// Metamodel and SD identify the combination.
@@ -258,24 +284,8 @@ type VariantResult struct {
 	// from the engine's label cache (another variant of the same family
 	// — or an earlier job — had already labeled it).
 	LabelCacheHit bool `json:"label_cache_hit"`
-	// LabelKernel is the pseudo-labeling kernel that actually ran:
-	// "distilled" (the compact rule set) or "full" (the trained
-	// ensemble). A request that asked for "distilled" can still report
-	// "full" here — see FallbackReason.
-	LabelKernel string `json:"label_kernel,omitempty"`
-	// LabelFidelity is the distilled kernel's measured holdout label
-	// agreement with the parent ensemble. Only set when a distillation
-	// ran (even one that fell back).
-	LabelFidelity float64 `json:"label_fidelity,omitempty"`
-	// FallbackReason explains why a requested distilled kernel was not
-	// used: "unsupported" (the family has no tree structure, e.g. svm)
-	// or "fidelity <measured> below threshold <t>".
-	FallbackReason string `json:"fallback_reason,omitempty"`
-	// Ruleset is the distilled rule set's canonical JSON export
-	// (ruleset.Export), present when the variant labeled with the
-	// distilled kernel. GET /v1/jobs/{id}/rules serves it; the /result
-	// payload strips it to stay small.
-	Ruleset json.RawMessage `json:"ruleset,omitempty"`
+	// KernelReport says how the variant's pseudo-labels were made.
+	KernelReport
 	// TrainMode is the training mode that actually ran: "binned" (the
 	// histogram fast path) or "exact". A request that asked for "binned"
 	// can still report "exact" here — see TrainFallbackReason.

@@ -333,11 +333,11 @@ func (r *RemoteExecutor) fetchCheckpoint(ctx context.Context, id string) (*Check
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("engine: checkpoint fetch of %s on %s returned %s", id, r.BaseURL, resp.Status)
 	}
-	var cp Checkpoint
-	if err := json.NewDecoder(resp.Body).Decode(&cp); err != nil {
+	cp, err := decodeCheckpoint(resp.Body)
+	if err != nil {
 		return nil, fmt.Errorf("engine: undecodable checkpoint from %s: %w", r.BaseURL, err)
 	}
-	return &cp, nil
+	return cp, nil
 }
 
 // release cancels/acknowledges the execution so the worker frees it

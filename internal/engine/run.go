@@ -22,7 +22,6 @@ import (
 	"github.com/reds-go/reds/internal/sample"
 	"github.com/reds-go/reds/internal/sd"
 	"github.com/reds-go/reds/internal/svm"
-	"github.com/reds-go/reds/internal/telemetry"
 )
 
 // variantSeedStride separates the RNG streams of a job's variants.
@@ -304,10 +303,11 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 }
 
 // variantConfig carries the per-variant execution parameters:
-// pipelineSeed drives the sampler and SD stages (unique per variant),
-// trainSeed drives metamodel training (shared across a family so its SD
-// variants share one cache entry), labelWorkers bounds the labeling
-// pool.
+// pipelineSeed drives the SD stage (unique per variant); trainSeed
+// drives metamodel training and, through fixed offsets, the binned
+// gate, distillation and pseudo-labeling (shared across a family, so
+// its SD variants share one entry of each cache); labelWorkers bounds
+// the variant's worker pools.
 type variantConfig struct {
 	pipelineSeed int64
 	trainSeed    int64
@@ -317,171 +317,175 @@ type variantConfig struct {
 	checkpoints *checkpointRecorder
 }
 
-// runVariant executes one metamodel × SD combination of a request. The
-// metamodel is fetched from (or trained into) the executor's cache; the
-// pipeline runs under the execution context with progress wired into
-// the sink.
+// runVariant executes one metamodel × SD combination of a request
+// (Algorithm 4): it trains the metamodel through the model cache,
+// resolves the labeling kernel and pseudo-labels through the label
+// cache — or adopts the labeled set of the checkpoint it resumes from —
+// and runs the SD algorithm on the result. Each stage's span closes
+// where the stage ends.
+//
+// Every artifact is cached under a key that extends the key of the
+// artifact it derives from with everything else that determines it:
+//
+//	model:   <dataset hash>|<family>|tuned=<bool>|seed=<train seed>[|mode=binned|bins=<n>]
+//	ruleset: <model key>|distill|maxrules=<n>|dseed=<distill seed>
+//	labels:  <labeler key>|sampler=<name>|L=<l>|lseed=<label seed>|prob=<bool>
+//
+// The labeler key is the key of the model that labels: the ensemble's,
+// or the rule set's when the distilled kernel does. An approximation
+// therefore never serves a request for anything else — binned models
+// never serve exact requests, distilled labels never serve a
+// full-kernel request or one with another rule budget — while the SD
+// variants of one family, which differ in nothing these keys hold,
+// share every artifact.
 func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progressSink, train *dataset.Dataset, hash string, smp sample.Sampler, l int, v variantSpec, cfg variantConfig) VariantResult {
 	out := VariantResult{Metamodel: v.metamodel, SD: v.sd}
-	// The training mode resolves before the cache key is formed: binned
-	// models are approximations and must never be served to (or from) an
-	// exact-mode entry, while a binned request that falls back to exact
-	// shares the exact entry — its model is the exact model.
-	mode := x.resolveTrainMode(req, v.metamodel, train, hash, cfg.trainSeed)
-	out.TrainMode = mode.mode
-	out.TrainQuality = mode.quality
-	out.TrainFallbackReason = mode.fallbackReason
-	key := fmt.Sprintf("%s|%s|tuned=%v|seed=%d", hash, v.metamodel, req.Tuned, cfg.trainSeed)
-	binned := mode.mode == "binned"
-	bins := req.effectiveTrainBins(x.trainBins)
-	if binned {
-		key += fmt.Sprintf("|mode=binned|bins=%d", bins)
+	// enter makes stage the variant's current one and returns the
+	// function that closes its span: recorded into the job trace under
+	// its variant-qualified name and observed in the stage-latency
+	// histogram. A cache hit closes a ~0s span — the stage really did
+	// cost nothing.
+	enter := func(stage string) (exit func()) {
+		sink.update(func(p *Progress) { p.Stage = stage })
+		start := time.Now()
+		return func() {
+			secs := time.Since(start).Seconds()
+			name := stage + "/" + v.metamodel
+			if stage == "discover" {
+				name += "/" + v.sd
+			}
+			x.stageSeconds.With(stage, v.metamodel, v.sd).Observe(secs)
+			sink.addSpan(StageTiming{Stage: name, Seconds: secs})
+		}
 	}
-	inner := trainerByName(v.metamodel, train.M(), req.Tuned, binned, bins)
+	// Labeling reports may arrive out of order across workers; fold them
+	// into a monotone per-variant count so the execution-level sum stays
+	// exact.
+	var labeled atomic.Int64
+	labelProgress := func(done, _ int) {
+		for {
+			old := labeled.Load()
+			if int64(done) <= old {
+				return
+			}
+			if labeled.CompareAndSwap(old, int64(done)) {
+				sink.update(func(p *Progress) { p.LabelDone += int(int64(done) - old) })
+				return
+			}
+		}
+	}
+
+	// The training mode resolves before the model key is formed: a
+	// binned request that falls back shares the exact entry, because its
+	// model is the exact model.
+	mode := x.resolveTrainMode(req, v.metamodel, train, hash, cfg.trainSeed)
+	out.TrainMode, out.TrainQuality, out.TrainFallbackReason = mode.mode, mode.quality, mode.fallbackReason
+	binned := mode.mode == "binned"
+	modelKey := fmt.Sprintf("%s|%s|tuned=%v|seed=%d", hash, v.metamodel, req.Tuned, cfg.trainSeed)
 	if binned {
-		// The shared-fold tuner can evaluate fold × candidate cells
-		// concurrently without changing its outcome; give it the
-		// variant's worker budget.
-		if tu, ok := inner.(*metamodel.Tuned); ok {
+		modelKey += fmt.Sprintf("|mode=binned|bins=%d", req.TrainBins)
+	}
+	distillSeed := cfg.trainSeed + distillSeedOffset
+	rulesetKey := fmt.Sprintf("%s|distill|maxrules=%d|dseed=%d", modelKey, req.DistillMaxRules, distillSeed)
+	labelSeed := cfg.trainSeed + labelSeedOffset
+	labelKey := func(labelerKey string) string {
+		return fmt.Sprintf("%s|sampler=%s|L=%d|lseed=%d|prob=%v", labelerKey, req.effectiveSampler(), l, labelSeed, req.ProbLabels)
+	}
+
+	// A checkpointed labeled set lets the variant skip train, sample and
+	// label: discovery validates on the real examples, so it needs no
+	// model. A distilled request looks for its rule set's labels first
+	// and then for the ensemble's (its distillation may have fallen
+	// back); a full request only for the ensemble's. The adopted set
+	// seeds the label cache, so sibling variants and later jobs hit it;
+	// seeding computes nothing, so it cannot fail.
+	resumeKeys := []string{labelKey(modelKey)}
+	if req.effectiveLabelKernel() == "distilled" {
+		resumeKeys = []string{labelKey(rulesetKey), labelKey(modelKey)}
+	}
+	var dnew *dataset.Dataset
+	for _, key := range resumeKeys {
+		if dnew, out.KernelReport = cfg.checkpoints.resumeLabeled(key); dnew != nil {
+			_, out.LabelCacheHit, _ = x.labels.getOrCompute(key, func() (*dataset.Dataset, error) { return dnew, nil })
+			labelProgress(l, l)
+			break
+		}
+	}
+
+	if dnew == nil {
+		exit := enter("train")
+		trainer := trainerByName(v.metamodel, train.M(), req.Tuned, binned, req.TrainBins)
+		if tu, ok := trainer.(*metamodel.Tuned); ok && binned {
+			// The shared-fold tuner can evaluate fold × candidate cells
+			// concurrently without changing its outcome; give it the
+			// variant's worker budget.
 			tu.Workers = cfg.labelWorkers
 		}
-	}
-	trainer := &cachedTrainer{
-		cache:        x.cache,
-		key:          key,
-		seed:         cfg.trainSeed,
-		inner:        inner,
-		trainSeconds: x.mTrainSeconds,
-		family:       v.metamodel,
-		mode:         mode.mode,
-	}
-	// Each stage-entry notification closes the previous stage's span:
-	// the span is recorded into the job trace under its variant-
-	// qualified name and observed in the stage-latency histogram. A
-	// cache hit legitimately closes a ~0s span — the stage really did
-	// cost nothing.
-	timer := telemetry.NewStageTimer(func(span telemetry.Span) {
-		name := span.Name + "/" + v.metamodel
-		if span.Name == string(core.StageDiscover) {
-			name += "/" + v.sd
-		}
-		x.stageSeconds.With(span.Name, v.metamodel, v.sd).Observe(span.Seconds)
-		sink.addSpan(StageTiming{Stage: name, Seconds: span.Seconds})
-	})
-	defer timer.Stop()
-	var prev atomic.Int64
-	hooks := &core.Hooks{
-		LabelWorkers: cfg.labelWorkers,
-		OnStage: func(s core.Stage) {
-			timer.Start(string(s))
-			sink.update(func(p *Progress) { p.Stage = string(s) })
-		},
-		OnLabelProgress: func(done, total int) {
-			// Reports may arrive out of order across labeling
-			// workers; fold them into a monotone per-variant count
-			// so the execution-level sum stays exact.
-			for {
-				old := prev.Load()
-				if int64(done) <= old {
-					return
-				}
-				if prev.CompareAndSwap(old, int64(done)) {
-					delta := int(int64(done) - old)
-					sink.update(func(p *Progress) { p.LabelDone += delta })
-					return
-				}
+		// Training draws from its own seed, so the model is the same
+		// whichever variant or job trains it.
+		model, hit, err := x.models.getOrCompute(modelKey, func() (metamodel.Model, error) {
+			start := time.Now()
+			m, err := trainer.Train(train, rand.New(rand.NewSource(cfg.trainSeed)))
+			if err == nil {
+				x.mTrainSeconds.With(v.metamodel, mode.mode).Observe(time.Since(start).Seconds())
 			}
-		},
-	}
-	// The pseudo-label stage is shared: its sampling seed derives from
-	// the family's training seed (not the variant's pipeline seed), so
-	// every SD variant of one family asks the label cache for the same
-	// key and labels once. The cache key extends the model key with
-	// everything else that determines the dataset — including which
-	// labeling kernel produced it (|kernel=full vs |kernel=distilled):
-	// distilled labels are a fidelity-bounded approximation and must
-	// never be served to a job that asked for the full ensemble.
-	labelSeed := cfg.trainSeed + labelSeedOffset
-	baseLabelKey := fmt.Sprintf("%s|sampler=%s|L=%d|lseed=%d|prob=%v",
-		trainer.key, req.effectiveSampler(), l, labelSeed, req.ProbLabels)
-	var labelHit atomic.Bool
-	// resolved is written by LabelStage (which DiscoverContext calls
-	// synchronously on this goroutine) and read after it returns.
-	var resolved kernelResolution
-	r := &core.REDS{
-		Metamodel:  trainer,
-		Sampler:    smp,
-		L:          l,
-		SD:         sdByName(v.sd, cfg.labelWorkers),
-		ProbLabels: req.ProbLabels,
-		LabelStage: func(ctx context.Context, model metamodel.Model, dim int) (*dataset.Dataset, error) {
-			// The kernel is resolved here — not at submission — because
-			// the distiller needs the trained model. The resolution is
-			// cached (ruleset cache) and deterministic per family.
-			resolved = x.resolveKernel(req, trainer.key, model, dim, cfg.trainSeed+distillSeedOffset)
-			labelKey := baseLabelKey + "|kernel=" + resolved.kernel
-			d, hit, err := x.labels.getOrLabel(labelKey, func() (*dataset.Dataset, error) {
-				d, err := core.PseudoLabel(ctx, resolved.model, smp, l, dim, labelSeed, req.ProbLabels, hooks)
-				if err != nil {
-					return nil, err
-				}
-				d.Discrete = train.Discrete
-				return d, nil
-			})
+			return m, err
+		})
+		exit()
+		out.CacheHit = hit
+		if err != nil {
+			out.Error = fmt.Sprintf("core: training metamodel %s: %v", trainer.Name(), err)
+			return out
+		}
+		if err := ctx.Err(); err != nil {
+			out.Error = err.Error()
+			return out
+		}
+
+		// core.PseudoLabel samples and labels in one cache computation, so
+		// the sample span is ~0s and the label span covers both.
+		enter("sample")()
+		exit = enter("label")
+		// The kernel resolves here, not at submission: the distiller
+		// needs the trained model.
+		labeler, report := x.resolveKernel(req, rulesetKey, model, train.M(), distillSeed)
+		out.KernelReport = report
+		key := labelKey(modelKey)
+		if report.LabelKernel == "distilled" {
+			key = labelKey(rulesetKey)
+		}
+		d, hit, err := x.labels.getOrCompute(key, func() (*dataset.Dataset, error) {
+			d, err := core.PseudoLabel(ctx, labeler, smp, l, train.M(), labelSeed, req.ProbLabels,
+				metamodel.BatchOptions{Workers: cfg.labelWorkers, Progress: labelProgress})
 			if err != nil {
 				return nil, err
 			}
-			labelHit.Store(hit)
-			if hit {
-				// The stage is already done (another variant or an
-				// earlier job labeled it): report its full share so the
-				// job-level counters still add up.
-				hooks.OnLabelProgress(l, l)
-			}
-			cfg.checkpoints.labelStageDone(v.metamodel, trainer.key, labelKey, d)
+			d.Discrete = train.Discrete
 			return d, nil
-		},
-		Hooks: hooks,
-	}
-	// A checkpointed labeled dataset under an exact cache key lets the
-	// pipeline skip train/sample/label outright — the discover stage
-	// validates on the real examples, so the metamodel itself is not
-	// needed. Label keys are kernel-qualified, so a distilled request
-	// tries its distilled key first and falls back to a full-kernel
-	// dataset (always acceptable: full labels are the ground truth the
-	// distilled kernel approximates); a full request never resumes from
-	// distilled labels. Seed the label cache so later jobs over the same
-	// data (and sibling variants) hit it.
-	resumeKernels := []string{"full"}
-	if req.effectiveLabelKernel() == "distilled" {
-		resumeKernels = []string{"distilled", "full"}
-	}
-	for _, kernel := range resumeKernels {
-		key := baseLabelKey + "|kernel=" + kernel
-		pre := cfg.checkpoints.resumeLabeled(key)
-		if pre == nil {
-			continue
+		})
+		if err != nil {
+			exit()
+			out.Error = err.Error()
+			return out
 		}
-		r.Prelabeled = pre
-		// The checkpoint proves which kernel labeled the data, but the
-		// distillation artifacts (fidelity, rules) were the previous
-		// execution's; this variant reports the kernel only.
-		resolved = kernelResolution{kernel: kernel}
-		_, hit, err := x.labels.getOrLabel(key, func() (*dataset.Dataset, error) { return pre, nil })
-		if err == nil {
-			labelHit.Store(hit)
+		dnew, out.LabelCacheHit = d, hit
+		if hit {
+			// Another variant or an earlier job labeled the set: count its
+			// full share so the job-level counters still add up.
+			labelProgress(l, l)
 		}
-		hooks.OnLabelProgress(l, l)
-		break
+		cfg.checkpoints.labelStageDone(v.metamodel, LabeledSet{Key: key, KernelReport: report}, dnew)
+		exit()
 	}
-	res, err := r.DiscoverContext(ctx, train, train, rand.New(rand.NewSource(cfg.pipelineSeed)))
-	timer.Stop() // close the discover span before the metric evaluation below
-	out.CacheHit = trainer.hit.Load()
-	out.LabelCacheHit = labelHit.Load()
-	out.LabelKernel = resolved.kernel
-	out.LabelFidelity = resolved.fidelity
-	out.FallbackReason = resolved.fallbackReason
-	out.Ruleset = resolved.rulesJSON
+
+	// The SD stage is the only one that draws from the variant's
+	// pipeline RNG. It validates on the real examples.
+	exit := enter("discover")
+	res, err := sdByName(v.sd, cfg.labelWorkers).Discover(dnew, train, rand.New(rand.NewSource(cfg.pipelineSeed)))
+	exit()
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		out.Error = err.Error()
 		return out
@@ -513,37 +517,4 @@ func rankVariants(results []VariantResult) {
 		}
 		return ra.PRAUC > rb.PRAUC
 	})
-}
-
-// cachedTrainer adapts the engine cache to the metamodel.Trainer
-// interface so core.REDS transparently reuses trained models. Training
-// runs from its own seed rather than the pipeline RNG: that keeps the
-// caller's stream in the same state whether the cache hits or misses,
-// so a cached rerun reproduces the uncached run's sampling and SD
-// stages exactly.
-type cachedTrainer struct {
-	cache *modelCache
-	key   string
-	seed  int64
-	inner metamodel.Trainer
-	hit   atomic.Bool
-	// trainSeconds observes actual training latency (cache misses only)
-	// under the variant's family and resolved mode labels.
-	trainSeconds *telemetry.HistogramVec
-	family, mode string
-}
-
-func (c *cachedTrainer) Name() string { return c.inner.Name() }
-
-func (c *cachedTrainer) Train(d *dataset.Dataset, _ *rand.Rand) (metamodel.Model, error) {
-	m, hit, err := c.cache.getOrTrain(c.key, func() (metamodel.Model, error) {
-		start := time.Now()
-		m, err := c.inner.Train(d, rand.New(rand.NewSource(c.seed)))
-		if err == nil && c.trainSeconds != nil {
-			c.trainSeconds.With(c.family, c.mode).Observe(time.Since(start).Seconds())
-		}
-		return m, err
-	})
-	c.hit.Store(hit)
-	return m, err
 }

@@ -33,16 +33,24 @@ type trainResolution struct {
 	fallbackReason string
 }
 
+// Gate resolutions are memoized in a byte cache with a fixed budget:
+// each entry is charged gateEntryBytes, so the newest 4096 (dataset,
+// family, knobs, seed) resolutions stay.
+const (
+	gateCacheBytes = 1 << 20
+	gateEntryBytes = 256
+)
+
 // resolveTrainMode picks the training mode for one metamodel family of a
 // request. Exact requests short-circuit; binned requests train a cheap
 // default-configuration binned model on an 80/20 split of the training
 // data and gate it behind the holdout-quality threshold. Every path that
 // cannot honor a binned request counts one fallback and trains the exact
 // way — a job never fails because the fast path did, it just trains the
-// slow way and says so. Resolutions are cached per (family, data, knobs)
-// so sibling variants and repeat jobs gate once.
+// slow way and says so. Resolutions go through the gate cache, so
+// sibling variants and repeat jobs gate once.
 func (x *LocalExecutor) resolveTrainMode(req Request, family string, train *dataset.Dataset, hash string, trainSeed int64) trainResolution {
-	if req.effectiveTrainMode(x.trainMode) != "binned" {
+	if req.effectiveTrainMode() != "binned" {
 		return trainResolution{mode: "exact"}
 	}
 	if family == "svm" {
@@ -51,24 +59,16 @@ func (x *LocalExecutor) resolveTrainMode(req Request, family string, train *data
 		x.mTrainFallback.Inc()
 		return trainResolution{mode: "exact", fallbackReason: "unsupported"}
 	}
-	bins := req.effectiveTrainBins(x.trainBins)
-	threshold := req.effectiveTrainQuality(x.trainQuality)
-	key := fmt.Sprintf("%s|%s|bins=%d|q=%g|seed=%d", hash, family, bins, threshold, trainSeed)
-
-	x.trainModeMu.Lock()
-	if res, ok := x.trainModes[key]; ok {
-		x.trainModeMu.Unlock()
-		return res
-	}
-	x.trainModeMu.Unlock()
-
-	res := x.gateTrainMode(family, train, bins, threshold, trainSeed+trainGateSeedOffset)
-	if res.fallbackReason != "" {
-		x.mTrainFallback.Inc()
-	}
-	x.trainModeMu.Lock()
-	x.trainModes[key] = res
-	x.trainModeMu.Unlock()
+	threshold := req.effectiveTrainQuality()
+	key := fmt.Sprintf("%s|%s|bins=%d|q=%g|seed=%d", hash, family, req.TrainBins, threshold, trainSeed)
+	// The gate reports a failure as a fallback, never as an error.
+	res, _, _ := x.gates.getOrCompute(key, func() (trainResolution, error) {
+		res := gateTrainMode(family, train, req.TrainBins, threshold, trainSeed+trainGateSeedOffset)
+		if res.fallbackReason != "" {
+			x.mTrainFallback.Inc()
+		}
+		return res, nil
+	})
 	return res
 }
 
@@ -76,7 +76,7 @@ func (x *LocalExecutor) resolveTrainMode(req Request, family string, train *data
 // on 80% of the training data and measures its holdout accuracy against
 // the threshold. The gate is deliberately small — one untuned ensemble —
 // so clearing it costs a fraction of the tuned grid it unlocks.
-func (x *LocalExecutor) gateTrainMode(family string, train *dataset.Dataset, bins int, threshold float64, gateSeed int64) trainResolution {
+func gateTrainMode(family string, train *dataset.Dataset, bins int, threshold float64, gateSeed int64) trainResolution {
 	rng := rand.New(rand.NewSource(gateSeed))
 	fit, holdout := dataset.Split(train, 0.2, rng)
 	var gate metamodel.Trainer

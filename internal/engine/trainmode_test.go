@@ -65,25 +65,30 @@ func TestBinnedTrainingEndToEnd(t *testing.T) {
 
 // TestBinnedTrainingForcedFallback sets a quality threshold no gate
 // model can reach: the job still succeeds, trains exact, and says why.
+// Its two sibling variants run the gate once between them.
 func TestBinnedTrainingForcedFallback(t *testing.T) {
 	x := NewLocalExecutor(LocalExecutorOptions{})
 	e := newTestEngine(t, Options{Workers: 1, Executor: x})
 	defer e.Close()
 
 	d := noisyTestDataset(300, rand.New(rand.NewSource(23)))
-	_, res := runJob(t, e, Request{Dataset: d, L: 2000, Seed: 24, TrainMode: "binned", TrainQuality: 0.999})
-	best := res.Best
-	if best.TrainMode != "exact" {
-		t.Fatalf("train mode = %q, want exact after fallback", best.TrainMode)
-	}
-	if !strings.Contains(best.TrainFallbackReason, "below threshold") {
-		t.Fatalf("fallback reason = %q, want a quality-below-threshold explanation", best.TrainFallbackReason)
-	}
-	if best.TrainQuality <= 0 {
-		t.Fatalf("fallback reports no measured gate quality")
+	_, res := runJob(t, e, Request{Dataset: d, L: 2000, Seed: 24, SD: []string{"prim", "bi"}, TrainMode: "binned", TrainQuality: 0.999})
+	for _, vr := range res.Variants {
+		if vr.TrainMode != "exact" {
+			t.Fatalf("%s: train mode = %q, want exact after fallback", vr.SD, vr.TrainMode)
+		}
+		if !strings.Contains(vr.TrainFallbackReason, "below threshold") {
+			t.Fatalf("%s: fallback reason = %q, want a quality-below-threshold explanation", vr.SD, vr.TrainFallbackReason)
+		}
+		if vr.TrainQuality <= 0 {
+			t.Fatalf("%s: fallback reports no measured gate quality", vr.SD)
+		}
 	}
 	if x.TrainFallbacks() != 1 {
-		t.Fatalf("train fallbacks = %d, want 1", x.TrainFallbacks())
+		t.Fatalf("train fallbacks = %d, want 1 (one gate run for both variants)", x.TrainFallbacks())
+	}
+	if gs := x.gates.Stats(); gs.Misses != 1 || gs.Hits != 1 {
+		t.Fatalf("gate cache stats = %+v, want 1 miss / 1 hit", gs)
 	}
 }
 

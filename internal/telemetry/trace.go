@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"sync"
 	"time"
 )
 
@@ -44,64 +43,4 @@ func NewRequestID() string {
 		}
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// Span is one timed section of a trace: a pipeline stage of one job
-// (or variant), named like "train/rf" or "discover/rf/prim".
-type Span struct {
-	Name    string
-	Seconds float64
-}
-
-// StageTimer turns a sequence of stage-entry notifications into closed
-// spans: each Start closes the span of the previous stage, and Stop
-// closes the last one. It models exactly the core pipeline's OnStage
-// hook, which fires when a stage begins but not when it ends (the next
-// stage beginning — or the pipeline returning — is the end). Safe for
-// concurrent use, though a single pipeline reports sequentially.
-type StageTimer struct {
-	onClose func(Span)
-	now     func() time.Time // injectable for tests
-
-	mu      sync.Mutex
-	current string
-	started time.Time
-}
-
-// NewStageTimer returns a timer that hands every closed span to
-// onClose.
-func NewStageTimer(onClose func(Span)) *StageTimer {
-	return &StageTimer{onClose: onClose, now: time.Now}
-}
-
-// Start enters a new stage, closing the previous one (if any).
-func (t *StageTimer) Start(name string) {
-	t.mu.Lock()
-	span, ok := t.closeLocked()
-	t.current, t.started = name, t.now()
-	t.mu.Unlock()
-	if ok {
-		t.onClose(span)
-	}
-}
-
-// Stop closes the current stage, if any. Idempotent.
-func (t *StageTimer) Stop() {
-	t.mu.Lock()
-	span, ok := t.closeLocked()
-	t.mu.Unlock()
-	if ok {
-		t.onClose(span)
-	}
-}
-
-// closeLocked builds the span for the current stage and clears it.
-// Caller holds t.mu.
-func (t *StageTimer) closeLocked() (Span, bool) {
-	if t.current == "" {
-		return Span{}, false
-	}
-	span := Span{Name: t.current, Seconds: t.now().Sub(t.started).Seconds()}
-	t.current = ""
-	return span, true
 }

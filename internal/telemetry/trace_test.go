@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"testing"
-	"time"
 )
 
 func TestRequestIDContext(t *testing.T) {
@@ -31,36 +30,6 @@ func TestNewRequestID(t *testing.T) {
 	}
 	if a == b {
 		t.Fatalf("two fresh ids collided: %q", a)
-	}
-}
-
-func TestStageTimerClosesSpansOnTransition(t *testing.T) {
-	var spans []Span
-	timer := NewStageTimer(func(s Span) { spans = append(spans, s) })
-	// Deterministic clock: each call advances one second.
-	now := time.Unix(0, 0)
-	timer.now = func() time.Time {
-		now = now.Add(time.Second)
-		return now
-	}
-
-	timer.Start("train")    // nothing to close yet
-	timer.Start("sample")   // closes train
-	timer.Start("discover") // closes sample
-	timer.Stop()            // closes discover
-	timer.Stop()            // idempotent: no span
-
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
-	}
-	wantNames := []string{"train", "sample", "discover"}
-	for i, s := range spans {
-		if s.Name != wantNames[i] {
-			t.Errorf("span %d = %q, want %q", i, s.Name, wantNames[i])
-		}
-		if s.Seconds <= 0 {
-			t.Errorf("span %q has non-positive duration %v", s.Name, s.Seconds)
-		}
 	}
 }
 
