@@ -15,7 +15,7 @@ import (
 	"testing"
 
 	reds "github.com/reds-go/reds"
-	"github.com/reds-go/reds/internal/benchdata"
+	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/experiment"
 	"github.com/reds-go/reds/internal/metamodel"
 	"github.com/reds-go/reds/internal/ruleset"
@@ -187,11 +187,24 @@ func BenchmarkFig14SemiSupervised(b *testing.B) {
 
 // --- Component micro-benchmarks ---
 
-// benchTrain delegates to the generator shared with cmd/redsbench
-// (internal/benchdata), so the two harnesses measure identical
-// workloads. reds.Dataset aliases the internal dataset type.
+// benchTrain draws n points with m uniform [0,1) inputs and the
+// benchmark suite's standard label: y = 1 iff x0 < 0.5 and x1 > 0.3 (a
+// two-feature interaction box covering ~35% of the space).
 func benchTrain(n, m int, seed int64) *reds.Dataset {
-	return benchdata.Gen(n, m, seed)
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		row := make([]float64, m)
+		for j := range row {
+			row[j] = rng.Float64()
+		}
+		x[i] = row
+		if row[0] < 0.5 && row[1] > 0.3 {
+			y[i] = 1
+		}
+	}
+	return dataset.MustNew(x, y)
 }
 
 func BenchmarkPRIMPeel(b *testing.B) {
@@ -205,37 +218,11 @@ func BenchmarkPRIMPeel(b *testing.B) {
 	}
 }
 
-// BenchmarkPRIMPeelReference measures the kept pre-columnar peeler
-// (quickselect plus full passes per dimension per step) on the same
-// workload, so the fast path's speedup stays visible in every run.
-func BenchmarkPRIMPeelReference(b *testing.B) {
-	d := benchTrain(10000, 20, 1)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&reds.PRIM{Reference: true}).Discover(d, d, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBumping(b *testing.B) {
 	d := benchTrain(4000, 10, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&reds.PRIMBumping{Q: 10}).Discover(d, d, rand.New(rand.NewSource(4))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBumpingSerialReference is the pre-PR2 bumping: serial
-// replicas, reference peeler.
-func BenchmarkBumpingSerialReference(b *testing.B) {
-	d := benchTrain(4000, 10, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&reds.PRIMBumping{Q: 10, Workers: 1, Reference: true}).Discover(d, d, rand.New(rand.NewSource(4))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -263,38 +250,12 @@ func BenchmarkRandomForestTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkRandomForestTrainReference measures the kept per-node
-// sorting split finder on the same workload.
-func BenchmarkRandomForestTrainReference(b *testing.B) {
-	d := benchTrain(400, 10, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(6))
-		if _, err := (&reds.RandomForest{NTrees: 100, Reference: true}).Train(d, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGradientBoostingTrain(b *testing.B) {
 	d := benchTrain(400, 10, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(8))
 		if _, err := (&reds.GradientBoosting{}).Train(d, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGradientBoostingTrainReference measures the kept per-node
-// sorting split finder on the same workload.
-func BenchmarkGradientBoostingTrainReference(b *testing.B) {
-	d := benchTrain(400, 10, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(8))
-		if _, err := (&reds.GradientBoosting{Reference: true}).Train(d, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -472,7 +433,7 @@ func BenchmarkPredictBatch50kParallel4(b *testing.B) {
 	}
 }
 
-// --- Pseudo-label stage: batch fast path vs per-point reference ---
+// --- Pseudo-label stage at the paper's L=10^5 ---
 
 // benchPaperForest trains the paper-scale random forest (ntree=500,
 // the R randomForest default behind the paper's caret setup; the
@@ -496,34 +457,6 @@ func BenchmarkLabelStage100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := reds.PseudoLabel(context.Background(), model, reds.LatinHypercube{}, 100000, 10, 16, false, reds.BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLabelStage100kReference measures the stage as it ran before
-// the batch fast path: row-by-row sample allocation and the per-point
-// prediction closure.
-func BenchmarkLabelStage100kReference(b *testing.B) {
-	model := benchPaperForest(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(16))
-		pts := make([][]float64, 100000)
-		for p := range pts {
-			pts[p] = make([]float64, 10)
-		}
-		for j := 0; j < 10; j++ {
-			perm := rng.Perm(len(pts))
-			for p := range pts {
-				pts[p][j] = (float64(perm[p]) + rng.Float64()) / float64(len(pts))
-			}
-		}
-		y, err := reds.PredictBatchParallel(context.Background(), pts, model.PredictLabel, reds.BatchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := reds.NewDataset(pts, y); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Command redsbench regenerates the tables and figures of the paper's
 // evaluation (Section 9). Each experiment prints the same rows or series
-// the paper reports; EXPERIMENTS.md records paper-vs-measured.
+// the paper reports.
 //
 // Usage:
 //
@@ -11,15 +11,6 @@
 //
 // Experiments: fig6, table3, fig7, table4, fig8, fig9, fig10, fig11,
 // fig12, fig13, table5, fig14, all.
-//
-// Component mode benchmarks the hot paths (PRIM peeling, RF/GBT
-// training, BI, batch prediction) next to their kept reference
-// implementations and can emit a machine-readable report; committed
-// snapshots (BENCH_PR2.json, ...) record the perf trajectory:
-//
-//	redsbench -bench                 # table on stdout
-//	redsbench -bench -json bench.json
-//	redsbench -bench -json -         # JSON to stdout
 package main
 
 import (
@@ -50,17 +41,11 @@ func mainRun() int {
 		lbi        = flag.Int("lbi", 0, "REDS L for BI-based methods (0 = config default)")
 		seed       = flag.Int64("seed", 1, "experiment seed")
 		workers    = flag.Int("workers", 0, "parallel repetitions (0 = GOMAXPROCS)")
-		bench      = flag.Bool("bench", false, "run the component hot-path benchmarks instead of an experiment")
-		jsonOut    = flag.String("json", "", "with -bench: write the machine-readable report to this path ('-' = stdout)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path at exit (after a final GC)")
-		maxProcs   = flag.Int("gomaxprocs", 0, "set GOMAXPROCS for the run (0 = leave the runtime default; committed snapshots use 1)")
 	)
 	flag.Parse()
 
-	if *maxProcs > 0 {
-		runtime.GOMAXPROCS(*maxProcs)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -89,14 +74,6 @@ func mainRun() int {
 				fmt.Fprintf(os.Stderr, "redsbench: memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *bench {
-		if err := runComponentBenchmarks(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "redsbench: bench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	cfg := experiment.Default()

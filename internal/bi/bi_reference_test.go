@@ -1,11 +1,11 @@
 package bi
 
-// This file keeps the original per-candidate interval search as a
-// reference implementation: every (box, dimension) pair re-derives point
-// eligibility with an O(M) bound check per point. The fast path in
-// bi.go precomputes a violation count per point once per beam box and
-// reuses the tie-group buffer; differential tests assert both return
-// identical intervals and WRAcc values.
+// This file keeps the original per-candidate interval search as the
+// test oracle of the fast path: every (box, dimension) pair re-derives
+// point eligibility with an O(M) bound check per point. The fast path
+// in bi.go precomputes a violation count per point once per beam box
+// and reuses the tie-group buffer; differential tests assert both
+// return identical intervals and WRAcc values.
 
 import (
 	"math"

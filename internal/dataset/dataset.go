@@ -10,13 +10,11 @@
 // The hot loops of split finding (rf, gbt) and peeling (prim, bi) scan one
 // feature at a time, so Dataset lazily derives two cached, shared views:
 // Columns (a column-major copy) and SortedOrders (per-column sorted index
-// orders, computed once). Both the optimized code paths and the kept
-// reference implementations (the Reference flags on rf.Trainer,
-// gbt.Trainer, prim.Peeler, prim.Bumping) consume the same dataset;
-// differential tests assert the two paths produce identical trees and
-// boxes, which is what licenses deleting neither. Once either view has
-// been materialized the dataset must be treated as immutable — grow into a
-// fresh Dataset instead of appending rows.
+// orders, computed once). The row-major reference implementations those
+// packages keep as test oracles read the same dataset, and differential
+// tests assert both produce identical trees and boxes. Once either view
+// has been materialized the dataset must be treated as immutable — grow
+// into a fresh Dataset instead of appending rows.
 //
 // # Content hashing
 //

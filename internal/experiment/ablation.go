@@ -15,7 +15,7 @@ import (
 	"github.com/reds-go/reds/internal/sd"
 )
 
-// AblationResult quantifies the design decisions DESIGN.md calls out, on
+// AblationResult quantifies this reproduction's design decisions, on
 // the same cells as the main comparison:
 //
 //   - validation data for REDS's inner PRIM: real examples (the paper's

@@ -12,7 +12,7 @@
 // wingweight, ellipse). The remaining ones are structurally faithful
 // stand-ins with the same dimensionality, the same number of relevant
 // inputs and a threshold calibrated to approximately the positive share of
-// Table 1; see DESIGN.md section 5.
+// Table 1; standins.go documents each substitution.
 package funcs
 
 import (

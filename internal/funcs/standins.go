@@ -6,8 +6,8 @@ import (
 )
 
 // This file holds structurally faithful stand-ins for the Table 1
-// functions whose exact published constants we could not verify offline
-// (DESIGN.md section 5 documents each substitution). Every stand-in keeps
+// functions whose exact published constants we could not verify offline;
+// each stand-in's comment documents its substitution. Every stand-in keeps
 // the dimensionality M, the relevant-input count I and the threshold of
 // Table 1, and its constants are calibrated so the Monte-Carlo positive
 // share lands close to the paper's "share" column.

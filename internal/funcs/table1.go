@@ -9,7 +9,7 @@ type Meta struct {
 	I        int
 	SharePct float64
 	// Exact is true when the published formula is implemented verbatim;
-	// false marks the documented stand-ins of DESIGN.md section 5.
+	// false marks the stand-ins documented in standins.go.
 	Exact bool
 }
 

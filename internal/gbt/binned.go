@@ -25,8 +25,7 @@ import (
 // CV-score parity within tolerance, and the engine falls back to exact
 // training per variant when a holdout quality gate misses.
 //
-// The embedded Trainer supplies the boosting shape; its Reference flag
-// is ignored here.
+// The embedded Trainer supplies the boosting shape.
 type BinnedTrainer struct {
 	Trainer
 	// Bins caps the number of quantile bins per feature

@@ -43,19 +43,11 @@ func TestPresortedSplitFinderMatchesReference(t *testing.T) {
 	for ci, base := range configs {
 		for _, seed := range []int64{1, 7, 42} {
 			d := diffDataset(300, 6, seed)
-			fastTr := base
-			refTr := base
-			refTr.Reference = true
-
-			fm, err := fastTr.Train(d, rand.New(rand.NewSource(seed)))
+			fm, err := base.Train(d, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatalf("config %d seed %d: fast train: %v", ci, seed, err)
 			}
-			rm, err := refTr.Train(d, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatalf("config %d seed %d: reference train: %v", ci, seed, err)
-			}
-			fast, ref := fm.(*Model), rm.(*Model)
+			fast, ref := fm.(*Model), trainReference(&base, d, rand.New(rand.NewSource(seed)))
 			if fast.base != ref.base || len(fast.trees) != len(ref.trees) {
 				t.Fatalf("config %d seed %d: ensemble shape differs", ci, seed)
 			}

@@ -33,15 +33,6 @@ type Trainer struct {
 	SubSample float64
 	// ColSample is the column-sampling ratio per round (default 1 = off).
 	ColSample float64
-	// Reference selects the original per-node sorting split finder
-	// instead of the presorted columnar fast path. The two grow
-	// identical ensembles (see the differential tests) as long as no
-	// two distinct rows share a feature value; across genuinely tied
-	// rows the reference's unstable sort visits them in a different
-	// order, so gradient partial sums (and with them exact split
-	// tie-breaking) can differ in the last float64 bit. The flag
-	// exists so benchmarks and tests can measure the reference.
-	Reference bool
 }
 
 // Name implements metamodel.Trainer.
@@ -204,10 +195,7 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	// The columnar view and per-feature sorted orders are computed once
 	// on the dataset and shared by every round; the builder specializes
 	// them to each round's row sample and reuses its scratch buffers.
-	var builder *roundBuilder
-	if !cfg.Reference {
-		builder = newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, cfg)
-	}
+	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, cfg)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		for i := 0; i < n; i++ {
@@ -218,11 +206,7 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 		rows := sampleRows(n, cfg.SubSample, rng)
 		cols := sampleCols(d.M(), cfg.ColSample, rng)
 		tr := btree{}
-		if cfg.Reference {
-			growReference(&tr, d.X, grad, hess, rows, cols, cfg, 0, model.gains)
-		} else {
-			builder.build(&tr, rows, cols, model.gains)
-		}
+		builder.build(&tr, rows, cols, model.gains)
 		model.trees = append(model.trees, tr)
 		for i := 0; i < n; i++ {
 			margin[i] += cfg.LearningRate * tr.predict(d.X[i])

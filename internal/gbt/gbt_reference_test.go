@@ -1,13 +1,58 @@
 package gbt
 
-// This file keeps the original per-node sorting tree induction as a
-// reference implementation. The fast path in gbt.go presorts the
+// This file keeps the original per-node sorting tree induction as the
+// test oracle of the fast path. The fast path in gbt.go presorts the
 // sampled rows along every candidate column once per round and sweeps
 // splits with running gradient/hessian prefix sums; differential tests
-// assert both paths grow identical ensembles. Select it with
-// Trainer.Reference.
+// assert both paths grow identical ensembles.
 
-import "sort"
+import (
+	"math"
+	"math/rand"
+	"sort"
+
+	"github.com/reds-go/reds/internal/dataset"
+)
+
+// trainReference is Trainer.Train with the reference tree induction:
+// the same base score, gradients and row/column draws per round. It
+// grows the fast path's ensemble as long as no two distinct rows share
+// a feature value; across genuinely tied rows the reference's unstable
+// sort visits them in a different order, so gradient partial sums (and
+// with them exact split tie-breaking) can differ in the last float64
+// bit.
+func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) *Model {
+	cfg := t.withDefaults()
+	n := d.N()
+	mean := math.Min(math.Max(d.PositiveShare(), 1e-6), 1-1e-6)
+	model := &Model{
+		eta:   cfg.LearningRate,
+		base:  math.Log(mean / (1 - mean)),
+		gains: make([]float64, d.M()),
+	}
+	margin := make([]float64, n)
+	for i := range margin {
+		margin[i] = model.base
+	}
+	grad := make([]float64, n)
+	hess := make([]float64, n)
+	for round := 0; round < cfg.Rounds; round++ {
+		for i := 0; i < n; i++ {
+			p := sigmoid(margin[i])
+			grad[i] = p - d.Y[i]
+			hess[i] = p * (1 - p)
+		}
+		rows := sampleRows(n, cfg.SubSample, rng)
+		cols := sampleCols(d.M(), cfg.ColSample, rng)
+		tr := btree{}
+		growReference(&tr, d.X, grad, hess, rows, cols, cfg, 0, model.gains)
+		model.trees = append(model.trees, tr)
+		for i := 0; i < n; i++ {
+			margin[i] += cfg.LearningRate * tr.predict(d.X[i])
+		}
+	}
+	return model
+}
 
 // growReference appends the subtree over rows and returns its node
 // index, adding split gains into the importance accumulator.

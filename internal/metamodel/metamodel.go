@@ -273,10 +273,16 @@ func (t *Tuned) Name() string { return t.Family }
 // from the tuning run's base seed, the candidate's configuration (type
 // and field values, not grid position) and the fold index. Identity-based
 // derivation makes the tuning outcome invariant under grid reordering,
-// not just under evaluation order.
+// not just under evaluation order. A trainer with a TuningKey method
+// spells its configuration itself, so its struct can change without
+// re-seeding tuned results; any other is spelled %T%+v.
 func candidateSeed(base int64, tr Trainer, fold int) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%T%+v|%d", tr, tr, fold)
+	if k, ok := tr.(interface{ TuningKey() string }); ok {
+		fmt.Fprintf(h, "%s|%d", k.TuningKey(), fold)
+	} else {
+		fmt.Fprintf(h, "%T%+v|%d", tr, tr, fold)
+	}
 	return base ^ int64(h.Sum64())
 }
 

@@ -30,11 +30,6 @@ type Bumping struct {
 	// draws happen up front on the caller's goroutine, so the result is
 	// identical for any worker count.
 	Workers int
-	// Reference routes the inner peelers through their reference
-	// implementation. The contract is Peeler.Reference's: both paths
-	// must select identical boxes, and the differential tests compare
-	// them replica for replica.
-	Reference bool
 }
 
 // Discover implements sd.Discoverer.
@@ -66,7 +61,7 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 	if peelWorkers < 1 {
 		peelWorkers = 1
 	}
-	peeler := &Peeler{Alpha: b.Alpha, MinPoints: b.MinPoints, Workers: peelWorkers, Reference: b.Reference}
+	peeler := &Peeler{Alpha: b.Alpha, MinPoints: b.MinPoints, Workers: peelWorkers}
 
 	// Draw every replica's bootstrap rows and column subset on the
 	// caller's goroutine first — the RNG stream is exactly that of a

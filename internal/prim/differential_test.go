@@ -1,8 +1,10 @@
 package prim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -66,12 +68,7 @@ func TestFastPeelerMatchesReference(t *testing.T) {
 			d := diffDataset(800, 6, seed)
 			val := diffDataset(400, 6, seed+100)
 
-			ref := base
-			ref.Reference = true
-			want, err := ref.Discover(d, val, nil)
-			if err != nil {
-				t.Fatalf("config %d seed %d: reference: %v", ci, seed, err)
-			}
+			want := discoverReference(base, d, val)
 
 			fast := base
 			got, err := fast.Discover(d, val, nil)
@@ -92,8 +89,9 @@ func TestFastPeelerMatchesReference(t *testing.T) {
 }
 
 // TestFastPeelerMatchesReferenceWithTies exercises tied values (a
-// discretized column and bootstrap-style duplicated rows), where the
-// tie-grouped removal logic has to agree between the two paths.
+// discretized column and bootstrap-style duplicated rows, then the
+// bootstrap replicas bumping peels, one by one), where the tie-grouped
+// removal logic has to agree between the two paths.
 func TestFastPeelerMatchesReferenceWithTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m := 500, 4
@@ -120,16 +118,28 @@ func TestFastPeelerMatchesReferenceWithTies(t *testing.T) {
 	}
 	d := dataset.MustNew(x, y)
 
-	ref := Peeler{Reference: true}
-	want, err := ref.Discover(d, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := (&Peeler{}).Discover(d, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameTrajectory(t, "ties", got, want)
+	sameTrajectory(t, "ties", got, discoverReference(Peeler{}, d, d))
+
+	// Bumping's replicas, drawn as Bumping.Discover draws them for
+	// &Bumping{Q: 12, SubsetSize: 3, MinPoints: 10} from seed 9.
+	train := diffDataset(300, 5, 11)
+	rng = rand.New(rand.NewSource(9))
+	peeler := Peeler{MinPoints: 10}
+	for rep := 0; rep < 12; rep++ {
+		bs := train.Bootstrap(rng)
+		cols := rng.Perm(train.M())[:3]
+		sort.Ints(cols)
+		sub := bs.SelectColumns(cols)
+		got, err := peeler.Discover(sub, sub, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTrajectory(t, fmt.Sprintf("bumping replica %d", rep), got, discoverReference(peeler, sub, sub))
+	}
 }
 
 // TestFastPeelerMatchesReferenceProbLabels repeats the comparison with
@@ -153,28 +163,24 @@ func TestFastPeelerMatchesReferenceProbLabels(t *testing.T) {
 		}
 		d := dataset.MustNew(x, y)
 
-		ref := Peeler{Reference: true}
-		want, err := ref.Discover(d, d, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := (&Peeler{}).Discover(d, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameTrajectory(t, "prob labels", got, want)
+		sameTrajectory(t, "prob labels", got, discoverReference(Peeler{}, d, d))
 	}
 }
 
-// TestParallelBumpingMatchesReference runs bumping with the parallel
-// replica pool and fast peelers against the serial reference path from
-// identical seeds and asserts byte-identical results.
-func TestParallelBumpingMatchesReference(t *testing.T) {
+// TestParallelBumpingMatchesSerial runs bumping with the parallel
+// replica pool against a serial run from identical seeds and asserts
+// byte-identical results. TestFastPeelerMatchesReferenceWithTies checks
+// the same replicas' peels against the reference peeler.
+func TestParallelBumpingMatchesSerial(t *testing.T) {
 	d := diffDataset(300, 5, 11)
 	val := diffDataset(200, 5, 12)
 
-	ref := &Bumping{Q: 12, SubsetSize: 3, MinPoints: 10, Workers: 1, Reference: true}
-	want, err := ref.Discover(d, val, rand.New(rand.NewSource(9)))
+	serial := &Bumping{Q: 12, SubsetSize: 3, MinPoints: 10, Workers: 1}
+	want, err := serial.Discover(d, val, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 // Peeling runs on a columnar fast path: per-dimension sorted orders
 // (seeded from dataset.SortedOrders) are maintained across peel steps by
 // compaction, so every candidate peel is a boundary walk plus an
-// O(α·n) prefix sum instead of the reference implementation's
-// quickselect and three full passes (peel_reference.go). The 2M
-// candidates of a step are independent and evaluated by a worker pool.
+// O(α·n) prefix sum instead of the original implementation's α-quantile
+// selection and three full passes, which the tests keep as their oracle
+// (peel_reference_test.go). The 2M candidates of a step are independent
+// and evaluated by a worker pool.
 package prim
 
 import (
@@ -57,16 +58,6 @@ type Peeler struct {
 	// peel candidates (default GOMAXPROCS, never more than the number
 	// of inputs; 1 evaluates serially with no goroutines).
 	Workers int
-	// Reference selects the original quickselect-based candidate search
-	// instead of the presorted columnar fast path. The two peel
-	// identical boxes (see the differential tests, which cover ties,
-	// duplicated rows and fractional probability labels): the fast path
-	// accumulates candidate scores in sorted rather than row order, but
-	// the eps-tolerant candidate comparison in better() absorbs the
-	// last-bit float differences that reordering a sum can introduce,
-	// and all remaining tie-breaks are exact integers. The flag exists
-	// so benchmarks and tests can measure the reference.
-	Reference bool
 }
 
 // Discover implements sd.Discoverer. The RNG is unused; peeling is
@@ -102,52 +93,29 @@ func (p *Peeler) Discover(train, val *dataset.Dataset, _ *rand.Rand) (*sd.Result
 		Val:   statsOf(val, valIdx),
 	})
 
-	// The reference path re-selects the α-quantile from scratch every
-	// step; the fast path maintains sorted per-dimension orders in a
-	// peelEngine and filters through reusable ping-pong buffers.
-	var eng *peelEngine
-	var scratch []float64
-	var valCols [][]float64
-	var trainSpare, valSpare []int
-	if p.Reference {
-		scratch = make([]float64, train.N())
-	} else {
-		eng = newPeelEngine(train, p.Workers, p.Objective)
-		valCols = val.Columns()
-		trainSpare = make([]int, 0, train.N())
-		valSpare = make([]int, 0, val.N())
-	}
+	// The candidate search maintains sorted per-dimension orders in a
+	// peelEngine; the box filters through reusable ping-pong buffers.
+	eng := newPeelEngine(train, p.Workers, p.Objective)
+	valCols := val.Columns()
+	trainSpare := make([]int, 0, train.N())
+	valSpare := make([]int, 0, val.N())
 
 	for {
-		var cand peelCand
-		var ok bool
-		if p.Reference {
-			cand, ok = bestPeelReference(train, trainIdx, alpha, scratch, p.Objective)
-		} else {
-			cand, ok = eng.bestPeel(trainIdx, alpha)
-		}
+		cand, ok := eng.bestPeel(trainIdx, alpha)
 		if !ok {
 			break
 		}
 		// Apply tentatively to measure the support floor on both sets.
-		var newTrainIdx, newValIdx []int
-		if p.Reference {
-			newTrainIdx = filterIdx(train, trainIdx, cand.dim, cand.lo, cand.hi)
-			newValIdx = filterIdx(val, valIdx, cand.dim, cand.lo, cand.hi)
-		} else {
-			newTrainIdx = filterIdxInto(trainSpare[:0], eng.cols[cand.dim], trainIdx, cand.lo, cand.hi)
-			newValIdx = filterIdxInto(valSpare[:0], valCols[cand.dim], valIdx, cand.lo, cand.hi)
-		}
+		newTrainIdx := filterIdxInto(trainSpare[:0], eng.cols[cand.dim], trainIdx, cand.lo, cand.hi)
+		newValIdx := filterIdxInto(valSpare[:0], valCols[cand.dim], valIdx, cand.lo, cand.hi)
 		if len(newTrainIdx) < mp || len(newValIdx) < mp {
 			break
 		}
 		cur.Lo[cand.dim] = math.Max(cur.Lo[cand.dim], cand.lo)
 		cur.Hi[cand.dim] = math.Min(cur.Hi[cand.dim], cand.hi)
-		if eng != nil {
-			eng.applied(trainIdx, newTrainIdx)
-			// The outgoing index slices become the next step's spares.
-			trainSpare, valSpare = trainIdx, valIdx
-		}
+		eng.applied(trainIdx, newTrainIdx)
+		// The outgoing index slices become the next step's spares.
+		trainSpare, valSpare = trainIdx, valIdx
 		trainIdx, valIdx = newTrainIdx, newValIdx
 		res.Steps = append(res.Steps, sd.Step{
 			Box:   cur.Clone(),
@@ -181,20 +149,8 @@ func statsOf(d *dataset.Dataset, idx []int) sd.Stats {
 	return st
 }
 
-// filterIdx keeps the indices whose value in dim lies within [lo, hi].
-func filterIdx(d *dataset.Dataset, idx []int, dim int, lo, hi float64) []int {
-	out := idx[:0:0]
-	for _, i := range idx {
-		v := d.X[i][dim]
-		if v >= lo && v <= hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// filterIdxInto is filterIdx over a columnar view, appending into dst to
-// avoid the per-step allocation.
+// filterIdxInto appends to dst the indices of idx whose value in the
+// column col lies within [lo, hi].
 func filterIdxInto(dst []int, col []float64, idx []int, lo, hi float64) []int {
 	for _, i := range idx {
 		v := col[i]

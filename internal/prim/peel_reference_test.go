@@ -1,17 +1,83 @@
 package prim
 
-// This file keeps the original peel-candidate search as a reference
-// implementation: a quickselect plus three full passes per dimension per
-// peel step. The fast path in peel.go maintains per-dimension sorted
+// This file keeps the original peel-candidate search as the test oracle
+// of the fast path: a quickselect plus three full passes per dimension
+// per peel step. The fast path in peel.go maintains per-dimension sorted
 // orders across peel steps and evaluates candidates with prefix sums;
-// differential tests assert both paths peel identical boxes, and
-// `redsbench -bench` reports both. Select it with Peeler.Reference.
+// differential tests assert both paths peel identical boxes.
 
 import (
 	"math"
 
+	"github.com/reds-go/reds/internal/box"
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/sd"
 )
+
+// discoverReference is Peeler.Discover with the reference candidate
+// search, which re-selects the α-quantile from scratch every step. The
+// two peel identical boxes (the differential tests cover ties,
+// duplicated rows and fractional probability labels): the fast path
+// accumulates candidate scores in sorted rather than row order, but the
+// eps-tolerant candidate comparison in better() absorbs the last-bit
+// float differences that reordering a sum can introduce, and all
+// remaining tie-breaks are exact integers.
+func discoverReference(p Peeler, train, val *dataset.Dataset) *sd.Result {
+	alpha := p.Alpha
+	if alpha == 0 {
+		alpha = 0.05
+	}
+	mp := p.MinPoints
+	if mp == 0 {
+		mp = 20
+	}
+	cur := box.Full(train.M())
+	trainIdx := allIndices(train.N())
+	valIdx := allIndices(val.N())
+	res := &sd.Result{}
+	res.Steps = append(res.Steps, sd.Step{
+		Box:   cur.Clone(),
+		Train: statsOf(train, trainIdx),
+		Val:   statsOf(val, valIdx),
+	})
+	scratch := make([]float64, train.N())
+	for {
+		cand, ok := bestPeelReference(train, trainIdx, alpha, scratch, p.Objective)
+		if !ok {
+			break
+		}
+		newTrainIdx := filterIdx(train, trainIdx, cand.dim, cand.lo, cand.hi)
+		newValIdx := filterIdx(val, valIdx, cand.dim, cand.lo, cand.hi)
+		if len(newTrainIdx) < mp || len(newValIdx) < mp {
+			break
+		}
+		cur.Lo[cand.dim] = math.Max(cur.Lo[cand.dim], cand.lo)
+		cur.Hi[cand.dim] = math.Min(cur.Hi[cand.dim], cand.hi)
+		trainIdx, valIdx = newTrainIdx, newValIdx
+		res.Steps = append(res.Steps, sd.Step{
+			Box:   cur.Clone(),
+			Train: statsOf(train, trainIdx),
+			Val:   statsOf(val, valIdx),
+		})
+	}
+	if p.Paste {
+		pasteLoop(res, train, val, alpha)
+	}
+	res.FinalIndex = selectFinal(res.Steps)
+	return res
+}
+
+// filterIdx keeps the indices whose value in dim lies within [lo, hi].
+func filterIdx(d *dataset.Dataset, idx []int, dim int, lo, hi float64) []int {
+	out := idx[:0:0]
+	for _, i := range idx {
+		v := d.X[i][dim]
+		if v >= lo && v <= hi {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
 // bestPeelReference evaluates the 2M candidate peels (Step 3 of
 // Algorithm 1) and returns the one maximizing the objective. ok is false

@@ -26,12 +26,19 @@ import (
 // when a holdout quality gate misses.
 //
 // The embedded Trainer supplies the forest shape (NTrees, MTry, MinLeaf,
-// MaxDepth); its Reference flag is ignored here.
+// MaxDepth).
 type BinnedTrainer struct {
 	Trainer
 	// Bins caps the number of quantile bins per feature
 	// (default dataset.DefaultBins, max dataset.MaxBins).
 	Bins int
+}
+
+// TuningKey is Trainer.TuningKey for the binned trainer, frozen the
+// same way and for the same reason.
+func (t *BinnedTrainer) TuningKey() string {
+	return fmt.Sprintf("*rf.BinnedTrainer&{Trainer:{NTrees:%d MTry:%d MinLeaf:%d MaxDepth:%d Reference:false} Bins:%d}",
+		t.NTrees, t.MTry, t.MinLeaf, t.MaxDepth, t.Bins)
 }
 
 // Train implements metamodel.Trainer.
@@ -58,37 +65,14 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 	if nRows < 2 {
 		return nil, fmt.Errorf("rf: need at least 2 examples, got %d", nRows)
 	}
-	nTrees := t.NTrees
-	if nTrees == 0 {
-		nTrees = 100
-	}
-	mtry := t.MTry
-	if mtry == 0 {
-		mtry = d.M() / 3
-		if mtry < 1 {
-			mtry = 1
-		}
-	}
-	minLeaf := t.MinLeaf
-	if minLeaf == 0 {
-		minLeaf = 5
-	}
-	cfg := treeConfig{mtry: mtry, minLeaf: minLeaf, maxDepth: t.MaxDepth}
 	budget := t.Bins
 	if budget == 0 {
 		budget = dataset.DefaultBins
 	}
 	bins := d.Bins(budget)
-
-	seeds := make([]int64, nTrees)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	forest := &Forest{trees: make([]*tree, nTrees)}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nTrees {
-		workers = nTrees
-	}
+	cfg, seeds := t.plan(d.M(), rng)
+	forest := &Forest{trees: make([]*tree, len(seeds))}
+	workers := min(runtime.GOMAXPROCS(0), len(seeds))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -112,7 +96,7 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 			}
 		}()
 	}
-	for ti := 0; ti < nTrees; ti++ {
+	for ti := range seeds {
 		next <- ti
 	}
 	close(next)

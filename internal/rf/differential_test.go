@@ -44,19 +44,11 @@ func TestPresortedSplitFinderMatchesReference(t *testing.T) {
 	for ci, base := range configs {
 		for _, seed := range []int64{1, 7, 42} {
 			d := randomDataset(300, 6, seed)
-			fastTr := base
-			refTr := base
-			refTr.Reference = true
-
-			fm, err := fastTr.Train(d, rand.New(rand.NewSource(seed)))
+			fm, err := base.Train(d, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatalf("config %d seed %d: fast train: %v", ci, seed, err)
 			}
-			rm, err := refTr.Train(d, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatalf("config %d seed %d: reference train: %v", ci, seed, err)
-			}
-			fast, ref := fm.(*Forest), rm.(*Forest)
+			fast, ref := fm.(*Forest), trainReference(&base, d, rand.New(rand.NewSource(seed)))
 			if len(fast.trees) != len(ref.trees) {
 				t.Fatalf("config %d seed %d: %d vs %d trees", ci, seed, len(fast.trees), len(ref.trees))
 			}

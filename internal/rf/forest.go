@@ -24,20 +24,42 @@ type Trainer struct {
 	MinLeaf int
 	// MaxDepth caps tree depth; 0 means unlimited.
 	MaxDepth int
-	// Reference selects the original per-node sorting split finder
-	// instead of the presorted columnar fast path. The two grow
-	// identical trees (see the differential tests) as long as no two
-	// distinct rows share a feature value — bootstrap-duplicated rows
-	// are fine; across genuinely tied rows the reference's unstable
-	// sort visits them in a different order, so partial sums (and with
-	// them exact split tie-breaking) can differ in the last float64
-	// bit. The flag exists so benchmarks and tests can measure the
-	// reference.
-	Reference bool
 }
 
 // Name implements metamodel.Trainer.
 func (t *Trainer) Name() string { return "rf" }
+
+// TuningKey is the trainer's identity in metamodel.Tuned's candidate
+// seeds, so it is part of every tuned rf result. The text is frozen at
+// the %T%+v rendering of an earlier Trainer that also had a Reference
+// field: any other text re-seeds the cross-validation cells of every
+// tuned rf job and can change which candidate wins.
+func (t *Trainer) TuningKey() string {
+	return fmt.Sprintf("*rf.Trainer&{NTrees:%d MTry:%d MinLeaf:%d MaxDepth:%d Reference:false}",
+		t.NTrees, t.MTry, t.MinLeaf, t.MaxDepth)
+}
+
+// plan fills in the forest shape's defaults for m inputs and draws one
+// seed per tree from rng. Every forest trainer starts here, so they
+// agree on the shape and on each tree's random stream.
+func (t *Trainer) plan(m int, rng *rand.Rand) (treeConfig, []int64) {
+	nTrees := t.NTrees
+	if nTrees == 0 {
+		nTrees = 100
+	}
+	cfg := treeConfig{mtry: t.MTry, minLeaf: t.MinLeaf, maxDepth: t.MaxDepth}
+	if cfg.mtry == 0 {
+		cfg.mtry = max(1, m/3)
+	}
+	if cfg.minLeaf == 0 {
+		cfg.minLeaf = 5
+	}
+	seeds := make([]int64, nTrees)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	return cfg, seeds
+}
 
 // Forest is a trained random forest.
 type Forest struct {
@@ -57,66 +79,32 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	if d.N() < 2 {
 		return nil, fmt.Errorf("rf: need at least 2 examples, got %d", d.N())
 	}
-	nTrees := t.NTrees
-	if nTrees == 0 {
-		nTrees = 100
-	}
-	mtry := t.MTry
-	if mtry == 0 {
-		mtry = d.M() / 3
-		if mtry < 1 {
-			mtry = 1
-		}
-	}
-	minLeaf := t.MinLeaf
-	if minLeaf == 0 {
-		minLeaf = 5
-	}
-	cfg := treeConfig{mtry: mtry, minLeaf: minLeaf, maxDepth: t.MaxDepth}
-
-	seeds := make([]int64, nTrees)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
+	cfg, seeds := t.plan(d.M(), rng)
 	// The columnar view and per-feature sorted orders are computed once
 	// on the dataset and shared by every tree; each worker's builder
 	// specializes them to its tree's bootstrap by counting.
-	var cols [][]float64
-	var shared [][]int
-	if !t.Reference {
-		cols = d.Columns()
-		shared = d.SortedOrders()
-	}
-	forest := &Forest{trees: make([]*tree, nTrees)}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nTrees {
-		workers = nTrees
-	}
+	cols := d.Columns()
+	shared := d.SortedOrders()
+	forest := &Forest{trees: make([]*tree, len(seeds))}
+	workers := min(runtime.GOMAXPROCS(0), len(seeds))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var builder *treeBuilder
-			if !t.Reference {
-				builder = newTreeBuilder(cols, d.Y, shared, cfg)
-			}
+			builder := newTreeBuilder(cols, d.Y, shared, cfg)
 			idx := make([]int, d.N())
 			for ti := range next {
 				local := rand.New(rand.NewSource(seeds[ti]))
 				for k := range idx {
 					idx[k] = local.Intn(d.N())
 				}
-				if t.Reference {
-					forest.trees[ti] = buildTreeReference(d.X, d.Y, idx, cfg, local)
-				} else {
-					forest.trees[ti] = builder.build(idx, local)
-				}
+				forest.trees[ti] = builder.build(idx, local)
 			}
 		}()
 	}
-	for ti := 0; ti < nTrees; ti++ {
+	for ti := range seeds {
 		next <- ti
 	}
 	close(next)

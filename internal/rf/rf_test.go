@@ -130,6 +130,30 @@ func TestTunedTrainerGrid(t *testing.T) {
 	}
 }
 
+// TestTuningKeyFrozen pins the tuning identity of the shipped rf grid
+// shapes. metamodel.Tuned seeds every cross-validation cell from this
+// text, so changing it changes tuned rf results.
+func TestTuningKeyFrozen(t *testing.T) {
+	cases := []struct {
+		tr   metamodel.Trainer
+		want string
+	}{
+		{TunedTrainer(8).(*metamodel.Tuned).Grid[0], "*rf.Trainer&{NTrees:0 MTry:2 MinLeaf:0 MaxDepth:0 Reference:false}"},
+		{TunedTrainer(8).(*metamodel.Tuned).Grid[1], "*rf.Trainer&{NTrees:0 MTry:5 MinLeaf:0 MaxDepth:0 Reference:false}"},
+		{TunedTrainer(10).(*metamodel.Tuned).Grid[0], "*rf.Trainer&{NTrees:0 MTry:3 MinLeaf:0 MaxDepth:0 Reference:false}"},
+		{TunedTrainer(10).(*metamodel.Tuned).Grid[1], "*rf.Trainer&{NTrees:0 MTry:6 MinLeaf:0 MaxDepth:0 Reference:false}"},
+		{TunedTrainerBinned(10, 0).(*metamodel.Tuned).Grid[0], "*rf.BinnedTrainer&{Trainer:{NTrees:0 MTry:3 MinLeaf:0 MaxDepth:0 Reference:false} Bins:0}"},
+		{TunedTrainerBinned(10, 0).(*metamodel.Tuned).Grid[1], "*rf.BinnedTrainer&{Trainer:{NTrees:0 MTry:6 MinLeaf:0 MaxDepth:0 Reference:false} Bins:0}"},
+		{TunedTrainerBinned(8, 64).(*metamodel.Tuned).Grid[1], "*rf.BinnedTrainer&{Trainer:{NTrees:0 MTry:5 MinLeaf:0 MaxDepth:0 Reference:false} Bins:64}"},
+		{&Trainer{NTrees: 500, MTry: 3, MinLeaf: 2, MaxDepth: 4}, "*rf.Trainer&{NTrees:500 MTry:3 MinLeaf:2 MaxDepth:4 Reference:false}"},
+	}
+	for i, c := range cases {
+		if got := c.tr.(interface{ TuningKey() string }).TuningKey(); got != c.want {
+			t.Errorf("case %d: tuning key %q, want %q", i, got, c.want)
+		}
+	}
+}
+
 func TestIntSqrt(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 1, 3: 1, 4: 2, 8: 2, 9: 3, 10: 3, 20: 4, 25: 5}
 	for in, want := range cases {

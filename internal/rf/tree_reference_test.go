@@ -3,14 +3,35 @@ package rf
 import (
 	"math/rand"
 	"sort"
+
+	"github.com/reds-go/reds/internal/dataset"
 )
 
-// This file keeps the original per-node sorting tree induction as a
-// reference implementation. The fast path in tree.go presorts every
+// This file keeps the original per-node sorting tree induction as the
+// test oracle of the fast path. The fast path in tree.go presorts every
 // feature once per tree and sweeps splits with running prefix sums;
-// differential tests assert both paths grow identical trees, and
-// `redsbench -bench` reports both so the speedup stays measured.
-// Select it with Trainer.Reference.
+// differential tests assert both paths grow identical trees.
+
+// trainReference is Trainer.Train with the reference tree induction:
+// the same shape, per-tree seeds and bootstraps, trees grown serially.
+// It grows the fast path's trees as long as no two distinct rows share
+// a feature value — bootstrap-duplicated rows are fine; across
+// genuinely tied rows the reference's unstable sort visits them in a
+// different order, so partial sums (and with them exact split
+// tie-breaking) can differ in the last float64 bit.
+func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) *Forest {
+	cfg, seeds := t.plan(d.M(), rng)
+	forest := &Forest{trees: make([]*tree, len(seeds))}
+	idx := make([]int, d.N())
+	for ti, seed := range seeds {
+		local := rand.New(rand.NewSource(seed))
+		for k := range idx {
+			idx[k] = local.Intn(d.N())
+		}
+		forest.trees[ti] = buildTreeReference(d.X, d.Y, idx, cfg, local)
+	}
+	return forest
+}
 
 // buildTreeReference grows a tree on the rows idx of (x, y) by recursive
 // greedy variance-reduction splitting, sorting each candidate feature at

@@ -2,8 +2,8 @@
 // constants of internal/funcs were fixed: for every Table 1 function it
 // prints the empirical output quantile matching the paper's positive
 // share, next to the output range. Verified formulas should land on the
-// paper's published thresholds (they do — see DESIGN.md section 5);
-// stand-ins were tuned until their quantiles did.
+// paper's published thresholds; stand-ins were tuned until their
+// quantiles did.
 package main
 
 import (
