@@ -19,7 +19,11 @@ type DispatcherOptions struct {
 	Replicas int
 	// Health configures the liveness prober.
 	Health HealthOptions
-	// PollInterval is each RemoteExecutor's progress-polling period.
+	// PollInterval is ignored: workers hold each status GET until the
+	// execution ends or 150ms pass, and RemoteExecutor paces its GETs
+	// at that period.
+	//
+	// Deprecated: set nothing; the field will be removed.
 	PollInterval time.Duration
 	// Client is the HTTP client RemoteExecutors use (default: one
 	// shared client with a 15s per-request timeout).
@@ -90,7 +94,6 @@ func NewDispatcher(workers []string, opts DispatcherOptions) (*Dispatcher, error
 			return &engine.RemoteExecutor{
 				BaseURL:        node,
 				Client:         client,
-				PollInterval:   opts.PollInterval,
 				OnRetry:        func(op string) { retries.With(node, op).Inc() },
 				InternalSecret: opts.InternalSecret,
 			}

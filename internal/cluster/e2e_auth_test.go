@@ -40,7 +40,6 @@ func startGatewayWithSecret(t *testing.T, secret string, workers ...*testWorker)
 	}
 	disp, err := NewDispatcher(urls, DispatcherOptions{
 		Replicas:       64,
-		PollInterval:   5 * time.Millisecond,
 		InternalSecret: secret,
 		Health:         HealthOptions{Interval: 100 * time.Millisecond, Timeout: time.Second},
 	})

@@ -20,9 +20,8 @@ func TestClusterCheckpointedFailover(t *testing.T) {
 	workers := map[string]*testWorker{w1.srv.URL: w1, w2.srv.URL: w2}
 
 	disp, err := NewDispatcher([]string{w1.srv.URL, w2.srv.URL}, DispatcherOptions{
-		Replicas:     64,
-		PollInterval: 5 * time.Millisecond,
-		Health:       HealthOptions{Interval: 100 * time.Millisecond, Timeout: time.Second},
+		Replicas: 64,
+		Health:   HealthOptions{Interval: 100 * time.Millisecond, Timeout: time.Second},
 	})
 	if err != nil {
 		t.Fatalf("dispatcher: %v", err)

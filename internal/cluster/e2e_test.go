@@ -56,9 +56,8 @@ func startGateway(t *testing.T, workers ...*testWorker) (*engine.Engine, *Dispat
 		urls[i] = w.srv.URL
 	}
 	disp, err := NewDispatcher(urls, DispatcherOptions{
-		Replicas:     64,
-		PollInterval: 5 * time.Millisecond,
-		Health:       HealthOptions{Interval: 100 * time.Millisecond, Timeout: time.Second},
+		Replicas: 64,
+		Health:   HealthOptions{Interval: 100 * time.Millisecond, Timeout: time.Second},
 	})
 	if err != nil {
 		t.Fatalf("dispatcher: %v", err)

@@ -173,16 +173,24 @@ func TestHealthReadyAfterFirstRound(t *testing.T) {
 	if h.Ready() {
 		t.Fatalf("prober ready before the first round completed")
 	}
+	waitReady(t, h)
+	// The round that made it ready also observed the node down.
+	if h.Alive("http://w1") {
+		t.Fatalf("unreachable node still alive after the first real round")
+	}
+}
+
+// waitReady waits for the prober's first round. The breaker tests call
+// it before driving the breaker by hand, so that round's probe success
+// cannot land between their clock jump and their own observe calls.
+func waitReady(t *testing.T, h *Health) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !h.Ready() {
 		if time.Now().After(deadline) {
 			t.Fatalf("prober never became ready")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	// The round that made it ready also observed the node down.
-	if h.Alive("http://w1") {
-		t.Fatalf("unreachable node still alive after the first real round")
 	}
 }
 
@@ -198,6 +206,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		now:              clock,
 	})
 	defer h.Close()
+	waitReady(t, h)
 
 	h.MarkDead("w", errors.New("dispatch failed"))
 	if h.Alive("w") {
@@ -243,6 +252,7 @@ func TestBreakerReopensOnTrialFailure(t *testing.T) {
 		now:              clock,
 	})
 	defer h.Close()
+	waitReady(t, h)
 
 	h.MarkDead("w", errors.New("boom"))
 	nowNs.Add(int64(2 * time.Second))

@@ -36,33 +36,27 @@ var digestRequests = []struct {
 	{"tuned-binned-rf-wingweight", Request{Function: "wingweight", N: 400, L: 2000, Tuned: true, TrainMode: "binned", Seed: 1}},
 }
 
-// TestResultDigestsGolden runs every request of digestRequests on a
-// fresh LocalExecutor and compares the SHA-256 of each normalized
-// result (resultOutcome: timing, cache hits and resumed zeroed; rules
-// and rule-set exports kept) with the committed golden file. A change
-// that moves any job result fails here; an intended one is recorded
-// with
+// TestResultDigestsGolden runs every request of digestRequests on two
+// routes, on a fresh LocalExecutor each and through a RemoteExecutor
+// over one worker's internal execution API, and compares the SHA-256
+// of each normalized result (resultOutcome: timing, cache hits and
+// resumed zeroed; rules and rule-set exports kept) with the committed
+// golden file. A change that moves any job result on either route
+// fails here; an intended one is recorded with
 //
 //	go test ./internal/engine/ -run TestResultDigestsGolden -update
 //
-// and shows as a reviewed diff of the golden file.
+// (from the LocalExecutor route) and shows as a reviewed diff of the
+// golden file.
 func TestResultDigestsGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Other architectures may fuse multiply-adds, which legally
 		// changes float results in the last bit.
 		t.Skipf("result digests are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	var b strings.Builder
-	for _, c := range digestRequests {
-		res, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), c.req, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		fmt.Fprintf(&b, "%s %x\n", c.name, sha256.Sum256([]byte(resultOutcome(t, res))))
-	}
-	got := b.String()
+	local := resultDigests(t, func() Executor { return NewLocalExecutor(LocalExecutorOptions{}) })
 	if *updateDigests {
-		if err := os.WriteFile(digestsGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(digestsGolden, []byte(local), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -71,7 +65,26 @@ func TestResultDigestsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if got != string(want) {
-		t.Errorf("job results differ from %s\ngot:\n%swant:\n%s", digestsGolden, got, want)
+	srv, _ := newTestWorker(t)
+	remote := resultDigests(t, func() Executor { return &RemoteExecutor{BaseURL: srv.URL} })
+	for _, route := range []struct{ name, got string }{{"LocalExecutor", local}, {"RemoteExecutor", remote}} {
+		if route.got != string(want) {
+			t.Errorf("%s job results differ from %s\ngot:\n%swant:\n%s", route.name, digestsGolden, route.got, want)
+		}
 	}
+}
+
+// resultDigests runs every request of digestRequests on the executor
+// newExec returns for it and lists the digests in golden-file form.
+func resultDigests(t *testing.T, newExec func() Executor) string {
+	t.Helper()
+	var b strings.Builder
+	for _, c := range digestRequests {
+		res, err := newExec().Execute(context.Background(), c.req, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(&b, "%s %x\n", c.name, sha256.Sum256([]byte(resultOutcome(t, res))))
+	}
+	return b.String()
 }

@@ -31,6 +31,8 @@ import (
 //	GET    /internal/v1/execute/{id}/checkpoint  newest resumable checkpoint
 //	DELETE /internal/v1/execute/{id}             cancel and/or release the execution
 //
+// The status GET is held until the execution ends or statusHold passes.
+//
 // The API shares redsserver's listener. When the worker is started with
 // -internal.secret, the admission middleware in front of the handler
 // requires every internal call to carry the shared secret in the
@@ -42,6 +44,16 @@ import (
 // dataset plus — on failover — a checkpoint inlining up to the 32 MiB
 // labeled-data budget (base64 on the wire, a third more).
 const maxExecBodyBytes = 256 << 20
+
+// statusHold is how long the worker holds a status GET of a running
+// execution before answering with its current snapshot, and the least
+// time between two status GETs that RemoteExecutor sends. A short
+// execution's end thus reaches the gateway as it happens. The hold ends
+// early only at the execution's end, not on a progress snapshot, so a
+// long job still costs one GET and at most one checkpoint fetch per
+// statusHold; the pacing keeps a worker that answers at once (an older
+// build) from being polled in a loop.
+const statusHold = 150 * time.Millisecond
 
 // execStatusResponse is the wire form of one execution's state, shared
 // by the server (ExecServer) and the client (RemoteExecutor).
@@ -125,6 +137,9 @@ type execution struct {
 	// after handleStart).
 	requestID string
 	cancel    context.CancelFunc
+	// done is closed once the status is terminal; held status GETs
+	// wait on it.
+	done chan struct{}
 
 	mu         sync.Mutex
 	status     Status
@@ -289,7 +304,7 @@ func (s *ExecServer) handleStart(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("exec-%s-%06d", s.bootID, s.nextID)
 	ctx, cancel := context.WithCancel(s.ctx)
 	ctx = telemetry.WithRequestID(ctx, rid)
-	ex := &execution{id: id, requestID: rid, cancel: cancel, status: StatusRunning}
+	ex := &execution{id: id, requestID: rid, cancel: cancel, done: make(chan struct{}), status: StatusRunning}
 	s.execs[id] = ex
 	s.started++
 	s.active++
@@ -329,6 +344,7 @@ func (s *ExecServer) run(ex *execution, req Request, ctx context.Context) {
 	}
 	status := ex.status
 	ex.mu.Unlock()
+	close(ex.done)
 
 	s.mu.Lock()
 	s.active--
@@ -373,6 +389,12 @@ func (s *ExecServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeError(w, http.StatusNotFound, errNotFound, fmt.Errorf("unknown execution %s", id))
 		return
+	}
+	select {
+	case <-ex.done:
+	case <-time.After(statusHold):
+	case <-r.Context().Done():
+		return // the caller gave up on this GET
 	}
 	ex.mu.Lock()
 	resp := execStatusResponse{ID: ex.id, Status: ex.status, Progress: ex.progress, RequestID: ex.requestID, Result: ex.result}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func normalizeResult(t *testing.T, res *Result) []byte {
 
 func TestRemoteExecutorRoundTrip(t *testing.T) {
 	srv, es := newTestWorker(t)
-	remote := &RemoteExecutor{BaseURL: srv.URL, PollInterval: 5 * time.Millisecond}
+	remote := &RemoteExecutor{BaseURL: srv.URL}
 
 	req := Request{Dataset: testDataset(250, rand.New(rand.NewSource(8))), L: 2000, Seed: 4}
 	var last Progress
@@ -76,7 +77,7 @@ func TestRemoteExecutorRoundTrip(t *testing.T) {
 
 func TestRemoteExecutorRequestErrorIsNotUnavailable(t *testing.T) {
 	srv, _ := newTestWorker(t)
-	remote := &RemoteExecutor{BaseURL: srv.URL, PollInterval: 5 * time.Millisecond}
+	remote := &RemoteExecutor{BaseURL: srv.URL}
 	// Validation failure on the worker: a verdict about the request, so
 	// the dispatcher must not re-route it.
 	_, err := remote.Execute(context.Background(), Request{Function: "no-such-function"}, nil)
@@ -91,7 +92,7 @@ func TestRemoteExecutorRequestErrorIsNotUnavailable(t *testing.T) {
 func TestRemoteExecutorWorkerDown(t *testing.T) {
 	srv, _ := newTestWorker(t)
 	srv.Close() // worker is gone before the POST
-	remote := &RemoteExecutor{BaseURL: srv.URL, PollInterval: 5 * time.Millisecond}
+	remote := &RemoteExecutor{BaseURL: srv.URL}
 	_, err := remote.Execute(context.Background(), Request{Function: "morris", L: 500}, nil)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
@@ -100,7 +101,7 @@ func TestRemoteExecutorWorkerDown(t *testing.T) {
 
 func TestRemoteExecutorWorkerDiesMidExecution(t *testing.T) {
 	srv, es := newTestWorker(t)
-	remote := &RemoteExecutor{BaseURL: srv.URL, PollInterval: 5 * time.Millisecond}
+	remote := &RemoteExecutor{BaseURL: srv.URL}
 
 	req := Request{Dataset: testDataset(300, rand.New(rand.NewSource(9))), L: 400000, Seed: 1}
 	done := make(chan error, 1)
@@ -136,7 +137,7 @@ func TestRemoteExecutorWorkerDiesMidExecution(t *testing.T) {
 
 func TestRemoteExecutorCancellation(t *testing.T) {
 	srv, es := newTestWorker(t)
-	remote := &RemoteExecutor{BaseURL: srv.URL, PollInterval: 5 * time.Millisecond}
+	remote := &RemoteExecutor{BaseURL: srv.URL}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	// L is large enough to cancel mid-labeling but small enough that the
@@ -275,7 +276,7 @@ func TestRemoteExecutorFetchesCheckpointOnlyWhileFailoverPossible(t *testing.T) 
 			srv := httptest.NewServer(mux)
 			defer srv.Close()
 
-			remote := &RemoteExecutor{BaseURL: srv.URL, PollInterval: time.Millisecond}
+			remote := &RemoteExecutor{BaseURL: srv.URL}
 			var seen *Checkpoint
 			_, err := remote.Execute(context.Background(), Request{Function: "morris"}, func(p Progress) {
 				if p.Checkpoint != nil {
@@ -303,5 +304,86 @@ func TestRemoteExecutorFetchesCheckpointOnlyWhileFailoverPossible(t *testing.T) 
 				}
 			}
 		})
+	}
+}
+
+// execFunc adapts a function to Executor.
+type execFunc func(ctx context.Context, req Request, onProgress func(Progress)) (*Result, error)
+
+func (f execFunc) Execute(ctx context.Context, req Request, onProgress func(Progress)) (*Result, error) {
+	return f(ctx, req, onProgress)
+}
+
+// TestExecServerHoldsStatusUntilDone sends three status GETs at once
+// right after the POST, over an execution that ends ~30ms later. The
+// worker holds each GET until the execution ends, so every answer is
+// the terminal status with its result, not the running snapshot of the
+// moment the GET arrived.
+func TestExecServerHoldsStatusUntilDone(t *testing.T) {
+	es := NewExecServer(execFunc(func(context.Context, Request, func(Progress)) (*Result, error) {
+		time.Sleep(30 * time.Millisecond)
+		return &Result{DatasetHash: "h"}, nil
+	}), ExecServerOptions{})
+	srv := httptest.NewServer(es.Handler())
+	defer func() {
+		srv.Close()
+		es.Close()
+	}()
+	remote := &RemoteExecutor{BaseURL: srv.URL}
+
+	body, _ := json.Marshal(Request{Function: "morris"})
+	id, err := remote.start(context.Background(), body)
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := remote.poll(context.Background(), id)
+			if err != nil {
+				t.Errorf("poll: %v", err)
+				return
+			}
+			if st.Status != StatusDone || st.Result == nil || st.Result.DatasetHash != "h" {
+				t.Errorf("status GET answered %s with result %+v, want done with the result", st.Status, st.Result)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRemoteExecutorPacesStatusGETs runs against a stub worker that
+// answers every status GET at once with running, as a worker without
+// the hold does: the executor must still send at most one status GET
+// per statusHold instead of polling in a loop.
+func TestRemoteExecutorPacesStatusGETs(t *testing.T) {
+	var gets atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /internal/v1/execute", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, map[string]string{"id": "exec-1"})
+	})
+	mux.HandleFunc("GET /internal/v1/execute/{id}", func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		writeJSON(w, http.StatusOK, execStatusResponse{ID: "exec-1", Status: StatusRunning})
+	})
+	mux.HandleFunc("DELETE /internal/v1/execute/{id}", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"id": "exec-1", "canceled": true})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 4*statusHold+statusHold/2)
+	defer cancel()
+	start := time.Now()
+	_, err := (&RemoteExecutor{BaseURL: srv.URL}).Execute(ctx, Request{Function: "morris"}, nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline", err)
+	}
+	// GET k is sent no sooner than k·statusHold after the first.
+	if n, limit := gets.Load(), 1+int64(elapsed/statusHold); n < 2 || n > limit {
+		t.Fatalf("%d status GETs in %v, want 2 to %d (one per %v)", n, elapsed, limit, statusHold)
 	}
 }

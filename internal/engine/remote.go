@@ -17,9 +17,12 @@ import (
 )
 
 // RemoteExecutor runs requests on a redsserver worker through the
-// internal execution API: POST starts the execution, GET polls progress
+// internal execution API: POST starts the execution, GET reads progress
 // until a terminal status, DELETE cancels (and acknowledges terminal
-// polls so the worker can release the entry early).
+// polls so the worker can release the entry early). The worker holds
+// each GET until the execution ends or statusHold passes, so the next
+// GET goes out as soon as the previous one returns, but never sooner
+// than statusHold after it was sent.
 //
 // Failures split into two classes the caller can tell apart:
 //
@@ -35,8 +38,6 @@ type RemoteExecutor struct {
 	// Client defaults to a client with a 10s per-request timeout. The
 	// timeout bounds individual polls, not the whole execution.
 	Client *http.Client
-	// PollInterval is the progress-polling period (default 150ms).
-	PollInterval time.Duration
 	// AttemptTimeout bounds every individual HTTP call with its own
 	// context deadline (default 10s). A worker that accepts the TCP
 	// connection but never responds therefore costs one attempt, not the
@@ -79,13 +80,6 @@ func (r *RemoteExecutor) client() *http.Client {
 }
 
 var defaultRemoteClient = &http.Client{Timeout: 10 * time.Second}
-
-func (r *RemoteExecutor) pollInterval() time.Duration {
-	if r.PollInterval > 0 {
-		return r.PollInterval
-	}
-	return 150 * time.Millisecond
-}
 
 func (r *RemoteExecutor) attemptTimeout() time.Duration {
 	if r.AttemptTimeout > 0 {
@@ -170,17 +164,17 @@ func (r *RemoteExecutor) Execute(ctx context.Context, req Request, onProgress fu
 		return nil, err
 	}
 
-	t := time.NewTicker(r.pollInterval())
-	defer t.Stop()
 	var last Progress
 	var lastCP *Checkpoint
+	var next time.Time // earliest send time of the next status GET
 	for {
 		select {
 		case <-ctx.Done():
 			r.release(id)
 			return nil, ctx.Err()
-		case <-t.C:
+		case <-time.After(time.Until(next)):
 		}
+		next = time.Now().Add(statusHold)
 		st, err := r.poll(ctx, id)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -277,7 +271,8 @@ func (r *RemoteExecutor) start(ctx context.Context, body []byte) (string, error)
 	return id, err
 }
 
-// poll GETs the execution's current state, retrying transient failures
+// poll GETs the execution's state, which the worker sends once the
+// execution ends or statusHold passes, retrying transient failures
 // within the budget. A 404 is definitive — the worker restarted and
 // lost the execution — and fails over immediately.
 func (r *RemoteExecutor) poll(ctx context.Context, id string) (*execStatusResponse, error) {

@@ -44,7 +44,7 @@ func TestTraceAcrossGatewayAndWorker(t *testing.T) {
 
 	e := newTestEngine(t, Options{
 		Workers:  1,
-		Executor: &RemoteExecutor{BaseURL: srv.URL, PollInterval: 5 * time.Millisecond},
+		Executor: &RemoteExecutor{BaseURL: srv.URL},
 	})
 	defer e.Close()
 

@@ -113,9 +113,9 @@ func run() error {
 	}
 
 	// w1 carries the kill fault: once any discover span closes, the
-	// process exits — after a delay long enough for the gateway's 50ms
-	// poller to fetch the inlined-dataset checkpoint (a multi-MB
-	// payload), like a crash that strikes between polls. w2
+	// process exits — after a delay long enough for the gateway's next
+	// status GET (one per 150ms) to fetch the inlined-dataset checkpoint
+	// (a multi-MB payload), like a crash that strikes between polls. w2
 	// drops one status-poll connection to exercise the retry budget. w3
 	// starts clean and outside the gateway's initial worker set: it
 	// joins through the admin API.
@@ -124,7 +124,7 @@ func run() error {
 	w3 := worker(worker3Addr, "w3", "")
 	gw := exec.Command(filepath.Join(bin, "redsgateway"), "-addr", gatewayAddr,
 		"-workers", worker1URL+","+worker2URL,
-		"-health.interval", "500ms", "-poll.interval", "50ms",
+		"-health.interval", "500ms",
 		"-store.dir", filepath.Join(stores, "gw"),
 		"-auth.tokens", tokenFile, "-internal.secret", internalSecret,
 		"-quota.rps", "50", "-quota.burst", "50")

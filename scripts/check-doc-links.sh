@@ -7,6 +7,11 @@
 # URLs and pure anchors are ignored; backticked tokens only count as
 # file references when they end in a known file extension (so Go
 # identifiers like `reds.NewEngine` are not mistaken for files).
+#
+# It also fails when the server flags and docs/API.md disagree: every
+# flag.*("name", …) in cmd/redsserver and cmd/redsgateway must appear
+# as `-name` in docs/API.md, and every flag a row of its flag tables
+# names must be defined.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -51,7 +56,26 @@ for src in $(find . -name '*.go' -not -path './.bench_build/*' | sed 's|^\./||')
     done
 done
 
+api=docs/API.md
+defined=$(grep -ohE 'flag\.[A-Za-z0-9]+\("[^"]+"' cmd/redsserver/*.go cmd/redsgateway/*.go |
+    sed -E 's/^[^"]*"//; s/"$//' | sort -u)
+for name in $defined; do
+    if ! grep -qF "\`-$name\`" "$api"; then
+        echo "flag -$name is not documented in $api" >&2
+        status=1
+    fi
+done
+# A flag-table row starts with a backticked flag; its first cell may
+# name several (`-log.level` / `-log.format`).
+for name in $(grep -E '^\| *`-' "$api" | sed -E 's/^\|([^|]*)\|.*/\1/' |
+    grep -oE '`-[A-Za-z0-9._-]+`' | sed -E 's/^`-//; s/`$//' | sort -u); do
+    if ! echo "$defined" | grep -qxF "$name"; then
+        echo "$api documents -$name, which no server defines" >&2
+        status=1
+    fi
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "doc links OK"
+    echo "doc links and flags OK"
 fi
 exit $status

@@ -106,7 +106,7 @@ func run() error {
 			"-auth.tokens", tokenFile, "-internal.secret", internalSecret),
 		exec.Command(filepath.Join(bin, "redsgateway"), "-addr", gatewayAddr,
 			"-workers", fmt.Sprintf("http://%s,http://%s", worker1Addr, worker2Addr),
-			"-health.interval", "500ms", "-poll.interval", "50ms",
+			"-health.interval", "500ms",
 			"-store.dir", filepath.Join(stores, "gw"),
 			"-auth.tokens", tokenFile, "-internal.secret", internalSecret),
 	}
