@@ -119,7 +119,6 @@ func main() {
 	capMaxL := flag.Int("caps.max-l", 0, "max Monte Carlo label budget l one job may request (0: unlimited)")
 	capMaxN := flag.Int("caps.max-n", 0, "max design size n / inline dataset rows one job may submit (0: unlimited)")
 	capMaxVariants := flag.Int("caps.max-variants", 0, "max metamodel variant-grid size one job may request (0: unlimited)")
-	capMaxTrainBins := flag.Int("caps.max-train-bins", 0, "max train_bins one job may request (0: unlimited)")
 	capMaxBody := flag.Int64("caps.max-body-bytes", 64<<20, "max POST /v1/jobs request body size in bytes (0: unlimited)")
 	maxRuntime := flag.Duration("job.max-runtime", 0, "hard wall-clock ceiling on any job's execution, and the ceiling on deadline_seconds requests (0: none)")
 	faults := flag.String("faults", "", "arm fault-injection points, e.g. store.wal.torn=1 (testing only; also read from REDS_FAULTS)")
@@ -213,7 +212,6 @@ func main() {
 			MaxL:         *capMaxL,
 			MaxN:         *capMaxN,
 			MaxVariants:  *capMaxVariants,
-			MaxTrainBins: *capMaxTrainBins,
 			MaxBodyBytes: *capMaxBody,
 			MaxRuntime:   *maxRuntime,
 		},

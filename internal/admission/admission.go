@@ -4,8 +4,7 @@
 // route (submit / read / admin, plus a shared secret for the internal
 // gateway→worker API), how fast they may submit (per-client token
 // buckets and an in-flight job cap), and how large a job they may ask
-// for (ceilings on L, N, the variant grid, train_bins, body size and
-// runtime).
+// for (ceilings on L, N, the variant grid, body size and runtime).
 //
 // The package is deliberately engine-agnostic: it knows HTTP routes and
 // client identities, not jobs. The engine's API handler pulls the caps
@@ -79,8 +78,6 @@ type Caps struct {
 	// MaxVariants caps the metamodel × SD grid — the number of
 	// concurrent sub-tasks one job fans out into.
 	MaxVariants int
-	// MaxTrainBins caps the per-feature bin budget of binned training.
-	MaxTrainBins int
 	// MaxBodyBytes caps the request body of job submissions
 	// (http.MaxBytesReader; the handler maps the trip to 413).
 	MaxBodyBytes int64

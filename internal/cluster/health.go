@@ -13,9 +13,10 @@ import (
 	"github.com/reds-go/reds/internal/telemetry"
 )
 
-// Circuit-breaker states. closed = healthy, failures counted; open =
-// tripped, node out of rotation until the cooldown elapses; half-open =
-// cooldown over, trial probes decide whether the node rejoins.
+// Circuit-breaker states. closed = healthy, the first failure opens it;
+// open = tripped, node out of rotation until the cooldown elapses;
+// half-open = cooldown over, trial probes decide whether the node
+// rejoins.
 const (
 	BreakerClosed   = "closed"
 	BreakerOpen     = "open"
@@ -49,22 +50,14 @@ type HealthOptions struct {
 	// Client defaults to http.DefaultClient with Timeout applied per
 	// request context.
 	Client *http.Client
-	// FailureThreshold is how many consecutive failures (probe failures
-	// or dispatcher MarkDead reports) open a node's breaker. Default 1:
-	// the first failure takes the node out of rotation, matching the
-	// prober's historical behavior.
-	FailureThreshold int
 	// SuccessThreshold is how many consecutive probe successes a
 	// half-open node needs before its breaker closes and it rejoins the
 	// rotation (default 1).
 	SuccessThreshold int
 	// BreakerCooldown is the open-state cooldown before the first trial
 	// probe is let through; each consecutive trip doubles it, jittered,
-	// capped at BreakerMaxCooldown. Default 500ms.
+	// capped at breakerMaxCooldown. Default 500ms.
 	BreakerCooldown time.Duration
-	// BreakerMaxCooldown caps the exponential cooldown growth (default
-	// 30s).
-	BreakerMaxCooldown time.Duration
 	// Metrics is the registry for the prober's instruments
 	// (reds_cluster_probes_total{worker,result}, the alive-workers
 	// gauge, and reds_cluster_breaker_transitions_total{worker,state}).
@@ -86,17 +79,11 @@ func (o HealthOptions) withDefaults() HealthOptions {
 	if o.Client == nil {
 		o.Client = http.DefaultClient
 	}
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 1
-	}
 	if o.SuccessThreshold <= 0 {
 		o.SuccessThreshold = 1
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 500 * time.Millisecond
-	}
-	if o.BreakerMaxCooldown <= 0 {
-		o.BreakerMaxCooldown = 30 * time.Second
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -104,10 +91,13 @@ func (o HealthOptions) withDefaults() HealthOptions {
 	return o
 }
 
+// breakerMaxCooldown caps the exponential growth of the open-state
+// cooldown.
+const breakerMaxCooldown = 30 * time.Second
+
 // breaker is the per-node circuit-breaker bookkeeping behind NodeStatus.
 type breaker struct {
 	state     string
-	failures  int // consecutive failures while closed
 	successes int // consecutive successes while half-open
 	trips     int // consecutive opens; drives the cooldown growth
 	retryAt   time.Time
@@ -290,18 +280,12 @@ func (h *Health) observe(node string, err error, started time.Time) {
 	if err != nil {
 		st.Alive = false
 		st.Error = err.Error()
-		switch b.state {
-		case BreakerOpen:
-			// Already open; repeated failures neither trip it again nor
-			// extend the cooldown — the scheduled trial decides.
-		case BreakerHalfOpen:
-			// The trial failed: re-open with a longer cooldown.
+		// The first failure opens a closed breaker, and a failed trial
+		// re-opens a half-open one with a longer cooldown. Failures of an
+		// open breaker neither trip it again nor extend the cooldown —
+		// the scheduled trial decides.
+		if b.state != BreakerOpen {
 			h.tripLocked(node, st, b, now)
-		default:
-			b.failures++
-			if b.failures >= h.opts.FailureThreshold {
-				h.tripLocked(node, st, b, now)
-			}
 		}
 		return
 	}
@@ -328,8 +312,6 @@ func (h *Health) observe(node string, err error, started time.Time) {
 		}
 		h.setStateLocked(node, st, b, BreakerClosed)
 		b.trips = 0
-	default:
-		b.failures = 0
 	}
 	st.Alive = true
 	st.Error = ""
@@ -340,7 +322,7 @@ func (h *Health) observe(node string, err error, started time.Time) {
 // tripLocked opens a node's breaker and schedules the next trial.
 func (h *Health) tripLocked(node string, st *NodeStatus, b *breaker, now time.Time) {
 	h.setStateLocked(node, st, b, BreakerOpen)
-	b.failures, b.successes = 0, 0
+	b.successes = 0
 	b.trips++
 	b.retryAt = now.Add(h.cooldown(b.trips))
 	st.RetryAt = b.retryAt
@@ -351,11 +333,11 @@ func (h *Health) tripLocked(node string, st *NodeStatus, b *breaker, now time.Ti
 // over [d/2, 3d/2) so a fleet-wide outage does not retry in lockstep.
 func (h *Health) cooldown(trips int) time.Duration {
 	d := h.opts.BreakerCooldown
-	for i := 1; i < trips && d < h.opts.BreakerMaxCooldown; i++ {
+	for i := 1; i < trips && d < breakerMaxCooldown; i++ {
 		d *= 2
 	}
-	if d > h.opts.BreakerMaxCooldown {
-		d = h.opts.BreakerMaxCooldown
+	if d > breakerMaxCooldown {
+		d = breakerMaxCooldown
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }

@@ -80,13 +80,9 @@ func (d *Dataset) buildBinsLocked(maxBins int) *Bins {
 			v := col[ord[k]]
 			k2 := k + 1
 			if math.IsNaN(v) {
-				// NaNs sort wherever the comparator left them; they are
-				// coded into the last bin regardless, so skip them here.
-				for k2 < n && math.IsNaN(col[ord[k2]]) {
-					k2++
-				}
-				k = k2
-				continue
+				// NaNs sort last and are coded into the last bin
+				// regardless, so the walk ends at the first one.
+				break
 			}
 			for k2 < n && col[ord[k2]] == v {
 				k2++

@@ -1,6 +1,9 @@
 package dataset
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Columns returns a column-major view of X: Columns()[j][i] == X[i][j].
 // It is built lazily on first use, cached on the dataset, and safe for
@@ -40,7 +43,9 @@ func (d *Dataset) columnsLocked() [][]float64 {
 
 // SortedOrders returns, for every input column j, the row indices sorted
 // ascending by X[i][j], with ties broken by row index so the order is a
-// deterministic total order. It is computed once — O(M·N log N) — cached
+// deterministic total order. NaN sorts after every number, +Inf
+// included, where flattree's orderKey puts it; NaNs keep row order among
+// themselves. It is computed once — O(M·N log N) — cached
 // on the dataset and shared by every consumer (each random-forest tree,
 // each boosting round, each PRIM run), which is what lets the split and
 // peel loops drop their per-node / per-step sorts.
@@ -71,8 +76,15 @@ func (d *Dataset) sortedOrdersLocked() [][]int {
 		col := cols[j]
 		sort.Slice(ord, func(a, b int) bool {
 			va, vb := col[ord[a]], col[ord[b]]
-			if va != vb {
-				return va < vb
+			switch {
+			case va < vb:
+				return true
+			case va > vb:
+				return false
+			}
+			// Equal, or at least one NaN, which no comparison orders.
+			if an, bn := math.IsNaN(va), math.IsNaN(vb); an != bn {
+				return bn
 			}
 			return ord[a] < ord[b]
 		})

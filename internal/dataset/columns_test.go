@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -92,5 +93,40 @@ func TestUnmarshalInvalidatesViews(t *testing.T) {
 	cols := d.Columns()
 	if len(cols[0]) != 3 || cols[0][0] != 9 {
 		t.Fatalf("stale columnar view survived decode: %v", cols[0])
+	}
+}
+
+// TestSortedOrdersNaNLast: a column holding NaN still sorts into one
+// total order — numbers ascending, then the NaNs, each run tied by row
+// index. A comparator that is not a strict weak order over NaN leaves
+// numbers out of order around them.
+func TestSortedOrdersNaNLast(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 50; trial++ {
+		n := 20 + rng.Intn(200)
+		x := make([][]float64, n)
+		for i := range x {
+			v := float64(rng.Intn(8)) // ties exercise the row-index break
+			switch rng.Intn(8) {
+			case 0, 1:
+				v = math.NaN()
+			case 2:
+				v = math.Inf(1 - 2*rng.Intn(2))
+			}
+			x[i] = []float64{v}
+		}
+		ord := MustNew(x, make([]float64, n)).SortedOrders()[0]
+		for k := 1; k < n; k++ {
+			a, b := x[ord[k-1]][0], x[ord[k]][0]
+			an, bn := math.IsNaN(a), math.IsNaN(b)
+			switch {
+			case an && !bn:
+				t.Fatalf("trial %d: %g at %d after a NaN", trial, b, k)
+			case !an && !bn && a > b:
+				t.Fatalf("trial %d: %g at %d after %g", trial, b, k, a)
+			case (an && bn || a == b) && ord[k] < ord[k-1]:
+				t.Fatalf("trial %d: tie at %d not broken by row index", trial, k)
+			}
+		}
 	}
 }

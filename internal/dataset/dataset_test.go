@@ -152,15 +152,6 @@ func TestKFoldStratified(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	d := sample(t, 20, 2, 5)
-	rng := rand.New(rand.NewSource(6))
-	train, hold := Split(d, 0.25, rng)
-	if train.N()+hold.N() != 20 || hold.N() != 5 {
-		t.Errorf("split = %d/%d", train.N(), hold.N())
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	d := sample(t, 17, 4, 7)
 	var buf bytes.Buffer

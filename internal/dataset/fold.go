@@ -62,17 +62,3 @@ func KFold(d *Dataset, k int, rng *rand.Rand) ([]Fold, error) {
 	}
 	return folds, nil
 }
-
-// Split returns a (train, holdout) pair where the holdout holds a fraction
-// frac of the shuffled rows (at least one row in each part when possible).
-func Split(d *Dataset, frac float64, rng *rand.Rand) (train, holdout *Dataset) {
-	idx := rng.Perm(d.N())
-	nh := int(float64(d.N()) * frac)
-	if nh < 1 {
-		nh = 1
-	}
-	if nh >= d.N() {
-		nh = d.N() - 1
-	}
-	return d.Subset(idx[nh:]), d.Subset(idx[:nh])
-}

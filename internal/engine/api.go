@@ -86,7 +86,7 @@ func WithMetrics(reg *telemetry.Registry) HandlerOption {
 
 // WithAdmission connects the handler to an admission controller: job
 // submissions are validated against its resource caps (l, n, variant
-// grid, train_bins, deadline), charged against the submitting client's
+// grid, deadline), charged against the submitting client's
 // in-flight budget, and stamped with the authenticated client identity
 // the controller's Middleware put on the request context. The
 // middleware itself must be mounted separately, in front of the whole
@@ -412,9 +412,6 @@ func checkCaps(caps admission.Caps, req Request) error {
 		if n := len(buildVariants(req)); n > caps.MaxVariants {
 			return fmt.Errorf("metamodels × sd grid has %d variants, over the server cap of %d", n, caps.MaxVariants)
 		}
-	}
-	if caps.MaxTrainBins > 0 && req.TrainBins > caps.MaxTrainBins {
-		return fmt.Errorf("train_bins %d exceeds the server cap of %d", req.TrainBins, caps.MaxTrainBins)
 	}
 	return nil
 }

@@ -113,7 +113,6 @@ func TestAPIFullStackAuthAndCaps(t *testing.T) {
 		Caps: admission.Caps{
 			MaxL:         5000,
 			MaxN:         300,
-			MaxTrainBins: 64,
 			MaxBodyBytes: 4096,
 			MaxRuntime:   time.Minute,
 		},
@@ -143,8 +142,9 @@ func TestAPIFullStackAuthAndCaps(t *testing.T) {
 			`{"function":"morris","n":400,"l":2000}`, http.StatusBadRequest, "limit_exceeded"},
 		{"default n over cap", http.MethodPost, "/v1/jobs", "tok-alice",
 			`{"function":"morris","l":2000}`, http.StatusBadRequest, "limit_exceeded"},
+		// train_bins is no longer a request field: unknown, so 400.
 		{"train_bins over cap", http.MethodPost, "/v1/jobs", "tok-alice",
-			`{"function":"morris","n":150,"l":2000,"train_mode":"binned","train_bins":256}`, http.StatusBadRequest, "limit_exceeded"},
+			`{"function":"morris","n":150,"l":2000,"train_mode":"binned","train_bins":256}`, http.StatusBadRequest, "bad_request"},
 		{"deadline over ceiling", http.MethodPost, "/v1/jobs", "tok-alice",
 			`{"function":"morris","n":150,"l":2000,"deadline_seconds":3600}`, http.StatusBadRequest, "limit_exceeded"},
 		{"negative deadline", http.MethodPost, "/v1/jobs", "tok-alice",

@@ -34,8 +34,8 @@ type CacheStats struct {
 // of the cached values rather than their count, with singleflight
 // deduplication of concurrent computations and an optional TTL. The
 // executor keeps one per artifact kind: trained models, pseudo-labeled
-// datasets, distilled rule sets and binned-gate resolutions (their keys
-// are built in runVariant and resolveTrainMode). A TTL expires entries
+// datasets and distilled rule sets (their keys are built in
+// runVariant). A TTL expires entries
 // a fixed time after they were computed, so a long-lived worker
 // eventually drops artifacts of datasets nobody asks about even when
 // the byte budget never fills.
@@ -77,7 +77,7 @@ type call[V any] struct {
 
 // newByteCache builds a cache that weighs each value with size and
 // whose instruments live in reg under the given cache label ("model",
-// "label", "ruleset" or "gate"). A nil reg gets a private registry —
+// "label" or "ruleset"). A nil reg gets a private registry —
 // instruments still work, nothing is exposed.
 func newByteCache[V any](maxBytes int64, ttl time.Duration, size func(V) int64, reg *telemetry.Registry, label string) *byteCache[V] {
 	if maxBytes < 1 {

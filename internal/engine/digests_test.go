@@ -29,7 +29,7 @@ var digestRequests = []struct {
 	{"prob-labels", Request{Function: "morris", N: 200, L: 1500, ProbLabels: true, Seed: 5}},
 	{"tuned-rf-xgb-svm", Request{Function: "borehole", N: 200, L: 1500, Metamodels: []string{"rf", "xgb", "svm"}, Tuned: true, Seed: 6}},
 	{"tuned-binned-xgb", Request{Function: "borehole", N: 200, L: 1500, Metamodels: []string{"xgb"}, Tuned: true, TrainMode: "binned", Seed: 7}},
-	{"binned-fallback", Request{Function: "borehole", N: 200, L: 1500, TrainMode: "binned", TrainQuality: 0.999, Seed: 8}},
+	{"binned-svm-fallback", Request{Function: "borehole", N: 200, L: 1500, Metamodels: []string{"rf", "svm"}, TrainMode: "binned", Seed: 8}},
 	{"distilled", Request{Function: "borehole", N: 200, L: 1500, LabelKernel: "distilled", Seed: 9}},
 	{"distilled-max-rules", Request{Function: "borehole", N: 200, L: 1500, Metamodels: []string{"xgb"}, LabelKernel: "distilled", DistillFidelity: 0.5, DistillMaxRules: 2, Seed: 10}},
 	{"tuned-rf-wingweight", Request{Function: "wingweight", N: 400, L: 2000, Tuned: true, Seed: 1}},

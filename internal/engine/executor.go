@@ -177,18 +177,10 @@ func (r Request) effectiveLabelKernel() string {
 	return r.LabelKernel
 }
 
-// The fast-path gates' default thresholds, applied when a request
+// defaultDistillFidelity is the holdout label agreement a distilled
+// kernel must reach before it labels a job, applied when a request
 // leaves its threshold at 0.
-const (
-	// defaultDistillFidelity is the holdout label agreement a distilled
-	// kernel must reach before it labels a job.
-	defaultDistillFidelity = 0.99
-	// defaultTrainQuality is the holdout accuracy the binned gate model
-	// must reach before the fast path trains a family: just above
-	// coin-flipping. The gate catches pathologies; the differential test
-	// suite owns the fine-grained parity guarantees.
-	defaultTrainQuality = 0.55
-)
+const defaultDistillFidelity = 0.99
 
 // effectiveDistillFidelity is the fidelity threshold a distilled kernel
 // must clear.
@@ -206,15 +198,6 @@ func (r Request) effectiveTrainMode() string {
 		return "exact"
 	}
 	return r.TrainMode
-}
-
-// effectiveTrainQuality is the holdout accuracy threshold the binned
-// gate model must clear.
-func (r Request) effectiveTrainQuality() float64 {
-	if r.TrainQuality > 0 {
-		return r.TrainQuality
-	}
-	return defaultTrainQuality
 }
 
 // LocalExecutorOptions configure the in-process execution layer.
@@ -267,13 +250,11 @@ func (o LocalExecutorOptions) withDefaults() LocalExecutorOptions {
 // the execution layer the engine used before the orchestration/
 // execution split, now behind the Executor seam.
 type LocalExecutor struct {
-	// The artifact caches: trained models, pseudo-labeled datasets,
-	// distilled rule sets and binned-gate resolutions. runVariant and
-	// resolveTrainMode build their keys.
+	// The artifact caches: trained models, pseudo-labeled datasets and
+	// distilled rule sets. runVariant builds their keys.
 	models   *byteCache[metamodel.Model]
 	labels   *byteCache[*dataset.Dataset]
 	rulesets *byteCache[*ruleset.Model]
-	gates    *byteCache[trainResolution]
 	// stageSeconds is the per-stage latency histogram
 	// (reds_exec_stage_seconds{stage,metamodel,sd}); children are
 	// resolved per variant at execution start, off the hot path.
@@ -292,8 +273,8 @@ type LocalExecutor struct {
 	mDistillFidelity *telemetry.Histogram
 	mDistillFallback *telemetry.Counter
 	// Training instruments: metamodel training latency by family and
-	// mode (cache misses only), and the number of family resolutions
-	// that fell back from binned to exact training.
+	// mode (cache misses only), and the number of variants that
+	// requested binned training but trained exact (svm).
 	mTrainSeconds  *telemetry.HistogramVec
 	mTrainFallback *telemetry.Counter
 }
@@ -310,7 +291,6 @@ func NewLocalExecutor(opts LocalExecutorOptions) *LocalExecutor {
 		models:   newByteCache(opts.CacheBytes, opts.CacheTTL, modelSizeBytes, reg, "model"),
 		labels:   newByteCache(opts.LabelCacheBytes, opts.LabelCacheTTL, datasetBytes, reg, "label"),
 		rulesets: newByteCache(opts.RulesetCacheBytes, opts.RulesetCacheTTL, (*ruleset.Model).ApproxMemoryBytes, reg, "ruleset"),
-		gates:    newByteCache(gateCacheBytes, 0, func(trainResolution) int64 { return gateEntryBytes }, reg, "gate"),
 		stageSeconds: reg.HistogramVec("reds_exec_stage_seconds",
 			"Pipeline stage latency, labeled by stage (simulate, train, sample, label, discover) and variant.",
 			telemetry.ExponentialBuckets(0.001, 2, 16), "stage", "metamodel", "sd"),
@@ -335,7 +315,7 @@ func NewLocalExecutor(opts LocalExecutorOptions) *LocalExecutor {
 			"Metamodel training latency (cache misses only), labeled by family and training mode (exact, binned).",
 			telemetry.ExponentialBuckets(0.001, 2, 16), "metamodel", "mode"),
 		mTrainFallback: reg.Counter("reds_train_fallbacks_total",
-			"Metamodel family resolutions that requested binned training but fell back to exact (unsupported family or gate quality below threshold)."),
+			"Variants that requested binned training but trained exact because their family has no binned path (svm)."),
 	}
 }
 
@@ -354,8 +334,8 @@ func (x *LocalExecutor) RulesetCacheStats() CacheStats { return x.rulesets.Stats
 // resolutions that fell back to the full ensemble.
 func (x *LocalExecutor) RulesetFallbacks() int64 { return x.mDistillFallback.Value() }
 
-// TrainFallbacks returns the cumulative count of metamodel family
-// resolutions that requested binned training but fell back to exact.
+// TrainFallbacks returns the cumulative count of variants that
+// requested binned training but trained exact.
 func (x *LocalExecutor) TrainFallbacks() int64 { return x.mTrainFallback.Value() }
 
 // progressSink aggregates concurrent progress updates for one execution

@@ -125,21 +125,12 @@ type Request struct {
 	DistillMaxRules int `json:"distill_max_rules,omitempty"`
 	// TrainMode selects how tree-ensemble metamodels train: "exact"
 	// (default) runs the exhaustive-cut path; "binned" runs the
-	// histogram-binned fast path (features quantized once per dataset,
-	// splits swept over bin histograms, tuning folds sharing one
-	// quantization) — automatically falling back to exact when the
-	// family has no binned path (svm) or a quick holdout quality gate
-	// misses the threshold. The mode actually used is reported per
-	// variant (VariantResult.TrainMode). Empty means "exact".
+	// histogram-binned fast path (features quantized once per dataset
+	// into dataset.DefaultBins bins, splits swept over bin histograms,
+	// tuning folds sharing one quantization). svm has no binned path and
+	// trains exact. The mode actually used is reported per variant
+	// (VariantResult.TrainMode). Empty means "exact".
 	TrainMode string `json:"train_mode,omitempty"`
-	// TrainBins caps the per-feature quantile bin budget of binned
-	// training (2..256; 0 keeps the default, 64).
-	TrainBins int `json:"train_bins,omitempty"`
-	// TrainQuality is the holdout accuracy threshold the binned gate
-	// model must reach before the fast path trains a variant; below it
-	// the family falls back to exact training. 0 keeps the default
-	// (0.55).
-	TrainQuality float64 `json:"train_quality,omitempty"`
 	// DeadlineSeconds bounds the job's wall-clock execution time: a job
 	// still running this long after execution starts fails with a
 	// deadline reason. 0 means no deadline (or the server's
@@ -226,12 +217,6 @@ func (r *Request) Validate() error {
 	default:
 		return fmt.Errorf("engine: unknown train mode %q (want exact or binned)", r.TrainMode)
 	}
-	if r.TrainBins != 0 && (r.TrainBins < 2 || r.TrainBins > dataset.MaxBins) {
-		return fmt.Errorf("engine: train_bins %d out of [2,%d]", r.TrainBins, dataset.MaxBins)
-	}
-	if r.TrainQuality < 0 || r.TrainQuality > 1 || math.IsNaN(r.TrainQuality) {
-		return fmt.Errorf("engine: train_quality %v out of [0,1]", r.TrainQuality)
-	}
 	if r.DeadlineSeconds < 0 || math.IsNaN(r.DeadlineSeconds) || math.IsInf(r.DeadlineSeconds, 0) {
 		return fmt.Errorf("engine: deadline_seconds %v must be a non-negative finite number", r.DeadlineSeconds)
 	}
@@ -290,12 +275,8 @@ type VariantResult struct {
 	// histogram fast path) or "exact". A request that asked for "binned"
 	// can still report "exact" here — see TrainFallbackReason.
 	TrainMode string `json:"train_mode,omitempty"`
-	// TrainQuality is the binned gate model's measured holdout accuracy.
-	// Only set when the gate ran (even when it forced a fallback).
-	TrainQuality float64 `json:"train_quality,omitempty"`
 	// TrainFallbackReason explains why a requested binned mode was not
-	// used: "unsupported" (the family has no binned path, e.g. svm) or
-	// "quality <measured> below threshold <t>".
+	// used: "unsupported" (the family has no binned path, i.e. svm).
 	TrainFallbackReason string `json:"train_fallback_reason,omitempty"`
 	// Resumed reports that the variant was not re-run at all: a
 	// checkpoint from an earlier execution already carried its finished

@@ -38,21 +38,6 @@ type RemoteExecutor struct {
 	// Client defaults to a client with a 10s per-request timeout. The
 	// timeout bounds individual polls, not the whole execution.
 	Client *http.Client
-	// AttemptTimeout bounds every individual HTTP call with its own
-	// context deadline (default 10s). A worker that accepts the TCP
-	// connection but never responds therefore costs one attempt, not the
-	// whole dispatch slot.
-	AttemptTimeout time.Duration
-	// MaxAttempts is the retry budget per logical operation — one start,
-	// one poll (default 3). Only transient failures (connection errors,
-	// 5xx) consume retries; definitive answers (400, 404-after-restart)
-	// return immediately.
-	MaxAttempts int
-	// RetryBaseDelay is the first backoff delay (default 100ms); each
-	// retry doubles it with ±50% jitter, capped at RetryMaxDelay
-	// (default 2s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// OnRetry, when non-nil, is invoked before each retry sleep with the
 	// operation name ("start", "poll"). The dispatcher wires it to the
 	// reds_cluster_retry_attempts_total counter.
@@ -81,33 +66,23 @@ func (r *RemoteExecutor) client() *http.Client {
 
 var defaultRemoteClient = &http.Client{Timeout: 10 * time.Second}
 
-func (r *RemoteExecutor) attemptTimeout() time.Duration {
-	if r.AttemptTimeout > 0 {
-		return r.AttemptTimeout
-	}
-	return 10 * time.Second
-}
-
-func (r *RemoteExecutor) maxAttempts() int {
-	if r.MaxAttempts > 0 {
-		return r.MaxAttempts
-	}
-	return 3
-}
-
-func (r *RemoteExecutor) retryBaseDelay() time.Duration {
-	if r.RetryBaseDelay > 0 {
-		return r.RetryBaseDelay
-	}
-	return 100 * time.Millisecond
-}
-
-func (r *RemoteExecutor) retryMaxDelay() time.Duration {
-	if r.RetryMaxDelay > 0 {
-		return r.RetryMaxDelay
-	}
-	return 2 * time.Second
-}
+// The retry discipline of every internal-API call.
+const (
+	// attemptTimeout bounds every individual HTTP call with its own
+	// context deadline. A worker that accepts the TCP connection but
+	// never responds therefore costs one attempt, not the whole dispatch
+	// slot.
+	attemptTimeout = 10 * time.Second
+	// maxAttempts is the retry budget per logical operation — one start,
+	// one poll. Only transient failures (connection errors, 5xx) consume
+	// retries; definitive answers (400, 404-after-restart) return
+	// immediately.
+	maxAttempts = 3
+	// retryBaseDelay is the first backoff delay; each retry doubles it
+	// with ±50% jitter, capped at retryMaxDelay.
+	retryBaseDelay = 100 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
 
 // withRetry runs one logical operation with per-attempt deadlines and
 // jittered exponential backoff. fn executes each attempt under its own
@@ -115,12 +90,12 @@ func (r *RemoteExecutor) retryMaxDelay() time.Duration {
 // retrying; the final attempt's error is returned as-is, so the
 // ErrUnavailable classification of the underlying call survives.
 func (r *RemoteExecutor) withRetry(ctx context.Context, op string, fn func(ctx context.Context) (retry bool, err error)) error {
-	delay := r.retryBaseDelay()
+	delay := retryBaseDelay
 	for attempt := 1; ; attempt++ {
-		actx, cancel := context.WithTimeout(ctx, r.attemptTimeout())
+		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 		retry, err := fn(actx)
 		cancel()
-		if err == nil || !retry || attempt >= r.maxAttempts() || ctx.Err() != nil {
+		if err == nil || !retry || attempt >= maxAttempts || ctx.Err() != nil {
 			return err
 		}
 		if r.OnRetry != nil {
@@ -133,8 +108,8 @@ func (r *RemoteExecutor) withRetry(ctx context.Context, op string, fn func(ctx c
 			return err
 		case <-time.After(sleep):
 		}
-		if delay *= 2; delay > r.retryMaxDelay() {
-			delay = r.retryMaxDelay()
+		if delay *= 2; delay > retryMaxDelay {
+			delay = retryMaxDelay
 		}
 	}
 }
@@ -313,7 +288,7 @@ func (r *RemoteExecutor) poll(ctx context.Context, id string) (*execStatusRespon
 // One attempt under the per-attempt deadline: the caller re-fetches on
 // the next poll if this one fails.
 func (r *RemoteExecutor) fetchCheckpoint(ctx context.Context, id string) (*Checkpoint, error) {
-	actx, cancel := context.WithTimeout(ctx, r.attemptTimeout())
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(actx, http.MethodGet, r.execURL(id)+"/checkpoint", nil)
 	if err != nil {

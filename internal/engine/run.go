@@ -50,16 +50,19 @@ func knownSD(name string) bool {
 }
 
 // trainerByName builds the metamodel trainer for one variant. binned
-// selects the histogram fast path with the given bin budget (resolved
-// upstream — svm never reaches here with binned set).
-func trainerByName(name string, m int, tuned, binned bool, bins int) metamodel.Trainer {
+// selects the histogram fast path (resolved upstream — svm never
+// reaches here with binned set). Its bin budget stays 0, which the
+// binned trainers read as dataset.DefaultBins: tuned candidates derive
+// their seeds from their configuration, Bins included, so spelling 64
+// would re-seed every tuned binned result.
+func trainerByName(name string, m int, tuned, binned bool) metamodel.Trainer {
 	switch name {
 	case "xgb":
 		if binned {
 			if tuned {
-				return gbt.TunedTrainerBinned(bins)
+				return gbt.TunedTrainerBinned(0)
 			}
-			return &gbt.BinnedTrainer{Bins: bins}
+			return &gbt.BinnedTrainer{}
 		}
 		if tuned {
 			return gbt.TunedTrainer()
@@ -73,9 +76,9 @@ func trainerByName(name string, m int, tuned, binned bool, bins int) metamodel.T
 	default: // "rf"
 		if binned {
 			if tuned {
-				return rf.TunedTrainerBinned(m, bins)
+				return rf.TunedTrainerBinned(m, 0)
 			}
-			return &rf.BinnedTrainer{Bins: bins}
+			return &rf.BinnedTrainer{}
 		}
 		if tuned {
 			return rf.TunedTrainer(m)
@@ -304,10 +307,10 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 
 // variantConfig carries the per-variant execution parameters:
 // pipelineSeed drives the SD stage (unique per variant); trainSeed
-// drives metamodel training and, through fixed offsets, the binned
-// gate, distillation and pseudo-labeling (shared across a family, so
-// its SD variants share one entry of each cache); labelWorkers bounds
-// the variant's worker pools.
+// drives metamodel training and, through fixed offsets, distillation
+// and pseudo-labeling (shared across a family, so its SD variants share
+// one entry of each cache); labelWorkers bounds the variant's worker
+// pools.
 type variantConfig struct {
 	pipelineSeed int64
 	trainSeed    int64
@@ -327,7 +330,7 @@ type variantConfig struct {
 // Every artifact is cached under a key that extends the key of the
 // artifact it derives from with everything else that determines it:
 //
-//	model:   <dataset hash>|<family>|tuned=<bool>|seed=<train seed>[|mode=binned|bins=<n>]
+//	model:   <dataset hash>|<family>|tuned=<bool>|seed=<train seed>[|mode=binned]
 //	ruleset: <model key>|distill|maxrules=<n>|dseed=<distill seed>
 //	labels:  <labeler key>|sampler=<name>|L=<l>|lseed=<label seed>|prob=<bool>
 //
@@ -375,15 +378,19 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 		}
 	}
 
-	// The training mode resolves before the model key is formed: a
-	// binned request that falls back shares the exact entry, because its
-	// model is the exact model.
-	mode := x.resolveTrainMode(req, v.metamodel, train, hash, cfg.trainSeed)
-	out.TrainMode, out.TrainQuality, out.TrainFallbackReason = mode.mode, mode.quality, mode.fallbackReason
-	binned := mode.mode == "binned"
+	// The training mode resolves before the model key is formed. svm has
+	// no tree growth to bin, so a binned svm request trains exact, says
+	// why, and shares the exact entry, because its model is the exact
+	// model.
+	out.TrainMode = req.effectiveTrainMode()
+	if out.TrainMode == "binned" && v.metamodel == "svm" {
+		out.TrainMode, out.TrainFallbackReason = "exact", "unsupported"
+		x.mTrainFallback.Inc()
+	}
+	binned := out.TrainMode == "binned"
 	modelKey := fmt.Sprintf("%s|%s|tuned=%v|seed=%d", hash, v.metamodel, req.Tuned, cfg.trainSeed)
 	if binned {
-		modelKey += fmt.Sprintf("|mode=binned|bins=%d", req.TrainBins)
+		modelKey += "|mode=binned"
 	}
 	distillSeed := cfg.trainSeed + distillSeedOffset
 	rulesetKey := fmt.Sprintf("%s|distill|maxrules=%d|dseed=%d", modelKey, req.DistillMaxRules, distillSeed)
@@ -414,7 +421,7 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 
 	if dnew == nil {
 		exit := enter("train")
-		trainer := trainerByName(v.metamodel, train.M(), req.Tuned, binned, req.TrainBins)
+		trainer := trainerByName(v.metamodel, train.M(), req.Tuned, binned)
 		if tu, ok := trainer.(*metamodel.Tuned); ok && binned {
 			// The shared-fold tuner can evaluate fold × candidate cells
 			// concurrently without changing its outcome; give it the
@@ -427,7 +434,7 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 			start := time.Now()
 			m, err := trainer.Train(train, rand.New(rand.NewSource(cfg.trainSeed)))
 			if err == nil {
-				x.mTrainSeconds.With(v.metamodel, mode.mode).Observe(time.Since(start).Seconds())
+				x.mTrainSeconds.With(v.metamodel, out.TrainMode).Observe(time.Since(start).Seconds())
 			}
 			return m, err
 		})

@@ -5,15 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 )
 
 // TestBinnedTrainingEndToEnd runs a real tuned job on the binned fast
-// path through the engine: the variant reports mode "binned" with the
-// gate's measured quality, its scenario quality lands near the exact
-// mode's, and the model cache keeps the two modes strictly apart while
-// repeat binned jobs still hit.
+// path through the engine: the variant reports mode "binned", its
+// scenario quality lands near the exact mode's, and the model cache
+// keeps the two modes strictly apart while repeat binned jobs still
+// hit.
 func TestBinnedTrainingEndToEnd(t *testing.T) {
 	x := NewLocalExecutor(LocalExecutorOptions{})
 	e := newTestEngine(t, Options{Workers: 1, Executor: x})
@@ -24,9 +23,8 @@ func TestBinnedTrainingEndToEnd(t *testing.T) {
 	if exact.Best.TrainMode != "exact" {
 		t.Fatalf("default train mode = %q, want exact", exact.Best.TrainMode)
 	}
-	if exact.Best.TrainQuality != 0 || exact.Best.TrainFallbackReason != "" {
-		t.Fatalf("exact mode reports gate artifacts: quality=%v reason=%q",
-			exact.Best.TrainQuality, exact.Best.TrainFallbackReason)
+	if exact.Best.TrainFallbackReason != "" {
+		t.Fatalf("exact mode reports a fallback: %q", exact.Best.TrainFallbackReason)
 	}
 
 	misses := x.CacheStats().Misses
@@ -34,9 +32,6 @@ func TestBinnedTrainingEndToEnd(t *testing.T) {
 	best := binned.Best
 	if best.TrainMode != "binned" {
 		t.Fatalf("train mode = %q (fallback %q), want binned", best.TrainMode, best.TrainFallbackReason)
-	}
-	if best.TrainQuality <= 0 {
-		t.Fatalf("binned variant reports no gate quality")
 	}
 	if best.CacheHit {
 		t.Fatalf("binned job hit the exact model cache entry")
@@ -63,35 +58,6 @@ func TestBinnedTrainingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBinnedTrainingForcedFallback sets a quality threshold no gate
-// model can reach: the job still succeeds, trains exact, and says why.
-// Its two sibling variants run the gate once between them.
-func TestBinnedTrainingForcedFallback(t *testing.T) {
-	x := NewLocalExecutor(LocalExecutorOptions{})
-	e := newTestEngine(t, Options{Workers: 1, Executor: x})
-	defer e.Close()
-
-	d := noisyTestDataset(300, rand.New(rand.NewSource(23)))
-	_, res := runJob(t, e, Request{Dataset: d, L: 2000, Seed: 24, SD: []string{"prim", "bi"}, TrainMode: "binned", TrainQuality: 0.999})
-	for _, vr := range res.Variants {
-		if vr.TrainMode != "exact" {
-			t.Fatalf("%s: train mode = %q, want exact after fallback", vr.SD, vr.TrainMode)
-		}
-		if !strings.Contains(vr.TrainFallbackReason, "below threshold") {
-			t.Fatalf("%s: fallback reason = %q, want a quality-below-threshold explanation", vr.SD, vr.TrainFallbackReason)
-		}
-		if vr.TrainQuality <= 0 {
-			t.Fatalf("%s: fallback reports no measured gate quality", vr.SD)
-		}
-	}
-	if x.TrainFallbacks() != 1 {
-		t.Fatalf("train fallbacks = %d, want 1 (one gate run for both variants)", x.TrainFallbacks())
-	}
-	if gs := x.gates.Stats(); gs.Misses != 1 || gs.Hits != 1 {
-		t.Fatalf("gate cache stats = %+v, want 1 miss / 1 hit", gs)
-	}
-}
-
 // TestBinnedTrainingUnsupportedFamily asks for binned training on svm,
 // which has no tree growth to bin: the variant trains exact and reports
 // the unsupported fallback.
@@ -113,20 +79,16 @@ func TestBinnedTrainingUnsupportedFamily(t *testing.T) {
 }
 
 // TestTrainModeValidate pins the request validation of the train-mode
-// knobs.
+// switch.
 func TestTrainModeValidate(t *testing.T) {
 	base := Request{Function: "morris"}
 	ok := base
-	ok.TrainMode, ok.TrainBins, ok.TrainQuality = "binned", 64, 0.7
+	ok.TrainMode = "binned"
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid binned request rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*Request){
-		"unknown mode":  func(r *Request) { r.TrainMode = "histogram" },
-		"bins too low":  func(r *Request) { r.TrainBins = 1 },
-		"bins too high": func(r *Request) { r.TrainBins = 257 },
-		"quality > 1":   func(r *Request) { r.TrainQuality = 1.5 },
-		"quality NaN":   func(r *Request) { r.TrainQuality = math.NaN() },
+		"unknown mode": func(r *Request) { r.TrainMode = "histogram" },
 	} {
 		r := base
 		mutate(&r)

@@ -27,7 +27,7 @@ func tiny() Config {
 
 func TestMethodRegistry(t *testing.T) {
 	want := []string{"P", "Pc", "PB", "PBc", "RPf", "RPx", "RPs", "RPfp", "RPxp", "RPcxp",
-		"BI", "BI5", "BIc", "RBIcxp", "RBIcfp"}
+		"RPfb", "RPxb", "BI", "BI5", "BIc", "RBIcxp", "RBIcfp"}
 	for _, name := range want {
 		if _, err := Get(name); err != nil {
 			t.Errorf("method %q missing: %v", name, err)

@@ -31,7 +31,9 @@ const (
 // Method is a named scenario-discovery procedure following the paper's
 // conventions (Section 8.2): "P" peel, "B" bumping / "BI" BestInterval,
 // "c" cross-validated hyperparameters, "R" REDS with metamodel suffixes
-// "f"/"x"/"s" and "p" for probability labels.
+// "f"/"x"/"s" and "p" for probability labels. A "b" after the metamodel
+// suffix trains it on the histogram-binned fast path (the engine's
+// train_mode "binned"); the paper has no such methods.
 type Method struct {
 	Name string
 	Kind Kind
@@ -70,17 +72,22 @@ func (m MethodConfig) withDefaults() MethodConfig {
 	return m
 }
 
-// trainer returns the metamodel trainer for a REDS suffix.
-func trainer(code byte, m int) (metamodel.Trainer, error) {
+// trainer returns the metamodel trainer for a REDS suffix: "f", "x" or
+// "s", or "fb"/"xb" for binned rf/xgb at dataset.DefaultBins.
+func trainer(code string, m int) (metamodel.Trainer, error) {
 	switch code {
-	case 'f':
+	case "f":
 		return rf.TunedTrainer(m), nil
-	case 'x':
+	case "fb":
+		return rf.TunedTrainerBinned(m, 0), nil
+	case "x":
 		return gbt.TunedTrainer(), nil
-	case 's':
+	case "xb":
+		return gbt.TunedTrainerBinned(0), nil
+	case "s":
 		return svm.TunedTrainer(), nil
 	}
-	return nil, fmt.Errorf("experiment: unknown metamodel code %q", string(code))
+	return nil, fmt.Errorf("experiment: unknown metamodel code %q", code)
 }
 
 // methods is the registry of all named procedures used in Section 9.
@@ -143,18 +150,20 @@ func init() {
 		}})
 
 	// --- REDS with PRIM ---
-	for _, mm := range []byte{'f', 'x', 's'} {
-		mm := mm
-		registerMethod(Method{Name: "RP" + string(mm), Kind: PRIMBased,
+	for _, mm := range []string{"f", "x", "s"} {
+		registerMethod(Method{Name: "RP" + mm, Kind: PRIMBased,
 			Build: redsPrimBuilder(mm, false, false)})
-		if mm != 's' { // probability labels only for rf and xgb (Section 6.1)
-			registerMethod(Method{Name: "RP" + string(mm) + "p", Kind: PRIMBased,
+		if mm != "s" { // probability labels only for rf and xgb (Section 6.1)
+			registerMethod(Method{Name: "RP" + mm + "p", Kind: PRIMBased,
 				Build: redsPrimBuilder(mm, true, false)})
+			// svm has no binned path.
+			registerMethod(Method{Name: "RP" + mm + "b", Kind: PRIMBased,
+				Build: redsPrimBuilder(mm+"b", false, false)})
 		}
 	}
 	// "RPcxp": CV-selected alpha + xgb + probability labels (Section 9.1.2).
 	registerMethod(Method{Name: "RPcxp", Kind: PRIMBased,
-		Build: redsPrimBuilder('x', true, true)})
+		Build: redsPrimBuilder("x", true, true)})
 
 	// --- BI-based ---
 	registerMethod(Method{Name: "BI", Kind: BIBased,
@@ -173,14 +182,14 @@ func init() {
 			}
 			return &bi.BI{BeamSize: 1, Depth: m}, nil
 		}})
-	registerMethod(Method{Name: "RBIcxp", Kind: BIBased, Build: redsBIBuilder('x')})
-	registerMethod(Method{Name: "RBIcfp", Kind: BIBased, Build: redsBIBuilder('f')})
+	registerMethod(Method{Name: "RBIcxp", Kind: BIBased, Build: redsBIBuilder("x")})
+	registerMethod(Method{Name: "RBIcfp", Kind: BIBased, Build: redsBIBuilder("f")})
 }
 
 // redsPrimBuilder assembles a REDS+PRIM method: metamodel mm, optional
 // probability labels, optional CV-selected alpha (selected on D, per
 // Section 8.4.3).
-func redsPrimBuilder(mm byte, probLabels, cvAlpha bool) func(*dataset.Dataset, MethodConfig, *rand.Rand) (sd.Discoverer, error) {
+func redsPrimBuilder(mm string, probLabels, cvAlpha bool) func(*dataset.Dataset, MethodConfig, *rand.Rand) (sd.Discoverer, error) {
 	return func(d *dataset.Dataset, mcfg MethodConfig, rng *rand.Rand) (sd.Discoverer, error) {
 		mcfg = mcfg.withDefaults()
 		tr, err := trainer(mm, d.M())
@@ -205,7 +214,7 @@ func redsPrimBuilder(mm byte, probLabels, cvAlpha bool) func(*dataset.Dataset, M
 
 // redsBIBuilder assembles a REDS+BIc method with probability labels: the
 // depth m is cross-validated on D, not on Dnew (Section 8.4.3).
-func redsBIBuilder(mm byte) func(*dataset.Dataset, MethodConfig, *rand.Rand) (sd.Discoverer, error) {
+func redsBIBuilder(mm string) func(*dataset.Dataset, MethodConfig, *rand.Rand) (sd.Discoverer, error) {
 	return func(d *dataset.Dataset, mcfg MethodConfig, rng *rand.Rand) (sd.Discoverer, error) {
 		mcfg = mcfg.withDefaults()
 		tr, err := trainer(mm, d.M())

@@ -22,8 +22,9 @@ import (
 // snap to bin edges — which is why this is a separate opt-in type rather
 // than a flag on Trainer (whose exact output, including its tuning-seed
 // derivation, stays untouched). The differential quality suite asserts
-// CV-score parity within tolerance, and the engine falls back to exact
-// training per variant when a holdout quality gate misses.
+// CV-score parity within tolerance, and the experiment suite asserts
+// that REDS finds scenarios of the same PR AUC and size on binned
+// ensembles as on exact ones (RPxb against RPx).
 //
 // The embedded Trainer supplies the boosting shape.
 type BinnedTrainer struct {

@@ -22,8 +22,9 @@ import (
 // this is a separate opt-in type rather than a flag on Trainer (whose
 // exact output, including its tuning-seed derivation, stays untouched).
 // The differential quality suite asserts CV-score parity within
-// tolerance, and the engine falls back to exact training per variant
-// when a holdout quality gate misses.
+// tolerance, and the experiment suite asserts that REDS finds scenarios
+// of the same PR AUC and size on binned forests as on exact ones (RPfb
+// against RPf).
 //
 // The embedded Trainer supplies the forest shape (NTrees, MTry, MinLeaf,
 // MaxDepth).

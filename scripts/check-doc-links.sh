@@ -11,7 +11,9 @@
 # It also fails when the server flags and docs/API.md disagree: every
 # flag.*("name", …) in cmd/redsserver and cmd/redsgateway must appear
 # as `-name` in docs/API.md, and every flag a row of its flag tables
-# names must be defined.
+# names must be defined. Likewise for job requests: every json field of
+# engine.Request and apiJobRequest must be a row of the POST /v1/jobs
+# table, and every row of that table must name a field.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -75,7 +77,28 @@ for name in $(grep -E '^\| *`-' "$api" | sed -E 's/^\|([^|]*)\|.*/\1/' |
     fi
 done
 
+# The request fields: the json names of engine.Request and of the
+# wire-only apiJobRequest fields, bar checkpoint, which only the
+# infrastructure sets.
+fields=$(for spec in 'internal/engine/job.go:Request' 'internal/engine/api.go:apiJobRequest'; do
+    awk -v t="type ${spec#*:} struct {" '$0 == t {f=1; next} f && /^}/ {exit} f' "${spec%%:*}"
+done | grep -oE 'json:"[a-z0-9_]+' | sed 's/^json:"//' | grep -vxF checkpoint | sort -u)
+rows=$(awk '/^## POST \/v1\/jobs /{f=1; next} /^## /{f=0} f' "$api" |
+    sed -nE 's/^\| *`([a-z0-9_]+)` *\|.*/\1/p' | sort -u)
+for name in $fields; do
+    if ! echo "$rows" | grep -qxF "$name"; then
+        echo "request field $name has no row in the POST /v1/jobs table of $api" >&2
+        status=1
+    fi
+done
+for name in $rows; do
+    if ! echo "$fields" | grep -qxF "$name"; then
+        echo "$api documents request field $name, which the request does not have" >&2
+        status=1
+    fi
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "doc links and flags OK"
+    echo "doc links, flags and request fields OK"
 fi
 exit $status
