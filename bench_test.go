@@ -207,6 +207,9 @@ func benchTrain(n, m int, seed int64) *reds.Dataset {
 	return dataset.MustNew(x, y)
 }
 
+// BenchmarkPRIMPeel reuses one dataset, whose sorted orders are cached
+// after the first iteration, so it times the peel without the presort
+// (BenchmarkSortedOrders times that).
 func BenchmarkPRIMPeel(b *testing.B) {
 	d := benchTrain(10000, 20, 1)
 	rng := rand.New(rand.NewSource(2))
@@ -215,6 +218,18 @@ func BenchmarkPRIMPeel(b *testing.B) {
 		if _, err := (&reds.PRIM{}).Discover(d, d, rng); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSortedOrders times the presort every consumer of a fresh
+// dataset pays on first use, at paper_prim's shape: L=10^5 pseudo-labeled
+// points of borehole's 8 inputs. Each iteration wraps the same matrix in
+// a new Dataset, so the cached orders never serve it.
+func BenchmarkSortedOrders(b *testing.B) {
+	d := benchTrain(100000, 8, 17)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dataset.MustNew(d.X, d.Y).SortedOrders()
 	}
 }
 

@@ -35,8 +35,8 @@ type Bins struct {
 
 // Bins returns the quantization of the dataset at the given per-feature
 // bin budget (clamped to [2, MaxBins]). It is computed once per budget —
-// O(M·N log N) via SortedOrders plus O(M·N) coding — cached on the
-// dataset and safe for concurrent use. The dataset must be treated as
+// O(M·N): SortedOrders' radix presort, then one coding pass — cached on
+// the dataset and safe for concurrent use. The dataset must be treated as
 // immutable after the first call, like Columns and SortedOrders.
 func (d *Dataset) Bins(maxBins int) *Bins {
 	if maxBins < minBins {

@@ -2,7 +2,8 @@ package dataset
 
 import (
 	"math"
-	"sort"
+	"runtime"
+	"sync"
 )
 
 // Columns returns a column-major view of X: Columns()[j][i] == X[i][j].
@@ -43,12 +44,13 @@ func (d *Dataset) columnsLocked() [][]float64 {
 
 // SortedOrders returns, for every input column j, the row indices sorted
 // ascending by X[i][j], with ties broken by row index so the order is a
-// deterministic total order. NaN sorts after every number, +Inf
-// included, where flattree's orderKey puts it; NaNs keep row order among
-// themselves. It is computed once — O(M·N log N) — cached
-// on the dataset and shared by every consumer (each random-forest tree,
-// each boosting round, each PRIM run), which is what lets the split and
-// peel loops drop their per-node / per-step sorts.
+// deterministic total order. The order is that of OrderKey, the one
+// flattree's compiled trees compare by: -0 ties with +0, and NaN sorts
+// after every number, +Inf included, with NaNs in row order among
+// themselves. It is computed once, by a stable radix sort in O(M·N),
+// cached on the dataset and shared by every consumer (each random-forest
+// tree, each boosting round, each PRIM run), which is what lets the split
+// and peel loops drop their per-node / per-step sorts.
 //
 // Callers must not mutate the returned slices; derive copies instead.
 func (d *Dataset) SortedOrders() [][]int {
@@ -57,6 +59,10 @@ func (d *Dataset) SortedOrders() [][]int {
 	return d.sortedOrdersLocked()
 }
 
+// sortedOrdersLocked sorts the columns concurrently, on up to GOMAXPROCS
+// goroutines that each own their radix scratch and take every
+// workers-th column. The lazy view has no caller's worker budget to
+// stay within; other callers wait on d.mu until it is built.
 func (d *Dataset) sortedOrdersLocked() [][]int {
 	if d.ords != nil {
 		return d.ords
@@ -69,29 +75,108 @@ func (d *Dataset) sortedOrdersLocked() [][]int {
 	backing := make([]int, n*m)
 	ords := make([][]int, m)
 	for j := range ords {
-		ord := backing[j*n : (j+1)*n : (j+1)*n]
-		for i := range ord {
-			ord[i] = i
-		}
-		col := cols[j]
-		sort.Slice(ord, func(a, b int) bool {
-			va, vb := col[ord[a]], col[ord[b]]
-			switch {
-			case va < vb:
-				return true
-			case va > vb:
-				return false
-			}
-			// Equal, or at least one NaN, which no comparison orders.
-			if an, bn := math.IsNaN(va), math.IsNaN(vb); an != bn {
-				return bn
-			}
-			return ord[a] < ord[b]
-		})
-		ords[j] = ord
+		ords[j] = backing[j*n : (j+1)*n : (j+1)*n]
 	}
+	workers := min(runtime.GOMAXPROCS(0), m)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := radixSorter{keys: make([]uint64, n), keysTmp: make([]uint64, n), ordTmp: make([]int, n)}
+			for j := w; j < m; j += workers {
+				s.sort(ords[j], cols[j])
+			}
+		}()
+	}
+	wg.Wait()
 	d.ords = ords
 	return ords
+}
+
+// OrderKey maps a float64 to a uint64 whose unsigned order matches
+// float order — the radix-sort float trick: flip every bit of
+// negatives, only the sign bit of non-negatives. Adding +0.0 first
+// collapses -0.0 onto +0.0 so the two zeros compare equal, exactly
+// like a float compare; ±Inf encode to the extreme ordinary keys
+// (OrderKey(+Inf) = 0xFFF0...). NaN of either sign and any payload maps
+// to math.MaxUint64, above every number. SortedOrders sorts by it, and
+// flattree encodes split thresholds and points with it, so presort and
+// trees share one float order.
+func OrderKey(v float64) uint64 {
+	if v != v {
+		return math.MaxUint64
+	}
+	u := math.Float64bits(v + 0)
+	return u ^ (uint64(int64(u)>>63) | 0x8000_0000_0000_0000)
+}
+
+// radixSorter is one worker's scratch for sorting columns of n rows:
+// the column's keys, plus the second key and index buffers the scatter
+// passes alternate with.
+type radixSorter struct {
+	keys, keysTmp []uint64
+	ordTmp        []int
+}
+
+// sort fills ord with the row indices of col in ascending OrderKey
+// order, ties in row order: a least-significant-digit radix sort over
+// 8-bit digits. One pass over the column builds the histograms of all
+// eight digits; a digit on which every key agrees needs no pass. Each
+// pass scatters stably, so rows of equal key keep their order from the
+// identity start.
+func (s *radixSorter) sort(ord []int, col []float64) {
+	n := len(col)
+	keys := s.keys
+	var count [8][256]int
+	for i, v := range col {
+		k := OrderKey(v)
+		keys[i] = k
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	var digits [8]int
+	passes := 0
+	for dg := range count {
+		if count[dg][byte(keys[0]>>(8*dg))] != n {
+			digits[passes] = dg
+			passes++
+		}
+	}
+	// The buffers swap after every pass; start from the one that makes
+	// the last pass land in ord.
+	src, dst := ord, s.ordTmp
+	if passes%2 == 1 {
+		src, dst = dst, src
+	}
+	for i := range src {
+		src[i] = i
+	}
+	srcKeys, dstKeys := keys, s.keysTmp
+	for _, dg := range digits[:passes] {
+		next := &count[dg]
+		sum := 0
+		for b, c := range next {
+			next[b] = sum
+			sum += c
+		}
+		shift := uint(8 * dg)
+		for i, k := range srcKeys {
+			b := byte(k >> shift)
+			at := next[b]
+			next[b] = at + 1
+			dstKeys[at] = k
+			dst[at] = src[i]
+		}
+		src, dst = dst, src
+		srcKeys, dstKeys = dstKeys, srcKeys
+	}
 }
 
 // invalidate drops the cached columnar views; callers must hold no

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -68,18 +69,135 @@ func TestSortedOrders(t *testing.T) {
 	}
 }
 
+// TestColumnsConcurrentFirstUse: eight goroutines race to build the
+// views of a fresh dataset wide enough for the presort to fan out over
+// its columns. Every caller must see the reference orders and the same
+// Columns and Bins views.
 func TestColumnsConcurrentFirstUse(t *testing.T) {
-	d := MustNew([][]float64{{1, 2}, {3, 4}}, []float64{0, 1})
+	rng := rand.New(rand.NewSource(3))
+	n, m := 3000, 8
+	x := make([][]float64, n)
+	for i := range x {
+		row := make([]float64, m)
+		for j := range row {
+			switch rng.Intn(10) {
+			case 0:
+				row[j] = math.NaN()
+			case 1, 2, 3:
+				row[j] = float64(rng.Intn(5)) // ties
+			default:
+				row[j] = rng.NormFloat64()
+			}
+		}
+		x[i] = row
+	}
+	d := MustNew(x, make([]float64, n))
+	want := referenceSortedOrders(d)
+	const callers = 8
+	cols := make([][][]float64, callers)
+	bins := make([]*Bins, callers)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := range callers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = d.Columns()
-			_ = d.SortedOrders()
+			// Half the callers reach the orders through Bins first.
+			if w%2 == 1 {
+				bins[w] = d.Bins(DefaultBins)
+			}
+			cols[w] = d.Columns()
+			if diff := diffOrders(d.SortedOrders(), want); diff != "" {
+				t.Errorf("caller %d: %s", w, diff)
+			}
+			if w%2 == 0 {
+				bins[w] = d.Bins(DefaultBins)
+			}
 		}()
 	}
 	wg.Wait()
+	for w := 1; w < callers; w++ {
+		if &cols[w][0][0] != &cols[0][0][0] || bins[w] != bins[0] {
+			t.Errorf("caller %d got views other than caller 0's", w)
+		}
+	}
+}
+
+// orderClasses are the kinds of value the differential test mixes into
+// a column: every float class whose place in the order the radix key
+// must get right.
+var orderClasses = []func(*rand.Rand) float64{
+	func(rng *rand.Rand) float64 { // NaN: plain, sign bit set, with payloads
+		return []float64{
+			math.NaN(),
+			math.Copysign(math.NaN(), -1),
+			math.Float64frombits(0xFFF8_0000_0000_0001),
+			math.Float64frombits(0x7FF0_0000_0000_0001),
+		}[rng.Intn(4)]
+	},
+	func(rng *rand.Rand) float64 { return math.Inf(1 - 2*rng.Intn(2)) },
+	func(rng *rand.Rand) float64 { return math.Copysign(0, float64(1-2*rng.Intn(2))) },
+	func(rng *rand.Rand) float64 { // subnormal of either sign
+		return math.Float64frombits(uint64(rng.Intn(2))<<63 | uint64(rng.Int63n(1<<52)))
+	},
+	func(rng *rand.Rand) float64 { return math.Copysign(math.MaxFloat64, float64(1-2*rng.Intn(2))) },
+	func(rng *rand.Rand) float64 { return float64(rng.Intn(7) - 3) }, // small-integer ties
+	func(rng *rand.Rand) float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(21)-10)) },
+}
+
+// TestSortedOrdersMatchesReference holds the radix presort to the
+// comparison-sort oracle, index for index, on random datasets whose
+// columns each mix a random subset of orderClasses: -0 against +0,
+// NaNs whatever their sign or payload, ±Inf, subnormals, ±MaxFloat64,
+// ties and normals.
+func TestSortedOrdersMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(3001)
+		if trial%2 == 0 {
+			n = rng.Intn(40)
+		}
+		m := 1 + rng.Intn(4)
+		classes := make([][]int, m)
+		for j := range classes {
+			mask := 1 + rng.Intn(1<<len(orderClasses)-1)
+			for c := range orderClasses {
+				if mask&(1<<c) != 0 {
+					classes[j] = append(classes[j], c)
+				}
+			}
+		}
+		x := make([][]float64, n)
+		for i := range x {
+			row := make([]float64, m)
+			for j, cs := range classes {
+				row[j] = orderClasses[cs[rng.Intn(len(cs))]](rng)
+			}
+			x[i] = row
+		}
+		d := MustNew(x, make([]float64, n))
+		if diff := diffOrders(d.SortedOrders(), referenceSortedOrders(d)); diff != "" {
+			t.Fatalf("trial %d (%d rows, classes %v): %s", trial, n, classes, diff)
+		}
+	}
+}
+
+// diffOrders describes the first place got and want differ, or returns
+// "" when they are equal index for index.
+func diffOrders(got, want [][]int) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d orders, want %d", len(got), len(want))
+	}
+	for j := range want {
+		if len(got[j]) != len(want[j]) {
+			return fmt.Sprintf("order %d has %d rows, want %d", j, len(got[j]), len(want[j]))
+		}
+		for k := range want[j] {
+			if got[j][k] != want[j][k] {
+				return fmt.Sprintf("order %d holds row %d at position %d, want row %d", j, got[j][k], k, want[j][k])
+			}
+		}
+	}
+	return ""
 }
 
 func TestUnmarshalInvalidatesViews(t *testing.T) {

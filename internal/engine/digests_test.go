@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/result_digests.golden from this run")
@@ -36,13 +37,19 @@ var digestRequests = []struct {
 	{"tuned-binned-rf-wingweight", Request{Function: "wingweight", N: 400, L: 2000, Tuned: true, TrainMode: "binned", Seed: 1}},
 }
 
-// TestResultDigestsGolden runs every request of digestRequests on two
-// routes, on a fresh LocalExecutor each and through a RemoteExecutor
-// over one worker's internal execution API, and compares the SHA-256
-// of each normalized result (resultOutcome: timing, cache hits and
-// resumed zeroed; rules and rule-set exports kept) with the committed
-// golden file. A change that moves any job result on either route
-// fails here; an intended one is recorded with
+// TestResultDigestsGolden runs every request of digestRequests on three
+// routes and compares the SHA-256 of each normalized result
+// (resultOutcome: timing, cache hits and resumed zeroed; rules and
+// rule-set exports kept) with the committed golden file:
+//
+//   - on a fresh LocalExecutor each;
+//   - through a RemoteExecutor over one worker's internal execution API;
+//   - submitted together to a durable Engine over an FS store, and read
+//     back by a new Engine over the same directory, which decodes each
+//     stored payload on first access.
+//
+// A change that moves any job result on any route fails here; an
+// intended one is recorded with
 //
 //	go test ./internal/engine/ -run TestResultDigestsGolden -update
 //
@@ -54,7 +61,7 @@ func TestResultDigestsGolden(t *testing.T) {
 		// changes float results in the last bit.
 		t.Skipf("result digests are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	local := resultDigests(t, func() Executor { return NewLocalExecutor(LocalExecutorOptions{}) })
+	local := digestLines(t, executorResults(t, func() Executor { return NewLocalExecutor(LocalExecutorOptions{}) }))
 	if *updateDigests {
 		if err := os.WriteFile(digestsGolden, []byte(local), 0o644); err != nil {
 			t.Fatal(err)
@@ -66,25 +73,72 @@ func TestResultDigestsGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	srv, _ := newTestWorker(t)
-	remote := resultDigests(t, func() Executor { return &RemoteExecutor{BaseURL: srv.URL} })
-	for _, route := range []struct{ name, got string }{{"LocalExecutor", local}, {"RemoteExecutor", remote}} {
+	remote := digestLines(t, executorResults(t, func() Executor { return &RemoteExecutor{BaseURL: srv.URL} }))
+	stored := digestLines(t, storedEngineResults(t))
+	for _, route := range []struct{ name, got string }{{"LocalExecutor", local}, {"RemoteExecutor", remote}, {"Engine over FS", stored}} {
 		if route.got != string(want) {
 			t.Errorf("%s job results differ from %s\ngot:\n%swant:\n%s", route.name, digestsGolden, route.got, want)
 		}
 	}
 }
 
-// resultDigests runs every request of digestRequests on the executor
-// newExec returns for it and lists the digests in golden-file form.
-func resultDigests(t *testing.T, newExec func() Executor) string {
+// executorResults runs every request of digestRequests on the executor
+// newExec returns for it.
+func executorResults(t *testing.T, newExec func() Executor) []*Result {
 	t.Helper()
-	var b strings.Builder
-	for _, c := range digestRequests {
+	results := make([]*Result, len(digestRequests))
+	for i, c := range digestRequests {
 		res, err := newExec().Execute(context.Background(), c.req, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		fmt.Fprintf(&b, "%s %x\n", c.name, sha256.Sum256([]byte(resultOutcome(t, res))))
+		results[i] = res
+	}
+	return results
+}
+
+// storedEngineResults submits every request of digestRequests to one
+// Engine over an FS store and waits for all of them, closes it, and
+// returns the results a new Engine over the same directory reads back.
+func storedEngineResults(t *testing.T) []*Result {
+	t.Helper()
+	dir := t.TempDir()
+	e := newTestEngine(t, Options{Store: openFS(t, dir)})
+	defer e.Close() // closed below before the reopen; Close is idempotent
+	ids := make([]JobID, len(digestRequests))
+	for i, c := range digestRequests {
+		id, err := e.Submit(c.req)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", c.name, err)
+		}
+		ids[i] = id
+	}
+	for i, id := range ids {
+		if snap := waitTerminal(t, e, id, 5*time.Minute); snap.Status != StatusDone {
+			t.Fatalf("%s: job finished %s: %s", digestRequests[i].name, snap.Status, snap.Error)
+		}
+	}
+	e.Close()
+	reopened := newTestEngine(t, Options{Store: openFS(t, dir)})
+	defer reopened.Close()
+	results := make([]*Result, len(ids))
+	for i, id := range ids {
+		res, err := reopened.Result(id)
+		if err != nil {
+			t.Fatalf("%s: %v", digestRequests[i].name, err)
+		}
+		results[i] = res
+	}
+	return results
+}
+
+// digestLines lists the digests of results, one per digestRequests
+// entry, in golden-file form.
+func digestLines(t *testing.T, results []*Result) string {
+	t.Helper()
+	var b strings.Builder
+	for i, res := range results {
+		fmt.Fprintf(&b, "%s %x\n", digestRequests[i].name, sha256.Sum256([]byte(resultOutcome(t, res))))
 	}
 	return b.String()
 }

@@ -16,9 +16,9 @@ type Ensemble struct {
 	Margin      bool
 }
 
-// floatFromKey inverts orderKey for non-NaN inputs: a set top bit
-// marks an encoded non-negative (clear it), anything else an encoded
-// negative (flip every bit). -0.0 decodes as +0.0, which orderKey
+// floatFromKey inverts dataset.OrderKey for non-NaN inputs: a set top
+// bit marks an encoded non-negative (clear it), anything else an encoded
+// negative (flip every bit). -0.0 decodes as +0.0, which OrderKey
 // already collapsed at encode time.
 func floatFromKey(k uint64) float64 {
 	if k&0x8000_0000_0000_0000 != 0 {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/reds-go/reds/internal/dataset"
 )
 
 // randomTree grows a random binary tree with depth-bounded splits,
@@ -95,14 +97,14 @@ func TestFloatFromKey(t *testing.T) {
 		vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30)))
 	}
 	for _, v := range vals {
-		got := floatFromKey(orderKey(v))
-		want := v + 0 // collapse -0.0 like orderKey does
+		got := floatFromKey(dataset.OrderKey(v))
+		want := v + 0 // collapse -0.0 like OrderKey does
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("floatFromKey(orderKey(%v)) = %v, want %v", v, got, want)
+			t.Fatalf("floatFromKey(OrderKey(%v)) = %v, want %v", v, got, want)
 		}
 	}
 	// Keys ordered like floats must decode back in the same order.
-	if floatFromKey(orderKey(1.5)) <= floatFromKey(orderKey(1.25)) {
+	if floatFromKey(dataset.OrderKey(1.5)) <= floatFromKey(dataset.OrderKey(1.25)) {
 		t.Fatal("decoded key order broken")
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"github.com/reds-go/reds/internal/dataset"
 )
 
 // Table is a compiled ensemble.
@@ -17,7 +19,7 @@ import (
 // # Layout
 //
 // The table interleaves two 8-byte words per node — node[2k] is the
-// split threshold as an order-preserving integer key (see orderKey)
+// split threshold as an order-preserving integer key (dataset.OrderKey)
 // and node[2k+1] packs feature<<32 | 2*left — so a descent step
 // touches exactly one cache-line-adjacent pair with one bounds check.
 // Node indices are premultiplied by 2 throughout (roots included).
@@ -54,29 +56,14 @@ type Table struct {
 	Roots []int32   // premultiplied root index per tree
 }
 
-// leafKey is the self-looping leaves' threshold key. It is the maximum
-// uint64, strictly above every point key — orderKey maps NaN-free
-// floats to at most orderKey(+Inf) = 0xFFF0... and NaN to
-// math.MaxUint64 — so the gt bit is 0 for every input, NaN included,
-// and a settled lane can never escape its leaf.
+// leafKey is the self-looping leaves' threshold key: the maximum
+// uint64, which dataset.OrderKey gives NaN and no number. The gt bit is
+// therefore 0 for every input, NaN included, and a settled lane can
+// never escape its leaf. At an internal node NaN keys above every
+// non-NaN threshold, so `x > thresh` holds and NaN goes right: the
+// exact route of the per-point paths, whose `x <= split` comparison is
+// false for NaN.
 const leafKey = math.MaxUint64
-
-// orderKey maps a float64 to a uint64 whose unsigned order matches
-// float order — the radix-sort float trick: flip every bit of
-// negatives, only the sign bit of non-negatives. Adding +0.0 first
-// collapses -0.0 onto +0.0 so the two zeros compare equal, exactly
-// like the float compare they replace; ±Inf encode to the extreme
-// ordinary keys. NaN (either sign) maps to the maximum key, which
-// makes `x > thresh` true at every internal node — the exact route of
-// the per-point paths, whose `x <= split` comparison is false for NaN
-// — while still absorbed by leafKey.
-func orderKey(v float64) uint64 {
-	if v != v {
-		return math.MaxUint64
-	}
-	u := math.Float64bits(v + 0)
-	return u ^ (uint64(int64(u)>>63) | 0x8000_0000_0000_0000)
-}
 
 // Node is one source node handed to Compile: either an internal split
 // (Feature/Split/Left/Right indices into the same slice) or a leaf
@@ -127,7 +114,7 @@ func Compile(trees [][]Node) *Table {
 			}
 			l := reserve()
 			reserve() // right sibling, l+2 premultiplied
-			f.node[p.dst] = orderKey(nd.Split)
+			f.node[p.dst] = dataset.OrderKey(nd.Split)
 			f.node[p.dst+1] = uint64(nd.Feature)<<32 | uint64(l)
 			queue = append(queue, pending{nd.Left, l}, pending{nd.Right, l + 2})
 		}
@@ -150,13 +137,13 @@ const NodeBytes = 24
 // allocating per call.
 var keyScratch = sync.Pool{New: func() any { s := make([]uint64, 0); return &s }}
 
-// encodePoints fills one flat buffer with orderKey of every coordinate
+// encodePoints fills one flat buffer with dataset.OrderKey of every coordinate
 // of the chunk, the integer mirror of pts the descent indexes.
 func encodePoints(buf []uint64, pts [][]float64, dim int) []uint64 {
 	buf = buf[:0]
 	for _, x := range pts {
 		for _, v := range x[:dim] {
-			buf = append(buf, orderKey(v))
+			buf = append(buf, dataset.OrderKey(v))
 		}
 	}
 	return buf

@@ -183,11 +183,13 @@ func run() error {
 	// seed chosen (against the same consistent-hash ring the gateway
 	// runs) so the job lands on the fault-armed w1. The first finished
 	// discover variant pulls the trigger; the forwarded checkpoint must
-	// carry the failover.
+	// carry the failover. L=6·10^4 keeps the variants after the first
+	// running well past the fault's 3s exit delay, so w1 dies mid-job
+	// rather than after finishing it.
 	seed := ownedSeed(worker1URL)
 	log.Printf("chaos job seed %d routes to w1", seed)
 	chaosID, err := submit(fmt.Sprintf(
-		`{"function":"morris","n":120,"l":20000,"seed":%d,"sd":["prim","bumping","bi"]}`, seed), "")
+		`{"function":"morris","n":120,"l":60000,"seed":%d,"sd":["prim","bumping","bi"]}`, seed), "")
 	if err != nil {
 		return fmt.Errorf("submitting chaos job: %w", err)
 	}
