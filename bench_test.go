@@ -468,10 +468,35 @@ func benchPaperForest(b *testing.B) reds.Metamodel {
 // the paper's L=10^5: flat-allocation Latin hypercube sampling plus
 // flattened batch inference (metamodel.BatchModel).
 func BenchmarkLabelStage100k(b *testing.B) {
-	model := benchPaperForest(b)
+	benchLabelStage(b, benchPaperForest(b), false)
+}
+
+// BenchmarkLabelStage100kProb is BenchmarkLabelStage100k with
+// probability labels: every tree is summed for every point, so the gap
+// between the two is what the hard-label early exit saves.
+func BenchmarkLabelStage100kProb(b *testing.B) {
+	benchLabelStage(b, benchPaperForest(b), true)
+}
+
+// BenchmarkLabelStage100kGBT runs the hard-label stage on a default
+// boosted ensemble (100 rounds, depth 4), whose labels threshold a
+// margin rather than a mean vote.
+func BenchmarkLabelStage100kGBT(b *testing.B) {
+	d := benchTrain(400, 10, 14)
+	model, err := (&reds.GradientBoosting{}).Train(d, rand.New(rand.NewSource(15)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchLabelStage(b, model, false)
+}
+
+// benchLabelStage pseudo-labels 10^5 Latin hypercube points with model
+// once per op.
+func benchLabelStage(b *testing.B, model reds.Metamodel, probLabels bool) {
+	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reds.PseudoLabel(context.Background(), model, reds.LatinHypercube{}, 100000, 10, 16, false, reds.BatchOptions{}); err != nil {
+		if _, err := reds.PseudoLabel(context.Background(), model, reds.LatinHypercube{}, 100000, 10, 16, probLabels, reds.BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -502,10 +527,5 @@ func BenchmarkLabelStage100kDistilled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reds.PseudoLabel(context.Background(), distilled, reds.LatinHypercube{}, 100000, 10, 16, false, reds.BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLabelStage(b, distilled, false)
 }

@@ -12,10 +12,11 @@ import (
 
 // Checkpoint is a resumable snapshot of a partially executed request.
 // The executor publishes one after every completed unit of reusable
-// work (a family's pseudo-labeling, a finished variant); the engine
-// persists the latest snapshot through the store, and on failover the
-// dispatcher forwards it to the next candidate worker, which re-runs
-// only what the checkpoint cannot prove finished.
+// work (a family's pseudo-labeling, a finished variant), except the
+// execution's last variant: its result supersedes any snapshot at once.
+// The engine persists the latest snapshot through the store, and on
+// failover the dispatcher forwards it to the next candidate worker,
+// which re-runs only what the checkpoint cannot prove finished.
 //
 // A checkpoint is self-validating: DatasetHash pins it to the training
 // data, and the label-cache keys pin the labeled datasets to the exact

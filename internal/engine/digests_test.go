@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/reds-go/reds/internal/engine/store"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/result_digests.golden from this run")
@@ -37,13 +39,18 @@ var digestRequests = []struct {
 	{"tuned-binned-rf-wingweight", Request{Function: "wingweight", N: 400, L: 2000, Tuned: true, TrainMode: "binned", Seed: 1}},
 }
 
-// TestResultDigestsGolden runs every request of digestRequests on three
+// TestResultDigestsGolden runs every request of digestRequests on five
 // routes and compares the SHA-256 of each normalized result
 // (resultOutcome: timing, cache hits and resumed zeroed; rules and
 // rule-set exports kept) with the committed golden file:
 //
 //   - on a fresh LocalExecutor each;
+//   - on a fresh LocalExecutor resumed from each checkpoint the first
+//     route's execution published, none of which holds every variant:
+//     the last variant publishes no snapshot;
 //   - through a RemoteExecutor over one worker's internal execution API;
+//   - submitted together to an Engine over a Mem store, the
+//     benchmark's in-process route;
 //   - submitted together to a durable Engine over an FS store, and read
 //     back by a new Engine over the same directory, which decodes each
 //     stored payload on first access.
@@ -61,7 +68,8 @@ func TestResultDigestsGolden(t *testing.T) {
 		// changes float results in the last bit.
 		t.Skipf("result digests are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	local := digestLines(t, executorResults(t, func() Executor { return NewLocalExecutor(LocalExecutorOptions{}) }))
+	results, checkpoints := localResults(t)
+	local := digestLines(t, results)
 	if *updateDigests {
 		if err := os.WriteFile(digestsGolden, []byte(local), 0o644); err != nil {
 			t.Fatal(err)
@@ -74,12 +82,61 @@ func TestResultDigestsGolden(t *testing.T) {
 	}
 	srv, _ := newTestWorker(t)
 	remote := digestLines(t, executorResults(t, func() Executor { return &RemoteExecutor{BaseURL: srv.URL} }))
+	e := newTestEngine(t, Options{Store: store.NewMem()})
+	defer e.Close()
+	mem := digestLines(t, engineResults(t, e, submitDigestRequests(t, e)))
 	stored := digestLines(t, storedEngineResults(t))
-	for _, route := range []struct{ name, got string }{{"LocalExecutor", local}, {"RemoteExecutor", remote}, {"Engine over FS", stored}} {
+	for _, route := range []struct{ name, got string }{
+		{"LocalExecutor", local}, {"RemoteExecutor", remote}, {"Engine over Mem", mem}, {"Engine over FS", stored},
+	} {
 		if route.got != string(want) {
 			t.Errorf("%s job results differ from %s\ngot:\n%swant:\n%s", route.name, digestsGolden, route.got, want)
 		}
 	}
+	wantLines := strings.SplitAfter(string(want), "\n")
+	for i, c := range digestRequests {
+		if len(checkpoints[i]) == 0 {
+			t.Errorf("%s: the execution published no checkpoint", c.name)
+		}
+		for _, cp := range checkpoints[i] {
+			if len(cp.Variants) >= len(results[i].Variants) {
+				t.Errorf("%s: checkpoint %d holds all %d variants; the last variant should publish none", c.name, cp.Seq, len(cp.Variants))
+			}
+			req := c.req
+			req.Checkpoint = cp
+			res, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), req, nil)
+			if err != nil {
+				t.Fatalf("%s resumed from checkpoint %d: %v", c.name, cp.Seq, err)
+			}
+			if got := digestLine(t, c.name, res); i >= len(wantLines) || got != wantLines[i] {
+				t.Errorf("%s resumed from checkpoint %d: got %q, want the golden line", c.name, cp.Seq, got)
+			}
+		}
+	}
+}
+
+// localResults runs every request of digestRequests on a fresh
+// LocalExecutor each, and returns with the results every checkpoint
+// each execution published, in order.
+func localResults(t *testing.T) ([]*Result, [][]*Checkpoint) {
+	t.Helper()
+	results := make([]*Result, len(digestRequests))
+	checkpoints := make([][]*Checkpoint, len(digestRequests))
+	for i, c := range digestRequests {
+		var cps []*Checkpoint
+		// The sink calls back under its lock, so the appends are ordered.
+		record := func(p Progress) {
+			if p.Checkpoint != nil && (len(cps) == 0 || cps[len(cps)-1] != p.Checkpoint) {
+				cps = append(cps, p.Checkpoint)
+			}
+		}
+		res, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), c.req, record)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		results[i], checkpoints[i] = res, cps
+	}
+	return results, checkpoints
 }
 
 // executorResults runs every request of digestRequests on the executor
@@ -97,14 +154,25 @@ func executorResults(t *testing.T, newExec func() Executor) []*Result {
 	return results
 }
 
-// storedEngineResults submits every request of digestRequests to one
-// Engine over an FS store and waits for all of them, closes it, and
-// returns the results a new Engine over the same directory reads back.
-func storedEngineResults(t *testing.T) []*Result {
+// engineResults reads the results of the digestRequests jobs ids back
+// from e.
+func engineResults(t *testing.T, e *Engine, ids []JobID) []*Result {
 	t.Helper()
-	dir := t.TempDir()
-	e := newTestEngine(t, Options{Store: openFS(t, dir)})
-	defer e.Close() // closed below before the reopen; Close is idempotent
+	results := make([]*Result, len(ids))
+	for i, id := range ids {
+		res, err := e.Result(id)
+		if err != nil {
+			t.Fatalf("%s: %v", digestRequests[i].name, err)
+		}
+		results[i] = res
+	}
+	return results
+}
+
+// submitDigestRequests submits every request of digestRequests to e and
+// waits until each is done.
+func submitDigestRequests(t *testing.T, e *Engine) []JobID {
+	t.Helper()
 	ids := make([]JobID, len(digestRequests))
 	for i, c := range digestRequests {
 		id, err := e.Submit(c.req)
@@ -118,18 +186,22 @@ func storedEngineResults(t *testing.T) []*Result {
 			t.Fatalf("%s: job finished %s: %s", digestRequests[i].name, snap.Status, snap.Error)
 		}
 	}
+	return ids
+}
+
+// storedEngineResults submits every request of digestRequests to one
+// Engine over an FS store and waits for all of them, closes it, and
+// returns the results a new Engine over the same directory reads back.
+func storedEngineResults(t *testing.T) []*Result {
+	t.Helper()
+	dir := t.TempDir()
+	e := newTestEngine(t, Options{Store: openFS(t, dir)})
+	defer e.Close() // closed below before the reopen; Close is idempotent
+	ids := submitDigestRequests(t, e)
 	e.Close()
 	reopened := newTestEngine(t, Options{Store: openFS(t, dir)})
 	defer reopened.Close()
-	results := make([]*Result, len(ids))
-	for i, id := range ids {
-		res, err := reopened.Result(id)
-		if err != nil {
-			t.Fatalf("%s: %v", digestRequests[i].name, err)
-		}
-		results[i] = res
-	}
-	return results
+	return engineResults(t, reopened, ids)
 }
 
 // digestLines lists the digests of results, one per digestRequests
@@ -138,7 +210,13 @@ func digestLines(t *testing.T, results []*Result) string {
 	t.Helper()
 	var b strings.Builder
 	for i, res := range results {
-		fmt.Fprintf(&b, "%s %x\n", digestRequests[i].name, sha256.Sum256([]byte(resultOutcome(t, res))))
+		b.WriteString(digestLine(t, digestRequests[i].name, res))
 	}
 	return b.String()
+}
+
+// digestLine is the golden-file line of one named result.
+func digestLine(t *testing.T, name string, res *Result) string {
+	t.Helper()
+	return fmt.Sprintf("%s %x\n", name, sha256.Sum256([]byte(resultOutcome(t, res))))
 }

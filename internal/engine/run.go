@@ -255,6 +255,14 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 	}
 
 	results := make([]VariantResult, len(variants))
+	// running counts the variants still to finish. The last one to
+	// finish publishes no checkpoint: the result supersedes it at once.
+	var running atomic.Int64
+	for _, v := range variants {
+		if _, ok := finished[v]; !ok {
+			running.Add(1)
+		}
+	}
 	var wg sync.WaitGroup
 	for vi, v := range variants {
 		if vr, ok := finished[v]; ok {
@@ -280,7 +288,7 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 				checkpoints:  ckpt,
 			})
 			results[vi] = vr
-			if vr.Error == "" {
+			if running.Add(-1) > 0 && vr.Error == "" {
 				ckpt.variantDone(vr)
 			}
 			sink.update(func(p *Progress) { p.VariantsDone++ })

@@ -1,9 +1,10 @@
 // Package flattree compiles ensembles of binary decision trees into
 // one contiguous node table and batch-evaluates them with a
 // branch-free lockstep descent. It is the shared machinery behind the
-// metamodel.BatchModel implementations of rf and gbt; the per-point
-// traversals stay package-local and untouched, and differential tests
-// in both packages assert the two paths are byte-identical.
+// metamodel.BatchModel implementations of rf, gbt and the distilled
+// rule sets of internal/ruleset; rf's and gbt's per-point traversals
+// stay package-local and untouched, and differential tests in those
+// packages assert the two paths are byte-identical.
 package flattree
 
 import (
@@ -54,6 +55,9 @@ type Table struct {
 	node  []uint64  // interleaved (tkey, feature<<32|2*left) pairs
 	Value []float64 // leaf value per node (0 at internal nodes)
 	Roots []int32   // premultiplied root index per tree
+	// leafMin[t] and leafMax[t] bound tree t's leaf values (NaN when
+	// one is NaN); LabelInto's early exit reads them.
+	leafMin, leafMax []float64
 }
 
 // leafKey is the self-looping leaves' threshold key: the maximum
@@ -84,9 +88,11 @@ func Compile(trees [][]Node) *Table {
 		total += len(t)
 	}
 	f := &Table{
-		node:  make([]uint64, 0, 2*total),
-		Value: make([]float64, 0, total),
-		Roots: make([]int32, 0, len(trees)),
+		node:    make([]uint64, 0, 2*total),
+		Value:   make([]float64, 0, total),
+		Roots:   make([]int32, 0, len(trees)),
+		leafMin: make([]float64, 0, len(trees)),
+		leafMax: make([]float64, 0, len(trees)),
 	}
 	// Queue of (source node, flat slot); slots are reserved in sibling
 	// pairs before their subtrees are visited, which yields the
@@ -104,12 +110,16 @@ func Compile(trees [][]Node) *Table {
 	for _, t := range trees {
 		root := reserve()
 		f.Roots = append(f.Roots, root)
+		// math.Min and math.Max propagate NaN, so a NaN leaf makes both
+		// bounds NaN.
+		lo, hi := math.Inf(1), math.Inf(-1)
 		queue = append(queue[:0], pending{0, root})
 		for qi := 0; qi < len(queue); qi++ {
 			p := queue[qi]
 			nd := &t[p.src]
 			if nd.Leaf {
 				f.Value[p.dst>>1] = nd.Value
+				lo, hi = math.Min(lo, nd.Value), math.Max(hi, nd.Value)
 				continue
 			}
 			l := reserve()
@@ -118,13 +128,15 @@ func Compile(trees [][]Node) *Table {
 			f.node[p.dst+1] = uint64(nd.Feature)<<32 | uint64(l)
 			queue = append(queue, pending{nd.Left, l}, pending{nd.Right, l + 2})
 		}
+		f.leafMin = append(f.leafMin, lo)
+		f.leafMax = append(f.leafMax, hi)
 	}
 	return f
 }
 
 // MemoryBytes is the table's resident size, for cache accounting.
 func (f *Table) MemoryBytes() int64 {
-	return int64(len(f.node))*8 + int64(len(f.Value))*8 + int64(len(f.Roots))*4
+	return int64(len(f.node)+len(f.Value)+len(f.leafMin)+len(f.leafMax))*8 + int64(len(f.Roots))*4
 }
 
 // NodeBytes is the flat-table weight per source node (two packed words
@@ -132,10 +144,16 @@ func (f *Table) MemoryBytes() int64 {
 // compiled.
 const NodeBytes = 24
 
-// keyScratch pools the per-chunk encoded-coordinate buffers, so
-// concurrent batch workers reuse their traversal scratch instead of
-// allocating per call.
-var keyScratch = sync.Pool{New: func() any { s := make([]uint64, 0); return &s }}
+// scratch is one batch call's traversal buffers, pooled so concurrent
+// batch workers reuse them instead of allocating per call.
+type scratch struct {
+	keys []uint64
+	sums []float64
+	rows []int32
+	rest []restBound
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // encodePoints fills one flat buffer with dataset.OrderKey of every coordinate
 // of the chunk, the integer mirror of pts the descent indexes.
@@ -171,11 +189,19 @@ func (f *Table) SumInto(dst []float64, pts [][]float64, dim int, init, scale flo
 	for i := range dst {
 		dst[i] = init
 	}
-	bufp := keyScratch.Get().(*[]uint64)
-	keys := encodePoints(*bufp, pts, dim)
+	s := scratchPool.Get().(*scratch)
+	s.keys = encodePoints(s.keys, pts, dim)
+	f.accumulate(dst, s.keys, dim, f.Roots, scale)
+	scratchPool.Put(s)
+}
+
+// accumulate adds scale times the leaf value of every tree in roots to
+// sums[i], tree by tree in order, for the point encoded in
+// keys[i*dim:(i+1)*dim].
+func (f *Table) accumulate(sums []float64, keys []uint64, dim int, roots []int32, scale float64) {
 	node, value := f.node, f.Value
-	oct := len(pts) &^ 7
-	for _, r := range f.Roots {
+	oct := len(sums) &^ 7
+	for _, r := range roots {
 		root := int(r)
 		for i := 0; i < oct; i += 8 {
 			b0 := i * dim
@@ -198,16 +224,16 @@ func (f *Table) SumInto(dst []float64, pts [][]float64, dim int, init, scale flo
 				n0, n1, n2, n3 = c0, c1, c2, c3
 				n4, n5, n6, n7 = c4, c5, c6, c7
 			}
-			dst[i] += scale * value[n0>>1]
-			dst[i+1] += scale * value[n1>>1]
-			dst[i+2] += scale * value[n2>>1]
-			dst[i+3] += scale * value[n3>>1]
-			dst[i+4] += scale * value[n4>>1]
-			dst[i+5] += scale * value[n5>>1]
-			dst[i+6] += scale * value[n6>>1]
-			dst[i+7] += scale * value[n7>>1]
+			sums[i] += scale * value[n0>>1]
+			sums[i+1] += scale * value[n1>>1]
+			sums[i+2] += scale * value[n2>>1]
+			sums[i+3] += scale * value[n3>>1]
+			sums[i+4] += scale * value[n4>>1]
+			sums[i+5] += scale * value[n5>>1]
+			sums[i+6] += scale * value[n6>>1]
+			sums[i+7] += scale * value[n7>>1]
 		}
-		for i := oct; i < len(pts); i++ {
+		for i := oct; i < len(sums); i++ {
 			bo := i * dim
 			n := root
 			for {
@@ -217,9 +243,7 @@ func (f *Table) SumInto(dst []float64, pts [][]float64, dim int, init, scale flo
 				}
 				n = c
 			}
-			dst[i] += scale * value[n>>1]
+			sums[i] += scale * value[n>>1]
 		}
 	}
-	*bufp = keys
-	keyScratch.Put(bufp)
 }

@@ -59,17 +59,12 @@ func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
 
 // PredictLabelBatchInto implements metamodel.BatchModel with the same
 // margin > 0 boundary as PredictLabel (thresholding the raw margin,
-// not the squashed probability, so ties behave identically).
+// not the squashed probability, so ties behave identically): the
+// table's hard-label kernel stops descending a point's trees once the
+// margin's sign is settled.
 func (m *Model) PredictLabelBatchInto(dst []float64, pts [][]float64) {
 	if len(pts) == 0 {
 		return
 	}
-	m.flatten().SumInto(dst, pts, len(pts[0]), m.base, m.eta)
-	for i, z := range dst {
-		if z > 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
+	m.flatten().LabelInto(dst, pts, len(pts[0]), m.base, m.eta, true)
 }

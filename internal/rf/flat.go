@@ -56,14 +56,11 @@ func (f *Forest) PredictProbBatchInto(dst []float64, pts [][]float64) {
 }
 
 // PredictLabelBatchInto implements metamodel.BatchModel with the same
-// majority-vote boundary as PredictLabel.
+// majority-vote boundary as PredictLabel: the table's hard-label kernel
+// stops descending a point's trees once its vote is settled.
 func (f *Forest) PredictLabelBatchInto(dst []float64, pts [][]float64) {
-	f.PredictProbBatchInto(dst, pts)
-	for i, p := range dst {
-		if p > 0.5 {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
+	if len(pts) == 0 {
+		return
 	}
+	f.flatten().LabelInto(dst, pts, len(pts[0]), 0, 1, false)
 }

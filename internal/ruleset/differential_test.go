@@ -179,7 +179,9 @@ func TestDifferentialAgainstParent(t *testing.T) {
 // TestDistilledBatchMatchesPerPoint asserts the distilled model's
 // batch path is byte-identical to its per-point path on adversarial
 // inputs (±Inf, NaN, exact split values, duplicate rows) — the same
-// contract rf/gbt enforce for their own flat kernels.
+// contract rf/gbt enforce for their own flat kernels. The early-exit
+// labels must also equal the full table sum thresholded at the parent
+// family's boundary.
 func TestDistilledBatchMatchesPerPoint(t *testing.T) {
 	train := tiedTrainData(300, 6, 21)
 	for name, parent := range map[string]metamodel.Model{
@@ -196,12 +198,25 @@ func TestDistilledBatchMatchesPerPoint(t *testing.T) {
 			labels := make([]float64, len(pts))
 			dist.PredictProbBatchInto(probs, pts)
 			dist.PredictLabelBatchInto(labels, pts)
+			sums := make([]float64, len(pts))
+			dist.table.SumInto(sums, pts, len(pts[0]), dist.init, dist.scale)
 			for i, x := range pts {
 				if p := dist.PredictProb(x); math.Float64bits(p) != math.Float64bits(probs[i]) {
 					t.Fatalf("point %d: batch prob %v != per-point %v", i, probs[i], p)
 				}
 				if l := dist.PredictLabel(x); l != labels[i] {
 					t.Fatalf("point %d: batch label %v != per-point %v", i, labels[i], l)
+				}
+				above := sums[i]/float64(dist.trees) > 0.5
+				if dist.margin {
+					above = sums[i] > 0
+				}
+				want := 0.0
+				if above {
+					want = 1
+				}
+				if labels[i] != want {
+					t.Fatalf("point %d: label %v, full sum %v gives %v", i, labels[i], sums[i], want)
 				}
 			}
 		})

@@ -50,12 +50,6 @@ func (m *Model) PredictLabel(x []float64) float64 {
 	return dst[0]
 }
 
-// sumInto runs the compiled descent with the source ensemble's
-// accumulation constants.
-func (m *Model) sumInto(dst []float64, pts [][]float64) {
-	m.table.SumInto(dst, pts, len(pts[0]), m.init, m.scale)
-}
-
 // PredictProbBatchInto implements metamodel.BatchModel: the mean leaf
 // value over the selected trees (mean kind) or the logistic link on
 // the accumulated margin (margin kind).
@@ -63,7 +57,7 @@ func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	if len(pts) == 0 {
 		return
 	}
-	m.sumInto(dst, pts)
+	m.table.SumInto(dst, pts, len(pts[0]), m.init, m.scale)
 	if m.margin {
 		for i, z := range dst {
 			dst[i] = sigmoid(z)
@@ -77,31 +71,14 @@ func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
 }
 
 // PredictLabelBatchInto implements metamodel.BatchModel with the
-// parent families' decision boundaries: raw margin > 0 for margin
-// kinds (like gbt), mean vote > 0.5 for mean kinds (like rf).
+// parent families' decision boundaries, raw margin > 0 for margin
+// kinds (like gbt) and mean vote > 0.5 for mean kinds (like rf),
+// through the table's early-exit hard-label kernel.
 func (m *Model) PredictLabelBatchInto(dst []float64, pts [][]float64) {
 	if len(pts) == 0 {
 		return
 	}
-	m.sumInto(dst, pts)
-	if m.margin {
-		for i, z := range dst {
-			if z > 0 {
-				dst[i] = 1
-			} else {
-				dst[i] = 0
-			}
-		}
-		return
-	}
-	inv := float64(m.trees)
-	for i := range dst {
-		if dst[i]/inv > 0.5 {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
+	m.table.LabelInto(dst, pts, len(pts[0]), m.init, m.scale, m.margin)
 }
 
 // ApproxMemoryBytes implements metamodel.MemorySizer: the compiled
