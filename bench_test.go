@@ -233,6 +233,22 @@ func BenchmarkSortedOrders(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleSorted100k is BenchmarkSortedOrders on the path a
+// Latin hypercube label set takes: a 10^5×8 design's sorted orders
+// built from the orders the design knows, which dataset.NewPresorted
+// checks column by column and adopts. Each iteration wraps the same
+// design in a new Dataset, so it times the column view plus the checks.
+func BenchmarkSampleSorted100k(b *testing.B) {
+	pts, ords := reds.LatinHypercube{}.SampleOrdered(100000, 8, rand.New(rand.NewSource(17)))
+	y := make([]float64, len(pts))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dataset.NewPresorted(pts, y, ords); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBumping(b *testing.B) {
 	d := benchTrain(4000, 10, 3)
 	b.ResetTimer()

@@ -90,16 +90,12 @@ func (r *REDS) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Result
 	if l == 0 {
 		l = 10000
 	}
-	smp := r.Sampler
-	if smp == nil {
-		smp = sample.LatinHypercube{}
-	}
 	model, err := r.Metamodel.Train(train, rng)
 	if err != nil {
 		return nil, fmt.Errorf("core: training metamodel %s: %w", r.Metamodel.Name(), err)
 	}
-	pts := smp.Sample(l, train.M(), rng)
-	dnew, err := labelPoints(context.Background(), model, pts, r.ProbLabels, metamodel.BatchOptions{})
+	pts, ords := draw(r.Sampler, l, train.M(), rng)
+	dnew, err := labelPoints(context.Background(), model, pts, ords, r.ProbLabels, metamodel.BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +132,7 @@ func (r *REDS) DiscoverSemiSupervised(train *dataset.Dataset, pool [][]float64, 
 	if err != nil {
 		return nil, fmt.Errorf("core: training metamodel %s: %w", r.Metamodel.Name(), err)
 	}
-	dnew, err := labelPoints(context.Background(), model, pool, r.ProbLabels, metamodel.BatchOptions{})
+	dnew, err := labelPoints(context.Background(), model, pool, nil, r.ProbLabels, metamodel.BatchOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: pseudo-labeling pool: %w", err)
 	}
@@ -144,10 +140,32 @@ func (r *REDS) DiscoverSemiSupervised(train *dataset.Dataset, pool [][]float64, 
 	return r.SD.Discover(dnew, train, rng)
 }
 
+// orderedSampler is a sampler whose design knows its columns' sorted
+// orders, as sample.LatinHypercube does.
+type orderedSampler interface {
+	SampleOrdered(n, dim int, rng *rand.Rand) ([][]float64, [][]int)
+}
+
+// draw samples the n points of Algorithm 4, line 3, from smp (Latin
+// hypercube when nil). ords are the design's candidate column orders
+// when smp knows them, and nil otherwise.
+func draw(smp sample.Sampler, n, dim int, rng *rand.Rand) (pts [][]float64, ords [][]int) {
+	if smp == nil {
+		smp = sample.LatinHypercube{}
+	}
+	if o, ok := smp.(orderedSampler); ok {
+		return o.SampleOrdered(n, dim, rng)
+	}
+	return smp.Sample(n, dim, rng), nil
+}
+
 // labelPoints applies lines 4-6 of Algorithm 4: the points are
 // sharded across a worker pool, ctx is checked per chunk, and models
-// with a metamodel.BatchModel fast path are evaluated through it.
-func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
+// with a metamodel.BatchModel fast path are evaluated through it. With
+// candidate orders the labeled set's sorted orders are built from them
+// at once (dataset.NewPresorted); without, they are radix-sorted on
+// first use.
+func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, ords [][]int, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
 	var y []float64
 	var err error
 	if probLabels {
@@ -157,6 +175,9 @@ func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, pr
 	}
 	if err != nil {
 		return nil, err
+	}
+	if ords != nil {
+		return dataset.NewPresorted(pts, y, ords)
 	}
 	return &dataset.Dataset{X: pts, Y: y}, nil
 }
@@ -171,12 +192,9 @@ func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, pr
 // same dataset. opts carries labeling progress and the worker budget;
 // ctx cancels between chunks.
 func PseudoLabel(ctx context.Context, model metamodel.Model, smp sample.Sampler, l, dim int, seed int64, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
-	if smp == nil {
-		smp = sample.LatinHypercube{}
-	}
-	pts := smp.Sample(l, dim, rand.New(rand.NewSource(seed)))
+	pts, ords := draw(smp, l, dim, rand.New(rand.NewSource(seed)))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return labelPoints(ctx, model, pts, probLabels, opts)
+	return labelPoints(ctx, model, pts, ords, probLabels, opts)
 }

@@ -47,8 +47,9 @@ func (d *Dataset) columnsLocked() [][]float64 {
 // deterministic total order. The order is that of OrderKey, the one
 // flattree's compiled trees compare by: -0 ties with +0, and NaN sorts
 // after every number, +Inf included, with NaNs in row order among
-// themselves. It is computed once, by a stable radix sort in O(M·N),
-// cached on the dataset and shared by every consumer (each random-forest
+// themselves. It is computed once, by a stable radix sort in O(M·N)
+// (or adopted from checked candidates, see NewPresorted), cached on
+// the dataset and shared by every consumer (each random-forest
 // tree, each boosting round, each PRIM run), which is what lets the split
 // and peel loops drop their per-node / per-step sorts.
 //
@@ -59,39 +60,95 @@ func (d *Dataset) SortedOrders() [][]int {
 	return d.sortedOrdersLocked()
 }
 
-// sortedOrdersLocked sorts the columns concurrently, on up to GOMAXPROCS
-// goroutines that each own their radix scratch and take every
-// workers-th column. The lazy view has no caller's worker budget to
-// stay within; other callers wait on d.mu until it is built.
+// sortedOrdersLocked builds the sorted-order view on first use.
 func (d *Dataset) sortedOrdersLocked() [][]int {
-	if d.ords != nil {
-		return d.ords
+	if d.ords == nil {
+		d.ords = d.orderColumnsLocked(nil)
 	}
+	return d.ords
+}
+
+// NewPresorted is New for points whose sorted orders the caller already
+// has as candidates, as a Latin hypercube design does
+// (sample.LatinHypercube.SampleOrdered). It builds the Columns and
+// SortedOrders views at once. Column j adopts cand[j] only after
+// isSortedOrder proves it is exactly the order SortedOrders defines;
+// any other column, including one cand lacks, is radix-sorted. So
+// SortedOrders is the same whatever the candidates. The dataset takes
+// ownership of cand.
+func NewPresorted(x [][]float64, y []float64, cand [][]int) (*Dataset, error) {
+	d, err := New(x, y)
+	if err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	d.ords = d.orderColumnsLocked(cand)
+	d.mu.Unlock()
+	return d, nil
+}
+
+// orderColumnsLocked builds the sorted-order view column by column: a
+// column adopts its candidate when isSortedOrder accepts it and is
+// radix-sorted otherwise. The columns run concurrently, on up to
+// GOMAXPROCS goroutines that each take every workers-th column and
+// make their radix scratch on first need. The view has no caller's
+// worker budget to stay within; other callers wait on d.mu until it is
+// built.
+func (d *Dataset) orderColumnsLocked(cand [][]int) [][]int {
 	n, m := d.N(), d.M()
 	if m == 0 {
 		return nil
 	}
 	cols := d.columnsLocked()
-	backing := make([]int, n*m)
 	ords := make([][]int, m)
-	for j := range ords {
-		ords[j] = backing[j*n : (j+1)*n : (j+1)*n]
-	}
 	workers := min(runtime.GOMAXPROCS(0), m)
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := radixSorter{keys: make([]uint64, n), keysTmp: make([]uint64, n), ordTmp: make([]int, n)}
+			var s *radixSorter
 			for j := w; j < m; j += workers {
+				if j < len(cand) && isSortedOrder(cand[j], cols[j]) {
+					ords[j] = cand[j]
+					continue
+				}
+				if s == nil {
+					s = &radixSorter{keys: make([]uint64, n), keysTmp: make([]uint64, n), ordTmp: make([]int, n)}
+				}
+				ords[j] = make([]int, n)
 				s.sort(ords[j], cols[j])
 			}
 		}()
 	}
 	wg.Wait()
-	d.ords = ords
 	return ords
+}
+
+// isSortedOrder reports whether ord is col's sorted order: every row
+// index once, ascending by OrderKey, ties in row order. One pass
+// checks that each entry is a row index and that the (key, row) pairs
+// rise strictly. Strict rise makes the entries distinct, so len(col)
+// distinct row indices are a permutation of the rows, and the order
+// is the one total order SortedOrders defines.
+func isSortedOrder(ord []int, col []float64) bool {
+	n := len(col)
+	if len(ord) != n {
+		return false
+	}
+	var prevKey uint64
+	prev := -1
+	for _, i := range ord {
+		if uint(i) >= uint(n) {
+			return false
+		}
+		key := OrderKey(col[i])
+		if prev >= 0 && (key < prevKey || key == prevKey && i <= prev) {
+			return false
+		}
+		prevKey, prev = key, i
+	}
+	return true
 }
 
 // OrderKey maps a float64 to a uint64 whose unsigned order matches

@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/reds-go/reds/internal/sample"
 )
 
 func startTestServer(t *testing.T) (*httptest.Server, *Engine) {
@@ -227,5 +231,54 @@ func TestServerCancel(t *testing.T) {
 	}
 	if snap.Status != StatusCanceled {
 		t.Fatalf("status = %s, want canceled", snap.Status)
+	}
+}
+
+// TestServerHaltonInputLimit: Halton has one prime base per input, so a
+// halton request wider than sample.HaltonMaxDim inputs gets 400 naming
+// the limit, instead of panicking inside a variant. A request at the
+// limit runs to done.
+func TestServerHaltonInputLimit(t *testing.T) {
+	srv, _ := startTestServer(t)
+	body := func(m int) string {
+		rng := rand.New(rand.NewSource(int64(m)))
+		x := make([][]float64, 40)
+		y := make([]float64, len(x))
+		for i := range x {
+			x[i] = make([]float64, m)
+			for j := range x[i] {
+				x[i][j] = rng.Float64()
+			}
+			if x[i][0] < 0.4 {
+				y[i] = 1
+			}
+		}
+		raw, err := json.Marshal(map[string]any{
+			"dataset": map[string]any{"x": x, "y": y}, "sampler": "halton", "l": 300, "seed": 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	code, out := postJSON(t, srv.URL+"/v1/jobs", body(sample.HaltonMaxDim+1))
+	if msg := fmt.Sprint(out["error"]); code != http.StatusBadRequest || !strings.Contains(msg, "at most 100 inputs") {
+		t.Errorf("101 halton inputs returned %d %q, want 400 naming the limit", code, msg)
+	}
+	code, created := postJSON(t, srv.URL+"/v1/jobs", body(sample.HaltonMaxDim))
+	if code != http.StatusCreated {
+		t.Fatalf("100 halton inputs returned %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	deadline := time.Now().Add(60 * time.Second)
+	var snap Snapshot
+	for getJSON(t, srv.URL+"/v1/jobs/"+id, &snap); !snap.Status.Terminal(); getJSON(t, srv.URL+"/v1/jobs/"+id, &snap) {
+		if time.Now().After(deadline) {
+			t.Fatalf("halton job stuck at %s", snap.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if snap.Status != StatusDone {
+		t.Fatalf("halton job at the limit finished %s: %s", snap.Status, snap.Error)
 	}
 }

@@ -14,9 +14,10 @@ import (
 // The executor publishes one after every completed unit of reusable
 // work (a family's pseudo-labeling, a finished variant), except the
 // execution's last variant: its result supersedes any snapshot at once.
-// The engine persists the latest snapshot through the store, and on
-// failover the dispatcher forwards it to the next candidate worker,
-// which re-runs only what the checkpoint cannot prove finished.
+// The engine's checkpoint writer persists the newest snapshot through
+// the store, off the progress callback, and on failover the dispatcher
+// forwards it to the next candidate worker, which re-runs only what
+// the checkpoint cannot prove finished.
 //
 // A checkpoint is self-validating: DatasetHash pins it to the training
 // data, and the label-cache keys pin the labeled datasets to the exact

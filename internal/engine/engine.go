@@ -504,26 +504,14 @@ func (e *Engine) execute(j *job) {
 				"job_id", string(j.id), "request_id", rid, "checkpoint_seq", cp.Seq)
 		}
 	}
-	// Persist every new checkpoint the executor reports, deduplicated by
-	// sequence number. Executors serialize progress callbacks per job, so
-	// persistedSeq needs no lock.
-	var persistedSeq uint64
+	// Every new checkpoint the executor reports goes to this execution's
+	// writer, which encodes and stores it off the executor's path.
+	w := e.startCheckpointWriter(string(j.id))
 	onProgress := func(p Progress) {
 		j.setProgress(p)
-		cp := p.Checkpoint
-		if cp == nil || cp.Seq <= persistedSeq {
-			return
+		if p.Checkpoint != nil {
+			w.offer(p.Checkpoint)
 		}
-		raw, perr := json.Marshal(cp)
-		if perr == nil {
-			perr = e.store.PutCheckpoint(string(j.id), raw)
-		}
-		if perr != nil {
-			e.log.Error("persisting checkpoint failed", "job_id", string(j.id), "error", perr)
-			return
-		}
-		persistedSeq = cp.Seq
-		e.mCheckpoints.Inc()
 	}
 
 	result, err := e.exec.Execute(telemetry.WithRequestID(j.ctx, rid), req, onProgress)
@@ -557,6 +545,10 @@ func (e *Engine) execute(j *job) {
 			"status", string(status), "duration_ms", duration.Milliseconds())
 	}
 
+	// The writer flushes its newest snapshot and exits before the result
+	// is written, so no checkpoint lands after the result and the delete
+	// below follows every checkpoint write.
+	persisted := w.finish()
 	// Result before record: once the record says done, the result is
 	// guaranteed to be in the store (a crash in between re-runs nothing
 	// and loses nothing — the job is still recorded as running and gets
@@ -580,11 +572,77 @@ func (e *Engine) execute(j *job) {
 	}
 	e.persist(rec)
 	// Terminal jobs have no use for their checkpoint anymore.
-	if persistedSeq > 0 || hadCheckpoint {
+	if persisted || hadCheckpoint {
 		if cerr := e.store.PutCheckpoint(string(j.id), nil); cerr != nil {
 			e.log.Error("deleting checkpoint failed", "job_id", string(j.id), "error", cerr)
 		}
 	}
+}
+
+// checkpointWriter persists one execution's checkpoints from its own
+// goroutine, so neither the JSON encode nor the store write runs on
+// the executor's path (the progress callback runs under the executor's
+// progress lock). next holds the newest snapshot the writer has not
+// taken: one superseded before its turn is never encoded. A failed
+// write is logged, and the next snapshot supersedes it.
+type checkpointWriter struct {
+	e    *Engine
+	id   string
+	next chan *Checkpoint // capacity 1
+	done chan struct{}    // closed when the writer exits
+	// offered is the Seq of the newest snapshot offered. Executors
+	// serialize progress callbacks per execution, so it needs no lock.
+	offered uint64
+	// persisted reports that some write succeeded; read after done.
+	persisted bool
+}
+
+func (e *Engine) startCheckpointWriter(id string) *checkpointWriter {
+	w := &checkpointWriter{e: e, id: id, next: make(chan *Checkpoint, 1), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		for cp := range w.next {
+			w.write(cp)
+		}
+	}()
+	return w
+}
+
+// offer hands a snapshot to the writer without blocking. Progress
+// reports repeat the current snapshot until a newer one replaces it,
+// so one no newer than the last offered is dropped.
+func (w *checkpointWriter) offer(cp *Checkpoint) {
+	if cp.Seq <= w.offered {
+		return
+	}
+	w.offered = cp.Seq
+	select {
+	case <-w.next: // superseded before the writer took it
+	default:
+	}
+	w.next <- cp // never blocks: offer is the only sender and just emptied next
+}
+
+func (w *checkpointWriter) write(cp *Checkpoint) {
+	raw, err := json.Marshal(cp)
+	if err == nil {
+		err = w.e.store.PutCheckpoint(w.id, raw)
+	}
+	if err != nil {
+		w.e.log.Error("persisting checkpoint failed", "job_id", w.id, "error", err)
+		return
+	}
+	w.persisted = true
+	w.e.mCheckpoints.Inc()
+}
+
+// finish waits for the writer to store the newest snapshot and exit,
+// and reports whether it stored any checkpoint. Call it once, after
+// the execution has returned: no offer may follow.
+func (w *checkpointWriter) finish() bool {
+	close(w.next)
+	<-w.done
+	return w.persisted
 }
 
 // Submit validates and enqueues a job, returning its ID. It fails when

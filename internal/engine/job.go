@@ -52,6 +52,7 @@ import (
 	"github.com/reds-go/reds/internal/engine/store"
 	"github.com/reds-go/reds/internal/funcs"
 	"github.com/reds-go/reds/internal/metrics"
+	"github.com/reds-go/reds/internal/sample"
 )
 
 // JobID identifies a submitted job.
@@ -151,15 +152,18 @@ type Request struct {
 // Validate checks the request against the function registry and the
 // variant grids before the job is accepted.
 func (r *Request) Validate() error {
+	var dim int // the number of inputs, the width of every design
 	switch {
 	case r.Function == "" && r.Dataset == nil:
 		return fmt.Errorf("engine: request needs a function name or an inline dataset")
 	case r.Function != "" && r.Dataset != nil:
 		return fmt.Errorf("engine: request has both a function and an inline dataset; pick one")
 	case r.Function != "":
-		if _, err := funcs.Get(r.Function); err != nil {
+		f, err := funcs.Get(r.Function)
+		if err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
+		dim = f.Dim()
 	default:
 		if _, err := dataset.New(r.Dataset.X, r.Dataset.Y); err != nil {
 			return fmt.Errorf("engine: inline dataset: %w", err)
@@ -167,7 +171,8 @@ func (r *Request) Validate() error {
 		if r.Dataset.N() == 0 {
 			return fmt.Errorf("engine: inline dataset is empty")
 		}
-		if r.Dataset.M() == 0 {
+		dim = r.Dataset.M()
+		if dim == 0 {
 			return fmt.Errorf("engine: inline dataset has no input columns")
 		}
 		// NaN/Inf parse fine from CSV but poison discovery and are not
@@ -200,6 +205,9 @@ func (r *Request) Validate() error {
 	}
 	if _, err := samplerByName(r.Sampler); err != nil {
 		return err
+	}
+	if r.Sampler == "halton" && dim > sample.HaltonMaxDim {
+		return fmt.Errorf("engine: the halton sampler supports at most %d inputs, the request has %d", sample.HaltonMaxDim, dim)
 	}
 	switch r.LabelKernel {
 	case "", "full", "distilled":

@@ -49,21 +49,54 @@ type LatinHypercube struct{}
 // The RNG draw order is unchanged, so a given seed yields the exact
 // design it always did.
 func (LatinHypercube) Sample(n, dim int, rng *rand.Rand) [][]float64 {
+	pts, _ := latinHypercube(n, dim, rng, false)
+	return pts
+}
+
+// SampleOrdered draws Sample's points, with the same draws in the same
+// order, and also returns each column's ascending order: ords[j][s] is
+// the row whose column-j point lies in stratum s, the inverse of the
+// column's stratum permutation. Rounding is monotone, so the order
+// never descends, but a point rounded up onto its stratum's upper edge
+// can tie the next stratum's point, in either row order. The orders
+// are therefore candidates, which dataset.NewPresorted checks.
+func (LatinHypercube) SampleOrdered(n, dim int, rng *rand.Rand) (pts [][]float64, ords [][]int) {
+	return latinHypercube(n, dim, rng, true)
+}
+
+// latinHypercube is the loop of Sample and SampleOrdered; ordered
+// makes it fill the orders too.
+func latinHypercube(n, dim int, rng *rand.Rand, ordered bool) ([][]float64, [][]int) {
 	flat := make([]float64, n*dim)
 	pts := make([][]float64, n)
 	for i := range pts {
 		pts[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	for j := 0; j < dim; j++ {
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			pts[i][j] = (float64(perm[i]) + rng.Float64()) / float64(n)
+	var ords [][]int
+	if ordered {
+		backing := make([]int, n*dim)
+		ords = make([][]int, dim)
+		for j := range ords {
+			ords[j] = backing[j*n : (j+1)*n : (j+1)*n]
 		}
 	}
-	return pts
+	for j := 0; j < dim; j++ {
+		perm := rng.Perm(n)
+		for i, s := range perm {
+			pts[i][j] = (float64(s) + rng.Float64()) / float64(n)
+			if ordered {
+				ords[j][s] = i
+			}
+		}
+	}
+	return pts, ords
 }
 
-// primes used as Halton bases, enough for 100-dimensional designs.
+// HaltonMaxDim is the widest design Halton supports: one prime base per
+// input.
+const HaltonMaxDim = 100
+
+// primes are the Halton bases, the first HaltonMaxDim primes.
 var primes = []int{
 	2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
 	71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
@@ -99,7 +132,7 @@ func radicalInverse(i, base int) float64 {
 
 // Sample implements Sampler.
 func (h Halton) Sample(n, dim int, rng *rand.Rand) [][]float64 {
-	if dim > len(primes) {
+	if dim > HaltonMaxDim {
 		panic("sample: Halton supports at most 100 dimensions")
 	}
 	leap := h.Leap
