@@ -34,11 +34,16 @@ func diffDataset(n, m int, seed int64) *dataset.Dataset {
 // the presorted prefix-sum fast path and the original per-node sorting
 // implementation from identical seeds and asserts every tree is
 // byte-identical, including with row and column subsampling active.
+// Stumps never partition a column's order; under SubSample the sampled
+// rows take their margins from their leaves and the rest from predict,
+// and a wrong margin would show in every later tree.
 func TestPresortedSplitFinderMatchesReference(t *testing.T) {
 	configs := []Trainer{
 		{Rounds: 25},
 		{Rounds: 15, MaxDepth: 6, LearningRate: 0.1},
 		{Rounds: 20, SubSample: 0.7, ColSample: 0.5},
+		{Rounds: 20, MaxDepth: 1},
+		{Rounds: 15, MaxDepth: 2, SubSample: 0.6},
 	}
 	for ci, base := range configs {
 		for _, seed := range []int64{1, 7, 42} {

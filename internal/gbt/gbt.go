@@ -195,7 +195,7 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	// The columnar view and per-feature sorted orders are computed once
 	// on the dataset and shared by every round; the builder specializes
 	// them to each round's row sample and reuses its scratch buffers.
-	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, cfg)
+	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, margin, cfg)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		for i := 0; i < n; i++ {
@@ -208,8 +208,14 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 		tr := btree{}
 		builder.build(&tr, rows, cols, model.gains)
 		model.trees = append(model.trees, tr)
-		for i := 0; i < n; i++ {
-			margin[i] += cfg.LearningRate * tr.predict(d.X[i])
+		// Sampled rows took their margins from their leaves during
+		// growth; only the rows subsampling left out descend the tree.
+		if len(rows) < n {
+			for i, in := range builder.inRound {
+				if !in {
+					margin[i] += cfg.LearningRate * tr.predict(d.X[i])
+				}
+			}
 		}
 	}
 	return model, nil
@@ -264,9 +270,10 @@ type roundBuilder struct {
 	shared   [][]int     // dataset-level ascending row order per column
 	grad     []float64
 	hess     []float64
+	margin   []float64 // per dataset row; leaves push eta·weight onto their sampled rows
 	cfg      Trainer
 
-	inRound []bool  // dataset row is in this round's sample
+	inRound []bool  // dataset row is in this round's sample; set only when some row is not
 	orders  [][]int // per candidate column: sampled rows in ascending order, segmented by node
 	rows    []int   // node rows in sample order, segmented like orders
 	cols    []int   // this round's candidate column ids
@@ -276,7 +283,7 @@ type roundBuilder struct {
 	t       *btree
 }
 
-func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess []float64, cfg Trainer) *roundBuilder {
+func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin []float64, cfg Trainer) *roundBuilder {
 	n := len(grad)
 	m := len(colsView)
 	orders := make([][]int, m)
@@ -288,6 +295,7 @@ func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess []float64,
 		shared:   shared,
 		grad:     grad,
 		hess:     hess,
+		margin:   margin,
 		cfg:      cfg,
 		inRound:  make([]bool, n),
 		orders:   orders,
@@ -298,24 +306,30 @@ func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess []float64,
 }
 
 // build grows one tree over the sampled rows (sample order, no
-// duplicates) and candidate cols, adding split gains into gains.
+// duplicates) and candidate cols, adding split gains into gains and
+// pushing each leaf's eta-scaled weight onto the margins of the rows
+// that reached it.
 func (b *roundBuilder) build(t *btree, rows, cols []int, gains []float64) {
-	for i := range b.inRound {
-		b.inRound[i] = false
-	}
-	for _, i := range rows {
-		b.inRound[i] = true
-	}
-	// Specialize the shared orders to the sample: an O(N) filter per
-	// candidate column.
-	for ci, c := range cols {
-		ord := b.orders[ci][:0]
-		for _, r := range b.shared[c] {
-			if b.inRound[r] {
-				ord = append(ord, r)
-			}
+	// Specialize the shared orders to the sample: a copy when every row
+	// is sampled, else an O(N) filter per candidate column.
+	if len(rows) == len(b.inRound) {
+		for ci, c := range cols {
+			b.orders[ci] = append(b.orders[ci][:0], b.shared[c]...)
 		}
-		b.orders[ci] = ord
+	} else {
+		clear(b.inRound)
+		for _, i := range rows {
+			b.inRound[i] = true
+		}
+		for ci, c := range cols {
+			ord := b.orders[ci][:0]
+			for _, r := range b.shared[c] {
+				if b.inRound[r] {
+					ord = append(ord, r)
+				}
+			}
+			b.orders[ci] = ord
+		}
 	}
 	b.rows = append(b.rows[:0], rows...)
 	b.cols = cols
@@ -335,18 +349,20 @@ func (b *roundBuilder) grow(lo, hi, depth int) int {
 	}
 	leafWeight := -gSum / (hSum + cfg.Lambda)
 	if depth >= cfg.MaxDepth || hSum < 2*cfg.MinChildWeight || hi-lo < 2 {
-		return leaf(b.t, leafWeight)
+		return b.leafAt(lo, hi, leafWeight)
 	}
 
 	feat, split, gain := b.bestSplit(lo, hi, gSum, hSum)
 	if gain <= 1e-12 {
-		return leaf(b.t, leafWeight)
+		return b.leafAt(lo, hi, leafWeight)
 	}
 	b.gains[feat] += gain
 
-	nl := b.partition(lo, hi, feat, split)
+	// Children at MaxDepth are leaves, which read only rows: the column
+	// orders are partitioned only for children that may split again.
+	nl := b.partition(lo, hi, feat, split, depth+1 < cfg.MaxDepth)
 	if nl == 0 || nl == hi-lo {
-		return leaf(b.t, leafWeight)
+		return b.leafAt(lo, hi, leafWeight)
 	}
 	self := len(b.t.nodes)
 	b.t.nodes = append(b.t.nodes, node{feature: feat, split: split})
@@ -392,18 +408,30 @@ func (b *roundBuilder) bestSplit(lo, hi int, gSum, hSum float64) (feat int, spli
 	return feat, split, bestGain
 }
 
+// leafAt records a leaf with the given weight and advances the margins
+// of its rows in place, by the same product the tree's prediction adds.
+func (b *roundBuilder) leafAt(lo, hi int, w float64) int {
+	upd := b.cfg.LearningRate * w
+	for _, r := range b.rows[lo:hi] {
+		b.margin[r] += upd
+	}
+	return leaf(b.t, w)
+}
+
 // partition stably splits the node segment [lo, hi) of the sample-order
-// row list and of every candidate column's sorted list on
-// x[feat] <= split, so both children remain sorted. Returns the left
-// child size.
-func (b *roundBuilder) partition(lo, hi, feat int, split float64) int {
+// row list on x[feat] <= split and, when orders is set, every candidate
+// column's sorted list too, so both children remain sorted. Returns the
+// left child size.
+func (b *roundBuilder) partition(lo, hi, feat int, split float64, orders bool) int {
 	col := b.colsView[feat]
 	for _, r := range b.rows[lo:hi] {
 		b.goLeft[r] = col[r] <= split
 	}
 	nl := dataset.StablePartition(b.rows[lo:hi], b.goLeft, b.scratch)
-	for ci := range b.cols {
-		dataset.StablePartition(b.orders[ci][lo:hi], b.goLeft, b.scratch)
+	if orders {
+		for ci := range b.cols {
+			dataset.StablePartition(b.orders[ci][lo:hi], b.goLeft, b.scratch)
+		}
 	}
 	return nl
 }

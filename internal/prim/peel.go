@@ -302,12 +302,12 @@ func (e *peelEngine) bestPeel(idx []int, alpha float64) (peelCand, bool) {
 func (e *peelEngine) evalDim(j, n, k int, total float64) {
 	ord := e.ords[j]
 	if e.stale {
-		w := 0
+		// Branch-free compaction: every row is written, and only a row
+		// still in the box advances w past itself. Writes trail reads.
+		inbox, w := e.inbox, 0
 		for _, r := range ord {
-			if e.inbox[r] {
-				ord[w] = r
-				w++
-			}
+			ord[w] = r
+			w += b2i(inbox[r])
 		}
 		ord = ord[:w]
 		e.ords[j] = ord
@@ -406,4 +406,13 @@ func runParallel(workers, n int, f func(int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// b2i is 1 for true and 0 for false; the compiler loads the bool's byte
+// instead of jumping on it.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

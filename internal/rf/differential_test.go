@@ -34,31 +34,39 @@ func randomDataset(n, m int, seed int64) *dataset.Dataset {
 // presorted prefix-sum fast path and the original per-node sorting
 // implementation from identical seeds and asserts every tree is
 // byte-identical: same topology, same split features and thresholds,
-// same leaf values, same accumulated gains.
+// same leaf values, same accumulated gains. On 2 and 3 rows a bootstrap
+// often draws one row n times, which runs the expansion of its sorted
+// orders to the end of their buffers.
 func TestPresortedSplitFinderMatchesReference(t *testing.T) {
-	configs := []Trainer{
-		{NTrees: 20},
-		{NTrees: 10, MTry: 1, MinLeaf: 2},
-		{NTrees: 10, MaxDepth: 3},
+	configs := []struct {
+		Trainer
+		ns []int
+	}{
+		{Trainer{NTrees: 20}, []int{300}},
+		{Trainer{NTrees: 10, MTry: 1, MinLeaf: 2}, []int{300, 2, 3}},
+		{Trainer{NTrees: 10, MaxDepth: 3}, []int{300}},
 	}
-	for ci, base := range configs {
-		for _, seed := range []int64{1, 7, 42} {
-			d := randomDataset(300, 6, seed)
-			fm, err := base.Train(d, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatalf("config %d seed %d: fast train: %v", ci, seed, err)
-			}
-			fast, ref := fm.(*Forest), trainReference(&base, d, rand.New(rand.NewSource(seed)))
-			if len(fast.trees) != len(ref.trees) {
-				t.Fatalf("config %d seed %d: %d vs %d trees", ci, seed, len(fast.trees), len(ref.trees))
-			}
-			for ti := range fast.trees {
-				if !reflect.DeepEqual(fast.trees[ti].nodes, ref.trees[ti].nodes) {
-					t.Fatalf("config %d seed %d: tree %d differs\nfast: %+v\nref:  %+v",
-						ci, seed, ti, fast.trees[ti].nodes, ref.trees[ti].nodes)
+	for ci, cfg := range configs {
+		base := cfg.Trainer
+		for _, n := range cfg.ns {
+			for _, seed := range []int64{1, 7, 42} {
+				d := randomDataset(n, 6, seed)
+				fm, err := base.Train(d, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatalf("config %d n %d seed %d: fast train: %v", ci, n, seed, err)
 				}
-				if !reflect.DeepEqual(fast.trees[ti].gains, ref.trees[ti].gains) {
-					t.Fatalf("config %d seed %d: tree %d gains differ", ci, seed, ti)
+				fast, ref := fm.(*Forest), trainReference(&base, d, rand.New(rand.NewSource(seed)))
+				if len(fast.trees) != len(ref.trees) {
+					t.Fatalf("config %d n %d seed %d: %d vs %d trees", ci, n, seed, len(fast.trees), len(ref.trees))
+				}
+				for ti := range fast.trees {
+					if !reflect.DeepEqual(fast.trees[ti].nodes, ref.trees[ti].nodes) {
+						t.Fatalf("config %d n %d seed %d: tree %d differs\nfast: %+v\nref:  %+v",
+							ci, n, seed, ti, fast.trees[ti].nodes, ref.trees[ti].nodes)
+					}
+					if !reflect.DeepEqual(fast.trees[ti].gains, ref.trees[ti].gains) {
+						t.Fatalf("config %d n %d seed %d: tree %d gains differ", ci, n, seed, ti)
+					}
 				}
 			}
 		}

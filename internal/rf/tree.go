@@ -9,7 +9,7 @@
 // split by stable partitioning, and swept with running prefix sums — so
 // finding a node's best split is O(n) per candidate feature instead of
 // the O(n log n) sort of the reference implementation in
-// tree_reference.go.
+// tree_reference_test.go.
 package rf
 
 import (
@@ -75,7 +75,7 @@ type treeBuilder struct {
 	cfg    treeConfig
 
 	counts  []int   // bootstrap multiplicity per dataset row
-	orders  [][]int // per-feature sorted row lists of the current tree, segmented by node
+	orders  [][]int // per-feature sorted row lists of the current tree, segmented by node; capacity n+2
 	rows    []int   // node rows in bootstrap order, segmented like orders
 	goLeft  []bool  // per dataset row: goes left at the split being applied
 	scratch []int   // right-half spill buffer for stable partitioning
@@ -91,7 +91,8 @@ func newTreeBuilder(cols [][]float64, y []float64, shared [][]int, cfg treeConfi
 	m := len(cols)
 	orders := make([][]int, m)
 	for f := range orders {
-		orders[f] = make([]int, n)
+		// Two slots of slack for build's unconditional pair writes.
+		orders[f] = make([]int, n+2)
 	}
 	return &treeBuilder{
 		cols:    cols,
@@ -106,26 +107,18 @@ func newTreeBuilder(cols [][]float64, y []float64, shared [][]int, cfg treeConfi
 	}
 }
 
-// build grows one tree on the bootstrap rows idx (dataset row ids, with
-// multiplicity, in draw order). The per-feature sorted orders of the
-// bootstrap are derived from the shared dataset orders by counting — an
-// O(N) merge per feature instead of an O(n log n) sort.
+// build grows one tree on the bootstrap rows idx (N dataset row ids,
+// with multiplicity, in draw order). The per-feature sorted orders of
+// the bootstrap are derived from the shared dataset orders by counting —
+// an O(N) merge per feature instead of an O(n log n) sort.
 func (b *treeBuilder) build(idx []int, rng *rand.Rand) *tree {
 	n := len(idx)
-	for i := range b.counts {
-		b.counts[i] = 0
-	}
+	clear(b.counts)
 	for _, i := range idx {
 		b.counts[i]++
 	}
-	for f := range b.orders {
-		ord := b.orders[f][:0]
-		for _, r := range b.shared[f] {
-			for c := b.counts[r]; c > 0; c-- {
-				ord = append(ord, r)
-			}
-		}
-		b.orders[f] = ord
+	for f, ord := range b.orders {
+		b.orders[f] = expand(ord[:cap(ord)], b.shared[f], b.counts)
 	}
 	b.rows = append(b.rows[:0], idx...)
 
@@ -133,6 +126,26 @@ func (b *treeBuilder) build(idx []int, rng *rand.Rand) *tree {
 	b.rng = rng
 	b.grow(0, n, 0)
 	return b.t
+}
+
+// expand writes the rows of order, each repeated counts[r] times, into
+// ord and returns the written prefix. Every row is written twice and the
+// cursor advances by its count, so the ~92% of rows drawn at most twice
+// take no data-dependent branch; only higher counts loop. A write past
+// the cursor is overwritten by the next row or lands in ord's two slots
+// of slack past the counts' sum.
+func expand(ord, order, counts []int) []int {
+	w := 0
+	for _, r := range order {
+		c := counts[r]
+		ord[w] = r
+		ord[w+1] = r
+		for k := 2; k < c; k++ {
+			ord[w+k] = r
+		}
+		w += c
+	}
+	return ord[:w]
 }
 
 // grow appends the subtree over the segment [lo, hi) of the node lists

@@ -3,10 +3,12 @@
 # reference local files that do not exist. Checks three reference styles:
 #   1. markdown links:        [text](path/to/file.md#anchor)
 #   2. backticked file paths: `docs/API.md`, `BENCH_PR2.json`
-#   3. *.md names in Go files: // see docs/API.md
+#   3. *.md and *.go names in Go files: // see docs/API.md, flat.go
 # URLs and pure anchors are ignored; backticked tokens only count as
 # file references when they end in a known file extension (so Go
-# identifiers like `reds.NewEngine` are not mistaken for files).
+# identifiers like `reds.NewEngine` are not mistaken for files). In Go
+# files a name resolves from the file's own directory first, and a
+# token starting with _ is a suffix literal ("_test.go"), not a file.
 #
 # It also fails when the server flags and docs/API.md disagree: every
 # flag.*("name", …) in cmd/redsserver and cmd/redsgateway must appear
@@ -53,7 +55,10 @@ for md in README.md docs/*.md; do
 done
 
 for src in $(find . -name '*.go' -not -path './.bench_build/*' | sed 's|^\./||'); do
-    for target in $(grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b' "$src"); do
+    for target in $(grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.(md|go)\b' "$src"); do
+        case $target in
+            _*) continue ;;
+        esac
         check "$src" "$target" "$(dirname "$src")"
     done
 done
