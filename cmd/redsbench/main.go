@@ -45,6 +45,11 @@ func mainRun() int {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path at exit (after a final GC)")
 	)
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "redsbench: -workers must be >= 0, got %d\n", *workers)
+		flag.Usage()
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

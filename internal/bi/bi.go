@@ -20,11 +20,10 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/reds-go/reds/internal/box"
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/par"
 	"github.com/reds-go/reds/internal/sd"
 )
 
@@ -127,37 +126,15 @@ func (a *BI) Discover(train, val *dataset.Dataset, _ *rand.Rand) (*sd.Result, er
 			// independent: fan them across the pool, gather into fixed
 			// slots, append in dimension order — byte-identical to the
 			// serial scan at any worker count.
-			evalDim := func(j int, buf *[]group) {
+			par.For(workers, m, func(w, j int) {
 				slots[j] = scored{}
-				nb, ok := bestInterval(cols[j], train.Y, orders[j], cur.b, j, p0, viol, vdim, buf)
+				nb, ok := bestInterval(cols[j], train.Y, orders[j], cur.b, j, p0, viol, vdim, &bufs[w])
 				if !ok || nb.Restricted() > depth {
 					return
 				}
-				w := intervalWRAcc(cols[j], train.Y, orders[j], j, nb, p0, viol, vdim)
-				slots[j] = scored{nb, w / nf}
-			}
-			if workers <= 1 {
-				for j := 0; j < m; j++ {
-					evalDim(j, &bufs[0])
-				}
-			} else {
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for {
-							j := int(next.Add(1)) - 1
-							if j >= m {
-								return
-							}
-							evalDim(j, &bufs[w])
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
+				wr := intervalWRAcc(cols[j], train.Y, orders[j], j, nb, p0, viol, vdim)
+				slots[j] = scored{nb, wr / nf}
+			})
 			for j := 0; j < m; j++ {
 				if slots[j].b != nil {
 					candidates = append(candidates, slots[j])

@@ -3,7 +3,8 @@ package dataset
 import (
 	"math"
 	"runtime"
-	"sync"
+
+	"github.com/reds-go/reds/internal/par"
 )
 
 // Columns returns a column-major view of X: Columns()[j][i] == X[i][j].
@@ -89,11 +90,10 @@ func NewPresorted(x [][]float64, y []float64, cand [][]int) (*Dataset, error) {
 
 // orderColumnsLocked builds the sorted-order view column by column: a
 // column adopts its candidate when isSortedOrder accepts it and is
-// radix-sorted otherwise. The columns run concurrently, on up to
-// GOMAXPROCS goroutines that each take every workers-th column and
-// make their radix scratch on first need. The view has no caller's
-// worker budget to stay within; other callers wait on d.mu until it is
-// built.
+// radix-sorted otherwise. par.For runs the columns on up to GOMAXPROCS
+// goroutines, each of which makes its radix scratch on first need. The
+// view has no caller's worker budget to stay within; other callers
+// wait on d.mu until it is built.
 func (d *Dataset) orderColumnsLocked(cand [][]int) [][]int {
 	n, m := d.N(), d.M()
 	if m == 0 {
@@ -101,27 +101,19 @@ func (d *Dataset) orderColumnsLocked(cand [][]int) [][]int {
 	}
 	cols := d.columnsLocked()
 	ords := make([][]int, m)
-	workers := min(runtime.GOMAXPROCS(0), m)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s *radixSorter
-			for j := w; j < m; j += workers {
-				if j < len(cand) && isSortedOrder(cand[j], cols[j]) {
-					ords[j] = cand[j]
-					continue
-				}
-				if s == nil {
-					s = &radixSorter{keys: make([]uint64, n), keysTmp: make([]uint64, n), ordTmp: make([]int, n)}
-				}
-				ords[j] = make([]int, n)
-				s.sort(ords[j], cols[j])
-			}
-		}()
-	}
-	wg.Wait()
+	workers := runtime.GOMAXPROCS(0)
+	sorters := make([]*radixSorter, workers)
+	par.For(workers, m, func(w, j int) {
+		if j < len(cand) && isSortedOrder(cand[j], cols[j]) {
+			ords[j] = cand[j]
+			return
+		}
+		if sorters[w] == nil {
+			sorters[w] = &radixSorter{keys: make([]uint64, n), keysTmp: make([]uint64, n), ordTmp: make([]int, n)}
+		}
+		ords[j] = make([]int, n)
+		sorters[w].sort(ords[j], cols[j])
+	})
 	return ords
 }
 

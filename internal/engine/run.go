@@ -246,8 +246,8 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 			familySeed[v.metamodel] = seed + int64(len(familySeed)+1)*variantSeedStride
 		}
 	}
-	// Bound each variant's worker pools (pseudo-labeling and the SD
-	// stage alike) so a job's fan-out does not multiply into
+	// Bound each variant's worker pools (tuning, pseudo-labeling and
+	// the SD stage alike) so a job's fan-out does not multiply into
 	// GOMAXPROCS × variants goroutines.
 	labelWorkers := runtime.GOMAXPROCS(0) / len(variants)
 	if labelWorkers < 1 {
@@ -430,10 +430,10 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 	if dnew == nil {
 		exit := enter("train")
 		trainer := trainerByName(v.metamodel, train.M(), req.Tuned, binned)
-		if tu, ok := trainer.(*metamodel.Tuned); ok && binned {
-			// The shared-fold tuner can evaluate fold × candidate cells
-			// concurrently without changing its outcome; give it the
-			// variant's worker budget.
+		if tu, ok := trainer.(*metamodel.Tuned); ok {
+			// Tuning cells are seeded per candidate and reduce in grid
+			// order, so the tuner may spend the variant's worker budget
+			// without changing its outcome.
 			tu.Workers = cfg.labelWorkers
 		}
 		// Training draws from its own seed, so the model is the same

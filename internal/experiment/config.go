@@ -31,7 +31,7 @@ type Config struct {
 	LBI   int
 	// Seed anchors all randomness.
 	Seed int64
-	// Workers caps parallel repetitions; 0 = GOMAXPROCS.
+	// Workers caps parallel repetitions; 0 = GOMAXPROCS, below 0 serial.
 	Workers int
 	// Out receives rendered tables and charts (default os.Stdout).
 	Out io.Writer

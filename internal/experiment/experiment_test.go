@@ -94,25 +94,31 @@ func TestRunCellBasics(t *testing.T) {
 	}
 }
 
+// TestRunCellDeterministic: a fixed seed gives the same outcomes on
+// every run and at every worker count; a negative count runs serially.
 func TestRunCellDeterministic(t *testing.T) {
 	f, _ := funcs.Get("hart3")
 	test := CachedTestSet(f, 400, 2)
-	run := func() *CellResult {
+	run := func(workers int) *CellResult {
 		cell, err := RunCell(Cell{
 			Function: f, N: 60, Reps: 2,
 			Methods: []string{"P"},
 			LPrim:   500, LBI: 500,
-			Test: test, Seed: 5, Workers: 2,
+			Test: test, Seed: 5, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return cell
 	}
-	a, b := run(), run()
-	for rep := range a.ByMethod["P"] {
-		if a.ByMethod["P"][rep].PRAUC != b.ByMethod["P"][rep].PRAUC {
-			t.Fatal("RunCell must be deterministic for a fixed seed")
+	a := run(2)
+	for _, workers := range []int{2, -1} {
+		b := run(workers)
+		for rep, x := range a.ByMethod["P"] {
+			y := b.ByMethod["P"][rep]
+			if x.PRAUC != y.PRAUC || x.WRAcc != y.WRAcc || x.TrainWRAcc != y.TrainWRAcc || !x.Final.Equal(y.Final) {
+				t.Fatalf("Workers %d: rep %d differs from Workers 2", workers, rep)
+			}
 		}
 	}
 }

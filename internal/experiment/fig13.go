@@ -5,12 +5,12 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"github.com/reds-go/reds/internal/box"
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/lake"
 	"github.com/reds-go/reds/internal/metrics"
+	"github.com/reds-go/reds/internal/par"
 	"github.com/reds-go/reds/internal/report"
 	"github.com/reds-go/reds/internal/tgl"
 )
@@ -93,25 +93,12 @@ func runThirdParty(cfg Config, name string, data *dataset.Dataset, rel []bool, r
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ji := range ch {
-				j := jobs[ji]
-				f := folds[j.rep][j.fold]
-				outs, err := runThirdPartyFold(cfg, name, f.Train, f.Test, j.rep*5+j.fold)
-				results[ji] = res{outs, err}
-			}
-		}()
-	}
-	for ji := range jobs {
-		ch <- ji
-	}
-	close(ch)
-	wg.Wait()
+	par.For(workers, len(jobs), func(_, ji int) {
+		j := jobs[ji]
+		f := folds[j.rep][j.fold]
+		outs, err := runThirdPartyFold(cfg, name, f.Train, f.Test, j.rep*5+j.fold)
+		results[ji] = res{outs, err}
+	})
 
 	for _, r := range results {
 		if r.err != nil {

@@ -12,6 +12,7 @@ import (
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/funcs"
 	"github.com/reds-go/reds/internal/metrics"
+	"github.com/reds-go/reds/internal/par"
 	"github.com/reds-go/reds/internal/sample"
 )
 
@@ -56,7 +57,7 @@ type Cell struct {
 	Test *dataset.Dataset
 	// Seed anchors this cell's randomness.
 	Seed int64
-	// Workers caps parallelism (0 = GOMAXPROCS).
+	// Workers caps parallelism (0 = GOMAXPROCS; below 0, serial).
 	Workers int
 }
 
@@ -107,26 +108,10 @@ func RunCell(c Cell) (*CellResult, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > c.Reps {
-		workers = c.Reps
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
 	errs := make([]error, c.Reps)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := range jobs {
-				outcomes[rep], errs[rep] = runRep(c, smp, resolved, rep)
-			}
-		}()
-	}
-	for rep := 0; rep < c.Reps; rep++ {
-		jobs <- rep
-	}
-	close(jobs)
-	wg.Wait()
+	par.For(workers, c.Reps, func(_, rep int) {
+		outcomes[rep], errs[rep] = runRep(c, smp, resolved, rep)
+	})
 	for rep, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s N=%d rep %d: %w", c.Function.Name(), c.N, rep, err)

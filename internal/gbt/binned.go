@@ -39,10 +39,6 @@ func (t *BinnedTrainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Mod
 	return t.trainRows(d, nil, rng)
 }
 
-// SharedFolds implements metamodel.SubsetTrainer: the quantization is
-// computed on the parent dataset and shared across fold subsets.
-func (t *BinnedTrainer) SharedFolds() bool { return true }
-
 // TrainSubset implements metamodel.SubsetTrainer: it fits on the given
 // rows of d against d's shared quantization, without materializing a
 // per-fold sub-dataset.

@@ -94,9 +94,7 @@ func TestBinnedTrainSubset(t *testing.T) {
 	holdout := noisyData(300, 6, 13)
 
 	tr := &BinnedTrainer{Trainer: Trainer{Rounds: 40}}
-	if !tr.SharedFolds() {
-		t.Fatal("binned trainer must opt into shared folds")
-	}
+	var _ metamodel.SubsetTrainer = tr
 	sm, err := tr.TrainSubset(d, rows, rand.New(rand.NewSource(14)))
 	if err != nil {
 		t.Fatal(err)

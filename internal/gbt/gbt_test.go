@@ -143,6 +143,37 @@ func TestTunedTrainer(t *testing.T) {
 	}
 }
 
+// TestTunedWorkersBitIdentical: the tuner's worker count cannot change
+// the ensemble it returns, exact or binned.
+func TestTunedWorkersBitIdentical(t *testing.T) {
+	d := noisyData(240, 6, 31)
+	probe := noisyData(300, 6, 32)
+	for _, mk := range []func() metamodel.Trainer{
+		TunedTrainer,
+		func() metamodel.Trainer { return TunedTrainerBinned(0) },
+	} {
+		var want []float64
+		for _, workers := range []int{1, 4} {
+			tu := mk().(*metamodel.Tuned)
+			tu.Workers = workers
+			m, err := tu.Train(d, rand.New(rand.NewSource(33)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := metamodel.PredictProbBatch(m, probe.X)
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%T Workers=%d: point %d predicts %v, Workers=1 %v", tu.Grid[0], workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMarginAdditivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	d := boxData(100, rng)

@@ -10,10 +10,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/par"
 )
 
 // Model is a trained metamodel f_am.
@@ -141,70 +141,28 @@ func PredictBatchSerial(pts [][]float64, f func([]float64) float64) []float64 {
 // the partially-filled slice is discarded.
 func PredictBatchParallel(ctx context.Context, pts [][]float64, f func([]float64) float64, opts BatchOptions) ([]float64, error) {
 	out := make([]float64, len(pts))
-	if len(pts) == 0 {
-		return out, ctx.Err()
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nChunks := (len(pts) + batchChunk - 1) / batchChunk
-	if workers > nChunks {
-		workers = nChunks
-	}
 	var done atomic.Int64
-	report := func(n int) {
-		if opts.Progress != nil {
-			opts.Progress(int(done.Add(int64(n))), len(pts))
-		}
-	}
-	// evalChunk fills out[lo:hi] through the vectorized kernel when the
-	// caller provided one, per point otherwise.
-	evalChunk := func(lo, hi int) {
-		if opts.BatchInto != nil {
-			opts.BatchInto(out[lo:hi], pts[lo:hi])
+	par.For(workers, (len(pts)+batchChunk-1)/batchChunk, func(_, c int) {
+		if ctx.Err() != nil {
 			return
 		}
-		for i := lo; i < hi; i++ {
-			out[i] = f(pts[i])
+		lo := c * batchChunk
+		hi := min(lo+batchChunk, len(pts))
+		if opts.BatchInto != nil {
+			opts.BatchInto(out[lo:hi], pts[lo:hi])
+		} else {
+			for i := lo; i < hi; i++ {
+				out[i] = f(pts[i])
+			}
 		}
-	}
-	if workers <= 1 {
-		for lo := 0; lo < len(pts); lo += batchChunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			hi := lo + batchChunk
-			if hi > len(pts) {
-				hi = len(pts)
-			}
-			evalChunk(lo, hi)
-			report(hi - lo)
+		if opts.Progress != nil {
+			opts.Progress(int(done.Add(int64(hi-lo))), len(pts))
 		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks || ctx.Err() != nil {
-					return
-				}
-				lo := c * batchChunk
-				hi := lo + batchChunk
-				if hi > len(pts) {
-					hi = len(pts)
-				}
-				evalChunk(lo, hi)
-				report(hi - lo)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -240,10 +198,6 @@ func Accuracy(m Model, d *dataset.Dataset) float64 {
 // column copies and re-sorts.
 type SubsetTrainer interface {
 	Trainer
-	// SharedFolds reports whether the trainer wants the shared-fold
-	// path. Trainers whose fast path needs materialized per-fold state
-	// (the exact columnar trainers) return false.
-	SharedFolds() bool
 	// TrainSubset fits on the rows (indices into d) of the shared
 	// dataset d.
 	TrainSubset(d *dataset.Dataset, rows []int, rng *rand.Rand) (Model, error)
@@ -315,65 +269,35 @@ func (t *Tuned) Train(d *dataset.Dataset, rng *rand.Rand) (Model, error) {
 	tuneSeed := rng.Int63()
 	refitSeed := rng.Int63()
 
-	// evalCell trains one fold × grid candidate and scores it on the
+	// Each cell trains one fold × grid candidate and scores it on the
 	// fold's holdout. Trainers on the shared-fold path fit through a row
 	// mask against the parent dataset, so its cached views (columns,
 	// sorted orders, bin edges and codes) are computed once and shared
-	// by every cell instead of rebuilt per fold.
-	evalCell := func(gi, fi int) (float64, error) {
-		tr, f := t.Grid[gi], kf[fi]
+	// by every cell instead of rebuilt per fold. Cells are independent
+	// (per-cell seeded RNGs) and the reduction below runs in fixed grid
+	// order, so scheduling cannot change the outcome, only the wall
+	// clock.
+	accs := make([]float64, len(t.Grid)*len(kf)) // accs[gi*len(kf)+fi]
+	errs := make([]error, len(accs))
+	par.For(t.Workers, len(accs), func(_, c int) {
+		tr, fi := t.Grid[c/len(kf)], c%len(kf)
 		child := rand.New(rand.NewSource(candidateSeed(tuneSeed, tr, fi)))
 		var m Model
-		var cellErr error
-		if st, ok := tr.(SubsetTrainer); ok && st.SharedFolds() {
-			m, cellErr = st.TrainSubset(d, f.TrainIdx, child)
+		var err error
+		if st, ok := tr.(SubsetTrainer); ok {
+			m, err = st.TrainSubset(d, kf[fi].TrainIdx, child)
 		} else {
-			m, cellErr = tr.Train(f.Train, child)
+			m, err = tr.Train(kf[fi].Train, child)
 		}
-		if cellErr != nil {
-			return 0, fmt.Errorf("metamodel: tuning %s: %w", t.Family, cellErr)
+		if err != nil {
+			errs[c] = fmt.Errorf("metamodel: tuning %s: %w", t.Family, err)
+			return
 		}
-		return Accuracy(m, f.Test), nil
-	}
-
-	nCells := len(t.Grid) * len(kf)
-	accs := make([]float64, nCells) // accs[gi*len(kf)+fi]
-	errs := make([]error, nCells)
-	workers := t.Workers
-	if workers > nCells {
-		workers = nCells
-	}
-	if workers <= 1 {
-		for c := 0; c < nCells; c++ {
-			accs[c], errs[c] = evalCell(c/len(kf), c%len(kf))
-			if errs[c] != nil {
-				return nil, errs[c]
-			}
-		}
-	} else {
-		// Cells are independent (per-cell seeded RNGs) and the reduction
-		// below runs in fixed grid order, so scheduling cannot change
-		// the outcome — only the wall clock.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= nCells {
-						return
-					}
-					accs[c], errs[c] = evalCell(c/len(kf), c%len(kf))
-				}
-			}()
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
+		accs[c] = Accuracy(m, kf[fi].Test)
+	})
+	for _, e := range errs {
+		if e != nil {
+			return nil, e
 		}
 	}
 

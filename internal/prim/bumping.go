@@ -9,6 +9,7 @@ import (
 
 	"github.com/reds-go/reds/internal/box"
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/par"
 	"github.com/reds-go/reds/internal/sd"
 )
 
@@ -79,7 +80,7 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 	}
 	results := make([]*sd.Result, q)
 	errs := make([]error, q)
-	runParallel(workers, q, func(rep int) {
+	par.For(workers, q, func(_, rep int) {
 		results[rep], errs[rep] = peeler.Discover(reps[rep].sub, reps[rep].sub, nil)
 	})
 	var boxes []*box.Box
@@ -101,7 +102,7 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 		totalPos += y
 	}
 	valStats := make([]sd.Stats, len(boxes))
-	runParallel(workers, len(boxes), func(i int) {
+	par.For(workers, len(boxes), func(_, i int) {
 		valStats[i] = sd.Compute(boxes[i], val)
 	})
 	qualities := make([][]float64, len(boxes))

@@ -8,8 +8,9 @@
 // compaction, so every candidate peel is a boundary walk plus an
 // O(α·n) prefix sum instead of the original implementation's α-quantile
 // selection and three full passes, which the tests keep as their oracle
-// (peel_reference_test.go). The 2M candidates of a step are independent
-// and evaluated by a worker pool.
+// (peel_reference_test.go). A step's dimensions are independent: par.For
+// evaluates each one's low and high peel on the Peeler's worker budget.
+// Bumping peels its replicas and scores their boxes the same way.
 package prim
 
 import (
@@ -17,11 +18,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/reds-go/reds/internal/box"
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/par"
 	"github.com/reds-go/reds/internal/sd"
 )
 
@@ -203,7 +203,7 @@ func selectFinal(steps []sd.Step) int {
 // peelEngine holds the state the fast candidate search maintains across
 // peel steps: the training columns, one sorted row order per dimension
 // (compacted lazily against the in-box set), and per-dimension result
-// slots for the worker pool.
+// slots that par.For fills.
 type peelEngine struct {
 	cols  [][]float64
 	y     []float64
@@ -235,9 +235,6 @@ func newPeelEngine(train *dataset.Dataset, workers int, obj Objective) *peelEngi
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
 	}
 	return &peelEngine{
 		cols:    cols,
@@ -282,7 +279,7 @@ func (e *peelEngine) bestPeel(idx []int, alpha float64) (peelCand, bool) {
 	}
 
 	m := len(e.cols)
-	runParallel(e.workers, m, func(j int) {
+	par.For(e.workers, m, func(_, j int) {
 		e.evalDim(j, n, k, total)
 	})
 	e.stale = false
@@ -375,37 +372,6 @@ func (e *peelEngine) evalDim(j, n, k int, total float64) {
 	}
 	e.cands[j] = dimBest
 	e.found[j] = dimFound
-}
-
-// runParallel fans f over n independent tasks across a pool of workers —
-// the worker-pool idiom of metamodel.PredictBatchParallel. workers <= 1
-// runs serially on the calling goroutine with no synchronization.
-func runParallel(workers, n int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // b2i is 1 for true and 0 for false; the compiler loads the bool's byte

@@ -5,10 +5,10 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/metamodel"
+	"github.com/reds-go/reds/internal/par"
 )
 
 // BinnedTrainer trains a random forest on the histogram-binned fast
@@ -47,10 +47,6 @@ func (t *BinnedTrainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Mod
 	return t.trainRows(d, nil, rng)
 }
 
-// SharedFolds implements metamodel.SubsetTrainer: the quantization is
-// computed on the parent dataset and shared across fold subsets.
-func (t *BinnedTrainer) SharedFolds() bool { return true }
-
 // TrainSubset implements metamodel.SubsetTrainer: it fits on the given
 // rows of d against d's shared quantization, without materializing a
 // per-fold sub-dataset (no column copy, no re-sort, no re-binning).
@@ -73,35 +69,26 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 	bins := d.Bins(budget)
 	cfg, seeds := t.plan(d.M(), rng)
 	forest := &Forest{trees: make([]*tree, len(seeds))}
-	workers := min(runtime.GOMAXPROCS(0), len(seeds))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			builder := newBinnedTreeBuilder(bins, d.Y, d.M(), nRows, cfg)
-			idx := make([]int, nRows)
-			for ti := range next {
-				local := binnedRNG(seeds[ti])
-				if rows == nil {
-					for k := range idx {
-						idx[k] = local.intn(nRows)
-					}
-				} else {
-					for k := range idx {
-						idx[k] = rows[local.intn(nRows)]
-					}
-				}
-				forest.trees[ti] = builder.build(idx, &local)
+	workers := runtime.GOMAXPROCS(0)
+	builders := make([]*binnedTreeBuilder, workers)
+	idxs := make([][]int, workers)
+	par.For(workers, len(seeds), func(w, ti int) {
+		if builders[w] == nil {
+			builders[w], idxs[w] = newBinnedTreeBuilder(bins, d.Y, d.M(), nRows, cfg), make([]int, nRows)
+		}
+		idx := idxs[w]
+		local := binnedRNG(seeds[ti])
+		if rows == nil {
+			for k := range idx {
+				idx[k] = local.intn(nRows)
 			}
-		}()
-	}
-	for ti := range seeds {
-		next <- ti
-	}
-	close(next)
-	wg.Wait()
+		} else {
+			for k := range idx {
+				idx[k] = rows[local.intn(nRows)]
+			}
+		}
+		forest.trees[ti] = builders[w].build(idx, &local)
+	})
 	return forest, nil
 }
 

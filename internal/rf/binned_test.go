@@ -78,9 +78,7 @@ func TestBinnedTrainSubset(t *testing.T) {
 	holdout := randomDataset(300, 6, 13)
 
 	tr := &BinnedTrainer{Trainer: Trainer{NTrees: 40}}
-	if !tr.SharedFolds() {
-		t.Fatal("binned trainer must opt into shared folds")
-	}
+	var _ metamodel.SubsetTrainer = tr
 	sm, err := tr.TrainSubset(d, rows, rand.New(rand.NewSource(14)))
 	if err != nil {
 		t.Fatal(err)

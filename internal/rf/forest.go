@@ -9,6 +9,7 @@ import (
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/flattree"
 	"github.com/reds-go/reds/internal/metamodel"
+	"github.com/reds-go/reds/internal/par"
 )
 
 // Trainer configures random-forest training. The zero value uses the
@@ -86,29 +87,20 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	cols := d.Columns()
 	shared := d.SortedOrders()
 	forest := &Forest{trees: make([]*tree, len(seeds))}
-	workers := min(runtime.GOMAXPROCS(0), len(seeds))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			builder := newTreeBuilder(cols, d.Y, shared, cfg)
-			idx := make([]int, d.N())
-			for ti := range next {
-				local := rand.New(rand.NewSource(seeds[ti]))
-				for k := range idx {
-					idx[k] = local.Intn(d.N())
-				}
-				forest.trees[ti] = builder.build(idx, local)
-			}
-		}()
-	}
-	for ti := range seeds {
-		next <- ti
-	}
-	close(next)
-	wg.Wait()
+	workers := runtime.GOMAXPROCS(0)
+	builders := make([]*treeBuilder, workers)
+	idxs := make([][]int, workers)
+	par.For(workers, len(seeds), func(w, ti int) {
+		if builders[w] == nil {
+			builders[w], idxs[w] = newTreeBuilder(cols, d.Y, shared, cfg), make([]int, d.N())
+		}
+		idx := idxs[w]
+		local := rand.New(rand.NewSource(seeds[ti]))
+		for k := range idx {
+			idx[k] = local.Intn(d.N())
+		}
+		forest.trees[ti] = builders[w].build(idx, local)
+	})
 	return forest, nil
 }
 

@@ -130,6 +130,37 @@ func TestTunedTrainerGrid(t *testing.T) {
 	}
 }
 
+// TestTunedWorkersBitIdentical: the tuner's worker count cannot change
+// the forest it returns, exact or binned.
+func TestTunedWorkersBitIdentical(t *testing.T) {
+	d := randomDataset(240, 6, 31)
+	probe := randomDataset(300, 6, 32)
+	for _, mk := range []func() metamodel.Trainer{
+		func() metamodel.Trainer { return TunedTrainer(d.M()) },
+		func() metamodel.Trainer { return TunedTrainerBinned(d.M(), 0) },
+	} {
+		var want []float64
+		for _, workers := range []int{1, 4} {
+			tu := mk().(*metamodel.Tuned)
+			tu.Workers = workers
+			m, err := tu.Train(d, rand.New(rand.NewSource(33)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := metamodel.PredictProbBatch(m, probe.X)
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%T Workers=%d: point %d predicts %v, Workers=1 %v", tu.Grid[0], workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestTuningKeyFrozen pins the tuning identity of the shipped rf grid
 // shapes. metamodel.Tuned seeds every cross-validation cell from this
 // text, so changing it changes tuned rf results.

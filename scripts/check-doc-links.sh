@@ -13,9 +13,11 @@
 # It also fails when the server flags and docs/API.md disagree: every
 # flag.*("name", …) in cmd/redsserver and cmd/redsgateway must appear
 # as `-name` in docs/API.md, and every flag a row of its flag tables
-# names must be defined. Likewise for job requests: every json field of
-# engine.Request and apiJobRequest must be a row of the POST /v1/jobs
-# table, and every row of that table must name a field.
+# names must be defined. Any `-name` in README.md or docs/*.md must be
+# a flag of those servers or of bench/main.go. Likewise for job
+# requests: every json field of engine.Request and apiJobRequest must
+# be a row of the POST /v1/jobs table, and every row of that table must
+# name a field.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -80,6 +82,21 @@ for name in $(grep -E '^\| *`-' "$api" | sed -E 's/^\|([^|]*)\|.*/\1/' |
         echo "$api documents -$name, which no server defines" >&2
         status=1
     fi
+done
+
+# Every backticked -flag in README.md and docs/*.md must name a flag
+# that the servers or the benchmark driver (bench/main.go) define.
+known=$({
+    echo "$defined"
+    grep -ohE 'flag\.[A-Za-z0-9]+\("[^"]+"' bench/main.go | sed -E 's/^[^"]*"//; s/"$//'
+} | sort -u)
+for md in README.md docs/*.md; do
+    for name in $(grep -oE '`-[A-Za-z][A-Za-z0-9._/-]*`' "$md" | sed -E 's/^`-//; s/`$//' | sort -u); do
+        if ! echo "$known" | grep -qxF "$name"; then
+            echo "$md names flag -$name, which neither the servers nor bench/main.go define" >&2
+            status=1
+        fi
+    done
 done
 
 # The request fields: the json names of engine.Request and of the
