@@ -8,6 +8,7 @@ import (
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/funcs"
+	"github.com/reds-go/reds/internal/metamodel"
 	"github.com/reds-go/reds/internal/sample"
 	"github.com/reds-go/reds/internal/sd"
 )
@@ -88,9 +89,10 @@ func (a *ActiveREDS) DiscoverBudget(f funcs.Function, budget int, rng *rand.Rand
 			x []float64
 			u float64
 		}
+		probs := metamodel.PredictProbBatch(model, pool)
 		cands := make([]cand, len(pool))
 		for i, x := range pool {
-			cands[i] = cand{x, math.Abs(model.PredictProb(x) - 0.5)}
+			cands[i] = cand{x, math.Abs(probs[i] - 0.5)}
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i].u < cands[j].u })
 		if take > len(cands) {

@@ -1,10 +1,11 @@
-// Package flattree compiles ensembles of binary decision trees into
-// one contiguous node table and batch-evaluates them with a
-// branch-free lockstep descent. It is the shared machinery behind the
-// metamodel.BatchModel implementations of rf, gbt and the distilled
-// rule sets of internal/ruleset; rf's and gbt's per-point traversals
-// stay package-local and untouched, and differential tests in those
-// packages assert the two paths are byte-identical.
+// Package flattree is the one tree format of the repository. rf and
+// gbt grow their trees as slices of Node, compile them into one
+// contiguous node table and keep only the table, which they evaluate
+// with a branch-free lockstep descent; the distilled rule sets of
+// internal/ruleset decode it and recompile their selected trees into
+// one. Descend is the per-point walk over source-form trees: ruleset
+// labels through it, and the batch differential tests of rf and gbt
+// hold the table's kernels to it.
 package flattree
 
 import (
@@ -65,8 +66,8 @@ type Table struct {
 // therefore 0 for every input, NaN included, and a settled lane can
 // never escape its leaf. At an internal node NaN keys above every
 // non-NaN threshold, so `x > thresh` holds and NaN goes right: the
-// exact route of the per-point paths, whose `x <= split` comparison is
-// false for NaN.
+// exact route of Descend, whose `x <= split` comparison is false for
+// NaN.
 const leafKey = math.MaxUint64
 
 // Node is one source node handed to Compile: either an internal split
@@ -139,10 +140,21 @@ func (f *Table) MemoryBytes() int64 {
 	return int64(len(f.node)+len(f.Value)+len(f.leafMin)+len(f.leafMax))*8 + int64(len(f.Roots))*4
 }
 
-// NodeBytes is the flat-table weight per source node (two packed words
-// plus the value slot), for size estimates made before the table is
-// compiled.
-const NodeBytes = 24
+// Descend returns the index of the leaf tree (a source-form tree rooted
+// at index 0) routes x to: left when x[Feature] <= Split, else right,
+// so NaN goes right. It is the per-point walk the compiled descent
+// reproduces.
+func Descend(tree []Node, x []float64) int {
+	n := 0
+	for !tree[n].Leaf {
+		if x[tree[n].Feature] <= tree[n].Split {
+			n = int(tree[n].Left)
+		} else {
+			n = int(tree[n].Right)
+		}
+	}
+	return n
+}
 
 // scratch is one batch call's traversal buffers, pooled so concurrent
 // batch workers reuse them instead of allocating per call.
@@ -180,11 +192,10 @@ func step(node []uint64, keys []uint64, base int, n int) int {
 }
 
 // SumInto sets dst[i] = init and accumulates scale times every tree's
-// leaf value for pts[i], tree by tree in index order — so with the
-// callers' (init, scale) of (0, 1) for rf and (base, eta) for gbt the
-// floating-point sequence matches their per-point loops bit for bit
-// (a multiply by 1.0 is exact). dim is the row width the descent may
-// index.
+// leaf value for pts[i], tree by tree in index order: the float
+// sequence s += scale·v_t over the leaves v_t Descend reaches, which
+// rf runs at (init, scale) = (0, 1) and gbt at (base, eta). dim is the
+// row width the descent may index.
 func (f *Table) SumInto(dst []float64, pts [][]float64, dim int, init, scale float64) {
 	for i := range dst {
 		dst[i] = init

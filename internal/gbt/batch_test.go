@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 	"github.com/reds-go/reds/internal/metamodel"
 )
 
@@ -45,8 +46,8 @@ func batchQueryPoints(d *dataset.Dataset, n int, seed int64) [][]float64 {
 		case 1: // exact training row: every split comparison ties
 			copy(row, d.X[rng.Intn(d.N())])
 		case 2: // one non-finite coordinate: ±Inf box edges, or NaN
-			// (the per-point paths route NaN right at every split, and
-			// the batch path must match instead of mis-descending)
+			// (Descend routes NaN right at every split, and the
+			// compiled descent must match instead of mis-descending)
 			for j := range row {
 				row[j] = rng.Float64()
 			}
@@ -66,9 +67,10 @@ func batchQueryPoints(d *dataset.Dataset, n int, seed int64) [][]float64 {
 	return pts
 }
 
-// TestGBTBatchMatchesPerPoint asserts the flattened batch path is
-// byte-identical to the per-point traversal for probabilities and for
-// the margin-thresholded labels.
+// TestGBTBatchMatchesPerPoint holds the table's kernels and the model's
+// per-point methods to a per-point flattree.Descend walk over the
+// decoded trees, for probabilities and for the margin-thresholded
+// labels.
 func TestGBTBatchMatchesPerPoint(t *testing.T) {
 	d := tiedTrainData(300, 6, 11)
 	trained, err := (&Trainer{Rounds: 40, MaxDepth: 3}).Train(d, rand.New(rand.NewSource(12)))
@@ -81,12 +83,24 @@ func TestGBTBatchMatchesPerPoint(t *testing.T) {
 	labels := make([]float64, len(pts))
 	m.PredictProbBatchInto(probs, pts)
 	m.PredictLabelBatchInto(labels, pts)
+	trees := m.table.Decode()
 	for i, x := range pts {
-		if want := m.PredictProb(x); probs[i] != want {
-			t.Fatalf("point %d: batch prob %v != per-point %v", i, probs[i], want)
+		margin := m.base
+		for _, tree := range trees {
+			margin += m.eta * tree[flattree.Descend(tree, x)].Value
 		}
-		if want := m.PredictLabel(x); labels[i] != want {
-			t.Fatalf("point %d: batch label %v != per-point %v", i, labels[i], want)
+		wantLabel := 0.0
+		if margin > 0 {
+			wantLabel = 1
+		}
+		if want := sigmoid(margin); probs[i] != want || m.PredictProb(x) != want {
+			t.Fatalf("point %d: batch prob %v, PredictProb %v, descent %v", i, probs[i], m.PredictProb(x), want)
+		}
+		if m.Margin(x) != margin {
+			t.Fatalf("point %d: Margin %v, descent %v", i, m.Margin(x), margin)
+		}
+		if labels[i] != wantLabel || m.PredictLabel(x) != wantLabel {
+			t.Fatalf("point %d: batch label %v, PredictLabel %v, descent %v", i, labels[i], m.PredictLabel(x), wantLabel)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 	"github.com/reds-go/reds/internal/metamodel"
 )
 
@@ -15,8 +16,7 @@ import (
 // quantile bins (dataset.Bins — shared by every round and tuning fold),
 // and each round's tree sweeps per-node gradient/hessian bin histograms
 // with the classic sibling subtraction (only the smaller child's
-// histogram is built from rows; the larger child's is parent − smaller,
-// always valid here because a round's candidate columns are fixed).
+// histogram is built from rows; the larger child's is parent − smaller).
 //
 // Binned ensembles are NOT byte-identical to exact ones — thresholds
 // snap to bin edges — which is why this is a separate opt-in type rather
@@ -34,19 +34,20 @@ type BinnedTrainer struct {
 	Bins int
 }
 
-// Train implements metamodel.Trainer.
-func (t *BinnedTrainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, error) {
-	return t.trainRows(d, nil, rng)
+// Train implements metamodel.Trainer. Like Trainer.Train, it ignores
+// the RNG.
+func (t *BinnedTrainer) Train(d *dataset.Dataset, _ *rand.Rand) (metamodel.Model, error) {
+	return t.trainRows(d, nil)
 }
 
 // TrainSubset implements metamodel.SubsetTrainer: it fits on the given
 // rows of d against d's shared quantization, without materializing a
-// per-fold sub-dataset.
-func (t *BinnedTrainer) TrainSubset(d *dataset.Dataset, rows []int, rng *rand.Rand) (metamodel.Model, error) {
-	return t.trainRows(d, rows, rng)
+// per-fold sub-dataset. It ignores the RNG.
+func (t *BinnedTrainer) TrainSubset(d *dataset.Dataset, rows []int, _ *rand.Rand) (metamodel.Model, error) {
+	return t.trainRows(d, rows)
 }
 
-func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand) (metamodel.Model, error) {
+func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int) (metamodel.Model, error) {
 	var base []int
 	if rows == nil {
 		base = make([]int, d.N())
@@ -96,60 +97,19 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 	for _, i := range base {
 		margin[i] = model.base
 	}
-	// Rows left out by subsampling still need their margins advanced by
-	// tree traversal; sampled rows get theirs leaf-directly during growth.
-	var inSample []bool
-	if cfg.SubSample < 1 {
-		inSample = make([]bool, d.N())
-	}
 
-	builder := newBinnedRoundBuilder(bins, d.M(), gh, margin, cfg, len(base))
-
-	for round := 0; round < cfg.Rounds; round++ {
+	builder := newBinnedRoundBuilder(bins, d.M(), gh, margin, model.gains, cfg, len(base))
+	trees := make([][]flattree.Node, cfg.Rounds)
+	for round := range trees {
 		for _, i := range base {
 			p := sigmoid(margin[i])
 			gh[2*i] = p - d.Y[i]
 			gh[2*i+1] = p * (1 - p)
 		}
-		sampled := sampleRowsFrom(base, cfg.SubSample, rng)
-		cols := sampleCols(d.M(), cfg.ColSample, rng)
-		tr := btree{}
-		builder.build(&tr, sampled, cols, model.gains)
-		model.trees = append(model.trees, tr)
-		if len(sampled) != len(base) {
-			for _, i := range sampled {
-				inSample[i] = true
-			}
-			for _, i := range base {
-				if !inSample[i] {
-					margin[i] += cfg.LearningRate * tr.predict(d.X[i])
-				}
-			}
-			for _, i := range sampled {
-				inSample[i] = false
-			}
-		}
+		trees[round] = builder.build(base)
 	}
+	model.table = flattree.Compile(trees)
 	return model, nil
-}
-
-// sampleRowsFrom is sampleRows over an explicit row-id set; the result
-// preserves base's order (ascending — see trainRows).
-func sampleRowsFrom(base []int, ratio float64, rng *rand.Rand) []int {
-	if ratio >= 1 {
-		return base
-	}
-	k := int(float64(len(base)) * ratio)
-	if k < 1 {
-		k = 1
-	}
-	perm := rng.Perm(len(base))[:k]
-	sort.Ints(perm)
-	rows := make([]int, k)
-	for i, p := range perm {
-		rows[i] = base[p]
-	}
-	return rows
 }
 
 // gbtHistCell is the number of float64 slots per (column, bin) histogram
@@ -159,9 +119,9 @@ const gbtHistCell = 2
 // gbtSplitCand accumulates the best bin cut seen during a sweep, with
 // the left child's gradient statistics at that cut.
 type gbtSplitCand struct {
-	feat, ci, cut int
-	gain          float64
-	gl, hl        float64
+	feat, cut int
+	gain      float64
+	gl, hl    float64
 }
 
 // binnedRoundBuilder grows one boosting tree per round over the shared
@@ -171,19 +131,18 @@ type binnedRoundBuilder struct {
 	codes  [][]uint8 // per feature: bin code per dataset row
 	gh     []float64 // interleaved (grad, hess) per dataset row
 	margin []float64 // per dataset row; leaves push eta·weight directly
+	gains  []float64 // per-feature split gains, summed over rounds
 	cfg    Trainer
 	m      int
 	stride int // gbtHistCell · max bins over features
 
 	rows    []int // node rows (dataset ids), segmented
-	cols    []int // this round's candidate column ids
 	scratch []int // partition staging buffer
 	free    [][]float64
-	gains   []float64
-	t       *btree
+	t       tree
 }
 
-func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin []float64, cfg Trainer, nRows int) *binnedRoundBuilder {
+func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin, gains []float64, cfg Trainer, nRows int) *binnedRoundBuilder {
 	codes := make([][]uint8, m)
 	maxNB := 1
 	for f := 0; f < m; f++ {
@@ -197,6 +156,7 @@ func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin []float64, cfg 
 		codes:   codes,
 		gh:      gh,
 		margin:  margin,
+		gains:   gains,
 		cfg:     cfg,
 		m:       m,
 		stride:  gbtHistCell * maxNB,
@@ -205,38 +165,37 @@ func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin []float64, cfg 
 	}
 }
 
-// build grows one tree over the sampled rows and candidate cols, adding
-// split gains into gains and pushing each leaf's eta-scaled weight onto
-// the margins of the rows that reached it.
-func (b *binnedRoundBuilder) build(t *btree, rows, cols []int, gains []float64) {
+// build grows one tree over the rows and every column, adding split
+// gains into gains and pushing each leaf's eta-scaled weight onto the
+// margins of the rows that reached it.
+func (b *binnedRoundBuilder) build(rows []int) tree {
 	b.rows = append(b.rows[:0], rows...)
-	b.cols = cols
-	b.t = t
-	b.gains = gains
+	b.t = nil
 	var gSum, hSum float64
 	for _, i := range rows {
 		gSum += b.gh[2*i]
 		hSum += b.gh[2*i+1]
 	}
 	b.grow(0, len(rows), 0, gSum, hSum, nil)
+	return b.t
 }
 
 // leafAt records a leaf with the given weight and advances the margins
 // of its rows in place — the growth pass already knows which rows landed
-// here, so sampled rows never pay a per-round tree traversal.
-func (b *binnedRoundBuilder) leafAt(lo, hi int, w float64) int {
+// here, so no row pays a per-round tree traversal.
+func (b *binnedRoundBuilder) leafAt(lo, hi int, w float64) int32 {
 	upd := b.cfg.LearningRate * w
 	for _, r := range b.rows[lo:hi] {
 		b.margin[r] += upd
 	}
-	return leaf(b.t, w)
+	return b.t.leaf(w)
 }
 
 // grow appends the subtree over the segment [lo, hi) and returns its
 // node index. gSum/hSum are threaded down from the parent's sweep; hist
-// is the node's per-candidate-column histogram (nil = build here), owned
-// by this call.
-func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []float64) int {
+// is the node's all-column histogram (nil = build here), owned by this
+// call.
+func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []float64) int32 {
 	cfg := b.cfg
 	leafWeight := -gSum / (hSum + cfg.Lambda)
 	if depth >= cfg.MaxDepth || hSum < 2*cfg.MinChildWeight || hi-lo < 2 {
@@ -250,8 +209,8 @@ func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []
 
 	var best gbtSplitCand
 	parent := gSum * gSum / (hSum + cfg.Lambda)
-	for ci, f := range b.cols {
-		b.sweep(f, ci, hist[ci*b.stride:(ci+1)*b.stride], gSum, hSum, parent, &best)
+	for f := 0; f < b.m; f++ {
+		b.sweep(f, hist[f*b.stride:(f+1)*b.stride], gSum, hSum, parent, &best)
 	}
 	if best.gain <= 1e-12 {
 		b.releaseHist(hist)
@@ -291,18 +250,17 @@ func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []
 	gl, hl := best.gl, best.hl
 	gr, hr := gSum-gl, hSum-hl
 	lHist, rHist := b.childHists(lo, lo+nl, hi, depth, hl, hr, hist)
-	self := len(b.t.nodes)
-	b.t.nodes = append(b.t.nodes, node{feature: best.feat, split: b.bins.Edge(best.feat, best.cut)})
+	self := len(b.t)
+	b.t = append(b.t, flattree.Node{Feature: int32(best.feat), Split: b.bins.Edge(best.feat, best.cut)})
 	l := b.grow(lo, lo+nl, depth+1, gl, hl, lHist)
 	r := b.grow(lo+nl, hi, depth+1, gr, hr, rHist)
-	b.t.nodes[self].left = l
-	b.t.nodes[self].right = r
-	return self
+	b.t[self].Left, b.t[self].Right = l, r
+	return int32(self)
 }
 
-// sweep scans the bin cuts of candidate column f (histogram cells) for
-// the best XGBoost structure gain.
-func (b *binnedRoundBuilder) sweep(f, ci int, cells []float64, gSum, hSum, parent float64, best *gbtSplitCand) {
+// sweep scans the bin cuts of column f (histogram cells) for the best
+// XGBoost structure gain.
+func (b *binnedRoundBuilder) sweep(f int, cells []float64, gSum, hSum, parent float64, best *gbtSplitCand) {
 	cfg := b.cfg
 	nb := b.bins.NumBins(f)
 	var gl, hl float64
@@ -320,7 +278,7 @@ func (b *binnedRoundBuilder) sweep(f, ci int, cells []float64, gSum, hSum, paren
 		gr := gSum - gl
 		gain := gl*gl/(hl+cfg.Lambda) + gr*gr/(hr+cfg.Lambda) - parent
 		if gain > best.gain {
-			*best = gbtSplitCand{feat: f, ci: ci, cut: c, gain: gain, gl: gl, hl: hl}
+			*best = gbtSplitCand{feat: f, cut: c, gain: gain, gl: gl, hl: hl}
 		}
 	}
 }
@@ -333,7 +291,6 @@ func (b *binnedRoundBuilder) childHists(lo, mid, hi, depth int, hl, hr float64, 
 	cfg := b.cfg
 	needL := depth+1 < cfg.MaxDepth && mid-lo >= 2 && hl >= 2*cfg.MinChildWeight
 	needR := depth+1 < cfg.MaxDepth && hi-mid >= 2 && hr >= 2*cfg.MinChildWeight
-	used := len(b.cols) * b.stride
 	switch {
 	case needL && needR:
 		small := b.allocHist()
@@ -344,7 +301,7 @@ func (b *binnedRoundBuilder) childHists(lo, mid, hi, depth int, hl, hr float64, 
 			b.buildHist(mid, hi, small)
 			lHist, rHist = parent, small
 		}
-		for i, v := range small[:used] {
+		for i, v := range small {
 			parent[i] -= v
 		}
 	case needL:
@@ -361,16 +318,15 @@ func (b *binnedRoundBuilder) childHists(lo, mid, hi, depth int, hl, hr float64, 
 	return lHist, rHist
 }
 
-// buildHist accumulates the per-candidate-column histogram of the rows
-// in [lo, hi) into hist, which must be zeroed. Column-outer order keeps
+// buildHist accumulates the all-column histogram of the rows in
+// [lo, hi) into hist, which must be zeroed. Column-outer order keeps
 // each pass streaming through one byte array of codes and the
 // interleaved gradient pairs in ascending row order.
 func (b *binnedRoundBuilder) buildHist(lo, hi int, hist []float64) {
 	rows := b.rows[lo:hi]
 	gh := b.gh
-	for ci, f := range b.cols {
-		cells := hist[ci*b.stride : (ci+1)*b.stride]
-		code := b.codes[f]
+	for f, code := range b.codes {
+		cells := hist[f*b.stride : (f+1)*b.stride]
 		for _, r := range rows {
 			c := gbtHistCell * int(code[r])
 			cells[c] += gh[2*r]
@@ -386,8 +342,6 @@ func (b *binnedRoundBuilder) allocHist() []float64 {
 		b.zeroHist(h)
 		return h
 	}
-	// Sized for the worst case (all columns as candidates) so buffers
-	// can be reused across rounds with differing column samples.
 	return make([]float64, b.m*b.stride)
 }
 

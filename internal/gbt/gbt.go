@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/flattree"
@@ -17,7 +15,8 @@ import (
 )
 
 // Trainer configures boosting. Zero-value fields take XGBoost-flavored
-// defaults: 100 rounds, learning rate 0.3, depth 4, lambda 1.
+// defaults: 100 rounds, learning rate 0.3, depth 4, lambda 1, minimum
+// child weight 1.
 type Trainer struct {
 	// Rounds is the number of boosting rounds (default 100).
 	Rounds int
@@ -29,10 +28,6 @@ type Trainer struct {
 	Lambda float64
 	// MinChildWeight is the minimum hessian sum per leaf (default 1).
 	MinChildWeight float64
-	// SubSample is the row-sampling ratio per round (default 1 = off).
-	SubSample float64
-	// ColSample is the column-sampling ratio per round (default 1 = off).
-	ColSample float64
 }
 
 // Name implements metamodel.Trainer.
@@ -55,62 +50,27 @@ func (t *Trainer) withDefaults() Trainer {
 	if out.MinChildWeight == 0 {
 		out.MinChildWeight = 1
 	}
-	if out.SubSample == 0 {
-		out.SubSample = 1
-	}
-	if out.ColSample == 0 {
-		out.ColSample = 1
-	}
 	return out
 }
 
-// node of a boosting tree in a flat slice; leaves have feature == -1 and
-// carry the leaf weight.
-type node struct {
-	feature     int
-	split       float64
-	weight      float64
-	left, right int
-}
-
-type btree struct{ nodes []node }
-
-func (t *btree) predict(x []float64) float64 {
-	i := 0
-	for {
-		nd := &t.nodes[i]
-		if nd.feature < 0 {
-			return nd.weight
-		}
-		if x[nd.feature] <= nd.split {
-			i = nd.left
-		} else {
-			i = nd.right
-		}
-	}
-}
-
-// Model is a trained boosted ensemble.
+// Model is a trained boosted ensemble: its trees compiled into one
+// flattree table, the only form prediction reads (see internal/flattree
+// for the layout and the branch-free lockstep descent), with the base
+// score, the shrinkage and the per-feature gains.
 type Model struct {
-	trees []btree
+	table *flattree.Table
 	eta   float64
 	base  float64 // initial log-odds
 	gains []float64
-
-	// flat is the contiguous node-table compilation of the trees that
-	// batch inference traverses (see flat.go and internal/flattree),
-	// derived once on first use.
-	flatOnce sync.Once
-	flat     *flattree.Table
 }
 
-// Margin returns the raw additive score (log-odds) at x.
+// Margin returns the raw additive score (log-odds) at x: base plus eta
+// times every tree's leaf weight, summed in tree order by the batch
+// kernel on one point.
 func (m *Model) Margin(x []float64) float64 {
-	s := m.base
-	for i := range m.trees {
-		s += m.eta * m.trees[i].predict(x)
-	}
-	return s
+	var dst [1]float64
+	m.table.SumInto(dst[:], [][]float64{x}, len(x), m.base, m.eta)
+	return dst[0]
 }
 
 // PredictProb implements metamodel.Model via the logistic link.
@@ -127,21 +87,45 @@ func (m *Model) PredictLabel(x []float64) float64 {
 	return 0
 }
 
-// NumTrees returns the number of boosted trees.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
-// ApproxMemoryBytes implements metamodel.MemorySizer: nodes dominate
-// the ensemble's footprint (a node is three float64 and three ints — 48
-// bytes plus padding/slice overhead, rounded to 56), plus the flat
-// node table batch inference compiles — charged up front, like rf's,
-// because every engine-cached model materializes it for labeling.
-func (m *Model) ApproxMemoryBytes() int64 {
-	const bytesPerNode = 56 + flattree.NodeBytes
-	var n int64
-	for i := range m.trees {
-		n += int64(len(m.trees[i].nodes)) * bytesPerNode
+// PredictProbBatchInto implements metamodel.BatchModel via the logistic
+// link on the batched margins.
+func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
+	if len(pts) == 0 {
+		return
 	}
-	return n + int64(len(m.gains))*8
+	m.table.SumInto(dst, pts, len(pts[0]), m.base, m.eta)
+	for i, z := range dst {
+		dst[i] = sigmoid(z)
+	}
+}
+
+// PredictLabelBatchInto implements metamodel.BatchModel with the same
+// margin > 0 boundary as PredictLabel (thresholding the raw margin,
+// not the squashed probability, so ties behave identically): the
+// table's hard-label kernel stops descending a point's trees once the
+// margin's sign is settled.
+func (m *Model) PredictLabelBatchInto(dst []float64, pts [][]float64) {
+	if len(pts) == 0 {
+		return
+	}
+	m.table.LabelInto(dst, pts, len(pts[0]), m.base, m.eta, true)
+}
+
+// DistillSource exposes the boosted ensemble to rule-set distillation
+// (internal/ruleset): the decoded node table plus the accumulation the
+// batch kernels apply (margin — init base, scale eta, thresholded at
+// 0).
+func (m *Model) DistillSource() flattree.Ensemble {
+	return flattree.Ensemble{Trees: m.table.Decode(), Init: m.base, Scale: m.eta, Margin: true}
+}
+
+// NumTrees returns the number of boosted trees.
+func (m *Model) NumTrees() int { return len(m.table.Roots) }
+
+// ApproxMemoryBytes implements metamodel.MemorySizer: the compiled
+// table plus the gains.
+func (m *Model) ApproxMemoryBytes() int64 {
+	return m.table.MemoryBytes() + int64(len(m.gains))*8
 }
 
 // Importance returns the gain-based feature importance (XGBoost's "total
@@ -162,8 +146,9 @@ func (m *Model) Importance() []float64 {
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
-// Train implements metamodel.Trainer.
-func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, error) {
+// Train implements metamodel.Trainer. It ignores the RNG: every round
+// grows its tree on every row and column, so training draws nothing.
+func (t *Trainer) Train(d *dataset.Dataset, _ *rand.Rand) (metamodel.Model, error) {
 	if d.N() < 2 {
 		return nil, fmt.Errorf("gbt: need at least 2 examples, got %d", d.N())
 	}
@@ -193,102 +178,58 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	hess := make([]float64, n)
 
 	// The columnar view and per-feature sorted orders are computed once
-	// on the dataset and shared by every round; the builder specializes
-	// them to each round's row sample and reuses its scratch buffers.
-	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, margin, cfg)
-
-	for round := 0; round < cfg.Rounds; round++ {
+	// on the dataset and shared by every round; the builder copies them
+	// per round and reuses its scratch buffers.
+	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, margin, model.gains, cfg)
+	trees := make([][]flattree.Node, cfg.Rounds)
+	for round := range trees {
 		for i := 0; i < n; i++ {
 			p := sigmoid(margin[i])
 			grad[i] = p - d.Y[i]
 			hess[i] = p * (1 - p)
 		}
-		rows := sampleRows(n, cfg.SubSample, rng)
-		cols := sampleCols(d.M(), cfg.ColSample, rng)
-		tr := btree{}
-		builder.build(&tr, rows, cols, model.gains)
-		model.trees = append(model.trees, tr)
-		// Sampled rows took their margins from their leaves during
-		// growth; only the rows subsampling left out descend the tree.
-		if len(rows) < n {
-			for i, in := range builder.inRound {
-				if !in {
-					margin[i] += cfg.LearningRate * tr.predict(d.X[i])
-				}
-			}
-		}
+		trees[round] = builder.build()
 	}
+	model.table = flattree.Compile(trees)
 	return model, nil
 }
 
-func sampleRows(n int, ratio float64, rng *rand.Rand) []int {
-	if ratio >= 1 {
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
-		return rows
-	}
-	k := int(float64(n) * ratio)
-	if k < 1 {
-		k = 1
-	}
-	return rng.Perm(n)[:k]
-}
+// tree is one boosting tree in flattree's source form while it grows.
+// Leaves carry the leaf weight.
+type tree []flattree.Node
 
-func sampleCols(m int, ratio float64, rng *rand.Rand) []int {
-	if ratio >= 1 {
-		cols := make([]int, m)
-		for j := range cols {
-			cols[j] = j
-		}
-		return cols
-	}
-	k := int(float64(m) * ratio)
-	if k < 1 {
-		k = 1
-	}
-	cols := rng.Perm(m)[:k]
-	sort.Ints(cols)
-	return cols
-}
-
-func leaf(t *btree, w float64) int {
-	t.nodes = append(t.nodes, node{feature: -1, weight: w})
-	return len(t.nodes) - 1
+func (t *tree) leaf(w float64) int32 {
+	*t = append(*t, flattree.Node{Leaf: true, Value: w})
+	return int32(len(*t) - 1)
 }
 
 // roundBuilder grows one boosting tree per round from presorted column
-// orders: the dataset-level sorted orders are filtered to the round's
-// row sample once, kept sorted through every split by stable
-// partitioning, and swept with running gradient/hessian prefix sums —
-// O(n) per node-column instead of the reference's O(n log n) sort.
-// Scratch buffers persist across rounds, so steady-state growth
-// allocates only the tree nodes.
+// orders: the dataset-level sorted orders are copied once per round,
+// kept sorted through every split by stable partitioning, and swept
+// with running gradient/hessian prefix sums — O(n) per node-column
+// instead of the reference's O(n log n) sort. Scratch buffers persist
+// across rounds, so steady-state growth allocates only the tree nodes.
 type roundBuilder struct {
 	colsView [][]float64 // columnar view: colsView[j][row]
 	shared   [][]int     // dataset-level ascending row order per column
 	grad     []float64
 	hess     []float64
-	margin   []float64 // per dataset row; leaves push eta·weight onto their sampled rows
+	margin   []float64 // per dataset row; leaves push eta·weight onto their rows
+	gains    []float64 // per-feature split gains, summed over rounds
 	cfg      Trainer
 
-	inRound []bool  // dataset row is in this round's sample; set only when some row is not
-	orders  [][]int // per candidate column: sampled rows in ascending order, segmented by node
-	rows    []int   // node rows in sample order, segmented like orders
-	cols    []int   // this round's candidate column ids
+	orders  [][]int // per column: rows in ascending order, segmented by node
+	rows    []int   // node rows in row order, segmented like orders
 	goLeft  []bool  // per dataset row: goes left at the split being applied
 	scratch []int   // right-half spill buffer for stable partitioning
-	gains   []float64
-	t       *btree
+	t       tree
 }
 
-func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin []float64, cfg Trainer) *roundBuilder {
+func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin, gains []float64, cfg Trainer) *roundBuilder {
 	n := len(grad)
-	m := len(colsView)
-	orders := make([][]int, m)
+	orders := make([][]int, len(colsView))
 	for j := range orders {
-		orders[j] = make([]int, 0, n)
+		orders[j] = make([]int, n)
 	}
 	return &roundBuilder{
 		colsView: colsView,
@@ -296,51 +237,33 @@ func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin []
 		grad:     grad,
 		hess:     hess,
 		margin:   margin,
+		gains:    gains,
 		cfg:      cfg,
-		inRound:  make([]bool, n),
 		orders:   orders,
-		rows:     make([]int, 0, n),
+		rows:     make([]int, n),
 		goLeft:   make([]bool, n),
 		scratch:  make([]int, n),
 	}
 }
 
-// build grows one tree over the sampled rows (sample order, no
-// duplicates) and candidate cols, adding split gains into gains and
-// pushing each leaf's eta-scaled weight onto the margins of the rows
-// that reached it.
-func (b *roundBuilder) build(t *btree, rows, cols []int, gains []float64) {
-	// Specialize the shared orders to the sample: a copy when every row
-	// is sampled, else an O(N) filter per candidate column.
-	if len(rows) == len(b.inRound) {
-		for ci, c := range cols {
-			b.orders[ci] = append(b.orders[ci][:0], b.shared[c]...)
-		}
-	} else {
-		clear(b.inRound)
-		for _, i := range rows {
-			b.inRound[i] = true
-		}
-		for ci, c := range cols {
-			ord := b.orders[ci][:0]
-			for _, r := range b.shared[c] {
-				if b.inRound[r] {
-					ord = append(ord, r)
-				}
-			}
-			b.orders[ci] = ord
-		}
+// build grows one tree over every row and column, adding split gains
+// into gains and pushing each leaf's eta-scaled weight onto the margins
+// of the rows that reached it.
+func (b *roundBuilder) build() tree {
+	for j, ord := range b.orders {
+		copy(ord, b.shared[j])
 	}
-	b.rows = append(b.rows[:0], rows...)
-	b.cols = cols
-	b.t = t
-	b.gains = gains
-	b.grow(0, len(rows), 0)
+	for i := range b.rows {
+		b.rows[i] = i
+	}
+	b.t = nil
+	b.grow(0, len(b.rows), 0)
+	return b.t
 }
 
 // grow appends the subtree over the segment [lo, hi) of the node lists
 // and returns its node index.
-func (b *roundBuilder) grow(lo, hi, depth int) int {
+func (b *roundBuilder) grow(lo, hi, depth int) int32 {
 	cfg := b.cfg
 	var gSum, hSum float64
 	for _, i := range b.rows[lo:hi] {
@@ -364,26 +287,24 @@ func (b *roundBuilder) grow(lo, hi, depth int) int {
 	if nl == 0 || nl == hi-lo {
 		return b.leafAt(lo, hi, leafWeight)
 	}
-	self := len(b.t.nodes)
-	b.t.nodes = append(b.t.nodes, node{feature: feat, split: split})
+	self := len(b.t)
+	b.t = append(b.t, flattree.Node{Feature: int32(feat), Split: split})
 	l := b.grow(lo, lo+nl, depth+1)
 	r := b.grow(lo+nl, hi, depth+1)
-	b.t.nodes[self].left = l
-	b.t.nodes[self].right = r
-	return self
+	b.t[self].Left, b.t[self].Right = l, r
+	return int32(self)
 }
 
 // bestSplit maximizes the XGBoost structure gain
-// GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ) over all cut points of the
-// candidate columns; each column is a single prefix-sum sweep over its
-// presorted node segment.
+// GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ) over all cut points of every
+// column; each column is a single prefix-sum sweep over its presorted
+// node segment.
 func (b *roundBuilder) bestSplit(lo, hi int, gSum, hSum float64) (feat int, split, bestGain float64) {
 	cfg := b.cfg
 	n := hi - lo
 	parent := gSum * gSum / (hSum + cfg.Lambda)
-	for ci, f := range b.cols {
-		seg := b.orders[ci][lo:hi]
-		col := b.colsView[f]
+	for f, col := range b.colsView {
+		seg := b.orders[f][lo:hi]
 		var gl, hl float64
 		for k := 0; k < n-1; k++ {
 			i := seg[k]
@@ -410,18 +331,17 @@ func (b *roundBuilder) bestSplit(lo, hi int, gSum, hSum float64) (feat int, spli
 
 // leafAt records a leaf with the given weight and advances the margins
 // of its rows in place, by the same product the tree's prediction adds.
-func (b *roundBuilder) leafAt(lo, hi int, w float64) int {
+func (b *roundBuilder) leafAt(lo, hi int, w float64) int32 {
 	upd := b.cfg.LearningRate * w
 	for _, r := range b.rows[lo:hi] {
 		b.margin[r] += upd
 	}
-	return leaf(b.t, w)
+	return b.t.leaf(w)
 }
 
-// partition stably splits the node segment [lo, hi) of the sample-order
-// row list on x[feat] <= split and, when orders is set, every candidate
-// column's sorted list too, so both children remain sorted. Returns the
-// left child size.
+// partition stably splits the node segment [lo, hi) of the row list on
+// x[feat] <= split and, when orders is set, every column's sorted list
+// too, so both children remain sorted. Returns the left child size.
 func (b *roundBuilder) partition(lo, hi, feat int, split float64, orders bool) int {
 	col := b.colsView[feat]
 	for _, r := range b.rows[lo:hi] {
@@ -429,8 +349,8 @@ func (b *roundBuilder) partition(lo, hi, feat int, split float64, orders bool) i
 	}
 	nl := dataset.StablePartition(b.rows[lo:hi], b.goLeft, b.scratch)
 	if orders {
-		for ci := range b.cols {
-			dataset.StablePartition(b.orders[ci][lo:hi], b.goLeft, b.scratch)
+		for _, ord := range b.orders {
+			dataset.StablePartition(ord[lo:hi], b.goLeft, b.scratch)
 		}
 	}
 	return nl

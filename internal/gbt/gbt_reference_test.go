@@ -1,27 +1,27 @@
 package gbt
 
 // This file keeps the original per-node sorting tree induction as the
-// test oracle of the fast path. The fast path in gbt.go presorts the
-// sampled rows along every candidate column once per round and sweeps
-// splits with running gradient/hessian prefix sums; differential tests
-// assert both paths grow identical ensembles.
+// test oracle of the fast path. The fast path in gbt.go keeps every
+// column's rows presorted through each round's splits and sweeps them
+// with running gradient/hessian prefix sums; differential tests assert
+// both paths grow identical ensembles.
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 )
 
 // trainReference is Trainer.Train with the reference tree induction:
-// the same base score, gradients and row/column draws per round. It
-// grows the fast path's ensemble as long as no two distinct rows share
-// a feature value; across genuinely tied rows the reference's unstable
-// sort visits them in a different order, so gradient partial sums (and
-// with them exact split tie-breaking) can differ in the last float64
-// bit.
-func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) *Model {
+// the same base score and gradients per round, and margins advanced by
+// descending each new tree per row. It grows the fast path's ensemble
+// as long as no two distinct rows share a feature value; across
+// genuinely tied rows the reference's unstable sort visits them in a
+// different order, so gradient partial sums (and with them exact split
+// tie-breaking) can differ in the last float64 bit.
+func trainReference(t *Trainer, d *dataset.Dataset) *Model {
 	cfg := t.withDefaults()
 	n := d.N()
 	mean := math.Min(math.Max(d.PositiveShare(), 1e-6), 1-1e-6)
@@ -36,27 +36,31 @@ func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) *Model {
 	}
 	grad := make([]float64, n)
 	hess := make([]float64, n)
-	for round := 0; round < cfg.Rounds; round++ {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	trees := make([][]flattree.Node, cfg.Rounds)
+	for round := range trees {
 		for i := 0; i < n; i++ {
 			p := sigmoid(margin[i])
 			grad[i] = p - d.Y[i]
 			hess[i] = p * (1 - p)
 		}
-		rows := sampleRows(n, cfg.SubSample, rng)
-		cols := sampleCols(d.M(), cfg.ColSample, rng)
-		tr := btree{}
-		growReference(&tr, d.X, grad, hess, rows, cols, cfg, 0, model.gains)
-		model.trees = append(model.trees, tr)
-		for i := 0; i < n; i++ {
-			margin[i] += cfg.LearningRate * tr.predict(d.X[i])
+		var tr tree
+		growReference(&tr, d.X, grad, hess, rows, cfg, 0, model.gains)
+		for i, x := range d.X {
+			margin[i] += cfg.LearningRate * tr[flattree.Descend(tr, x)].Value
 		}
+		trees[round] = tr
 	}
+	model.table = flattree.Compile(trees)
 	return model
 }
 
 // growReference appends the subtree over rows and returns its node
 // index, adding split gains into the importance accumulator.
-func growReference(t *btree, x [][]float64, grad, hess []float64, rows, cols []int, cfg Trainer, depth int, gains []float64) int {
+func growReference(t *tree, x [][]float64, grad, hess []float64, rows []int, cfg Trainer, depth int, gains []float64) int32 {
 	var gSum, hSum float64
 	for _, i := range rows {
 		gSum += grad[i]
@@ -64,12 +68,12 @@ func growReference(t *btree, x [][]float64, grad, hess []float64, rows, cols []i
 	}
 	leafWeight := -gSum / (hSum + cfg.Lambda)
 	if depth >= cfg.MaxDepth || hSum < 2*cfg.MinChildWeight || len(rows) < 2 {
-		return leaf(t, leafWeight)
+		return t.leaf(leafWeight)
 	}
 
-	feat, split, gain := bestSplitReference(x, grad, hess, rows, cols, cfg, gSum, hSum)
+	feat, split, gain := bestSplitReference(x, grad, hess, rows, cfg, gSum, hSum)
 	if gain <= 1e-12 {
-		return leaf(t, leafWeight)
+		return t.leaf(leafWeight)
 	}
 	gains[feat] += gain
 
@@ -82,24 +86,23 @@ func growReference(t *btree, x [][]float64, grad, hess []float64, rows, cols []i
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		return leaf(t, leafWeight)
+		return t.leaf(leafWeight)
 	}
-	self := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: feat, split: split})
-	l := growReference(t, x, grad, hess, left, cols, cfg, depth+1, gains)
-	r := growReference(t, x, grad, hess, right, cols, cfg, depth+1, gains)
-	t.nodes[self].left = l
-	t.nodes[self].right = r
-	return self
+	self := len(*t)
+	*t = append(*t, flattree.Node{Feature: int32(feat), Split: split})
+	l := growReference(t, x, grad, hess, left, cfg, depth+1, gains)
+	r := growReference(t, x, grad, hess, right, cfg, depth+1, gains)
+	(*t)[self].Left, (*t)[self].Right = l, r
+	return int32(self)
 }
 
 // bestSplitReference maximizes the XGBoost structure gain
-// GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ) over all cut points of the
-// candidate columns, sorting the node's rows along each column.
-func bestSplitReference(x [][]float64, grad, hess []float64, rows, cols []int, cfg Trainer, gSum, hSum float64) (feat int, split, bestGain float64) {
+// GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ) over all cut points of every
+// column, sorting the node's rows along each column.
+func bestSplitReference(x [][]float64, grad, hess []float64, rows []int, cfg Trainer, gSum, hSum float64) (feat int, split, bestGain float64) {
 	order := make([]int, len(rows))
 	parent := gSum * gSum / (hSum + cfg.Lambda)
-	for _, f := range cols {
+	for f := range x[0] {
 		copy(order, rows)
 		sort.Slice(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
 		var gl, hl float64

@@ -3,9 +3,11 @@ package gbt
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 	"github.com/reds-go/reds/internal/funcs"
 	"github.com/reds-go/reds/internal/metamodel"
 	"github.com/reds-go/reds/internal/sample"
@@ -74,22 +76,6 @@ func TestTrainingLossDecreases(t *testing.T) {
 	m80, _ := (&Trainer{Rounds: 80}).Train(d, rand.New(rand.NewSource(4)))
 	if logLoss(m80) >= logLoss(m5) {
 		t.Errorf("training loss did not decrease: %g -> %g", logLoss(m5), logLoss(m80))
-	}
-}
-
-func TestSubsampleAndColsample(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := boxData(200, rng)
-	m, err := (&Trainer{Rounds: 40, SubSample: 0.7, ColSample: 0.67}).Train(d, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := metamodel.Accuracy(m, d); acc < 0.85 {
-		t.Errorf("stochastic boosting accuracy = %.3f, want >= 0.85", acc)
-	}
-	gm := m.(*Model)
-	if gm.NumTrees() != 40 {
-		t.Errorf("trees = %d, want 40", gm.NumTrees())
 	}
 }
 
@@ -181,8 +167,8 @@ func TestMarginAdditivity(t *testing.T) {
 	gm := m.(*Model)
 	x := []float64{0.2, 0.6, 0.5}
 	want := gm.base
-	for i := range gm.trees {
-		want += gm.eta * gm.trees[i].predict(x)
+	for _, tree := range gm.table.Decode() {
+		want += gm.eta * tree[flattree.Descend(tree, x)].Value
 	}
 	if got := gm.Margin(x); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Margin = %g, want %g", got, want)
@@ -206,5 +192,24 @@ func TestImportanceFindsRelevantFeatures(t *testing.T) {
 	}
 	if imp[0] < 5*imp[2] || imp[1] < 5*imp[2] {
 		t.Errorf("relevant features not dominant: %v", imp)
+	}
+}
+
+// TestZeroValueDefaults pins the zero Trainer to its documented
+// defaults: it must train the same table, base, shrinkage and gains.
+// Train ignores its RNG, so both calls pass nil.
+func TestZeroValueDefaults(t *testing.T) {
+	d := diffDataset(300, 6, 3)
+	explicit := Trainer{Rounds: 100, LearningRate: 0.3, MaxDepth: 4, Lambda: 1, MinChildWeight: 1}
+	got, err := (&Trainer{}).Train(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := explicit.Train(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Trainer{} trains a different model than %+v", explicit)
 	}
 }

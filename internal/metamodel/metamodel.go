@@ -37,11 +37,12 @@ type Trainer interface {
 // BatchModel is optionally implemented by models with a vectorized
 // fast path: instead of walking the model once per point through the
 // Model interface, a whole slice of points is evaluated in one call
-// over flattened model state (rf and gbt compile their ensembles into
-// contiguous node tables, svm evaluates its kernel in blocks over a
-// flattened support-vector matrix). Implementations must be
-// byte-identical to the per-point methods — the differential tests in
-// rf, gbt and svm assert it — so callers may pick either path freely.
+// over flattened model state (rf and gbt keep only a contiguous node
+// table, which their per-point methods descend one point at a time;
+// svm evaluates its kernel in blocks over its support-vector matrix).
+// Implementations must be byte-identical to the per-point methods —
+// the differential tests in rf, gbt and svm assert it — so callers may
+// pick either path freely.
 type BatchModel interface {
 	// PredictProbBatchInto fills dst[i] with PredictProb(pts[i]).
 	// len(dst) must equal len(pts). Safe for concurrent calls on
@@ -170,14 +171,16 @@ func PredictBatchParallel(ctx context.Context, pts [][]float64, f func([]float64
 }
 
 // Accuracy returns the share of points whose hard prediction matches the
-// binary label.
+// binary label. It labels every point in one batch call on the calling
+// goroutine: the tuner scores its holdouts with it from inside a cell
+// that already holds a worker.
 func Accuracy(m Model, d *dataset.Dataset) float64 {
 	if d.N() == 0 {
 		return 0
 	}
+	preds, _ := PredictLabelBatchCtx(context.Background(), m, d.X, BatchOptions{Workers: 1})
 	correct := 0
-	for i, x := range d.X {
-		pred := m.PredictLabel(x)
+	for i, pred := range preds {
 		want := 0.0
 		if d.Y[i] >= 0.5 {
 			want = 1

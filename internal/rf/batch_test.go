@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 	"github.com/reds-go/reds/internal/metamodel"
 )
 
@@ -50,8 +51,8 @@ func batchQueryPoints(d *dataset.Dataset, n int, seed int64) [][]float64 {
 		case 1: // copy of a training row: every comparison ties
 			copy(row, d.X[rng.Intn(d.N())])
 		case 2: // one non-finite coordinate: ±Inf box edges, or NaN
-			// (the per-point paths route NaN right at every split, and
-			// the batch path must match instead of mis-descending)
+			// (Descend routes NaN right at every split, and the
+			// compiled descent must match instead of mis-descending)
 			for j := range row {
 				row[j] = rng.Float64()
 			}
@@ -71,9 +72,9 @@ func batchQueryPoints(d *dataset.Dataset, n int, seed int64) [][]float64 {
 	return pts
 }
 
-// TestForestBatchMatchesPerPoint asserts the flattened batch path is
-// byte-identical to the per-point traversal, probabilities and labels
-// alike.
+// TestForestBatchMatchesPerPoint holds the table's kernels and the
+// forest's per-point methods to a per-point flattree.Descend walk over
+// the decoded trees, probabilities and labels alike.
 func TestForestBatchMatchesPerPoint(t *testing.T) {
 	d := tiedTrainData(300, 6, 1)
 	model, err := (&Trainer{NTrees: 30}).Train(d, rand.New(rand.NewSource(2)))
@@ -86,12 +87,22 @@ func TestForestBatchMatchesPerPoint(t *testing.T) {
 	labels := make([]float64, len(pts))
 	f.PredictProbBatchInto(probs, pts)
 	f.PredictLabelBatchInto(labels, pts)
+	trees := f.table.Decode()
 	for i, x := range pts {
-		if want := f.PredictProb(x); probs[i] != want {
-			t.Fatalf("point %d: batch prob %v != per-point %v", i, probs[i], want)
+		want := 0.0
+		for _, tree := range trees {
+			want += tree[flattree.Descend(tree, x)].Value
 		}
-		if want := f.PredictLabel(x); labels[i] != want {
-			t.Fatalf("point %d: batch label %v != per-point %v", i, labels[i], want)
+		want /= float64(len(trees))
+		wantLabel := 0.0
+		if want > 0.5 {
+			wantLabel = 1
+		}
+		if probs[i] != want || f.PredictProb(x) != want {
+			t.Fatalf("point %d: batch prob %v, PredictProb %v, descent %v", i, probs[i], f.PredictProb(x), want)
+		}
+		if labels[i] != wantLabel || f.PredictLabel(x) != wantLabel {
+			t.Fatalf("point %d: batch label %v, PredictLabel %v, descent %v", i, labels[i], f.PredictLabel(x), wantLabel)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 	"github.com/reds-go/reds/internal/metamodel"
 	"github.com/reds-go/reds/internal/par"
 )
@@ -68,7 +69,7 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 	}
 	bins := d.Bins(budget)
 	cfg, seeds := t.plan(d.M(), rng)
-	forest := &Forest{trees: make([]*tree, len(seeds))}
+	trees := make([]*tree, len(seeds))
 	workers := runtime.GOMAXPROCS(0)
 	builders := make([]*binnedTreeBuilder, workers)
 	idxs := make([][]int, workers)
@@ -87,9 +88,9 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 				idx[k] = rows[local.intn(nRows)]
 			}
 		}
-		forest.trees[ti] = builders[w].build(idx, &local)
+		trees[ti] = builders[w].build(idx, &local)
 	})
-	return forest, nil
+	return newForest(trees), nil
 }
 
 // binnedRNG is a splitmix64 generator used on the binned path for
@@ -258,7 +259,7 @@ func (b *binnedTreeBuilder) sampleFeats() []int {
 // for them. hist is the node's all-feature histogram when the sibling
 // chain reaches it (nil otherwise); grow owns it and either hands it to
 // a child or releases it.
-func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []float64) int {
+func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []float64) int32 {
 	t, cfg := b.t, b.cfg
 	n := float64(hi - lo)
 	mean := sum / n
@@ -321,12 +322,11 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 		lHist, rHist = b.childHists(lo, lo+nl, hi, depth, hist)
 	}
 	self := len(t.nodes)
-	t.nodes = append(t.nodes, treeNode{feature: best.feat, split: b.bins.Edge(best.feat, best.cut)})
+	t.nodes = append(t.nodes, flattree.Node{Feature: int32(best.feat), Split: b.bins.Edge(best.feat, best.cut)})
 	l := b.grow(lo, lo+nl, depth+1, lSum, lSq, lHist)
 	r := b.grow(lo+nl, hi, depth+1, rSum, rSq, rHist)
-	t.nodes[self].left = l
-	t.nodes[self].right = r
-	return self
+	t.nodes[self].Left, t.nodes[self].Right = l, r
+	return int32(self)
 }
 
 // fillSweepZero runs one sampled feature through the single-feature

@@ -32,11 +32,11 @@ func randomDataset(n, m int, seed int64) *dataset.Dataset {
 
 // TestPresortedSplitFinderMatchesReference grows forests with the
 // presorted prefix-sum fast path and the original per-node sorting
-// implementation from identical seeds and asserts every tree is
-// byte-identical: same topology, same split features and thresholds,
-// same leaf values, same accumulated gains. On 2 and 3 rows a bootstrap
-// often draws one row n times, which runs the expansion of its sorted
-// orders to the end of their buffers.
+// implementation from identical seeds and asserts the compiled tables
+// are byte-identical (same topology, same split features and
+// thresholds, same leaf values) and so are every tree's accumulated
+// gains. On 2 and 3 rows a bootstrap often draws one row n times, which
+// runs the expansion of its sorted orders to the end of their buffers.
 func TestPresortedSplitFinderMatchesReference(t *testing.T) {
 	configs := []struct {
 		Trainer
@@ -56,17 +56,12 @@ func TestPresortedSplitFinderMatchesReference(t *testing.T) {
 					t.Fatalf("config %d n %d seed %d: fast train: %v", ci, n, seed, err)
 				}
 				fast, ref := fm.(*Forest), trainReference(&base, d, rand.New(rand.NewSource(seed)))
-				if len(fast.trees) != len(ref.trees) {
-					t.Fatalf("config %d n %d seed %d: %d vs %d trees", ci, n, seed, len(fast.trees), len(ref.trees))
+				if !reflect.DeepEqual(fast.table, ref.table) {
+					t.Fatalf("config %d n %d seed %d: tables differ\nfast: %+v\nref:  %+v",
+						ci, n, seed, fast.table.Decode(), ref.table.Decode())
 				}
-				for ti := range fast.trees {
-					if !reflect.DeepEqual(fast.trees[ti].nodes, ref.trees[ti].nodes) {
-						t.Fatalf("config %d n %d seed %d: tree %d differs\nfast: %+v\nref:  %+v",
-							ci, n, seed, ti, fast.trees[ti].nodes, ref.trees[ti].nodes)
-					}
-					if !reflect.DeepEqual(fast.trees[ti].gains, ref.trees[ti].gains) {
-						t.Fatalf("config %d n %d seed %d: tree %d gains differ", ci, n, seed, ti)
-					}
+				if !reflect.DeepEqual(fast.gains, ref.gains) {
+					t.Fatalf("config %d n %d seed %d: gains differ", ci, n, seed)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/flattree"
@@ -62,15 +61,24 @@ func (t *Trainer) plan(m int, rng *rand.Rand) (treeConfig, []int64) {
 	return cfg, seeds
 }
 
-// Forest is a trained random forest.
+// Forest is a trained random forest: its trees compiled into one
+// flattree table, the only form prediction reads (see internal/flattree
+// for the layout and the branch-free lockstep descent), and each tree's
+// per-feature gains.
 type Forest struct {
-	trees []*tree
+	table *flattree.Table
+	gains [][]float64
+}
 
-	// flat is the contiguous node-table compilation of the trees that
-	// batch inference traverses (see flat.go and internal/flattree),
-	// derived once on first use.
-	flatOnce sync.Once
-	flat     *flattree.Table
+// newForest compiles the grown trees into a forest.
+func newForest(trees []*tree) *Forest {
+	nodes := make([][]flattree.Node, len(trees))
+	f := &Forest{gains: make([][]float64, len(trees))}
+	for i, t := range trees {
+		nodes[i], f.gains[i] = t.nodes, t.gains
+	}
+	f.table = flattree.Compile(nodes)
+	return f
 }
 
 // Train implements metamodel.Trainer. Trees are grown in parallel on
@@ -86,7 +94,7 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	// specializes them to its tree's bootstrap by counting.
 	cols := d.Columns()
 	shared := d.SortedOrders()
-	forest := &Forest{trees: make([]*tree, len(seeds))}
+	trees := make([]*tree, len(seeds))
 	workers := runtime.GOMAXPROCS(0)
 	builders := make([]*treeBuilder, workers)
 	idxs := make([][]int, workers)
@@ -99,19 +107,17 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 		for k := range idx {
 			idx[k] = local.Intn(d.N())
 		}
-		forest.trees[ti] = builders[w].build(idx, local)
+		trees[ti] = builders[w].build(idx, local)
 	})
-	return forest, nil
+	return newForest(trees), nil
 }
 
 // PredictProb implements metamodel.Model: mean leaf value across trees,
-// an estimate of P(y=1|x).
+// an estimate of P(y=1|x), by the batch kernel on one point.
 func (f *Forest) PredictProb(x []float64) float64 {
-	s := 0.0
-	for _, t := range f.trees {
-		s += t.predict(x)
-	}
-	return s / float64(len(f.trees))
+	var dst [1]float64
+	f.PredictProbBatchInto(dst[:], [][]float64{x})
+	return dst[0]
 }
 
 // PredictLabel implements metamodel.Model with the majority-vote boundary
@@ -123,21 +129,46 @@ func (f *Forest) PredictLabel(x []float64) float64 {
 	return 0
 }
 
-// NumTrees returns the number of trees in the forest.
-func (f *Forest) NumTrees() int { return len(f.trees) }
+// PredictProbBatchInto implements metamodel.BatchModel: mean leaf value
+// across trees for every point.
+func (f *Forest) PredictProbBatchInto(dst []float64, pts [][]float64) {
+	if len(pts) == 0 {
+		return
+	}
+	f.table.SumInto(dst, pts, len(pts[0]), 0, 1)
+	inv := float64(len(f.gains))
+	for i := range dst {
+		dst[i] /= inv
+	}
+}
 
-// ApproxMemoryBytes implements metamodel.MemorySizer: nodes dominate a
-// forest's footprint (a treeNode is two float64 and three ints — 40
-// bytes plus padding/slice overhead, rounded to 48), plus the flat
-// node table batch inference compiles. The table is lazy, but every
-// forest the engine caches gets used for pseudo-labeling and
-// materializes it, so it is charged up front rather than letting
-// cached models silently outgrow the operator's byte budget.
+// PredictLabelBatchInto implements metamodel.BatchModel with the same
+// majority-vote boundary as PredictLabel: the table's hard-label kernel
+// stops descending a point's trees once its vote is settled.
+func (f *Forest) PredictLabelBatchInto(dst []float64, pts [][]float64) {
+	if len(pts) == 0 {
+		return
+	}
+	f.table.LabelInto(dst, pts, len(pts[0]), 0, 1, false)
+}
+
+// DistillSource exposes the forest to rule-set distillation
+// (internal/ruleset): the decoded node table plus the accumulation
+// PredictProbBatchInto applies (mean vote — init 0, scale 1,
+// thresholded at 0.5).
+func (f *Forest) DistillSource() flattree.Ensemble {
+	return flattree.Ensemble{Trees: f.table.Decode(), Init: 0, Scale: 1, Margin: false}
+}
+
+// NumTrees returns the number of trees in the forest.
+func (f *Forest) NumTrees() int { return len(f.gains) }
+
+// ApproxMemoryBytes implements metamodel.MemorySizer: the compiled
+// table plus the per-tree gains.
 func (f *Forest) ApproxMemoryBytes() int64 {
-	const bytesPerNode = 48 + flattree.NodeBytes
-	var n int64
-	for _, t := range f.trees {
-		n += int64(len(t.nodes))*bytesPerNode + int64(len(t.gains))*8
+	n := f.table.MemoryBytes()
+	for _, g := range f.gains {
+		n += int64(len(g)) * 8
 	}
 	return n
 }
@@ -147,13 +178,13 @@ func (f *Forest) ApproxMemoryBytes() int64 {
 // to 1 (all zeros for a stump-only forest). Useful for checking which
 // inputs the metamodel deems relevant before trusting a scenario.
 func (f *Forest) Importance() []float64 {
-	if len(f.trees) == 0 {
+	if len(f.gains) == 0 {
 		return nil
 	}
-	imp := make([]float64, len(f.trees[0].gains))
+	imp := make([]float64, len(f.gains[0]))
 	total := 0.0
-	for _, t := range f.trees {
-		for j, g := range t.gains {
+	for _, gains := range f.gains {
+		for j, g := range gains {
 			imp[j] += g
 			total += g
 		}

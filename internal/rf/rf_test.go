@@ -3,6 +3,7 @@ package rf
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -211,5 +212,23 @@ func TestImportanceFindsRelevantFeatures(t *testing.T) {
 	}
 	if imp[0] < 5*imp[2] || imp[1] < 5*imp[2] {
 		t.Errorf("relevant features not dominant: %v", imp)
+	}
+}
+
+// TestZeroValueDefaults pins the zero Trainer to its documented
+// defaults: it must grow the same forest from the same seed.
+func TestZeroValueDefaults(t *testing.T) {
+	d := randomDataset(300, 6, 3)
+	explicit := Trainer{NTrees: 100, MTry: d.M() / 3, MinLeaf: 5}
+	got, err := (&Trainer{}).Train(d, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := explicit.Train(d, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Trainer{} grows a different forest than %+v", explicit)
 	}
 }

@@ -16,21 +16,13 @@ import (
 	"math/rand"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 )
 
-// treeNode is a node of a regression tree stored in a flat slice.
-// Leaves have feature == -1 and carry the mean label in value.
-type treeNode struct {
-	feature int
-	split   float64
-	value   float64
-	left    int
-	right   int
-}
-
-// tree is one CART regression tree.
+// tree is one CART regression tree in flattree's source form. Leaves
+// carry the mean label.
 type tree struct {
-	nodes []treeNode
+	nodes []flattree.Node
 	// gains accumulates the variance-reduction gain per feature,
 	// feeding the forest's importance estimate.
 	gains []float64
@@ -43,25 +35,9 @@ type treeConfig struct {
 	maxDepth int // 0 = unlimited
 }
 
-func (t *tree) leaf(mean float64) int {
-	t.nodes = append(t.nodes, treeNode{feature: -1, value: mean})
-	return len(t.nodes) - 1
-}
-
-// predict returns the leaf mean for x.
-func (t *tree) predict(x []float64) float64 {
-	node := 0
-	for {
-		nd := &t.nodes[node]
-		if nd.feature < 0 {
-			return nd.value
-		}
-		if x[nd.feature] <= nd.split {
-			node = nd.left
-		} else {
-			node = nd.right
-		}
-	}
+func (t *tree) leaf(mean float64) int32 {
+	t.nodes = append(t.nodes, flattree.Node{Leaf: true, Value: mean})
+	return int32(len(t.nodes) - 1)
 }
 
 // treeBuilder grows trees over a fixed dataset from presorted feature
@@ -150,7 +126,7 @@ func expand(ord, order, counts []int) []int {
 
 // grow appends the subtree over the segment [lo, hi) of the node lists
 // and returns its node index.
-func (b *treeBuilder) grow(lo, hi, depth int) int {
+func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 	t, cfg := b.t, b.cfg
 	sum, sq := 0.0, 0.0
 	for _, i := range b.rows[lo:hi] {
@@ -178,12 +154,11 @@ func (b *treeBuilder) grow(lo, hi, depth int) int {
 	}
 
 	self := len(t.nodes)
-	t.nodes = append(t.nodes, treeNode{feature: feat, split: split})
+	t.nodes = append(t.nodes, flattree.Node{Feature: int32(feat), Split: split})
 	l := b.grow(lo, lo+nl, depth+1)
 	r := b.grow(lo+nl, hi, depth+1)
-	t.nodes[self].left = l
-	t.nodes[self].right = r
-	return self
+	t.nodes[self].Left, t.nodes[self].Right = l, r
+	return int32(self)
 }
 
 // bestSplit finds the (feature, threshold) pair maximizing the variance

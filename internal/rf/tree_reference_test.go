@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 )
 
 // This file keeps the original per-node sorting tree induction as the
@@ -21,16 +22,16 @@ import (
 // tie-breaking) can differ in the last float64 bit.
 func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) *Forest {
 	cfg, seeds := t.plan(d.M(), rng)
-	forest := &Forest{trees: make([]*tree, len(seeds))}
+	trees := make([]*tree, len(seeds))
 	idx := make([]int, d.N())
 	for ti, seed := range seeds {
 		local := rand.New(rand.NewSource(seed))
 		for k := range idx {
 			idx[k] = local.Intn(d.N())
 		}
-		forest.trees[ti] = buildTreeReference(d.X, d.Y, idx, cfg, local)
+		trees[ti] = buildTreeReference(d.X, d.Y, idx, cfg, local)
 	}
-	return forest
+	return newForest(trees)
 }
 
 // buildTreeReference grows a tree on the rows idx of (x, y) by recursive
@@ -43,7 +44,7 @@ func buildTreeReference(x [][]float64, y []float64, idx []int, cfg treeConfig, r
 }
 
 // growReference appends the subtree over idx and returns its node index.
-func (t *tree) growReference(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, depth int) int {
+func (t *tree) growReference(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, depth int) int32 {
 	sum, sq := 0.0, 0.0
 	for _, i := range idx {
 		sum += y[i]
@@ -77,12 +78,11 @@ func (t *tree) growReference(x [][]float64, y []float64, idx []int, cfg treeConf
 	}
 
 	self := len(t.nodes)
-	t.nodes = append(t.nodes, treeNode{feature: feat, split: split})
+	t.nodes = append(t.nodes, flattree.Node{Feature: int32(feat), Split: split})
 	l := t.growReference(x, y, leftIdx, cfg, rng, depth+1)
 	r := t.growReference(x, y, rightIdx, cfg, rng, depth+1)
-	t.nodes[self].left = l
-	t.nodes[self].right = r
-	return self
+	t.nodes[self].Left, t.nodes[self].Right = l, r
+	return int32(self)
 }
 
 // bestSplitReference finds the (feature, threshold) pair maximizing the

@@ -60,20 +60,6 @@ func randomPoints(rng *rand.Rand, n, dim int) [][]float64 {
 	return pts
 }
 
-// descend routes x through a source-form tree with the canonical
-// per-point comparison.
-func descend(tree []flattree.Node, x []float64) int {
-	n := 0
-	for !tree[n].Leaf {
-		if x[tree[n].Feature] <= tree[n].Split {
-			n = int(tree[n].Left)
-		} else {
-			n = int(tree[n].Right)
-		}
-	}
-	return n
-}
-
 // TestRulesPartitionLeafRegions is the box-containment property: for
 // any point, exactly one of a tree's extracted rules matches, and it
 // is the rule of the leaf the descent reaches — i.e. every rule's box
@@ -89,7 +75,7 @@ func TestRulesPartitionLeafRegions(t *testing.T) {
 			t.Fatalf("trial %d: %d rules for %d leaves", trial, len(rules), countLeaves(tree))
 		}
 		for _, x := range randomPoints(rng, 200, dim) {
-			leafValue := tree[descend(tree, x)].Value
+			leafValue := tree[flattree.Descend(tree, x)].Value
 			matched := 0
 			for ri := range rules {
 				if rules[ri].matches(x) {
@@ -129,8 +115,8 @@ func TestMergeNeverFlipsArgmax(t *testing.T) {
 			t.Fatalf("trial %d: simplification grew the tree", trial)
 		}
 		for _, x := range pts {
-			v0 := tree[descend(tree, x)].Value
-			v1 := simp[descend(simp, x)].Value
+			v0 := tree[flattree.Descend(tree, x)].Value
+			v1 := simp[flattree.Descend(simp, x)].Value
 			if (v0 > boundary) != (v1 > boundary) {
 				t.Fatalf("trial %d: merge flipped argmax at %v: %v -> %v (boundary %v, eps %v)",
 					trial, x, v0, v1, boundary, eps)

@@ -3,8 +3,8 @@ package ruleset
 import "github.com/reds-go/reds/internal/flattree"
 
 // coverCounts routes every selection point down the tree and counts
-// per-node visits. The per-point comparison is the canonical
-// `x <= split` (NaN routes right), matching the compiled descent.
+// per-node visits, with flattree.Descend's `x <= split` (NaN routes
+// right).
 func coverCounts(tree []flattree.Node, pts [][]float64) []float64 {
 	c := make([]float64, len(tree))
 	for _, x := range pts {
@@ -23,16 +23,6 @@ func coverCounts(tree []flattree.Node, pts [][]float64) []float64 {
 		}
 	}
 	return c
-}
-
-// tnode is the pointer form simplification works on before the result
-// is serialized back into an index-linked slice for flattree.Compile.
-type tnode struct {
-	leaf        bool
-	feature     int32
-	split       float64
-	value       float64
-	left, right *tnode
 }
 
 // subtreeInfo aggregates a subtree's leaves for the merge decision.
@@ -55,11 +45,17 @@ type subtreeInfo struct {
 // are common after training), cover weights come from the selection
 // sample via coverCounts.
 func simplifyTree(tree []flattree.Node, cover []float64, boundary, eps float64) []flattree.Node {
-	var build func(idx int32) (*tnode, subtreeInfo)
-	build = func(idx int32) (*tnode, subtreeInfo) {
+	// A first pass marks every node whose subtree collapses (leaves
+	// included) with the value it collapses to; the second emits the
+	// simplified tree in preorder, root at index 0.
+	merged := make([]bool, len(tree))
+	value := make([]float64, len(tree))
+	var summarize func(idx int32) subtreeInfo
+	summarize = func(idx int32) subtreeInfo {
 		nd := &tree[idx]
 		if nd.Leaf {
-			info := subtreeInfo{
+			merged[idx], value[idx] = true, nd.Value
+			return subtreeInfo{
 				side:    nd.Value > boundary,
 				uniform: true,
 				minV:    nd.Value, maxV: nd.Value,
@@ -67,10 +63,9 @@ func simplifyTree(tree []flattree.Node, cover []float64, boundary, eps float64) 
 				usum:   nd.Value,
 				leaves: 1,
 			}
-			return &tnode{leaf: true, value: nd.Value}, info
 		}
-		l, li := build(nd.Left)
-		r, ri := build(nd.Right)
+		li := summarize(nd.Left)
+		ri := summarize(nd.Right)
 		info := subtreeInfo{
 			side:    li.side,
 			uniform: li.uniform && ri.uniform && li.side == ri.side,
@@ -93,32 +88,27 @@ func simplifyTree(tree []flattree.Node, cover []float64, boundary, eps float64) 
 			info.leaves = 1
 			info.minV, info.maxV = v, v
 			info.usum = v
-			return &tnode{leaf: true, value: v}, info
+			merged[idx], value[idx] = true, v
 		}
-		return &tnode{feature: nd.Feature, split: nd.Split, left: l, right: r}, info
+		return info
 	}
-	root, _ := build(0)
-	return serialize(root)
-}
-
-// serialize flattens the pointer tree into the slice-of-Nodes form
-// flattree.Compile consumes (root at index 0, preorder).
-func serialize(root *tnode) []flattree.Node {
+	summarize(0)
 	var out []flattree.Node
-	var emit func(n *tnode) int32
-	emit = func(n *tnode) int32 {
-		idx := int32(len(out))
-		out = append(out, flattree.Node{})
-		if n.leaf {
-			out[idx] = flattree.Node{Leaf: true, Value: n.value}
-			return idx
+	var emit func(idx int32) int32
+	emit = func(idx int32) int32 {
+		at := int32(len(out))
+		if merged[idx] {
+			out = append(out, flattree.Node{Leaf: true, Value: value[idx]})
+			return at
 		}
-		l := emit(n.left)
-		r := emit(n.right)
-		out[idx] = flattree.Node{Feature: n.feature, Split: n.split, Left: l, Right: r}
-		return idx
+		nd := &tree[idx]
+		out = append(out, flattree.Node{Feature: nd.Feature, Split: nd.Split})
+		l := emit(nd.Left)
+		r := emit(nd.Right)
+		out[at].Left, out[at].Right = l, r
+		return at
 	}
-	emit(root)
+	emit(0)
 	return out
 }
 
@@ -152,14 +142,7 @@ func treeColumns(tree []flattree.Node, pts [][]float64, parentLabels []float64, 
 		agree: make([]float64, len(tree)),
 	}
 	for i, x := range pts {
-		n := 0
-		for !tree[n].Leaf {
-			if x[tree[n].Feature] <= tree[n].Split {
-				n = int(tree[n].Left)
-			} else {
-				n = int(tree[n].Right)
-			}
-		}
+		n := flattree.Descend(tree, x)
 		v := tree[n].Value
 		col[i] = v
 		st.cover[n]++

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/metamodel"
@@ -33,24 +32,22 @@ type Trainer struct {
 // Name implements metamodel.Trainer.
 func (t *Trainer) Name() string { return "svm" }
 
-// Model is a trained SVM.
+// Model is a trained SVM. Its support vectors are one row-major
+// matrix, which the per-point decision function and the blocked batch
+// kernel both scan.
 type Model struct {
-	supportX [][]float64
-	coef     []float64 // αᵢ yᵢ of the support vectors
-	b        float64
-	gamma    float64
-
-	// flat is the contiguous support-vector matrix batch inference
-	// scans (see flat.go), derived once on first use.
-	flatOnce sync.Once
-	flat     *flatSVM
+	sv    []float64 // support vectors, row-major, dim values per row
+	dim   int
+	coef  []float64 // αᵢ yᵢ of the support vectors
+	b     float64
+	gamma float64
 }
 
 // Decision returns the signed distance surrogate f(x).
 func (m *Model) Decision(x []float64) float64 {
 	s := -m.b
-	for i, sv := range m.supportX {
-		s += m.coef[i] * rbf(sv, x, m.gamma)
+	for i, c := range m.coef {
+		s += c * rbf(m.sv[i*m.dim:(i+1)*m.dim], x, m.gamma)
 	}
 	return s
 }
@@ -70,21 +67,72 @@ func (m *Model) PredictProb(x []float64) float64 {
 	return 1 / (1 + math.Exp(-2*m.Decision(x)))
 }
 
-// NumSupport returns the number of support vectors.
-func (m *Model) NumSupport() int { return len(m.supportX) }
+// svBlock is the number of support vectors evaluated per block: a
+// block of 64 vectors of typical width stays L1-resident while the
+// chunk's points stream past it.
+const svBlock = 64
 
-// ApproxMemoryBytes implements metamodel.MemorySizer: the retained
-// support vectors dominate (one row of float64s each, plus the
-// coefficient and slice headers, rounded into 8 bytes per value + 32
-// per vector). The support-vector values are charged twice because
-// batch inference lazily duplicates them into a flat matrix (see
-// flat.go) — every engine-cached model ends up materializing it.
-func (m *Model) ApproxMemoryBytes() int64 {
-	var n int64
-	for _, sv := range m.supportX {
-		n += int64(len(sv))*8*2 + 32
+// decisionBatchInto fills dst with the decision value of every point
+// by blocked kernel evaluation: support vectors are processed in
+// blocks that stay cache-resident across the chunk, accumulating onto
+// dst in ascending support-vector order — the exact floating-point
+// sequence of the per-point Decision.
+func (m *Model) decisionBatchInto(dst []float64, pts [][]float64) {
+	for i := range dst {
+		dst[i] = -m.b
 	}
-	return n + int64(len(m.coef))*8
+	dim, gamma := m.dim, m.gamma
+	for lo := 0; lo < len(m.coef); lo += svBlock {
+		hi := min(lo+svBlock, len(m.coef))
+		block := m.sv[lo*dim : hi*dim]
+		coef := m.coef[lo:hi]
+		for i, x := range pts {
+			s := dst[i]
+			off := 0
+			for _, c := range coef {
+				row := block[off : off+dim]
+				d := 0.0
+				for j, v := range row {
+					diff := v - x[j]
+					d += diff * diff
+				}
+				s += c * math.Exp(-gamma*d)
+				off += dim
+			}
+			dst[i] = s
+		}
+	}
+}
+
+// PredictProbBatchInto implements metamodel.BatchModel with the same
+// fixed logistic link as PredictProb.
+func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
+	m.decisionBatchInto(dst, pts)
+	for i, s := range dst {
+		dst[i] = 1 / (1 + math.Exp(-2*s))
+	}
+}
+
+// PredictLabelBatchInto implements metamodel.BatchModel with the same
+// decision > 0 boundary as PredictLabel.
+func (m *Model) PredictLabelBatchInto(dst []float64, pts [][]float64) {
+	m.decisionBatchInto(dst, pts)
+	for i, s := range dst {
+		if s > 0 {
+			dst[i] = 1
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// NumSupport returns the number of support vectors.
+func (m *Model) NumSupport() int { return len(m.coef) }
+
+// ApproxMemoryBytes implements metamodel.MemorySizer: the support-vector
+// matrix and the coefficients, 8 bytes per value.
+func (m *Model) ApproxMemoryBytes() int64 {
+	return int64(len(m.sv)+len(m.coef)) * 8
 }
 
 func rbf(a, b []float64, gamma float64) float64 {
@@ -217,14 +265,14 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 		}
 	}
 
-	model := &Model{b: b, gamma: gamma}
+	model := &Model{dim: d.M(), b: b, gamma: gamma}
 	for i := 0; i < n; i++ {
 		if alpha[i] > 1e-9 {
-			model.supportX = append(model.supportX, d.X[i])
+			model.sv = append(model.sv, d.X[i]...)
 			model.coef = append(model.coef, alpha[i]*y[i])
 		}
 	}
-	if len(model.supportX) == 0 {
+	if len(model.coef) == 0 {
 		return &constantModel{label: majority(d.Y)}, nil
 	}
 	return model, nil

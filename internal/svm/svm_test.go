@@ -3,6 +3,7 @@ package svm
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -164,5 +165,26 @@ func TestTunedTrainer(t *testing.T) {
 	}
 	if acc := metamodel.Accuracy(m, d); acc < 0.95 {
 		t.Errorf("tuned accuracy = %.3f", acc)
+	}
+}
+
+// TestZeroValueDefaults pins the zero Trainer to its documented
+// defaults: it must train the same model from the same seed.
+func TestZeroValueDefaults(t *testing.T) {
+	d := svmTrainData(300, 4, 5)
+	explicit := Trainer{C: 1, Gamma: scaleGamma(d), Tol: 1e-3, MaxPasses: 5}
+	got, err := (&Trainer{}).Train(d, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := explicit.Train(d, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := want.(*Model); !ok {
+		t.Fatalf("training collapsed to a constant model: %T", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Trainer{} trains a different model than %+v", explicit)
 	}
 }
