@@ -447,7 +447,7 @@ func BenchmarkDSGCSimulation(b *testing.B) {
 	}
 }
 
-// --- Serial vs parallel pseudo-labeling (the redsserver hot path) ---
+// --- Pseudo-labeling (the redsserver hot path) ---
 
 // benchForest50k trains a default random forest and draws the 50k-point
 // pseudo-label workload the engine shards across workers.
@@ -463,29 +463,14 @@ func benchForest50k(b *testing.B) (reds.Metamodel, [][]float64) {
 	return model, pts
 }
 
-func BenchmarkPredictBatch50kSerial(b *testing.B) {
+// BenchmarkPredictBatch50k times the path labeling takes: the forest's
+// batch kernel over 512-point chunks on the process's compute budget.
+// Run it with -cpu 1,2,4 to see it scale.
+func BenchmarkPredictBatch50k(b *testing.B) {
 	model, pts := benchForest50k(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reds.PredictBatchSerial(pts, model.PredictProb)
-	}
-}
-
-func BenchmarkPredictBatch50kParallel(b *testing.B) {
-	model, pts := benchForest50k(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reds.PredictBatchParallel(context.Background(), pts, model.PredictProb, reds.BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPredictBatch50kParallel4(b *testing.B) {
-	model, pts := benchForest50k(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reds.PredictBatchParallel(context.Background(), pts, model.PredictProb, reds.BatchOptions{Workers: 4}); err != nil {
+		if _, err := reds.PredictProbBatch(context.Background(), model, pts, reds.BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,16 +40,10 @@ func mainRun() int {
 		lprim      = flag.Int("lprim", 0, "REDS L for PRIM-based methods (0 = config default)")
 		lbi        = flag.Int("lbi", 0, "REDS L for BI-based methods (0 = config default)")
 		seed       = flag.Int64("seed", 1, "experiment seed")
-		workers    = flag.Int("workers", 0, "parallel repetitions (0 = GOMAXPROCS)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path at exit (after a final GC)")
 	)
 	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "redsbench: -workers must be >= 0, got %d\n", *workers)
-		flag.Usage()
-		return 2
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -101,7 +95,6 @@ func mainRun() int {
 		cfg.LBI = *lbi
 	}
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 	cfg.Out = os.Stdout
 
 	ids := []string{*exp}

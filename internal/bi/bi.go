@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"github.com/reds-go/reds/internal/box"
@@ -37,12 +36,6 @@ type BI struct {
 	Depth int
 	// MaxIters caps the refinement rounds as a safety net (default 64).
 	MaxIters int
-	// Workers caps the pool evaluating a beam box's M refinement
-	// candidates concurrently (default GOMAXPROCS; 1 = serial). The
-	// engine passes each variant's worker budget here. Results are
-	// identical at any worker count: candidates are gathered in
-	// dimension order.
-	Workers int
 }
 
 // WRAcc returns the weighted relative accuracy of b on d.
@@ -94,23 +87,12 @@ func (a *BI) Discover(train, val *dataset.Dataset, _ *rand.Rand) (*sd.Result, er
 	p0 := train.PositiveShare()
 	nf := float64(train.N())
 
-	workers := a.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
-
 	// Scratch reused across all candidate evaluations. viol/vdim are
 	// computed once per beam box and then only read, so the dimension
-	// workers share them; each worker owns one tie-group buffer.
+	// workers share them; each worker makes its tie-group buffer once.
 	viol := make([]int, train.N())
 	vdim := make([]int, train.N())
-	bufs := make([][]group, workers)
-	for w := range bufs {
-		bufs[w] = make([]group, 0, train.N())
-	}
+	bufs := make([][]group, m)
 	slots := make([]scored, m)
 
 	beam := []scored{{box.Full(m), 0}} // full box has WRAcc 0
@@ -123,10 +105,13 @@ func (a *BI) Discover(train, val *dataset.Dataset, _ *rand.Rand) (*sd.Result, er
 			// iff it violates no bound of cur, or only the bound on j.
 			countViolations(train, cur.b, viol, vdim)
 			// The M per-dimension refinements of one beam box are
-			// independent: fan them across the pool, gather into fixed
-			// slots, append in dimension order — byte-identical to the
-			// serial scan at any worker count.
-			par.For(workers, m, func(w, j int) {
+			// independent: fan them out, gather into fixed slots,
+			// append in dimension order — byte-identical to the serial
+			// scan at any GOMAXPROCS.
+			par.For(m, func(w, j int) {
+				if bufs[w] == nil {
+					bufs[w] = make([]group, 0, train.N())
+				}
 				slots[j] = scored{}
 				nb, ok := bestInterval(cols[j], train.Y, orders[j], cur.b, j, p0, viol, vdim, &bufs[w])
 				if !ok || nb.Restricted() > depth {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/reds-go/reds/internal/box"
@@ -85,9 +86,9 @@ func TestFastIntervalMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBIParallelMatchesSerial asserts the beam-candidate worker pool
-// returns the exact result of the serial scan — same boxes, same
-// statistics — across beam sizes. Run under -race this also exercises
+// TestBIParallelMatchesSerial asserts the beam-candidate fan-out at
+// GOMAXPROCS 4 returns the exact result of the serial scan at
+// GOMAXPROCS 1 — same boxes, same statistics — across beam sizes. Run under -race this also exercises
 // the shared viol/vdim scratch and the per-worker group buffers.
 func TestBIParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -109,12 +110,15 @@ func TestBIParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	d := dataset.MustNew(x, y)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, bs := range []int{1, 3} {
-		serial, err := (&BI{BeamSize: bs, Workers: 1}).Discover(d, d, nil)
+		runtime.GOMAXPROCS(1)
+		serial, err := (&BI{BeamSize: bs}).Discover(d, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := (&BI{BeamSize: bs, Workers: 4}).Discover(d, d, nil)
+		runtime.GOMAXPROCS(4)
+		parallel, err := (&BI{BeamSize: bs}).Discover(d, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func TestDerivedOrdersMatchRadix(t *testing.T) {
 	}
 	for _, prob := range []bool{false, true} {
 		label := func(smp sample.Sampler) *dataset.Dataset {
-			d, err := PseudoLabel(context.Background(), model, smp, 4000, train.M(), 7, prob, metamodel.BatchOptions{Workers: 2})
+			d, err := PseudoLabel(context.Background(), model, smp, 4000, train.M(), 7, prob, metamodel.BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -160,11 +160,11 @@ func draw(smp sample.Sampler, n, dim int, rng *rand.Rand) (pts [][]float64, ords
 }
 
 // labelPoints applies lines 4-6 of Algorithm 4: the points are
-// sharded across a worker pool, ctx is checked per chunk, and models
-// with a metamodel.BatchModel fast path are evaluated through it. With
-// candidate orders the labeled set's sorted orders are built from them
-// at once (dataset.NewPresorted); without, they are radix-sorted on
-// first use.
+// sharded across the process's compute budget, ctx is checked per
+// chunk, and models with a metamodel.BatchModel fast path are
+// evaluated through it. With candidate orders the labeled set's sorted
+// orders are built from them at once (dataset.NewPresorted); without,
+// they are radix-sorted on first use.
 func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, ords [][]int, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
 	var y []float64
 	var err error
@@ -189,8 +189,8 @@ func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, or
 // otherwise). Factoring the stage out of the pipeline is what makes
 // its result shareable — the engine calls it once per metamodel
 // family and serves every variant (and cache-hitting repeat job) the
-// same dataset. opts carries labeling progress and the worker budget;
-// ctx cancels between chunks.
+// same dataset. opts carries labeling progress; ctx cancels between
+// chunks.
 func PseudoLabel(ctx context.Context, model metamodel.Model, smp sample.Sampler, l, dim int, seed int64, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
 	pts, ords := draw(smp, l, dim, rand.New(rand.NewSource(seed)))
 	if err := ctx.Err(); err != nil {

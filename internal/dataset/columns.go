@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"runtime"
 
 	"github.com/reds-go/reds/internal/par"
 )
@@ -90,10 +89,9 @@ func NewPresorted(x [][]float64, y []float64, cand [][]int) (*Dataset, error) {
 
 // orderColumnsLocked builds the sorted-order view column by column: a
 // column adopts its candidate when isSortedOrder accepts it and is
-// radix-sorted otherwise. par.For runs the columns on up to GOMAXPROCS
-// goroutines, each of which makes its radix scratch on first need. The
-// view has no caller's worker budget to stay within; other callers
-// wait on d.mu until it is built.
+// radix-sorted otherwise. par.For runs the columns on the process's
+// compute budget, and each of its goroutines makes its radix scratch
+// on first need. Other callers wait on d.mu until the view is built.
 func (d *Dataset) orderColumnsLocked(cand [][]int) [][]int {
 	n, m := d.N(), d.M()
 	if m == 0 {
@@ -101,9 +99,8 @@ func (d *Dataset) orderColumnsLocked(cand [][]int) [][]int {
 	}
 	cols := d.columnsLocked()
 	ords := make([][]int, m)
-	workers := runtime.GOMAXPROCS(0)
-	sorters := make([]*radixSorter, workers)
-	par.For(workers, m, func(w, j int) {
+	sorters := make([]*radixSorter, m)
+	par.For(m, func(w, j int) {
 		if j < len(cand) && isSortedOrder(cand[j], cols[j]) {
 			ords[j] = cand[j]
 			return

@@ -19,9 +19,9 @@ import (
 // Options configure an Engine.
 type Options struct {
 	// Workers is the number of jobs executed concurrently (default
-	// GOMAXPROCS/2, min 1). Each job may itself fan out across variants
-	// and labeling workers, so a modest pool keeps the machine busy
-	// without oversubscribing it.
+	// GOMAXPROCS/2, min 1). Each job's compute fans out further on the
+	// process's shared budget (internal/par), so a modest pool keeps
+	// the machine busy without oversubscribing it.
 	Workers int
 	// QueueSize bounds the number of pending jobs (default 64). Submit
 	// fails fast once the queue is full — backpressure instead of

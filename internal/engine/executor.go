@@ -246,7 +246,7 @@ func (o LocalExecutorOptions) withDefaults() LocalExecutorOptions {
 // LocalExecutor runs requests in-process: metamodel training (through
 // the size-weighted LRU cache), parallel pseudo-labeling (through the
 // batch-inference fast path and the pseudo-label dataset cache) and
-// the SD stage all happen on the calling process's worker pools. It is
+// the SD stage all happen on the calling process's compute budget. It is
 // the execution layer the engine used before the orchestration/
 // execution split, now behind the Executor seam.
 type LocalExecutor struct {
@@ -400,8 +400,15 @@ func (s *progressSink) preload(spans []StageTiming) {
 // setCheckpoint attaches a new resumable snapshot to the progress and
 // publishes it. The snapshot's trace is stamped here, under the sink's
 // lock, so it is exactly the trace of the progress it travels with.
+// Recorders publish snapshots after releasing their lock, so two can
+// arrive out of order: one older than the attached snapshot is
+// dropped, as the checkpoint writer and the gateway drop theirs.
 func (s *progressSink) setCheckpoint(cp *Checkpoint) {
 	s.mu.Lock()
+	if cp.Seq <= s.p.checkpointSeq() {
+		s.mu.Unlock()
+		return
+	}
 	cp.Timings = s.p.Timings
 	s.p.Checkpoint = cp
 	if s.fn != nil {

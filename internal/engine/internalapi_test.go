@@ -354,6 +354,55 @@ func TestExecServerHoldsStatusUntilDone(t *testing.T) {
 	wg.Wait()
 }
 
+// TestExecServerKeepsNewestCheckpoint: recorders publish snapshots
+// after releasing their lock, so two variants finishing together can
+// deliver them out of Seq order. Through one sink, Seq 2 then Seq 1:
+// the progress, the status's checkpoint_seq and /checkpoint all keep 2.
+func TestExecServerKeepsNewestCheckpoint(t *testing.T) {
+	var last atomic.Pointer[Checkpoint]
+	es := NewExecServer(execFunc(func(_ context.Context, _ Request, onProgress func(Progress)) (*Result, error) {
+		sink := newProgressSink(func(p Progress) {
+			last.Store(p.Checkpoint)
+			onProgress(p)
+		})
+		sink.setCheckpoint(&Checkpoint{Seq: 2})
+		sink.setCheckpoint(&Checkpoint{Seq: 1})
+		return &Result{DatasetHash: "h"}, nil
+	}), ExecServerOptions{})
+	srv := httptest.NewServer(es.Handler())
+	defer func() {
+		srv.Close()
+		es.Close()
+	}()
+	remote := &RemoteExecutor{BaseURL: srv.URL}
+
+	body, _ := json.Marshal(Request{Function: "morris"})
+	id, err := remote.start(context.Background(), body)
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	st, err := remote.poll(context.Background(), id)
+	if err != nil {
+		t.Fatalf("poll: %v", err)
+	}
+	if st.Status != StatusDone {
+		t.Fatalf("status %s, want done", st.Status)
+	}
+	if cp := last.Load(); cp == nil || cp.Seq != 2 {
+		t.Errorf("progress carries checkpoint %+v, want seq 2", cp)
+	}
+	if st.CheckpointSeq != 2 {
+		t.Errorf("checkpoint_seq = %d, want 2", st.CheckpointSeq)
+	}
+	cp, err := remote.fetchCheckpoint(context.Background(), id)
+	if err != nil {
+		t.Fatalf("fetch checkpoint: %v", err)
+	}
+	if cp.Seq != 2 {
+		t.Errorf("/checkpoint served seq %d, want 2", cp.Seq)
+	}
+}
+
 // TestRemoteExecutorPacesStatusGETs runs against a stub worker that
 // answers every status GET at once with running, as a worker without
 // the hold does: the executor must still send at most one status GET

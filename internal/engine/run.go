@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -87,18 +86,15 @@ func trainerByName(name string, m int, tuned, binned bool) metamodel.Trainer {
 	}
 }
 
-// sdByName builds the subgroup-discovery stage, handing each algorithm
-// the variant's worker budget: peeling fans its per-dimension candidate
-// evaluation out, bumping its bootstrap replicas, BI its beam
-// refinement candidates.
-func sdByName(name string, workers int) sd.Discoverer {
+// sdByName builds the subgroup-discovery stage.
+func sdByName(name string) sd.Discoverer {
 	switch name {
 	case "bumping":
-		return &prim.Bumping{Workers: workers}
+		return &prim.Bumping{}
 	case "bi":
-		return &bi.BI{Workers: workers}
+		return &bi.BI{}
 	default: // "prim"
-		return &prim.Peeler{Workers: workers}
+		return &prim.Peeler{}
 	}
 }
 
@@ -246,14 +242,6 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 			familySeed[v.metamodel] = seed + int64(len(familySeed)+1)*variantSeedStride
 		}
 	}
-	// Bound each variant's worker pools (tuning, pseudo-labeling and
-	// the SD stage alike) so a job's fan-out does not multiply into
-	// GOMAXPROCS × variants goroutines.
-	labelWorkers := runtime.GOMAXPROCS(0) / len(variants)
-	if labelWorkers < 1 {
-		labelWorkers = 1
-	}
-
 	results := make([]VariantResult, len(variants))
 	// running counts the variants still to finish. The last one to
 	// finish publishes no checkpoint: the result supersedes it at once.
@@ -284,7 +272,6 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 			vr := x.runVariant(ctx, req, sink, train, hash, smp, l, v, variantConfig{
 				pipelineSeed: seed + int64(vi+1)*variantSeedStride,
 				trainSeed:    familySeed[v.metamodel],
-				labelWorkers: labelWorkers,
 				checkpoints:  ckpt,
 			})
 			results[vi] = vr
@@ -317,12 +304,10 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 // pipelineSeed drives the SD stage (unique per variant); trainSeed
 // drives metamodel training and, through fixed offsets, distillation
 // and pseudo-labeling (shared across a family, so its SD variants share
-// one entry of each cache); labelWorkers bounds the variant's worker
-// pools.
+// one entry of each cache).
 type variantConfig struct {
 	pipelineSeed int64
 	trainSeed    int64
-	labelWorkers int
 	// checkpoints records this execution's reusable work and serves the
 	// inbound checkpoint's labeled datasets for stage skipping.
 	checkpoints *checkpointRecorder
@@ -430,12 +415,6 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 	if dnew == nil {
 		exit := enter("train")
 		trainer := trainerByName(v.metamodel, train.M(), req.Tuned, binned)
-		if tu, ok := trainer.(*metamodel.Tuned); ok {
-			// Tuning cells are seeded per candidate and reduce in grid
-			// order, so the tuner may spend the variant's worker budget
-			// without changing its outcome.
-			tu.Workers = cfg.labelWorkers
-		}
 		// Training draws from its own seed, so the model is the same
 		// whichever variant or job trains it.
 		model, hit, err := x.models.getOrCompute(modelKey, func() (metamodel.Model, error) {
@@ -471,7 +450,7 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 		}
 		d, hit, err := x.labels.getOrCompute(key, func() (*dataset.Dataset, error) {
 			d, err := core.PseudoLabel(ctx, labeler, smp, l, train.M(), labelSeed, req.ProbLabels,
-				metamodel.BatchOptions{Workers: cfg.labelWorkers, Progress: labelProgress})
+				metamodel.BatchOptions{Progress: labelProgress})
 			if err != nil {
 				return nil, err
 			}
@@ -496,7 +475,7 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 	// The SD stage is the only one that draws from the variant's
 	// pipeline RNG. It validates on the real examples.
 	exit := enter("discover")
-	res, err := sdByName(v.sd, cfg.labelWorkers).Discover(dnew, train, rand.New(rand.NewSource(cfg.pipelineSeed)))
+	res, err := sdByName(v.sd).Discover(dnew, train, rand.New(rand.NewSource(cfg.pipelineSeed)))
 	exit()
 	if err == nil {
 		err = ctx.Err()

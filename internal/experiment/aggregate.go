@@ -43,7 +43,6 @@ func runSuite(cfg Config, methodNames []string, ns []int, smp sample.Sampler, mi
 				LBI:      cfg.LBI,
 				Test:     test,
 				Seed:     cfg.Seed,
-				Workers:  cfg.Workers,
 			})
 			if err != nil {
 				return nil, err

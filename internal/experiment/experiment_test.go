@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -95,16 +96,17 @@ func TestRunCellBasics(t *testing.T) {
 }
 
 // TestRunCellDeterministic: a fixed seed gives the same outcomes on
-// every run and at every worker count; a negative count runs serially.
+// every run and at every GOMAXPROCS, serial at 1 included.
 func TestRunCellDeterministic(t *testing.T) {
 	f, _ := funcs.Get("hart3")
 	test := CachedTestSet(f, 400, 2)
-	run := func(workers int) *CellResult {
+	run := func(procs int) *CellResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		cell, err := RunCell(Cell{
 			Function: f, N: 60, Reps: 2,
 			Methods: []string{"P"},
 			LPrim:   500, LBI: 500,
-			Test: test, Seed: 5, Workers: workers,
+			Test: test, Seed: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -112,12 +114,12 @@ func TestRunCellDeterministic(t *testing.T) {
 		return cell
 	}
 	a := run(2)
-	for _, workers := range []int{2, -1} {
-		b := run(workers)
+	for _, procs := range []int{2, 1} {
+		b := run(procs)
 		for rep, x := range a.ByMethod["P"] {
 			y := b.ByMethod["P"][rep]
 			if x.PRAUC != y.PRAUC || x.WRAcc != y.WRAcc || x.TrainWRAcc != y.TrainWRAcc || !x.Final.Equal(y.Final) {
-				t.Fatalf("Workers %d: rep %d differs from Workers 2", workers, rep)
+				t.Fatalf("GOMAXPROCS %d: rep %d differs from GOMAXPROCS 2", procs, rep)
 			}
 		}
 	}

@@ -72,7 +72,7 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 			Function: f, N: n, Reps: cfg.Reps,
 			Methods: append(append([]string{}, fig12PrimN...), fig12BIN...),
 			LPrim:   cfg.LPrim, LBI: cfg.LBI,
-			Test: test, Seed: cfg.Seed, Workers: cfg.Workers,
+			Test: test, Seed: cfg.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -92,7 +92,7 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 			Function: f, N: 400, Reps: cfg.Reps,
 			Methods: []string{"RPx", "RPxp", "RBIcxp"},
 			LPrim:   l, LBI: l,
-			Test: test, Seed: cfg.Seed, Workers: cfg.Workers,
+			Test: test, Seed: cfg.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -105,7 +105,7 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 		Function: f, N: 400, Reps: cfg.Reps,
 		Methods: []string{"P", "BI"},
 		LPrim:   cfg.LPrim, LBI: cfg.LBI,
-		Test: test, Seed: cfg.Seed, Workers: cfg.Workers,
+		Test: test, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

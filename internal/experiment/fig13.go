@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 
 	"github.com/reds-go/reds/internal/box"
 	"github.com/reds-go/reds/internal/dataset"
@@ -89,11 +88,7 @@ func runThirdParty(cfg Config, name string, data *dataset.Dataset, rel []bool, r
 	}
 
 	results := make([]res, len(jobs))
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	par.For(workers, len(jobs), func(_, ji int) {
+	par.For(len(jobs), func(_, ji int) {
 		j := jobs[ji]
 		f := folds[j.rep][j.fold]
 		outs, err := runThirdPartyFold(cfg, name, f.Train, f.Test, j.rep*5+j.fold)

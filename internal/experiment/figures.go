@@ -37,7 +37,6 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		LPrim:    cfg.LPrim,
 		Test:     CachedTestSet(f, cfg.TestN, cfg.Seed),
 		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -173,7 +172,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 	test := CachedTestSet(f, cfg.TestN, cfg.Seed)
 	cell, err := RunCell(Cell{
 		Function: f, N: 400, Reps: cfg.Reps, Methods: methodsList,
-		LPrim: cfg.LPrim, LBI: cfg.LBI, Test: test, Seed: cfg.Seed, Workers: cfg.Workers,
+		LPrim: cfg.LPrim, LBI: cfg.LBI, Test: test, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

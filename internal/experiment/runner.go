@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -57,8 +56,6 @@ type Cell struct {
 	Test *dataset.Dataset
 	// Seed anchors this cell's randomness.
 	Seed int64
-	// Workers caps parallelism (0 = GOMAXPROCS; below 0, serial).
-	Workers int
 }
 
 // RunCell executes Reps repetitions of every method on fresh training
@@ -104,12 +101,8 @@ func RunCell(c Cell) (*CellResult, error) {
 	}
 	outcomes := make([][]RepOutcome, c.Reps)
 
-	workers := c.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	errs := make([]error, c.Reps)
-	par.For(workers, c.Reps, func(_, rep int) {
+	par.For(c.Reps, func(_, rep int) {
 		outcomes[rep], errs[rep] = runRep(c, smp, resolved, rep)
 	})
 	for rep, err := range errs {

@@ -3,6 +3,7 @@ package gbt
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -118,7 +119,8 @@ func TestGBTBatchThroughMetamodel(t *testing.T) {
 	}
 	pts := batchQueryPoints(d, 999, 16)
 	want := metamodel.PredictBatchSerial(pts, trained.PredictLabel)
-	got, err := metamodel.PredictLabelBatchCtx(t.Context(), trained, pts, metamodel.BatchOptions{Workers: 2})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	got, err := metamodel.PredictLabelBatchCtx(t.Context(), trained, pts, metamodel.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

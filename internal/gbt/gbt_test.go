@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -129,8 +130,8 @@ func TestTunedTrainer(t *testing.T) {
 	}
 }
 
-// TestTunedWorkersBitIdentical: the tuner's worker count cannot change
-// the ensemble it returns, exact or binned.
+// TestTunedWorkersBitIdentical: GOMAXPROCS cannot change the ensemble
+// the tuner returns, exact or binned.
 func TestTunedWorkersBitIdentical(t *testing.T) {
 	d := noisyData(240, 6, 31)
 	probe := noisyData(300, 6, 32)
@@ -139,10 +140,11 @@ func TestTunedWorkersBitIdentical(t *testing.T) {
 		func() metamodel.Trainer { return TunedTrainerBinned(0) },
 	} {
 		var want []float64
-		for _, workers := range []int{1, 4} {
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
 			tu := mk().(*metamodel.Tuned)
-			tu.Workers = workers
 			m, err := tu.Train(d, rand.New(rand.NewSource(33)))
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +155,7 @@ func TestTunedWorkersBitIdentical(t *testing.T) {
 			}
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%T Workers=%d: point %d predicts %v, Workers=1 %v", tu.Grid[0], workers, i, got[i], want[i])
+					t.Fatalf("%T GOMAXPROCS=%d: point %d predicts %v, GOMAXPROCS=1 %v", tu.Grid[0], procs, i, got[i], want[i])
 				}
 			}
 		}

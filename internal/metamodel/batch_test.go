@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -38,24 +39,30 @@ func randPoints(n, m int, rng *rand.Rand) [][]float64 {
 	return pts
 }
 
+// TestParallelMatchesSerial: at the GOMAXPROCS the test runs with (0)
+// and at 1, 2 and 7, the parallel batch equals the serial scan.
 func TestParallelMatchesSerial(t *testing.T) {
 	pts := randPoints(5000, 3, rand.New(rand.NewSource(1)))
 	var m slowModel
 	want := PredictBatchSerial(pts, m.PredictProb)
-	for _, workers := range []int{0, 1, 2, 7} {
-		got, err := PredictBatchParallel(context.Background(), pts, m.PredictProb, BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: point %d: %v != %v", workers, i, got[i], want[i])
+	for _, procs := range []int{0, 1, 2, 7} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got, err := PredictBatchParallel(context.Background(), pts, m.PredictProb, BatchOptions{})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 			}
-		}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("GOMAXPROCS=%d: point %d: %v != %v", procs, i, got[i], want[i])
+				}
+			}
+		}()
 	}
 }
 
 func TestBatchProgressCoversAllPoints(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	pts := randPoints(3000, 2, rand.New(rand.NewSource(2)))
 	var mu sync.Mutex
 	sum, max := 0, 0
@@ -73,7 +80,6 @@ func TestBatchProgressCoversAllPoints(t *testing.T) {
 				max = done
 			}
 		},
-		Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +90,11 @@ func TestBatchProgressCoversAllPoints(t *testing.T) {
 }
 
 func TestBatchCancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	pts := randPoints(200000, 2, rand.New(rand.NewSource(3)))
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	out, err := PredictBatchParallel(ctx, pts, slowModel{}.PredictProb, BatchOptions{
-		Workers: 2,
 		Progress: func(done, total int) {
 			once.Do(cancel) // cancel after the first chunk
 		},
@@ -144,33 +150,36 @@ func (m *chunkRecordingModel) record(n int) {
 
 // TestBatchModelDispatch asserts PredictProbBatchCtx/PredictLabelBatchCtx
 // route every point through the vectorized kernel exactly once, in
-// bounded chunks with the uneven tail intact, at any worker count.
+// bounded chunks with the uneven tail intact, at any GOMAXPROCS.
 func TestBatchModelDispatch(t *testing.T) {
 	pts := randPoints(2*batchChunk+37, 2, rand.New(rand.NewSource(5)))
-	for _, workers := range []int{1, 3} {
-		m := &chunkRecordingModel{}
-		probs, err := PredictProbBatchCtx(context.Background(), m, pts, BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels, err := PredictLabelBatchCtx(context.Background(), m, pts, BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range pts {
-			if probs[i] != x[0] || labels[i] != 1-x[0] {
-				t.Fatalf("workers=%d: point %d misrouted: prob %v label %v", workers, i, probs[i], labels[i])
+	for _, procs := range []int{1, 3} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			m := &chunkRecordingModel{}
+			probs, err := PredictProbBatchCtx(context.Background(), m, pts, BatchOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		total := 0
-		for _, c := range m.chunks {
-			if c < 1 || c > batchChunk {
-				t.Fatalf("workers=%d: kernel got a chunk of %d points (max %d)", workers, c, batchChunk)
+			labels, err := PredictLabelBatchCtx(context.Background(), m, pts, BatchOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			total += c
-		}
-		if total != 2*len(pts) {
-			t.Fatalf("workers=%d: kernel saw %d points across both calls, want %d", workers, total, 2*len(pts))
-		}
+			for i, x := range pts {
+				if probs[i] != x[0] || labels[i] != 1-x[0] {
+					t.Fatalf("GOMAXPROCS=%d: point %d misrouted: prob %v label %v", procs, i, probs[i], labels[i])
+				}
+			}
+			total := 0
+			for _, c := range m.chunks {
+				if c < 1 || c > batchChunk {
+					t.Fatalf("GOMAXPROCS=%d: kernel got a chunk of %d points (max %d)", procs, c, batchChunk)
+				}
+				total += c
+			}
+			if total != 2*len(pts) {
+				t.Fatalf("GOMAXPROCS=%d: kernel saw %d points across both calls, want %d", procs, total, 2*len(pts))
+			}
+		}()
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -66,10 +65,10 @@ type MemorySizer interface {
 	ApproxMemoryBytes() int64
 }
 
-// PredictProbBatch evaluates PredictProb on every point, parallelized
-// across GOMAXPROCS workers. REDS labels 10^4-10^5 points per run, which
-// makes this the hot path of the whole pipeline. Models implementing
-// BatchModel are evaluated through their vectorized fast path.
+// PredictProbBatch evaluates PredictProb on every point in parallel.
+// REDS labels 10^4-10^5 points per run, which makes this the hot path
+// of the whole pipeline. Models implementing BatchModel are evaluated
+// through their vectorized fast path.
 func PredictProbBatch(m Model, pts [][]float64) []float64 {
 	out, _ := PredictProbBatchCtx(context.Background(), m, pts, BatchOptions{})
 	return out
@@ -82,8 +81,8 @@ func PredictLabelBatch(m Model, pts [][]float64) []float64 {
 	return out
 }
 
-// PredictProbBatchCtx is PredictProbBatch with cancellation, progress
-// and worker control: it detects a BatchModel and hands its vectorized
+// PredictProbBatchCtx is PredictProbBatch with cancellation and
+// progress: it detects a BatchModel and hands its vectorized
 // kernel to PredictBatchParallel, falling back to the per-point
 // closure otherwise.
 func PredictProbBatchCtx(ctx context.Context, m Model, pts [][]float64, opts BatchOptions) ([]float64, error) {
@@ -108,9 +107,6 @@ const batchChunk = 512
 
 // BatchOptions configure PredictBatchParallel.
 type BatchOptions struct {
-	// Workers is the number of prediction goroutines (default
-	// GOMAXPROCS). One worker degenerates to a serial scan.
-	Workers int
 	// Progress, when non-nil, is called after every completed chunk with
 	// the running total of labeled points. It may be called concurrently
 	// from several workers and must be safe for that.
@@ -135,19 +131,15 @@ func PredictBatchSerial(pts [][]float64, f func([]float64) float64) []float64 {
 	return out
 }
 
-// PredictBatchParallel shards the evaluation of f over pts across a pool
-// of workers. Points are handed out in fixed-size chunks so workers stay
-// balanced even when per-point cost varies (deep trees vs early exits).
+// PredictBatchParallel shards the evaluation of f over pts with par.For.
+// Points are handed out in fixed-size chunks so workers stay balanced
+// even when per-point cost varies (deep trees vs early exits).
 // Cancelling ctx stops the scan between chunks and returns ctx.Err();
 // the partially-filled slice is discarded.
 func PredictBatchParallel(ctx context.Context, pts [][]float64, f func([]float64) float64, opts BatchOptions) ([]float64, error) {
 	out := make([]float64, len(pts))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var done atomic.Int64
-	par.For(workers, (len(pts)+batchChunk-1)/batchChunk, func(_, c int) {
+	par.For((len(pts)+batchChunk-1)/batchChunk, func(_, c int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -171,14 +163,12 @@ func PredictBatchParallel(ctx context.Context, pts [][]float64, f func([]float64
 }
 
 // Accuracy returns the share of points whose hard prediction matches the
-// binary label. It labels every point in one batch call on the calling
-// goroutine: the tuner scores its holdouts with it from inside a cell
-// that already holds a worker.
+// binary label. Inside a tuning cell its labeling takes only idle cores.
 func Accuracy(m Model, d *dataset.Dataset) float64 {
 	if d.N() == 0 {
 		return 0
 	}
-	preds, _ := PredictLabelBatchCtx(context.Background(), m, d.X, BatchOptions{Workers: 1})
+	preds := PredictLabelBatch(m, d.X)
 	correct := 0
 	for i, pred := range preds {
 		want := 0.0
@@ -215,12 +205,6 @@ type Tuned struct {
 	Grid []Trainer
 	// Folds is the number of CV folds (default 3).
 	Folds int
-	// Workers bounds the pool evaluating fold × grid cells (default 1,
-	// serial). Every cell trains from its own candidateSeed-derived RNG
-	// and accuracies reduce in fixed grid order, so any worker count
-	// produces the identical tuning outcome — the engine wires this to
-	// its per-variant CPU budget.
-	Workers int
 }
 
 // Name implements Trainer.
@@ -282,7 +266,7 @@ func (t *Tuned) Train(d *dataset.Dataset, rng *rand.Rand) (Model, error) {
 	// clock.
 	accs := make([]float64, len(t.Grid)*len(kf)) // accs[gi*len(kf)+fi]
 	errs := make([]error, len(accs))
-	par.For(t.Workers, len(accs), func(_, c int) {
+	par.For(len(accs), func(_, c int) {
 		tr, fi := t.Grid[c/len(kf)], c%len(kf)
 		child := rand.New(rand.NewSource(candidateSeed(tuneSeed, tr, fi)))
 		var m Model

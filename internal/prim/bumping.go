@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"github.com/reds-go/reds/internal/box"
@@ -26,11 +25,6 @@ type Bumping struct {
 	// SubsetSize is m, the number of inputs per repetition
 	// (default: all inputs).
 	SubsetSize int
-	// Workers caps the pool peeling the independent bootstrap replicas
-	// (default GOMAXPROCS; 1 peels serially). Every replica's random
-	// draws happen up front on the caller's goroutine, so the result is
-	// identical for any worker count.
-	Workers int
 }
 
 // Discover implements sd.Discoverer.
@@ -50,19 +44,7 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 	if subset <= 0 || subset > m {
 		subset = m
 	}
-	workers := b.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Split the worker budget between the replica pool and the peelers
-	// inside it: with more workers than replicas (small Q on a big
-	// machine) each replica's candidate evaluation fans out over the
-	// leftover share. The output is identical for any split.
-	peelWorkers := workers / q
-	if peelWorkers < 1 {
-		peelWorkers = 1
-	}
-	peeler := &Peeler{Alpha: b.Alpha, MinPoints: b.MinPoints, Workers: peelWorkers}
+	peeler := &Peeler{Alpha: b.Alpha, MinPoints: b.MinPoints}
 
 	// Draw every replica's bootstrap rows and column subset on the
 	// caller's goroutine first — the RNG stream is exactly that of a
@@ -80,7 +62,7 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 	}
 	results := make([]*sd.Result, q)
 	errs := make([]error, q)
-	par.For(workers, q, func(_, rep int) {
+	par.For(q, func(_, rep int) {
 		results[rep], errs[rep] = peeler.Discover(reps[rep].sub, reps[rep].sub, nil)
 	})
 	var boxes []*box.Box
@@ -96,13 +78,13 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 	// Pareto filter on validation precision and recall. Evaluating every
 	// candidate box on the validation set is itself a hot loop
 	// (Q replicas × trajectory steps, O(N·M) each) and each box is
-	// independent, so it shares the replica pool.
+	// independent, so it fans out too.
 	totalPos := 0.0
 	for _, y := range val.Y {
 		totalPos += y
 	}
 	valStats := make([]sd.Stats, len(boxes))
-	par.For(workers, len(boxes), func(_, i int) {
+	par.For(len(boxes), func(_, i int) {
 		valStats[i] = sd.Compute(boxes[i], val)
 	})
 	qualities := make([][]float64, len(boxes))

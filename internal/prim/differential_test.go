@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -53,9 +54,10 @@ func sameTrajectory(t *testing.T, name string, got, want *sd.Result) {
 }
 
 // TestFastPeelerMatchesReference peels seeded random datasets with the
-// presorted columnar engine (serial and parallel) and with the original
-// quickselect implementation, asserting byte-identical trajectories:
-// every box bound, every step statistic, the selected final box.
+// presorted columnar engine (at the test's GOMAXPROCS and at 4) and
+// with the original quickselect implementation, asserting
+// byte-identical trajectories: every box bound, every step statistic,
+// the selected final box.
 func TestFastPeelerMatchesReference(t *testing.T) {
 	configs := []Peeler{
 		{},
@@ -77,9 +79,9 @@ func TestFastPeelerMatchesReference(t *testing.T) {
 			}
 			sameTrajectory(t, "serial fast", got, want)
 
-			par := base
-			par.Workers = 4
-			got, err = par.Discover(d, val, nil)
+			prev := runtime.GOMAXPROCS(4)
+			got, err = fast.Discover(d, val, nil)
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("config %d seed %d: parallel: %v", ci, seed, err)
 			}
@@ -171,22 +173,23 @@ func TestFastPeelerMatchesReferenceProbLabels(t *testing.T) {
 	}
 }
 
-// TestParallelBumpingMatchesSerial runs bumping with the parallel
-// replica pool against a serial run from identical seeds and asserts
+// TestParallelBumpingMatchesSerial runs bumping at GOMAXPROCS 4 against
+// a serial run at GOMAXPROCS 1 from identical seeds and asserts
 // byte-identical results. TestFastPeelerMatchesReferenceWithTies checks
 // the same replicas' peels against the reference peeler.
 func TestParallelBumpingMatchesSerial(t *testing.T) {
 	d := diffDataset(300, 5, 11)
 	val := diffDataset(200, 5, 12)
 
-	serial := &Bumping{Q: 12, SubsetSize: 3, MinPoints: 10, Workers: 1}
-	want, err := serial.Discover(d, val, rand.New(rand.NewSource(9)))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b := &Bumping{Q: 12, SubsetSize: 3, MinPoints: 10}
+	want, err := b.Discover(d, val, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	par := &Bumping{Q: 12, SubsetSize: 3, MinPoints: 10, Workers: 4}
-	got, err := par.Discover(d, val, rand.New(rand.NewSource(9)))
+	runtime.GOMAXPROCS(4)
+	got, err := b.Discover(d, val, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}

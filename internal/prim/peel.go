@@ -9,15 +9,14 @@
 // O(α·n) prefix sum instead of the original implementation's α-quantile
 // selection and three full passes, which the tests keep as their oracle
 // (peel_reference_test.go). A step's dimensions are independent: par.For
-// evaluates each one's low and high peel on the Peeler's worker budget.
-// Bumping peels its replicas and scores their boxes the same way.
+// evaluates each one's low and high peel. Bumping peels its replicas
+// and scores their boxes the same way.
 package prim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 
 	"github.com/reds-go/reds/internal/box"
 	"github.com/reds-go/reds/internal/dataset"
@@ -54,10 +53,6 @@ type Peeler struct {
 	Paste bool
 	// Objective selects the peel target function (default ObjectiveMean).
 	Objective Objective
-	// Workers caps the worker pool evaluating a step's per-dimension
-	// peel candidates (default GOMAXPROCS, never more than the number
-	// of inputs; 1 evaluates serially with no goroutines).
-	Workers int
 }
 
 // Discover implements sd.Discoverer. The RNG is unused; peeling is
@@ -95,7 +90,7 @@ func (p *Peeler) Discover(train, val *dataset.Dataset, _ *rand.Rand) (*sd.Result
 
 	// The candidate search maintains sorted per-dimension orders in a
 	// peelEngine; the box filters through reusable ping-pong buffers.
-	eng := newPeelEngine(train, p.Workers, p.Objective)
+	eng := newPeelEngine(train, p.Objective)
 	valCols := val.Columns()
 	trainSpare := make([]int, 0, train.N())
 	valSpare := make([]int, 0, val.N())
@@ -211,13 +206,12 @@ type peelEngine struct {
 	inbox []bool  // row is inside the current box
 	stale bool    // a peel was applied; orders need compaction
 
-	workers int
-	obj     Objective
-	cands   []peelCand
-	found   []bool
+	obj   Objective
+	cands []peelCand
+	found []bool
 }
 
-func newPeelEngine(train *dataset.Dataset, workers int, obj Objective) *peelEngine {
+func newPeelEngine(train *dataset.Dataset, obj Objective) *peelEngine {
 	cols := train.Columns()
 	shared := train.SortedOrders()
 	n, m := train.N(), train.M()
@@ -233,18 +227,14 @@ func newPeelEngine(train *dataset.Dataset, workers int, obj Objective) *peelEngi
 	for i := range inbox {
 		inbox[i] = true
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return &peelEngine{
-		cols:    cols,
-		y:       train.Y,
-		ords:    ords,
-		inbox:   inbox,
-		workers: workers,
-		obj:     obj,
-		cands:   make([]peelCand, m),
-		found:   make([]bool, m),
+		cols:  cols,
+		y:     train.Y,
+		ords:  ords,
+		inbox: inbox,
+		obj:   obj,
+		cands: make([]peelCand, m),
+		found: make([]bool, m),
 	}
 }
 
@@ -279,7 +269,7 @@ func (e *peelEngine) bestPeel(idx []int, alpha float64) (peelCand, bool) {
 	}
 
 	m := len(e.cols)
-	par.For(e.workers, m, func(_, j int) {
+	par.For(m, func(_, j int) {
 		e.evalDim(j, n, k, total)
 	})
 	e.stale = false

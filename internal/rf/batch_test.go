@@ -3,6 +3,7 @@ package rf
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -109,7 +110,7 @@ func TestForestBatchMatchesPerPoint(t *testing.T) {
 
 // TestForestBatchThroughMetamodel asserts the metamodel wrappers
 // detect the forest's BatchModel implementation and still return the
-// per-point answers, across worker counts.
+// per-point answers, across GOMAXPROCS settings.
 func TestForestBatchThroughMetamodel(t *testing.T) {
 	d := tiedTrainData(200, 5, 4)
 	model, err := (&Trainer{NTrees: 20}).Train(d, rand.New(rand.NewSource(5)))
@@ -121,14 +122,16 @@ func TestForestBatchThroughMetamodel(t *testing.T) {
 	}
 	pts := batchQueryPoints(d, 999, 6)
 	want := metamodel.PredictBatchSerial(pts, model.PredictProb)
-	for _, workers := range []int{1, 3} {
-		got, err := metamodel.PredictProbBatchCtx(t.Context(), model, pts, metamodel.BatchOptions{Workers: workers})
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := metamodel.PredictProbBatchCtx(t.Context(), model, pts, metamodel.BatchOptions{})
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d point %d: %v != %v", workers, i, got[i], want[i])
+				t.Fatalf("GOMAXPROCS=%d point %d: %v != %v", procs, i, got[i], want[i])
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/flattree"
@@ -70,10 +69,9 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 	bins := d.Bins(budget)
 	cfg, seeds := t.plan(d.M(), rng)
 	trees := make([]*tree, len(seeds))
-	workers := runtime.GOMAXPROCS(0)
-	builders := make([]*binnedTreeBuilder, workers)
-	idxs := make([][]int, workers)
-	par.For(workers, len(seeds), func(w, ti int) {
+	builders := make([]*binnedTreeBuilder, len(seeds))
+	idxs := make([][]int, len(seeds))
+	par.For(len(seeds), func(w, ti int) {
 		if builders[w] == nil {
 			builders[w], idxs[w] = newBinnedTreeBuilder(bins, d.Y, d.M(), nRows, cfg), make([]int, nRows)
 		}

@@ -3,7 +3,6 @@ package rf
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/flattree"
@@ -95,10 +94,9 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	cols := d.Columns()
 	shared := d.SortedOrders()
 	trees := make([]*tree, len(seeds))
-	workers := runtime.GOMAXPROCS(0)
-	builders := make([]*treeBuilder, workers)
-	idxs := make([][]int, workers)
-	par.For(workers, len(seeds), func(w, ti int) {
+	builders := make([]*treeBuilder, len(seeds))
+	idxs := make([][]int, len(seeds))
+	par.For(len(seeds), func(w, ti int) {
 		if builders[w] == nil {
 			builders[w], idxs[w] = newTreeBuilder(cols, d.Y, shared, cfg), make([]int, d.N())
 		}

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/funcs"
@@ -131,8 +133,8 @@ func TestTunedTrainerGrid(t *testing.T) {
 	}
 }
 
-// TestTunedWorkersBitIdentical: the tuner's worker count cannot change
-// the forest it returns, exact or binned.
+// TestTunedWorkersBitIdentical: GOMAXPROCS cannot change the forest the
+// tuner returns, exact or binned.
 func TestTunedWorkersBitIdentical(t *testing.T) {
 	d := randomDataset(240, 6, 31)
 	probe := randomDataset(300, 6, 32)
@@ -141,10 +143,11 @@ func TestTunedWorkersBitIdentical(t *testing.T) {
 		func() metamodel.Trainer { return TunedTrainerBinned(d.M(), 0) },
 	} {
 		var want []float64
-		for _, workers := range []int{1, 4} {
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
 			tu := mk().(*metamodel.Tuned)
-			tu.Workers = workers
 			m, err := tu.Train(d, rand.New(rand.NewSource(33)))
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,9 +158,50 @@ func TestTunedWorkersBitIdentical(t *testing.T) {
 			}
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%T Workers=%d: point %d predicts %v, Workers=1 %v", tu.Grid[0], workers, i, got[i], want[i])
+					t.Fatalf("%T GOMAXPROCS=%d: point %d predicts %v, GOMAXPROCS=1 %v", tu.Grid[0], procs, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestTunedTrainGoroutineBound: tuning cells and the trees they grow
+// share the process's compute budget, so a tuned rf train at
+// GOMAXPROCS 2 runs at most one goroutine beyond the test's own, exact
+// or binned.
+func TestTunedTrainGoroutineBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	d := randomDataset(1600, 10, 41)
+	for _, tr := range []metamodel.Trainer{TunedTrainer(d.M()), TunedTrainerBinned(d.M(), 0)} {
+		stop, peak := make(chan struct{}), make(chan int)
+		go func() {
+			most := 0
+			for {
+				select {
+				case <-stop:
+					peak <- most
+					return
+				default:
+				}
+				// A helper that has released its slot is still counted
+				// for the few instructions it takes to exit, while the
+				// next helper may already have started: a new peak
+				// counts only at its lowest level over 5 ms.
+				n := runtime.NumGoroutine()
+				for until := time.Now().Add(5 * time.Millisecond); n > most && time.Now().Before(until); {
+					runtime.Gosched()
+					n = min(n, runtime.NumGoroutine())
+				}
+				most = max(most, n)
+			}
+		}()
+		own := runtime.NumGoroutine() // the sampler included
+		if _, err := tr.Train(d, rand.New(rand.NewSource(42))); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		if extra := <-peak - own; extra > 1 {
+			t.Errorf("%T: training peaked at %d goroutines beyond the test's own, want at most 1", tr.(*metamodel.Tuned).Grid[0], extra)
 		}
 	}
 }

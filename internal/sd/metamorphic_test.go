@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -37,6 +38,8 @@ import (
 //
 // Bumping is left out: it draws its bootstraps by row.
 func TestDiscoverersMetamorphic(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 	increasing := []func(float64) float64{
 		func(x float64) float64 { return x * x * x },
 		func(x float64) float64 { return math.Exp(3 * x) },
@@ -54,11 +57,13 @@ func TestDiscoverersMetamorphic(t *testing.T) {
 		// transformed copy of the data gives input j transform
 		// (j+shift) mod len(monotone), so every input meets each one.
 		monotone []func(float64) float64
+		// procs is the GOMAXPROCS it runs at.
+		procs int
 	}{
-		{"prim/workers=1", &prim.Peeler{Workers: 1}, increasing},
-		{"prim/workers=4", &prim.Peeler{Workers: 4}, increasing},
-		{"bi/beam=1", &bi.BI{BeamSize: 1}, affine},
-		{"bi/beam=5", &bi.BI{BeamSize: 5}, affine},
+		{"prim/GOMAXPROCS=1", &prim.Peeler{}, increasing, 1},
+		{"prim/GOMAXPROCS=4", &prim.Peeler{}, increasing, 4},
+		{"bi/beam=1", &bi.BI{BeamSize: 1}, affine, procs},
+		{"bi/beam=5", &bi.BI{BeamSize: 5}, affine, procs},
 	}
 	for _, name := range []string{"borehole", "morris", "hart3", "ellipse", "f2"} {
 		f, err := funcs.Get(name)
@@ -74,6 +79,7 @@ func TestDiscoverersMetamorphic(t *testing.T) {
 				permuted.X[k], permuted.Y[k] = d.X[i], d.Y[i]
 			}
 			for _, disc := range discoverers {
+				runtime.GOMAXPROCS(disc.procs)
 				at := func(what string) string { return fmt.Sprintf("%s/seed=%d/%s/%s", name, seed, disc.name, what) }
 				base := discover(t, disc.sd, d)
 

@@ -159,15 +159,15 @@ var TunedGradientBoostingBinned = gbt.TunedTrainerBinned
 // TunedSVM returns a cross-validated SVM trainer.
 var TunedSVM = svm.TunedTrainer
 
-// BatchOptions configure PredictBatchParallel (worker count, progress).
+// BatchOptions configure PredictBatchParallel (progress, batch kernel).
 type BatchOptions = metamodel.BatchOptions
 
 // PredictBatchSerial evaluates a prediction function on every point on
 // the calling goroutine — the baseline for the parallel path.
 var PredictBatchSerial = metamodel.PredictBatchSerial
 
-// PredictBatchParallel shards prediction across a worker pool with
-// cooperative cancellation; the hot path of pseudo-labeling.
+// PredictBatchParallel shards prediction across the process's compute
+// budget with cooperative cancellation; the hot path of pseudo-labeling.
 var PredictBatchParallel = metamodel.PredictBatchParallel
 
 // BatchMetamodel is the vectorized fast path a metamodel may offer:
