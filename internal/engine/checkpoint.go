@@ -1,18 +1,22 @@
 package engine
 
 import (
+	"encoding"
 	"encoding/json"
 	"io"
 	"maps"
 	"sync"
 	"time"
 
-	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/gbt"
+	"github.com/reds-go/reds/internal/metamodel"
+	"github.com/reds-go/reds/internal/rf"
+	"github.com/reds-go/reds/internal/svm"
 )
 
 // Checkpoint is a resumable snapshot of a partially executed request.
 // The executor publishes one after every completed unit of reusable
-// work (a family's pseudo-labeling, a finished variant), except the
+// work (a family's training, a finished variant), except the
 // execution's last variant: its result supersedes any snapshot at once.
 // The engine's checkpoint writer persists the newest snapshot through
 // the store, off the progress callback, and on failover the dispatcher
@@ -20,9 +24,9 @@ import (
 // the checkpoint cannot prove finished.
 //
 // A checkpoint is self-validating: DatasetHash pins it to the training
-// data, and the label-cache keys pin the labeled datasets to the exact
-// model/sampler/seed tuple, so a worker never resumes from a snapshot
-// computed under different inputs.
+// data, and the model-cache keys pin each model to the exact
+// family/tuning/seed/mode it was trained under, so a worker never
+// resumes from a snapshot computed under different inputs.
 type Checkpoint struct {
 	// Seq orders snapshots of one job. It increases monotonically across
 	// executions — a resumed execution continues counting from the
@@ -41,14 +45,13 @@ type Checkpoint struct {
 	// job's final timings are the union of every execution's spans with
 	// no duplicates for skipped work.
 	Timings []StageTiming `json:"timings,omitempty"`
-	// Labeled maps metamodel family → its label artifact. An artifact
-	// inlines the pseudo-labeled dataset while the checkpointBytes budget
-	// lasts: that is what lets a cold replacement worker skip the
-	// train/sample/label stages entirely, since the discover stage needs
-	// only Dnew and the real validation data, not the trained model. A
-	// family whose dataset did not fit keeps its key and report, and a
-	// resuming worker recomputes it.
-	Labeled map[string]LabeledSet `json:"labeled,omitempty"`
+	// Models maps metamodel family → its trained model, recorded when
+	// the family's train stage closes. A re-run variant whose model key
+	// matches decodes the model instead of training it, then samples,
+	// labels and discovers as a fresh run does: its pseudo-labeled set
+	// is a pure function of the model, the sampler and the label seed,
+	// so relabeling reproduces it bit for bit.
+	Models map[string]ModelArtifact `json:"models,omitempty"`
 	// ElapsedSeconds accumulates the wall-clock time every execution of
 	// the job has spent so far. A resumed execution subtracts it from
 	// the request's deadline budget, so a job deadline bounds the job —
@@ -58,8 +61,8 @@ type Checkpoint struct {
 
 // decodeCheckpoint decodes a checkpoint in this build's layout only: a
 // field it does not know means another build wrote the checkpoint, and
-// its labeled sets or variants may mean something else. Callers ignore
-// a checkpoint that fails to decode, and the job runs cold.
+// its models or variants may mean something else. Callers ignore a
+// checkpoint that fails to decode, and the job runs cold.
 func decodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -70,78 +73,69 @@ func decodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return &cp, nil
 }
 
-// LabeledSet is one metamodel family's label artifact in a checkpoint.
-type LabeledSet struct {
-	// Key is the label-cache key the dataset was computed under. A
-	// resuming worker adopts the dataset only under the key it computes
-	// itself, so a set computed under other inputs is never found.
+// ModelArtifact is one metamodel family's trained model in a checkpoint.
+type ModelArtifact struct {
+	// Key is the model-cache key the model was trained under. A resuming
+	// worker decodes the model only under the key it computes itself.
 	Key string `json:"key"`
-	// Data is the pseudo-labeled dataset in dataset.MarshalBinary's
-	// layout (a base64 string in JSON), absent when it did not fit the
-	// budget. It is encoded once, when the label stage finishes; every
-	// later snapshot, fetch, persist and forward moves the same bytes,
-	// and only a worker that resumes from it decodes it.
+	// Data is the model's MarshalBinary encoding (a base64 string in
+	// JSON): rf's flattree table; gbt's base score, shrinkage and table;
+	// svm's width, support vectors, coefficients, bias and gamma. It is
+	// absent when the encoding is over checkpointModelBytes, and the
+	// family then retrains on resume.
 	Data []byte `json:"data,omitempty"`
-	// KernelReport is how the dataset was labeled. A variant that
-	// resumes from the dataset reports it as its own.
-	KernelReport
 }
 
-// checkpointBytes bounds the total encoded size of the labeled
-// datasets inlined into one execution's checkpoints. Within it a cold
-// replacement worker resumes without retraining or relabeling; beyond
-// it, checkpoints carry only the keys and reports. An L = 10^5 set with
-// 8 inputs encodes to 7.2 MB, so four such families fit.
-const checkpointBytes = 32 << 20
+// checkpointModelBytes caps one model's encoding in a checkpoint. Three
+// families at the cap take a quarter of maxExecBodyBytes in base64, so
+// a failover request always fits beside its inline dataset and
+// variants; the default rf at N=400 encodes to about 0.1 MB.
+const checkpointModelBytes = maxExecBodyBytes / 16
+
+// decodeModel decodes a model of the family that MarshalBinary wrote
+// for points of the given width. Each family's decoder validates the
+// payload, so any bytes decode to an error or to a model that labels
+// points of that width.
+func decodeModel(family string, data []byte, width int) (metamodel.Model, error) {
+	switch family {
+	case "xgb":
+		return asModel(gbt.UnmarshalModel(data, width))
+	case "svm":
+		return asModel(svm.UnmarshalModel(data, width))
+	default: // "rf"
+		return asModel(rf.UnmarshalForest(data, width))
+	}
+}
+
+// asModel returns a decoder's result as a Model, nil on error rather
+// than a typed nil pointer.
+func asModel[M metamodel.Model](m M, err error) (metamodel.Model, error) {
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 // checkpointRecorder accumulates one execution's reusable work and
-// publishes immutable Checkpoint snapshots through the progress sink.
-// It is seeded from the inbound checkpoint (if any), so snapshots
-// survive chained failovers: work finished two executions ago is still
-// in the checkpoint the third execution publishes.
+// publishes immutable Checkpoint snapshots through the progress sink:
+// one when a family's train stage first closes, carrying its model, and
+// one per finished variant. It is seeded from the inbound checkpoint
+// (if any), so snapshots survive chained failovers: work finished two
+// executions ago is still in the checkpoint the third execution
+// publishes.
 type checkpointRecorder struct {
 	mu          sync.Mutex
 	sink        *progressSink
 	seq         uint64
 	datasetHash string
-	// budgetLeft bounds the total encoded bytes of inline labeled sets.
-	budgetLeft int64
-	variants   []VariantResult
-	// labeled maps family → its recorded label artifact.
-	labeled map[string]LabeledSet
-	// labeling holds one Once per family whose label stage this
-	// execution records; see labelStageDone.
-	labeling map[string]*sync.Once
-	// inbound maps label-cache key → labeled set from the checkpoint this
-	// execution resumed from. Keying by the full cache key (rather than
-	// family) makes the lookup self-validating: if this worker computes
-	// a different key — different seed, sampler, L, rule budget — the
-	// stale dataset is simply not found and the stage recomputes.
-	// Read-only after construction.
-	inbound map[string]*inboundLabeled
+	variants    []VariantResult
+	// models maps family → its recorded model, the inbound checkpoint's
+	// carried forward unchanged.
+	models map[string]ModelArtifact
 	// start anchors this execution's contribution to ElapsedSeconds;
 	// baseElapsed carries what earlier executions already spent.
 	start       time.Time
 	baseElapsed float64
-}
-
-// inboundLabeled is one labeled set of the inbound checkpoint, decoded
-// on first use: only a variant that resumes from it pays for the
-// decode, and its sibling variants share the result.
-type inboundLabeled struct {
-	set  LabeledSet
-	once sync.Once
-	d    *dataset.Dataset // nil when the data does not decode
-}
-
-func (in *inboundLabeled) decoded() *dataset.Dataset {
-	in.once.Do(func() {
-		d := new(dataset.Dataset)
-		if d.UnmarshalBinary(in.set.Data) == nil {
-			in.d = d
-		}
-	})
-	return in.d
 }
 
 // newCheckpointRecorder seeds a recorder for one execution. cp is the
@@ -151,10 +145,7 @@ func newCheckpointRecorder(cp *Checkpoint, datasetHash string, sink *progressSin
 	r := &checkpointRecorder{
 		sink:        sink,
 		datasetHash: datasetHash,
-		budgetLeft:  checkpointBytes,
-		labeled:     make(map[string]LabeledSet),
-		labeling:    make(map[string]*sync.Once),
-		inbound:     make(map[string]*inboundLabeled),
+		models:      make(map[string]ModelArtifact),
 		start:       time.Now(),
 	}
 	if cp == nil {
@@ -163,66 +154,43 @@ func newCheckpointRecorder(cp *Checkpoint, datasetHash string, sink *progressSin
 	r.seq = cp.Seq
 	r.baseElapsed = cp.ElapsedSeconds
 	r.variants = append(r.variants, cp.Variants...)
-	for fam, set := range cp.Labeled {
-		// Carry every set forward unchanged so the next failover can
-		// still resume cold; its data already fit the previous budget.
-		r.labeled[fam] = set
-		if set.Data != nil {
-			r.inbound[set.Key] = &inboundLabeled{set: set}
-			r.budgetLeft -= int64(len(set.Data))
-		}
-	}
+	maps.Copy(r.models, cp.Models)
 	return r
 }
 
-// resumeLabeled returns the inbound checkpoint's labeled dataset for
-// the given label-cache key with its kernel report, or a nil dataset
-// when the checkpoint has none, was computed under different inputs,
-// or carries data that does not decode.
-func (r *checkpointRecorder) resumeLabeled(labelKey string) (*dataset.Dataset, KernelReport) {
-	in := r.inbound[labelKey]
-	if in == nil {
-		return nil, KernelReport{}
+// resumeModel returns the recorded encoding of the family's model when
+// it was trained under key, else nil.
+func (r *checkpointRecorder) resumeModel(family, key string) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if art := r.models[family]; art.Key == key {
+		return art.Data
 	}
-	return in.decoded(), in.set.KernelReport
+	return nil
 }
 
-// labelStageDone records that a family's pseudo-labeling finished (its
-// key and report always; the encoded dataset while the byte budget
-// lasts) and publishes a new snapshot. Idempotent per family.
-// Concurrent variants of one family record once: the first encodes the
-// dataset outside the recorder's lock, and its siblings wait until the
-// snapshot carrying it is published, so none of them publishes one that
-// names the family without its dataset.
-func (r *checkpointRecorder) labelStageDone(family string, set LabeledSet, d *dataset.Dataset) {
+// trainStageDone records the family's model trained under key and
+// publishes a new snapshot, once per family: the model is encoded under
+// the recorder's lock, so a sibling variant finds it recorded and
+// publishes nothing, and no snapshot names the family without its
+// model. A model over checkpointModelBytes, or one that cannot encode
+// itself, keeps only its key.
+func (r *checkpointRecorder) trainStageDone(family, key string, m metamodel.Model) {
 	r.mu.Lock()
-	if _, ok := r.labeled[family]; ok {
+	if r.models[family].Key == key {
 		r.mu.Unlock()
 		return
 	}
-	once := r.labeling[family]
-	if once == nil {
-		once = new(sync.Once)
-		r.labeling[family] = once
+	art := ModelArtifact{Key: key}
+	if bm, ok := m.(encoding.BinaryMarshaler); ok {
+		if data, err := bm.MarshalBinary(); err == nil && len(data) <= checkpointModelBytes {
+			art.Data = data
+		}
 	}
-	fits := d != nil && int64(d.BinarySize()) <= r.budgetLeft
+	r.models[family] = art
+	cp := r.snapshotLocked()
 	r.mu.Unlock()
-
-	once.Do(func() {
-		if fits {
-			set.Data, _ = d.MarshalBinary() // a malformed dataset just stays out of the checkpoint
-		}
-		r.mu.Lock()
-		// Another family may have taken the budget while this one encoded.
-		if int64(len(set.Data)) > r.budgetLeft {
-			set.Data = nil
-		}
-		r.budgetLeft -= int64(len(set.Data))
-		r.labeled[family] = set
-		cp := r.snapshotLocked()
-		r.mu.Unlock()
-		r.sink.setCheckpoint(cp)
-	})
+	r.sink.setCheckpoint(cp)
 }
 
 // variantDone records a finished variant and publishes a new snapshot.
@@ -237,15 +205,15 @@ func (r *checkpointRecorder) variantDone(vr VariantResult) {
 // snapshotLocked builds an immutable Checkpoint from the current state.
 // Timings are filled in by the sink at publish time, so the snapshot's
 // trace exactly matches the progress it travels with. The encoded
-// labeled sets are shared, never copied: nothing mutates them. Caller
-// holds r.mu.
+// models are shared, never copied: nothing mutates them. Caller holds
+// r.mu.
 func (r *checkpointRecorder) snapshotLocked() *Checkpoint {
 	r.seq++
 	return &Checkpoint{
 		Seq:            r.seq,
 		DatasetHash:    r.datasetHash,
 		Variants:       append([]VariantResult(nil), r.variants...),
-		Labeled:        maps.Clone(r.labeled),
+		Models:         maps.Clone(r.models),
 		ElapsedSeconds: r.baseElapsed + time.Since(r.start).Seconds(),
 	}
 }

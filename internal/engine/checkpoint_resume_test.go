@@ -33,8 +33,10 @@ func countStages(spans []StageTiming) (trains, labels int) {
 // store persistence do), the process "crashes" — simulated by planting
 // the running record plus the checkpoint in a durable store — and the
 // next engine must re-enqueue the job, resume it, and finish without
-// re-running the variants the checkpoint already carries. A distilled
-// job resumes with its distillation's report: fidelity and rules.
+// re-running the variants the checkpoint already carries. The re-run
+// variants decode the checkpointed model instead of training it and
+// relabel from it; a distilled job re-distills, so it resumes with its
+// distillation's report: fidelity and rules.
 func TestCheckpointResumeAfterCrash(t *testing.T) {
 	d := testDataset(250, rand.New(rand.NewSource(21)))
 	for _, tc := range []struct{ name, kernel string }{{"full", ""}, {"distilled", "distilled"}} {
@@ -84,8 +86,8 @@ func checkResumeAfterCrash(t *testing.T, req Request) {
 	if finished == 0 || finished == len(req.SD) {
 		t.Fatalf("checkpoint carries %d of %d variants finished, want some but not all: %+v", finished, len(req.SD), cp.Variants)
 	}
-	if len(cp.Labeled["rf"].Data) == 0 {
-		t.Fatalf("checkpoint inlines no labeled set, so the resume below would not read one")
+	if len(cp.Models["rf"].Data) == 0 {
+		t.Fatalf("checkpoint carries no model, so the resume below would not decode one")
 	}
 
 	// Phase 2: plant the crash footprint — a running record plus the
@@ -140,16 +142,17 @@ func checkResumeAfterCrash(t *testing.T, req Request) {
 	if resumed != finished {
 		t.Fatalf("%d variants marked resumed, want the checkpoint's %d finished ones", resumed, finished)
 	}
-	// The trace must be whole with no re-done work: the final trace is
-	// the checkpoint's spans (concurrent sibling variants close their own
-	// train/label spans, so the checkpoint may carry up to one per
-	// variant) plus the re-run variants' discover spans — the resumed
-	// execution must not add a single train or label span of its own.
+	// The trace must be whole with no re-trained model: the final trace
+	// is the checkpoint's spans (concurrent sibling variants close their
+	// own train/label spans, so the checkpoint may carry up to one per
+	// variant) plus the re-run variants' own. The resumed execution must
+	// not add a single train span, and adds one label span per variant it
+	// re-runs: relabeling from the decoded model is what a resume does.
 	cpTrains, cpLabels := countStages(cp.Timings)
 	trains, labels := countStages(snap.Timings)
-	if trains != cpTrains || labels != cpLabels {
-		t.Fatalf("resumed trace has %d train / %d label spans, want the checkpoint's %d / %d (no re-done work): %+v",
-			trains, labels, cpTrains, cpLabels, snap.Timings)
+	if rerun := len(req.SD) - finished; trains != cpTrains || labels != cpLabels+rerun {
+		t.Fatalf("resumed trace has %d train / %d label spans, want the checkpoint's %d / %d plus %d label spans (one per re-run variant): %+v",
+			trains, labels, cpTrains, cpLabels, rerun, snap.Timings)
 	}
 	discovers := 0
 	for _, ts := range snap.Timings {
@@ -162,8 +165,8 @@ func checkResumeAfterCrash(t *testing.T, req Request) {
 	}
 
 	// Resuming changes nothing but bookkeeping: the variants re-run from
-	// the checkpoint's decoded labeled set, and the ones adopted from it,
-	// equal an uninterrupted run of the same request.
+	// the checkpoint's decoded model, and the ones adopted from it, equal
+	// an uninterrupted run of the same request.
 	fresh, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), req, nil)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
@@ -340,7 +343,7 @@ func (s *checkpointSpy) Execute(ctx context.Context, req Request, onProgress fun
 
 // TestFinishedJobPinsNoCheckpoint: the engine persists checkpoints as
 // they arrive, so a job's retained progress must not keep one (and the
-// labeled datasets it inlines) alive until the job's TTL.
+// models it carries) alive until the job's TTL.
 func TestFinishedJobPinsNoCheckpoint(t *testing.T) {
 	spy := &checkpointSpy{Executor: NewLocalExecutor(LocalExecutorOptions{})}
 	e := newTestEngine(t, Options{Workers: 1, Executor: spy})
@@ -367,30 +370,32 @@ func TestFinishedJobPinsNoCheckpoint(t *testing.T) {
 }
 
 // TestPreChangeCheckpointRunsCold: checkpoints once inlined labeled
-// sets as JSON objects ({"x": [[...]], "y": [...]}), and later as bare
-// binary blobs per family with their cache keys in maps of their own.
-// Such a checkpoint — left in a durable store by an older build, or
-// forwarded by a gateway of one — must be ignored, not trusted and not
-// fatal: the job runs from scratch and ends done.
+// sets as JSON objects ({"x": [[...]], "y": [...]}), later as bare
+// binary blobs per family with their cache keys in maps of their own,
+// and then as one label artifact per family (key, binary data and
+// kernel report). Such a checkpoint — left in a durable store by an
+// older build, or forwarded by a gateway of one — must be ignored, not
+// trusted and not fatal: the job trains and labels itself and ends
+// done.
 func TestPreChangeCheckpointRunsCold(t *testing.T) {
 	d := testDataset(250, rand.New(rand.NewSource(25)))
 	req := Request{Dataset: d, L: 800, Seed: 6, SD: []string{"prim", "bi"}}
 	old := testDataset(20, rand.New(rand.NewSource(26)))
-	blob, err := old.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A one-row labeled set in the retired binary layout: version 1, no
+	// mask, N = 1, M = 1, x = 0.5, y = 1.
+	blob := []byte{1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0xe0, 0x3f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
 	layouts := map[string]json.RawMessage{}
 	for name, cp := range map[string]map[string]any{
-		"json-sets": {"labeled": map[string]*dataset.Dataset{"rf": old}},
-		"blob-sets": {"labeled": map[string][]byte{"rf": blob}, "model_keys": map[string]string{"rf": "m"}},
+		"json-sets":       {"labeled": map[string]*dataset.Dataset{"rf": old}, "label_keys": map[string]string{"rf": "k"}},
+		"blob-sets":       {"labeled": map[string][]byte{"rf": blob}, "model_keys": map[string]string{"rf": "m"}, "label_keys": map[string]string{"rf": "k"}},
+		"label-artifacts": {"labeled": map[string]map[string]any{"rf": {"key": "k", "data": blob, "label_kernel": "full"}}},
 	} {
 		// A variant the checkpoint claims finished: trusting the
 		// checkpoint would adopt its "pre-change" rule verbatim.
 		cp["seq"] = 2
 		cp["dataset_hash"] = d.Hash()
 		cp["variants"] = []VariantResult{{Metamodel: "rf", SD: "prim", Rule: "pre-change"}}
-		cp["label_keys"] = map[string]string{"rf": "k"}
 		raw, err := json.Marshal(cp)
 		if err != nil {
 			t.Fatal(err)
@@ -488,91 +493,4 @@ func TestPreChangeCheckpointRunsCold(t *testing.T) {
 			})
 		}
 	})
-}
-
-// TestCheckpointRecorderLabeledSets: sibling variants that finish one
-// family's label stage together record it once, and none of them
-// publishes a snapshot naming the family without its labeled set;
-// labeled sets are charged to the inline budget by encoded length, and
-// a family past the budget keeps its key and report; a resumed
-// execution carries the inbound bytes forward unchanged, decodes a set
-// once for all its variants, hands back the set's kernel report, and
-// treats data that does not decode as absent.
-func TestCheckpointRecorderLabeledSets(t *testing.T) {
-	labeled := testDataset(20000, rand.New(rand.NewSource(27)))
-	size := int64(labeled.BinarySize())
-	var published []*Checkpoint
-	rec := newCheckpointRecorder(nil, "h", newProgressSink(func(p Progress) {
-		published = append(published, p.Checkpoint) // the sink serializes callbacks
-	}))
-	rec.budgetLeft = size + 10
-
-	report := KernelReport{LabelKernel: "distilled", LabelFidelity: 0.995, Ruleset: json.RawMessage(`{"rules":[]}`)}
-	var wg sync.WaitGroup
-	for _, sd := range []string{"prim", "bumping", "bi", "prim-bumping"} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rec.labelStageDone("rf", LabeledSet{Key: "l-rf", KernelReport: report}, labeled)
-			rec.variantDone(VariantResult{Metamodel: "rf", SD: sd})
-		}()
-	}
-	wg.Wait()
-	rec.labelStageDone("xgb", LabeledSet{Key: "l-xgb", KernelReport: KernelReport{LabelKernel: "full"}}, labeled) // past the budget
-	if len(published) != 6 {
-		t.Fatalf("%d snapshots published, want one per family and one per variant (6)", len(published))
-	}
-	for _, cp := range published {
-		if set, named := cp.Labeled["rf"]; named && int64(len(set.Data)) != size {
-			t.Fatalf("snapshot %d names family rf but inlines %d of its %d bytes", cp.Seq, len(set.Data), size)
-		}
-	}
-	if rec.budgetLeft != 10 {
-		t.Fatalf("budget left = %d, want 10 after one %d-byte set", rec.budgetLeft, size)
-	}
-	last := published[5]
-	blob := last.Labeled["rf"].Data
-	if xgb := last.Labeled["xgb"]; xgb.Key != "l-xgb" || xgb.Data != nil || xgb.LabelKernel != "full" {
-		t.Fatalf("family past the budget recorded as %+v, want its key and report without data", xgb)
-	}
-
-	inbound := *last
-	inbound.Labeled = map[string]LabeledSet{
-		"rf":  last.Labeled["rf"],
-		"xgb": last.Labeled["xgb"],
-		"svm": {Key: "l-svm", Data: []byte("not a dataset")},
-	}
-	res := newCheckpointRecorder(&inbound, "h", newProgressSink(nil))
-	if &res.labeled["rf"].Data[0] != &blob[0] {
-		t.Fatalf("inbound set was copied, not carried forward")
-	}
-	if want := int64(checkpointBytes - len(blob) - len("not a dataset")); res.budgetLeft != want {
-		t.Fatalf("resumed budget left = %d, want %d", res.budgetLeft, want)
-	}
-	got := make([]*dataset.Dataset, 4)
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i], _ = res.resumeLabeled("l-rf")
-		}()
-	}
-	wg.Wait()
-	if got[0] == nil || got[0].Hash() != labeled.Hash() {
-		t.Fatalf("resumed set does not match the labeled one")
-	}
-	for _, d := range got[1:] {
-		if d != got[0] {
-			t.Fatalf("variants decoded the set separately")
-		}
-	}
-	if _, r := res.resumeLabeled("l-rf"); r.LabelKernel != report.LabelKernel ||
-		r.LabelFidelity != report.LabelFidelity || string(r.Ruleset) != string(report.Ruleset) {
-		t.Fatalf("resumed report = %+v, want %+v", r, report)
-	}
-	for _, key := range []string{"l-svm", "l-xgb"} {
-		if d, _ := res.resumeLabeled(key); d != nil {
-			t.Fatalf("%s resumed from data that is bad or absent", key)
-		}
-	}
 }

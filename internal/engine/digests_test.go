@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,8 +47,11 @@ var digestRequests = []struct {
 //
 //   - on a fresh LocalExecutor each;
 //   - on a fresh LocalExecutor resumed from each checkpoint the first
-//     route's execution published, none of which holds every variant:
-//     the last variant publishes no snapshot;
+//     route's execution published, none of which holds every variant
+//     (the last variant publishes no snapshot), from the one taken
+//     right after a family's training on: a re-run variant whose family's
+//     model the checkpoint carries decodes it instead of training, and
+//     every family of every request is decoded at least once;
 //   - through a RemoteExecutor over one worker's internal execution API;
 //   - submitted together to an Engine over a Mem store, the
 //     benchmark's in-process route;
@@ -98,18 +102,37 @@ func TestResultDigestsGolden(t *testing.T) {
 		if len(checkpoints[i]) == 0 {
 			t.Errorf("%s: the execution published no checkpoint", c.name)
 		}
+		decoded := map[string]bool{}
 		for _, cp := range checkpoints[i] {
 			if len(cp.Variants) >= len(results[i].Variants) {
 				t.Errorf("%s: checkpoint %d holds all %d variants; the last variant should publish none", c.name, cp.Seq, len(cp.Variants))
 			}
 			req := c.req
 			req.Checkpoint = cp
-			res, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), req, nil)
+			var spans []StageTiming
+			res, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), req, func(p Progress) { spans = p.Timings })
 			if err != nil {
 				t.Fatalf("%s resumed from checkpoint %d: %v", c.name, cp.Seq, err)
 			}
 			if got := digestLine(t, c.name, res); i >= len(wantLines) || got != wantLines[i] {
 				t.Errorf("%s resumed from checkpoint %d: got %q, want the golden line", c.name, cp.Seq, got)
+			}
+			for _, ts := range spans[len(cp.Timings):] {
+				if fam, ok := strings.CutPrefix(ts.Stage, "train/"); ok && len(cp.Models[fam].Data) > 0 {
+					t.Errorf("%s resumed from checkpoint %d trained %s, whose model it carries", c.name, cp.Seq, fam)
+				}
+			}
+			for _, v := range buildVariants(c.req) {
+				if len(cp.Models[v.metamodel].Data) > 0 && !slices.ContainsFunc(cp.Variants, func(vr VariantResult) bool {
+					return vr.Metamodel == v.metamodel && vr.SD == v.sd
+				}) {
+					decoded[v.metamodel] = true
+				}
+			}
+		}
+		for _, v := range buildVariants(c.req) {
+			if !decoded[v.metamodel] {
+				t.Errorf("%s: no resume decoded the %s model", c.name, v.metamodel)
 			}
 		}
 	}

@@ -41,8 +41,11 @@ import (
 
 // maxExecBodyBytes bounds /internal/v1/execute payloads. Larger than
 // the public submit cap: a dispatched request carries the inline
-// dataset plus — on failover — a checkpoint inlining up to the 32 MiB
-// labeled-data budget (base64 on the wire, a third more).
+// dataset plus — on failover — a checkpoint with one model per family,
+// each within checkpointModelBytes (base64 on the wire, a third more).
+// A request over it gets 413, which RemoteExecutor reads as an
+// unavailable worker, so a checkpoint that outgrew it would fail the
+// job on every worker.
 const maxExecBodyBytes = 256 << 20
 
 // statusHold is how long the worker holds a status GET of a running
@@ -66,9 +69,9 @@ type execStatusResponse struct {
 	// when the header was absent.
 	RequestID string `json:"request_id,omitempty"`
 	// CheckpointSeq is the sequence number of the newest resumable
-	// checkpoint (0 when none). Checkpoints can carry megabytes of
-	// labeled data, so the poll response only advertises the seq; the
-	// gateway fetches the snapshot from /checkpoint when it advances.
+	// checkpoint (0 when none). Checkpoints carry trained models, so
+	// the poll response only advertises the seq; the gateway fetches the
+	// snapshot from /checkpoint when it advances.
 	CheckpointSeq uint64 `json:"checkpoint_seq,omitempty"`
 	// Result is set once Status is done; Error once it is failed.
 	Result *Result `json:"result,omitempty"`
@@ -251,7 +254,7 @@ func (s *ExecServer) handleStart(w http.ResponseWriter, r *http.Request) {
 	}
 	// Bound the body like the public submit route, but with headroom for
 	// infrastructure payloads: a forwarded request can carry an inline
-	// dataset plus a checkpoint with inlined labeled datasets.
+	// dataset plus a checkpoint with each family's model.
 	r.Body = http.MaxBytesReader(w, r.Body, maxExecBodyBytes)
 	// The checkpoint decodes on its own: one this build cannot read (a
 	// gateway of another version laid it out differently) is ignored and

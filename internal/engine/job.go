@@ -429,7 +429,7 @@ func (j *job) snapshot() Snapshot {
 		s.Request.Dataset = nil
 	}
 	// Checkpoints are infrastructure state, not part of the submission —
-	// and can carry megabytes of labeled data; never echo them.
+	// and carry encoded models; never echo them.
 	s.Request.Checkpoint = nil
 	if j.err != nil {
 		s.Error = j.err.Error()
@@ -477,7 +477,7 @@ func (j *job) transitionLocked() store.Record {
 // setProgress replaces the job's progress with the executor's latest
 // report, minus its checkpoint: the engine persists checkpoints as they
 // arrive and no snapshot reads them, so keeping one here would pin its
-// labeled datasets until the job's TTL.
+// encoded models until the job's TTL.
 func (j *job) setProgress(p Progress) {
 	p.Checkpoint = nil
 	j.mu.Lock()

@@ -309,14 +309,14 @@ type variantConfig struct {
 	pipelineSeed int64
 	trainSeed    int64
 	// checkpoints records this execution's reusable work and serves the
-	// inbound checkpoint's labeled datasets for stage skipping.
+	// inbound checkpoint's models for stage skipping.
 	checkpoints *checkpointRecorder
 }
 
 // runVariant executes one metamodel × SD combination of a request
-// (Algorithm 4): it trains the metamodel through the model cache,
-// resolves the labeling kernel and pseudo-labels through the label
-// cache — or adopts the labeled set of the checkpoint it resumes from —
+// (Algorithm 4): it trains the metamodel through the model cache — or
+// seeds the cache with the model of the checkpoint it resumes from —
+// resolves the labeling kernel, pseudo-labels through the label cache
 // and runs the SD algorithm on the result. Each stage's span closes
 // where the stage ends.
 //
@@ -392,32 +392,23 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 		return fmt.Sprintf("%s|sampler=%s|L=%d|lseed=%d|prob=%v", labelerKey, req.effectiveSampler(), l, labelSeed, req.ProbLabels)
 	}
 
-	// A checkpointed labeled set lets the variant skip train, sample and
-	// label: discovery validates on the real examples, so it needs no
-	// model. A distilled request looks for its rule set's labels first
-	// and then for the ensemble's (its distillation may have fallen
-	// back); a full request only for the ensemble's. The adopted set
-	// seeds the label cache, so sibling variants and later jobs hit it;
-	// seeding computes nothing, so it cannot fail.
-	resumeKeys := []string{labelKey(modelKey)}
-	if req.effectiveLabelKernel() == "distilled" {
-		resumeKeys = []string{labelKey(rulesetKey), labelKey(modelKey)}
+	// A checkpointed model lets the variant skip training: it seeds the
+	// model cache, so sibling variants decode it once and later jobs hit
+	// it, and the variant goes on exactly as a fresh run does. A model
+	// that does not decode is trained instead.
+	var model metamodel.Model
+	if data := cfg.checkpoints.resumeModel(v.metamodel, modelKey); data != nil {
+		model, out.CacheHit, _ = x.models.getOrCompute(modelKey, func() (metamodel.Model, error) {
+			return decodeModel(v.metamodel, data, train.M())
+		})
 	}
-	var dnew *dataset.Dataset
-	for _, key := range resumeKeys {
-		if dnew, out.KernelReport = cfg.checkpoints.resumeLabeled(key); dnew != nil {
-			_, out.LabelCacheHit, _ = x.labels.getOrCompute(key, func() (*dataset.Dataset, error) { return dnew, nil })
-			labelProgress(l, l)
-			break
-		}
-	}
-
-	if dnew == nil {
+	if model == nil {
 		exit := enter("train")
 		trainer := trainerByName(v.metamodel, train.M(), req.Tuned, binned)
 		// Training draws from its own seed, so the model is the same
 		// whichever variant or job trains it.
-		model, hit, err := x.models.getOrCompute(modelKey, func() (metamodel.Model, error) {
+		var err error
+		model, out.CacheHit, err = x.models.getOrCompute(modelKey, func() (metamodel.Model, error) {
 			start := time.Now()
 			m, err := trainer.Train(train, rand.New(rand.NewSource(cfg.trainSeed)))
 			if err == nil {
@@ -426,55 +417,53 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 			return m, err
 		})
 		exit()
-		out.CacheHit = hit
 		if err != nil {
 			out.Error = fmt.Sprintf("core: training metamodel %s: %v", trainer.Name(), err)
 			return out
 		}
-		if err := ctx.Err(); err != nil {
-			out.Error = err.Error()
-			return out
-		}
+		cfg.checkpoints.trainStageDone(v.metamodel, modelKey, model)
+	}
+	if err := ctx.Err(); err != nil {
+		out.Error = err.Error()
+		return out
+	}
 
-		// core.PseudoLabel samples and labels in one cache computation, so
-		// the sample span is ~0s and the label span covers both.
-		enter("sample")()
-		exit = enter("label")
-		// The kernel resolves here, not at submission: the distiller
-		// needs the trained model.
-		labeler, report := x.resolveKernel(req, rulesetKey, model, train.M(), distillSeed)
-		out.KernelReport = report
-		key := labelKey(modelKey)
-		if report.LabelKernel == "distilled" {
-			key = labelKey(rulesetKey)
-		}
-		d, hit, err := x.labels.getOrCompute(key, func() (*dataset.Dataset, error) {
-			d, err := core.PseudoLabel(ctx, labeler, smp, l, train.M(), labelSeed, req.ProbLabels,
-				metamodel.BatchOptions{Progress: labelProgress})
-			if err != nil {
-				return nil, err
-			}
-			d.Discrete = train.Discrete
-			return d, nil
-		})
+	// core.PseudoLabel samples and labels in one cache computation, so
+	// the sample span is ~0s and the label span covers both.
+	enter("sample")()
+	exit := enter("label")
+	// The kernel resolves here, not at submission: the distiller needs
+	// the trained model.
+	labeler, report := x.resolveKernel(req, rulesetKey, model, train.M(), distillSeed)
+	out.KernelReport = report
+	key := labelKey(modelKey)
+	if report.LabelKernel == "distilled" {
+		key = labelKey(rulesetKey)
+	}
+	dnew, hit, err := x.labels.getOrCompute(key, func() (*dataset.Dataset, error) {
+		d, err := core.PseudoLabel(ctx, labeler, smp, l, train.M(), labelSeed, req.ProbLabels,
+			metamodel.BatchOptions{Progress: labelProgress})
 		if err != nil {
-			exit()
-			out.Error = err.Error()
-			return out
+			return nil, err
 		}
-		dnew, out.LabelCacheHit = d, hit
-		if hit {
-			// Another variant or an earlier job labeled the set: count its
-			// full share so the job-level counters still add up.
-			labelProgress(l, l)
-		}
-		cfg.checkpoints.labelStageDone(v.metamodel, LabeledSet{Key: key, KernelReport: report}, dnew)
-		exit()
+		d.Discrete = train.Discrete
+		return d, nil
+	})
+	exit()
+	if err != nil {
+		out.Error = err.Error()
+		return out
+	}
+	out.LabelCacheHit = hit
+	if hit {
+		// Another variant or an earlier job labeled the set: count its
+		// full share so the job-level counters still add up.
+		labelProgress(l, l)
 	}
 
 	// The SD stage is the only one that draws from the variant's
 	// pipeline RNG. It validates on the real examples.
-	exit := enter("discover")
+	exit = enter("discover")
 	res, err := sdByName(v.sd).Discover(dnew, train, rand.New(rand.NewSource(cfg.pipelineSeed)))
 	exit()
 	if err == nil {

@@ -83,9 +83,8 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int) (metamodel.Mod
 		mean = 1 - 1e-6
 	}
 	model := &Model{
-		eta:   cfg.LearningRate,
-		base:  math.Log(mean / (1 - mean)),
-		gains: make([]float64, d.M()),
+		eta:  cfg.LearningRate,
+		base: math.Log(mean / (1 - mean)),
 	}
 
 	// Gradient state is indexed by dataset row id (only the subset rows
@@ -98,7 +97,7 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int) (metamodel.Mod
 		margin[i] = model.base
 	}
 
-	builder := newBinnedRoundBuilder(bins, d.M(), gh, margin, model.gains, cfg, len(base))
+	builder := newBinnedRoundBuilder(bins, d.M(), gh, margin, cfg, len(base))
 	trees := make([][]flattree.Node, cfg.Rounds)
 	for round := range trees {
 		for _, i := range base {
@@ -131,7 +130,6 @@ type binnedRoundBuilder struct {
 	codes  [][]uint8 // per feature: bin code per dataset row
 	gh     []float64 // interleaved (grad, hess) per dataset row
 	margin []float64 // per dataset row; leaves push eta·weight directly
-	gains  []float64 // per-feature split gains, summed over rounds
 	cfg    Trainer
 	m      int
 	stride int // gbtHistCell · max bins over features
@@ -142,7 +140,7 @@ type binnedRoundBuilder struct {
 	t       tree
 }
 
-func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin, gains []float64, cfg Trainer, nRows int) *binnedRoundBuilder {
+func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin []float64, cfg Trainer, nRows int) *binnedRoundBuilder {
 	codes := make([][]uint8, m)
 	maxNB := 1
 	for f := 0; f < m; f++ {
@@ -156,7 +154,6 @@ func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin, gains []float6
 		codes:   codes,
 		gh:      gh,
 		margin:  margin,
-		gains:   gains,
 		cfg:     cfg,
 		m:       m,
 		stride:  gbtHistCell * maxNB,
@@ -165,9 +162,8 @@ func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin, gains []float6
 	}
 }
 
-// build grows one tree over the rows and every column, adding split
-// gains into gains and pushing each leaf's eta-scaled weight onto the
-// margins of the rows that reached it.
+// build grows one tree over the rows and every column, pushing each
+// leaf's eta-scaled weight onto the margins of the rows that reached it.
 func (b *binnedRoundBuilder) build(rows []int) tree {
 	b.rows = append(b.rows[:0], rows...)
 	b.t = nil
@@ -216,7 +212,6 @@ func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []
 		b.releaseHist(hist)
 		return b.leafAt(lo, hi, leafWeight)
 	}
-	b.gains[best.feat] += best.gain
 
 	// Stable partition in two passes over the cache-hot code bytes:
 	// count the left half, then place both halves directly into their

@@ -5,6 +5,7 @@
 package gbt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,12 +57,37 @@ func (t *Trainer) withDefaults() Trainer {
 // Model is a trained boosted ensemble: its trees compiled into one
 // flattree table, the only form prediction reads (see internal/flattree
 // for the layout and the branch-free lockstep descent), with the base
-// score, the shrinkage and the per-feature gains.
+// score and the shrinkage.
 type Model struct {
 	table *flattree.Table
 	eta   float64
 	base  float64 // initial log-odds
-	gains []float64
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler: the base score's
+// and the shrinkage's bits as little-endian uint64s, then the table in
+// flattree's layout.
+func (m *Model) MarshalBinary() ([]byte, error) {
+	b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(m.base))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.eta))
+	return m.table.AppendBinary(b), nil
+}
+
+// UnmarshalModel decodes a model MarshalBinary wrote for points of the
+// given width, bit for bit; flattree.ReadTable validates the table.
+func UnmarshalModel(data []byte, width int) (*Model, error) {
+	if len(data) < 16 {
+		return nil, fmt.Errorf("gbt: %d-byte model", len(data))
+	}
+	table, err := flattree.ReadTable(data[16:], width)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{
+		table: table,
+		base:  math.Float64frombits(binary.LittleEndian.Uint64(data)),
+		eta:   math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
+	}, nil
 }
 
 // Margin returns the raw additive score (log-odds) at x: base plus eta
@@ -123,26 +149,8 @@ func (m *Model) DistillSource() flattree.Ensemble {
 func (m *Model) NumTrees() int { return len(m.table.Roots) }
 
 // ApproxMemoryBytes implements metamodel.MemorySizer: the compiled
-// table plus the gains.
-func (m *Model) ApproxMemoryBytes() int64 {
-	return m.table.MemoryBytes() + int64(len(m.gains))*8
-}
-
-// Importance returns the gain-based feature importance (XGBoost's "total
-// gain"), normalized to sum to 1.
-func (m *Model) Importance() []float64 {
-	imp := append([]float64(nil), m.gains...)
-	total := 0.0
-	for _, g := range imp {
-		total += g
-	}
-	if total > 0 {
-		for j := range imp {
-			imp[j] /= total
-		}
-	}
-	return imp
-}
+// table.
+func (m *Model) ApproxMemoryBytes() int64 { return m.table.MemoryBytes() }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
@@ -165,9 +173,8 @@ func (t *Trainer) Train(d *dataset.Dataset, _ *rand.Rand) (metamodel.Model, erro
 		mean = 1 - 1e-6
 	}
 	model := &Model{
-		eta:   cfg.LearningRate,
-		base:  math.Log(mean / (1 - mean)),
-		gains: make([]float64, d.M()),
+		eta:  cfg.LearningRate,
+		base: math.Log(mean / (1 - mean)),
 	}
 
 	margin := make([]float64, n)
@@ -180,7 +187,7 @@ func (t *Trainer) Train(d *dataset.Dataset, _ *rand.Rand) (metamodel.Model, erro
 	// The columnar view and per-feature sorted orders are computed once
 	// on the dataset and shared by every round; the builder copies them
 	// per round and reuses its scratch buffers.
-	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, margin, model.gains, cfg)
+	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, margin, cfg)
 	trees := make([][]flattree.Node, cfg.Rounds)
 	for round := range trees {
 		for i := 0; i < n; i++ {
@@ -215,7 +222,6 @@ type roundBuilder struct {
 	grad     []float64
 	hess     []float64
 	margin   []float64 // per dataset row; leaves push eta·weight onto their rows
-	gains    []float64 // per-feature split gains, summed over rounds
 	cfg      Trainer
 
 	orders  [][]int // per column: rows in ascending order, segmented by node
@@ -225,7 +231,7 @@ type roundBuilder struct {
 	t       tree
 }
 
-func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin, gains []float64, cfg Trainer) *roundBuilder {
+func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin []float64, cfg Trainer) *roundBuilder {
 	n := len(grad)
 	orders := make([][]int, len(colsView))
 	for j := range orders {
@@ -237,7 +243,6 @@ func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin, g
 		grad:     grad,
 		hess:     hess,
 		margin:   margin,
-		gains:    gains,
 		cfg:      cfg,
 		orders:   orders,
 		rows:     make([]int, n),
@@ -246,9 +251,8 @@ func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin, g
 	}
 }
 
-// build grows one tree over every row and column, adding split gains
-// into gains and pushing each leaf's eta-scaled weight onto the margins
-// of the rows that reached it.
+// build grows one tree over every row and column, pushing each leaf's
+// eta-scaled weight onto the margins of the rows that reached it.
 func (b *roundBuilder) build() tree {
 	for j, ord := range b.orders {
 		copy(ord, b.shared[j])
@@ -279,7 +283,6 @@ func (b *roundBuilder) grow(lo, hi, depth int) int32 {
 	if gain <= 1e-12 {
 		return b.leafAt(lo, hi, leafWeight)
 	}
-	b.gains[feat] += gain
 
 	// Children at MaxDepth are leaves, which read only rows: the column
 	// orders are partitioned only for children that may split again.

@@ -26,9 +26,8 @@ func trainReference(t *Trainer, d *dataset.Dataset) *Model {
 	n := d.N()
 	mean := math.Min(math.Max(d.PositiveShare(), 1e-6), 1-1e-6)
 	model := &Model{
-		eta:   cfg.LearningRate,
-		base:  math.Log(mean / (1 - mean)),
-		gains: make([]float64, d.M()),
+		eta:  cfg.LearningRate,
+		base: math.Log(mean / (1 - mean)),
 	}
 	margin := make([]float64, n)
 	for i := range margin {
@@ -48,7 +47,7 @@ func trainReference(t *Trainer, d *dataset.Dataset) *Model {
 			hess[i] = p * (1 - p)
 		}
 		var tr tree
-		growReference(&tr, d.X, grad, hess, rows, cfg, 0, model.gains)
+		growReference(&tr, d.X, grad, hess, rows, cfg, 0)
 		for i, x := range d.X {
 			margin[i] += cfg.LearningRate * tr[flattree.Descend(tr, x)].Value
 		}
@@ -59,8 +58,8 @@ func trainReference(t *Trainer, d *dataset.Dataset) *Model {
 }
 
 // growReference appends the subtree over rows and returns its node
-// index, adding split gains into the importance accumulator.
-func growReference(t *tree, x [][]float64, grad, hess []float64, rows []int, cfg Trainer, depth int, gains []float64) int32 {
+// index.
+func growReference(t *tree, x [][]float64, grad, hess []float64, rows []int, cfg Trainer, depth int) int32 {
 	var gSum, hSum float64
 	for _, i := range rows {
 		gSum += grad[i]
@@ -75,7 +74,6 @@ func growReference(t *tree, x [][]float64, grad, hess []float64, rows []int, cfg
 	if gain <= 1e-12 {
 		return t.leaf(leafWeight)
 	}
-	gains[feat] += gain
 
 	var left, right []int
 	for _, i := range rows {
@@ -90,8 +88,8 @@ func growReference(t *tree, x [][]float64, grad, hess []float64, rows []int, cfg
 	}
 	self := len(*t)
 	*t = append(*t, flattree.Node{Feature: int32(feat), Split: split})
-	l := growReference(t, x, grad, hess, left, cfg, depth+1, gains)
-	r := growReference(t, x, grad, hess, right, cfg, depth+1, gains)
+	l := growReference(t, x, grad, hess, left, cfg, depth+1)
+	r := growReference(t, x, grad, hess, right, cfg, depth+1)
 	(*t)[self].Left, (*t)[self].Right = l, r
 	return int32(self)
 }

@@ -177,28 +177,8 @@ func TestMarginAdditivity(t *testing.T) {
 	}
 }
 
-func TestImportanceFindsRelevantFeatures(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	d := boxData(500, rng) // features 0 and 1 relevant, 2 inert
-	m, err := (&Trainer{Rounds: 50}).Train(d, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := m.(*Model).Importance()
-	if len(imp) != 3 {
-		t.Fatalf("importance length %d", len(imp))
-	}
-	sum := imp[0] + imp[1] + imp[2]
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("importance sums to %g, want 1", sum)
-	}
-	if imp[0] < 5*imp[2] || imp[1] < 5*imp[2] {
-		t.Errorf("relevant features not dominant: %v", imp)
-	}
-}
-
 // TestZeroValueDefaults pins the zero Trainer to its documented
-// defaults: it must train the same table, base, shrinkage and gains.
+// defaults: it must train the same table, base and shrinkage.
 // Train ignores its RNG, so both calls pass nil.
 func TestZeroValueDefaults(t *testing.T) {
 	d := diffDataset(300, 6, 3)

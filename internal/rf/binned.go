@@ -226,7 +226,7 @@ func (b *binnedTreeBuilder) build(idx []int, rng *binnedRNG) *tree {
 		b.feats[f] = f
 	}
 	b.rows = append(b.rows[:0], idx...)
-	b.t = &tree{gains: make([]float64, b.m)}
+	b.t = &tree{}
 	b.rng = rng
 	var sum, sq float64
 	for _, r := range idx {
@@ -288,7 +288,6 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 		b.releaseHist(hist)
 		return t.leaf(mean)
 	}
-	t.gains[best.feat] += best.gain
 
 	// Stable-partition the node rows on the winning bin cut in one pass:
 	// the sweep already counted the left half, so lefts and rights land

@@ -62,22 +62,34 @@ func (t *Trainer) plan(m int, rng *rand.Rand) (treeConfig, []int64) {
 
 // Forest is a trained random forest: its trees compiled into one
 // flattree table, the only form prediction reads (see internal/flattree
-// for the layout and the branch-free lockstep descent), and each tree's
-// per-feature gains.
+// for the layout and the branch-free lockstep descent).
 type Forest struct {
 	table *flattree.Table
-	gains [][]float64
 }
 
 // newForest compiles the grown trees into a forest.
 func newForest(trees []*tree) *Forest {
 	nodes := make([][]flattree.Node, len(trees))
-	f := &Forest{gains: make([][]float64, len(trees))}
 	for i, t := range trees {
-		nodes[i], f.gains[i] = t.nodes, t.gains
+		nodes[i] = t.nodes
 	}
-	f.table = flattree.Compile(nodes)
-	return f
+	return &Forest{table: flattree.Compile(nodes)}
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler: the table in
+// flattree's layout, which is all a forest holds.
+func (f *Forest) MarshalBinary() ([]byte, error) {
+	return f.table.AppendBinary(nil), nil
+}
+
+// UnmarshalForest decodes a forest MarshalBinary wrote for points of the
+// given width, bit for bit; flattree.ReadTable validates it.
+func UnmarshalForest(data []byte, width int) (*Forest, error) {
+	table, err := flattree.ReadTable(data, width)
+	if err != nil {
+		return nil, err
+	}
+	return &Forest{table: table}, nil
 }
 
 // Train implements metamodel.Trainer. Trees are grown in parallel on
@@ -134,7 +146,7 @@ func (f *Forest) PredictProbBatchInto(dst []float64, pts [][]float64) {
 		return
 	}
 	f.table.SumInto(dst, pts, len(pts[0]), 0, 1)
-	inv := float64(len(f.gains))
+	inv := float64(len(f.table.Roots))
 	for i := range dst {
 		dst[i] /= inv
 	}
@@ -159,41 +171,11 @@ func (f *Forest) DistillSource() flattree.Ensemble {
 }
 
 // NumTrees returns the number of trees in the forest.
-func (f *Forest) NumTrees() int { return len(f.gains) }
+func (f *Forest) NumTrees() int { return len(f.table.Roots) }
 
 // ApproxMemoryBytes implements metamodel.MemorySizer: the compiled
-// table plus the per-tree gains.
-func (f *Forest) ApproxMemoryBytes() int64 {
-	n := f.table.MemoryBytes()
-	for _, g := range f.gains {
-		n += int64(len(g)) * 8
-	}
-	return n
-}
-
-// Importance returns the gain-based feature importance: per-feature
-// variance-reduction gains summed across all trees, normalized to sum
-// to 1 (all zeros for a stump-only forest). Useful for checking which
-// inputs the metamodel deems relevant before trusting a scenario.
-func (f *Forest) Importance() []float64 {
-	if len(f.gains) == 0 {
-		return nil
-	}
-	imp := make([]float64, len(f.gains[0]))
-	total := 0.0
-	for _, gains := range f.gains {
-		for j, g := range gains {
-			imp[j] += g
-			total += g
-		}
-	}
-	if total > 0 {
-		for j := range imp {
-			imp[j] /= total
-		}
-	}
-	return imp
-}
+// table.
+func (f *Forest) ApproxMemoryBytes() int64 { return f.table.MemoryBytes() }
 
 // TunedTrainer returns the caret-style grid-search trainer for random
 // forests: mtry over {sqrt(M), M/3, 2M/3} (deduplicated), matching the

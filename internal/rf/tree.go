@@ -23,9 +23,6 @@ import (
 // carry the mean label.
 type tree struct {
 	nodes []flattree.Node
-	// gains accumulates the variance-reduction gain per feature,
-	// feeding the forest's importance estimate.
-	gains []float64
 }
 
 // treeConfig controls tree induction.
@@ -98,7 +95,7 @@ func (b *treeBuilder) build(idx []int, rng *rand.Rand) *tree {
 	}
 	b.rows = append(b.rows[:0], idx...)
 
-	b.t = &tree{gains: make([]float64, len(b.cols))}
+	b.t = &tree{}
 	b.rng = rng
 	b.grow(0, n, 0)
 	return b.t
@@ -142,11 +139,10 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 		return t.leaf(mean)
 	}
 
-	feat, split, gain, ok := b.bestSplit(lo, hi, sum)
+	feat, split, ok := b.bestSplit(lo, hi, sum)
 	if !ok {
 		return t.leaf(mean)
 	}
-	t.gains[feat] += gain
 
 	nl := b.partition(lo, hi, feat, split)
 	if nl == 0 || nl == hi-lo {
@@ -165,7 +161,7 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 // reduction over mtry randomly chosen features. The node's rows are
 // already sorted along every feature, so each candidate is a single
 // prefix-sum sweep. It returns ok=false when no valid split exists.
-func (b *treeBuilder) bestSplit(lo, hi int, totalSum float64) (feat int, split, gain float64, ok bool) {
+func (b *treeBuilder) bestSplit(lo, hi int, totalSum float64) (feat int, split float64, ok bool) {
 	m := len(b.cols)
 	mtry := b.cfg.mtry
 	if mtry <= 0 || mtry > m {
@@ -205,7 +201,7 @@ func (b *treeBuilder) bestSplit(lo, hi int, totalSum float64) (feat int, split, 
 			}
 		}
 	}
-	return feat, split, bestGain, ok
+	return feat, split, ok
 }
 
 // partition stably splits the node segment [lo, hi) of the bootstrap-order

@@ -38,7 +38,7 @@ func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) *Forest {
 // greedy variance-reduction splitting, sorting each candidate feature at
 // every node.
 func buildTreeReference(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand) *tree {
-	t := &tree{gains: make([]float64, len(x[0]))}
+	t := &tree{}
 	t.growReference(x, y, idx, cfg, rng, 0)
 	return t
 }
@@ -59,11 +59,10 @@ func (t *tree) growReference(x [][]float64, y []float64, idx []int, cfg treeConf
 		return t.leaf(mean)
 	}
 
-	feat, split, gain, ok := bestSplitReference(x, y, idx, cfg, rng, sum)
+	feat, split, ok := bestSplitReference(x, y, idx, cfg, rng, sum)
 	if !ok {
 		return t.leaf(mean)
 	}
-	t.gains[feat] += gain
 
 	var leftIdx, rightIdx []int
 	for _, i := range idx {
@@ -89,7 +88,7 @@ func (t *tree) growReference(x [][]float64, y []float64, idx []int, cfg treeConf
 // variance reduction over mtry randomly chosen features by sorting the
 // node's rows along each candidate feature — O(n log n) per node-feature.
 // It returns ok=false when no valid split exists.
-func bestSplitReference(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, totalSum float64) (feat int, split, gain float64, ok bool) {
+func bestSplitReference(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, totalSum float64) (feat int, split float64, ok bool) {
 	m := len(x[0])
 	mtry := cfg.mtry
 	if mtry <= 0 || mtry > m {
@@ -130,5 +129,5 @@ func bestSplitReference(x [][]float64, y []float64, idx []int, cfg treeConfig, r
 			}
 		}
 	}
-	return feat, split, bestGain, ok
+	return feat, split, ok
 }

@@ -6,6 +6,7 @@
 package svm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,7 +35,10 @@ func (t *Trainer) Name() string { return "svm" }
 
 // Model is a trained SVM. Its support vectors are one row-major
 // matrix, which the per-point decision function and the blocked batch
-// kernel both scan.
+// kernel both scan. A fit that collapsed to one class (a single-class
+// training set, or every α at zero) has no support vectors and an
+// infinite bias: b = −Inf labels every point 1 and b = +Inf labels
+// every point 0, at probability exactly 1 or 0.
 type Model struct {
 	sv    []float64 // support vectors, row-major, dim values per row
 	dim   int
@@ -169,8 +173,7 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	}
 
 	if single, cls := singleClass(d.Y); single {
-		// Degenerate training set: constant classifier.
-		return &constantModel{label: cls}, nil
+		return constant(d.M(), cls), nil
 	}
 	// Labels in {-1, +1}.
 	y := make([]float64, n)
@@ -273,9 +276,62 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 		}
 	}
 	if len(model.coef) == 0 {
-		return &constantModel{label: majority(d.Y)}, nil
+		return constant(d.M(), majority(d.Y)), nil
 	}
 	return model, nil
+}
+
+// constant is the collapsed model that labels every point cls.
+func constant(dim int, cls float64) *Model {
+	b := math.Inf(1)
+	if cls == 1 {
+		b = math.Inf(-1)
+	}
+	return &Model{dim: dim, b: b}
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler, little-endian
+// throughout: the width and the support-vector count as uint32s, then
+// the bits of the bias, gamma, every coefficient and the support-vector
+// matrix row by row as uint64s.
+func (m *Model) MarshalBinary() ([]byte, error) {
+	b := make([]byte, 0, 24+8*(len(m.coef)+len(m.sv)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.dim))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.coef)))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.b))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.gamma))
+	for _, v := range m.coef {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	for _, v := range m.sv {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b, nil
+}
+
+// UnmarshalModel decodes a model MarshalBinary wrote for points of the
+// given width, bit for bit. It rejects a model of another width and a
+// payload whose matrix is not width × support vectors.
+func UnmarshalModel(data []byte, width int) (*Model, error) {
+	if len(data) < 24 {
+		return nil, fmt.Errorf("svm: %d-byte model", len(data))
+	}
+	dim := int64(binary.LittleEndian.Uint32(data))
+	nsv := int64(binary.LittleEndian.Uint32(data[4:]))
+	if dim != int64(width) || int64(len(data)) != 24+8*nsv*(1+dim) {
+		return nil, fmt.Errorf("svm: %d bytes do not hold %d support vectors of width %d (training width %d)", len(data), nsv, dim, width)
+	}
+	vals := make([]float64, (len(data)-24)/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[24+8*i:]))
+	}
+	return &Model{
+		dim:   int(dim),
+		b:     math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
+		gamma: math.Float64frombits(binary.LittleEndian.Uint64(data[16:])),
+		coef:  vals[:nsv:nsv],
+		sv:    vals[nsv:],
+	}, nil
 }
 
 // scaleGamma returns the 1/(M·Var) heuristic over all inputs pooled.
@@ -322,12 +378,6 @@ func majority(y []float64) float64 {
 	}
 	return 0
 }
-
-// constantModel handles degenerate single-class training sets.
-type constantModel struct{ label float64 }
-
-func (c *constantModel) PredictProb([]float64) float64  { return c.label }
-func (c *constantModel) PredictLabel([]float64) float64 { return c.label }
 
 // kernelCache caches kernel matrix rows. For n below the full-matrix
 // budget it precomputes everything; beyond that it keeps a bounded map of

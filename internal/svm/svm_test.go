@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -181,10 +182,94 @@ func TestZeroValueDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := want.(*Model); !ok {
-		t.Fatalf("training collapsed to a constant model: %T", want)
+	if want.(*Model).NumSupport() == 0 {
+		t.Fatal("training collapsed to a constant model")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Trainer{} trains a different model than %+v", explicit)
+	}
+}
+
+// TestCollapsedModels: a single-class training set and a fit that
+// leaves every α at zero (a KKT tolerance no example violates) both
+// give a *Model without support vectors that scores and labels every
+// point, NaN and ±Inf included, exactly as its class, per point and in
+// batch, before and after a codec round trip.
+func TestCollapsedModels(t *testing.T) {
+	x := [][]float64{{0.1, 0.2}, {0.8, 0.9}, {0.4, 0.6}}
+	cases := []struct {
+		name    string
+		trainer Trainer
+		y       []float64
+		class   float64
+	}{
+		{"single class 1", Trainer{}, []float64{1, 1, 1}, 1},
+		{"single class 0", Trainer{}, []float64{0, 0, 0}, 0},
+		{"zero alphas, majority 1", Trainer{Tol: math.Inf(1)}, []float64{1, 0, 1}, 1},
+		{"zero alphas, majority 0", Trainer{Tol: math.Inf(1)}, []float64{1, 0, 0}, 0},
+	}
+	pts := [][]float64{{0.5, 0.5}, {math.NaN(), 0}, {math.Inf(1), math.Inf(-1)}, {0, math.Copysign(0, -1)}}
+	for _, c := range cases {
+		trained, err := c.trainer.Train(dataset.MustNew(x, c.y), rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := trained.(*Model)
+		data, _ := m.MarshalBinary()
+		decoded, err := UnmarshalModel(data, len(x[0]))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
+		}
+		for _, m := range []*Model{m, decoded} {
+			if m.NumSupport() != 0 {
+				t.Fatalf("%s: %d support vectors, want none", c.name, m.NumSupport())
+			}
+			probs, labels := make([]float64, len(pts)), make([]float64, len(pts))
+			m.PredictProbBatchInto(probs, pts)
+			m.PredictLabelBatchInto(labels, pts)
+			for i, x := range pts {
+				for _, got := range []float64{m.PredictProb(x), m.PredictLabel(x), probs[i], labels[i]} {
+					if got != c.class {
+						t.Fatalf("%s: point %v scored %v, want %v", c.name, x, got, c.class)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnmarshalModelRejectsMalformed: a payload is rejected unless its
+// width is the training width and its matrix is width × support
+// vectors.
+func TestUnmarshalModelRejectsMalformed(t *testing.T) {
+	d := svmTrainData(200, 3, 8)
+	trained, err := (&Trainer{}).Train(d, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, _ := trained.(*Model).MarshalBinary()
+	if _, err := UnmarshalModel(good, 3); err != nil {
+		t.Fatalf("the uncorrupted model does not decode: %v", err)
+	}
+	withCount := func(nsv int) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[4:], uint32(nsv))
+		return b
+	}
+	nsv := trained.(*Model).NumSupport()
+	for name, c := range map[string]struct {
+		data  []byte
+		width int
+	}{
+		"other training width":   {good, 4},
+		"short header":           {good[:23], 3},
+		"matrix one value long":  {append(append([]byte(nil), good...), make([]byte, 8)...), 3},
+		"matrix one value short": {good[:len(good)-8], 3},
+		"one vector more":        {withCount(nsv + 1), 3},
+		"one vector fewer":       {withCount(nsv - 1), 3},
+	} {
+		if _, err := UnmarshalModel(c.data, c.width); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
