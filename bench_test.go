@@ -470,7 +470,7 @@ func BenchmarkPredictBatch50k(b *testing.B) {
 	model, pts := benchForest50k(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reds.PredictProbBatch(context.Background(), model, pts, reds.BatchOptions{}); err != nil {
+		if _, err := reds.PredictProbBatch(context.Background(), model, pts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,7 +494,7 @@ func benchPaperForest(b *testing.B) reds.Metamodel {
 
 // BenchmarkLabelStage100k measures the optimized pseudo-label stage at
 // the paper's L=10^5: flat-allocation Latin hypercube sampling plus
-// flattened batch inference (metamodel.BatchModel).
+// the forest's batch kernel over its compiled node table.
 func BenchmarkLabelStage100k(b *testing.B) {
 	benchLabelStage(b, benchPaperForest(b), false)
 }
@@ -524,7 +524,7 @@ func benchLabelStage(b *testing.B, model reds.Metamodel, probLabels bool) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reds.PseudoLabel(context.Background(), model, reds.LatinHypercube{}, 100000, 10, 16, probLabels, reds.BatchOptions{}); err != nil {
+		if _, err := reds.PseudoLabel(context.Background(), model, reds.LatinHypercube{}, 100000, 10, 16, probLabels, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

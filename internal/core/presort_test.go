@@ -8,7 +8,6 @@ import (
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/funcs"
-	"github.com/reds-go/reds/internal/metamodel"
 	"github.com/reds-go/reds/internal/prim"
 	"github.com/reds-go/reds/internal/rf"
 	"github.com/reds-go/reds/internal/sample"
@@ -32,7 +31,7 @@ func TestDerivedOrdersMatchRadix(t *testing.T) {
 	}
 	for _, prob := range []bool{false, true} {
 		label := func(smp sample.Sampler) *dataset.Dataset {
-			d, err := PseudoLabel(context.Background(), model, smp, 4000, train.M(), 7, prob, metamodel.BatchOptions{})
+			d, err := PseudoLabel(context.Background(), model, smp, 4000, train.M(), 7, prob, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -95,7 +95,7 @@ func (r *REDS) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Result
 		return nil, fmt.Errorf("core: training metamodel %s: %w", r.Metamodel.Name(), err)
 	}
 	pts, ords := draw(r.Sampler, l, train.M(), rng)
-	dnew, err := labelPoints(context.Background(), model, pts, ords, r.ProbLabels, metamodel.BatchOptions{})
+	dnew, err := labelPoints(context.Background(), model, pts, ords, r.ProbLabels, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func (r *REDS) DiscoverSemiSupervised(train *dataset.Dataset, pool [][]float64, 
 	if err != nil {
 		return nil, fmt.Errorf("core: training metamodel %s: %w", r.Metamodel.Name(), err)
 	}
-	dnew, err := labelPoints(context.Background(), model, pool, nil, r.ProbLabels, metamodel.BatchOptions{})
+	dnew, err := labelPoints(context.Background(), model, pool, nil, r.ProbLabels, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: pseudo-labeling pool: %w", err)
 	}
@@ -160,18 +160,18 @@ func draw(smp sample.Sampler, n, dim int, rng *rand.Rand) (pts [][]float64, ords
 }
 
 // labelPoints applies lines 4-6 of Algorithm 4: the points are
-// sharded across the process's compute budget, ctx is checked per
-// chunk, and models with a metamodel.BatchModel fast path are
-// evaluated through it. With candidate orders the labeled set's sorted
+// sharded across the process's compute budget in chunks the model's
+// batch kernel labels, ctx is checked and progress (when non-nil)
+// reported per chunk. With candidate orders the labeled set's sorted
 // orders are built from them at once (dataset.NewPresorted); without,
 // they are radix-sorted on first use.
-func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, ords [][]int, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
+func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, ords [][]int, probLabels bool, progress func(done, total int)) (*dataset.Dataset, error) {
 	var y []float64
 	var err error
 	if probLabels {
-		y, err = metamodel.PredictProbBatchCtx(ctx, model, pts, opts)
+		y, err = metamodel.PredictProbBatchCtx(ctx, model, pts, progress)
 	} else {
-		y, err = metamodel.PredictLabelBatchCtx(ctx, model, pts, opts)
+		y, err = metamodel.PredictLabelBatchCtx(ctx, model, pts, progress)
 	}
 	if err != nil {
 		return nil, err
@@ -189,12 +189,12 @@ func labelPoints(ctx context.Context, model metamodel.Model, pts [][]float64, or
 // otherwise). Factoring the stage out of the pipeline is what makes
 // its result shareable — the engine calls it once per metamodel
 // family and serves every variant (and cache-hitting repeat job) the
-// same dataset. opts carries labeling progress; ctx cancels between
-// chunks.
-func PseudoLabel(ctx context.Context, model metamodel.Model, smp sample.Sampler, l, dim int, seed int64, probLabels bool, opts metamodel.BatchOptions) (*dataset.Dataset, error) {
+// same dataset. progress, when non-nil, receives labeling progress as
+// metamodel.PredictProbBatchCtx reports it; ctx cancels between chunks.
+func PseudoLabel(ctx context.Context, model metamodel.Model, smp sample.Sampler, l, dim int, seed int64, probLabels bool, progress func(done, total int)) (*dataset.Dataset, error) {
 	pts, ords := draw(smp, l, dim, rand.New(rand.NewSource(seed)))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return labelPoints(ctx, model, pts, ords, probLabels, opts)
+	return labelPoints(ctx, model, pts, ords, probLabels, progress)
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/funcs"
 	"github.com/reds-go/reds/internal/gbt"
-	"github.com/reds-go/reds/internal/metamodel"
 	"github.com/reds-go/reds/internal/metrics"
 	"github.com/reds-go/reds/internal/prim"
 	"github.com/reds-go/reds/internal/rf"
@@ -194,18 +193,18 @@ func TestPseudoLabelDeterministicAndShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, false, metamodel.BatchOptions{})
+	a, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, false, metamodel.BatchOptions{})
+	b, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Hash() != b.Hash() {
 		t.Fatal("same seed produced different pseudo-labeled datasets")
 	}
-	p, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, true, metamodel.BatchOptions{})
+	p, err := PseudoLabel(context.Background(), model, sample.LatinHypercube{}, 500, train.M(), 99, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,19 +218,16 @@ func (c *byteCache[V]) Stats() CacheStats {
 	}
 }
 
-// defaultModelBytes is the weight of a cached model that does not report
-// its own size. It is deliberately pessimistic (1 MiB) so unknown model
-// types cannot silently blow the budget.
+// defaultModelBytes is the weight of a cached model that reports no
+// size (the collapsed svm, which holds no support vectors). It is
+// deliberately pessimistic (1 MiB).
 const defaultModelBytes = 1 << 20
 
-// modelSizeBytes estimates a trained model's in-memory footprint. The
-// shipped model families (rf.Forest, gbt.Model, svm.Model) implement
-// metamodel.MemorySizer; anything else is charged defaultModelBytes.
+// modelSizeBytes is a trained model's cache weight: its own estimate,
+// or defaultModelBytes when that is 0.
 func modelSizeBytes(m metamodel.Model) int64 {
-	if s, ok := m.(metamodel.MemorySizer); ok {
-		if n := s.ApproxMemoryBytes(); n > 0 {
-			return n
-		}
+	if n := m.ApproxMemoryBytes(); n > 0 {
+		return n
 	}
 	return defaultModelBytes
 }

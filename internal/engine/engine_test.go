@@ -332,10 +332,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// mockModel reports no size, so the cache charges it
+// defaultModelBytes.
 type mockModel struct{}
 
-func (mockModel) PredictProb([]float64) float64  { return 0 }
-func (mockModel) PredictLabel([]float64) float64 { return 0 }
+func (mockModel) PredictProbBatchInto(dst []float64, _ [][]float64)  { clear(dst) }
+func (mockModel) PredictLabelBatchInto(dst []float64, _ [][]float64) { clear(dst) }
+func (mockModel) ApproxMemoryBytes() int64                           { return 0 }
 
 // sizedModel reports an explicit approximate size.
 type sizedModel struct {

@@ -370,8 +370,8 @@ func (s *progressSink) update(mutate func(*Progress)) {
 
 // addSpan appends a closed span to the trace and publishes the new
 // snapshot. Spans close at stage granularity (a handful per variant),
-// so the copy here is rare and small — the per-point labeling hot
-// path goes through update, which never touches Timings.
+// so the copy here is rare and small — the labeling hot path reports
+// per chunk through update, which never touches Timings.
 func (s *progressSink) addSpan(t StageTiming) {
 	s.mu.Lock()
 	s.spans = append(s.spans, t)

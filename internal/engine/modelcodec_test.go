@@ -80,11 +80,11 @@ func TestModelCodecRoundTrip(t *testing.T) {
 				for _, kernel := range []string{"prob", "label"} {
 					want, have := make([]float64, len(pts)), make([]float64, len(pts))
 					if kernel == "prob" {
-						m.(metamodel.BatchModel).PredictProbBatchInto(want, pts)
-						got.(metamodel.BatchModel).PredictProbBatchInto(have, pts)
+						m.PredictProbBatchInto(want, pts)
+						got.PredictProbBatchInto(have, pts)
 					} else {
-						m.(metamodel.BatchModel).PredictLabelBatchInto(want, pts)
-						got.(metamodel.BatchModel).PredictLabelBatchInto(have, pts)
+						m.PredictLabelBatchInto(want, pts)
+						got.PredictLabelBatchInto(have, pts)
 					}
 					if !sameBits(have, want) {
 						t.Fatalf("decoded model's %s batch differs from the trained one's", kernel)
@@ -121,11 +121,10 @@ func FuzzDecodeModel(f *testing.F) {
 		}
 		pts := specialPoints(19, w, int64(len(data)))
 		dst := make([]float64, len(pts))
-		m.(metamodel.BatchModel).PredictProbBatchInto(dst, pts)
-		m.(metamodel.BatchModel).PredictLabelBatchInto(dst, pts)
-		for _, x := range pts[:3] {
-			m.PredictProb(x)
-			if l := m.PredictLabel(x); l != 0 && l != 1 {
+		m.PredictProbBatchInto(dst, pts)
+		m.PredictLabelBatchInto(dst, pts)
+		for _, l := range dst {
+			if l != 0 && l != 1 {
 				t.Fatalf("%s model labels %v", fam, l)
 			}
 		}

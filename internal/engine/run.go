@@ -441,8 +441,7 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 		key = labelKey(rulesetKey)
 	}
 	dnew, hit, err := x.labels.getOrCompute(key, func() (*dataset.Dataset, error) {
-		d, err := core.PseudoLabel(ctx, labeler, smp, l, train.M(), labelSeed, req.ProbLabels,
-			metamodel.BatchOptions{Progress: labelProgress})
+		d, err := core.PseudoLabel(ctx, labeler, smp, l, train.M(), labelSeed, req.ProbLabels, labelProgress)
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,8 @@
 // with a branch-free lockstep descent; the distilled rule sets of
 // internal/ruleset decode it and recompile their selected trees into
 // one. Descend is the per-point walk over source-form trees: ruleset
-// labels through it, and the batch differential tests of rf and gbt
-// hold the table's kernels to it.
+// labels through it, and the batch differential tests of rf, gbt and
+// ruleset hold the table's kernels to it.
 package flattree
 
 import (

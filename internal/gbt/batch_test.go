@@ -68,10 +68,9 @@ func batchQueryPoints(d *dataset.Dataset, n int, seed int64) [][]float64 {
 	return pts
 }
 
-// TestGBTBatchMatchesPerPoint holds the table's kernels and the model's
-// per-point methods to a per-point flattree.Descend walk over the
-// decoded trees, for probabilities and for the margin-thresholded
-// labels.
+// TestGBTBatchMatchesPerPoint holds the table's kernels to a per-point
+// flattree.Descend walk over the decoded trees, for probabilities and
+// for the margin-thresholded labels.
 func TestGBTBatchMatchesPerPoint(t *testing.T) {
 	d := tiedTrainData(300, 6, 11)
 	trained, err := (&Trainer{Rounds: 40, MaxDepth: 3}).Train(d, rand.New(rand.NewSource(12)))
@@ -94,33 +93,29 @@ func TestGBTBatchMatchesPerPoint(t *testing.T) {
 		if margin > 0 {
 			wantLabel = 1
 		}
-		if want := sigmoid(margin); probs[i] != want || m.PredictProb(x) != want {
-			t.Fatalf("point %d: batch prob %v, PredictProb %v, descent %v", i, probs[i], m.PredictProb(x), want)
+		if want := sigmoid(margin); probs[i] != want {
+			t.Fatalf("point %d: batch prob %v, descent %v", i, probs[i], want)
 		}
-		if m.Margin(x) != margin {
-			t.Fatalf("point %d: Margin %v, descent %v", i, m.Margin(x), margin)
-		}
-		if labels[i] != wantLabel || m.PredictLabel(x) != wantLabel {
-			t.Fatalf("point %d: batch label %v, PredictLabel %v, descent %v", i, labels[i], m.PredictLabel(x), wantLabel)
+		if labels[i] != wantLabel {
+			t.Fatalf("point %d: batch label %v, descent %v", i, labels[i], wantLabel)
 		}
 	}
 }
 
-// TestGBTBatchThroughMetamodel asserts BatchModel detection in the
-// metamodel wrappers, for the label path this time.
+// TestGBTBatchThroughMetamodel asserts the metamodel's chunked labeling
+// returns what one whole-slice kernel call does, for the label path
+// this time.
 func TestGBTBatchThroughMetamodel(t *testing.T) {
 	d := tiedTrainData(200, 5, 14)
 	trained, err := (&Trainer{Rounds: 25}).Train(d, rand.New(rand.NewSource(15)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := trained.(metamodel.BatchModel); !ok {
-		t.Fatal("gbt.Model does not implement metamodel.BatchModel")
-	}
 	pts := batchQueryPoints(d, 999, 16)
-	want := metamodel.PredictBatchSerial(pts, trained.PredictLabel)
+	want := make([]float64, len(pts))
+	trained.PredictLabelBatchInto(want, pts)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	got, err := metamodel.PredictLabelBatchCtx(t.Context(), trained, pts, metamodel.BatchOptions{})
+	got, err := metamodel.PredictLabelBatchCtx(t.Context(), trained, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

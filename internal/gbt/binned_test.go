@@ -2,6 +2,7 @@ package gbt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -78,10 +79,8 @@ func TestBinnedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := noisyData(200, 6, 9)
-	for _, x := range probe.X {
-		if a.PredictProb(x) != b.PredictProb(x) {
-			t.Fatal("binned training is not deterministic")
-		}
+	if !slices.Equal(metamodel.PredictProbBatch(a, probe.X), metamodel.PredictProbBatch(b, probe.X)) {
+		t.Fatal("binned training is not deterministic")
 	}
 }
 
@@ -113,10 +112,8 @@ func TestBinnedTrainSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range holdout.X {
-		if sm.PredictProb(x) != sm2.PredictProb(x) {
-			t.Fatal("TrainSubset is not deterministic")
-		}
+	if !slices.Equal(metamodel.PredictProbBatch(sm, holdout.X), metamodel.PredictProbBatch(sm2, holdout.X)) {
+		t.Fatal("TrainSubset is not deterministic")
 	}
 }
 

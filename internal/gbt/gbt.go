@@ -90,31 +90,9 @@ func UnmarshalModel(data []byte, width int) (*Model, error) {
 	}, nil
 }
 
-// Margin returns the raw additive score (log-odds) at x: base plus eta
-// times every tree's leaf weight, summed in tree order by the batch
-// kernel on one point.
-func (m *Model) Margin(x []float64) float64 {
-	var dst [1]float64
-	m.table.SumInto(dst[:], [][]float64{x}, len(x), m.base, m.eta)
-	return dst[0]
-}
-
-// PredictProb implements metamodel.Model via the logistic link.
-func (m *Model) PredictProb(x []float64) float64 {
-	return sigmoid(m.Margin(x))
-}
-
-// PredictLabel implements metamodel.Model with boundary margin > 0
-// (probability 0.5).
-func (m *Model) PredictLabel(x []float64) float64 {
-	if m.Margin(x) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// PredictProbBatchInto implements metamodel.BatchModel via the logistic
-// link on the batched margins.
+// PredictProbBatchInto implements metamodel.Model via the logistic
+// link on the margins: base plus eta times every tree's leaf weight,
+// summed in tree order.
 func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	if len(pts) == 0 {
 		return
@@ -125,11 +103,10 @@ func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	}
 }
 
-// PredictLabelBatchInto implements metamodel.BatchModel with the same
-// margin > 0 boundary as PredictLabel (thresholding the raw margin,
-// not the squashed probability, so ties behave identically): the
-// table's hard-label kernel stops descending a point's trees once the
-// margin's sign is settled.
+// PredictLabelBatchInto implements metamodel.Model with boundary
+// margin > 0 (probability 0.5), thresholding the raw margin, not the
+// squashed probability: the table's hard-label kernel stops descending
+// a point's trees once the margin's sign is settled.
 func (m *Model) PredictLabelBatchInto(dst []float64, pts [][]float64) {
 	if len(pts) == 0 {
 		return
@@ -148,8 +125,7 @@ func (m *Model) DistillSource() flattree.Ensemble {
 // NumTrees returns the number of boosted trees.
 func (m *Model) NumTrees() int { return len(m.table.Roots) }
 
-// ApproxMemoryBytes implements metamodel.MemorySizer: the compiled
-// table.
+// ApproxMemoryBytes implements metamodel.Model: the compiled table.
 func (m *Model) ApproxMemoryBytes() int64 { return m.table.MemoryBytes() }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }

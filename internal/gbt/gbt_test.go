@@ -45,13 +45,16 @@ func TestProbabilitiesValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		p := m.PredictProb(x)
+	pts := make([][]float64, 200)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	labels := metamodel.PredictLabelBatch(m, pts)
+	for i, p := range metamodel.PredictProbBatch(m, pts) {
 		if p < 0 || p > 1 || math.IsNaN(p) {
 			t.Fatalf("prob %g invalid", p)
 		}
-		if (p > 0.5) != (m.PredictLabel(x) == 1) {
+		if (p > 0.5) != (labels[i] == 1) {
 			t.Fatal("label inconsistent with probability")
 		}
 	}
@@ -62,8 +65,7 @@ func TestTrainingLossDecreases(t *testing.T) {
 	d := boxData(300, rng)
 	logLoss := func(m metamodel.Model) float64 {
 		s := 0.0
-		for i, x := range d.X {
-			p := m.PredictProb(x)
+		for i, p := range metamodel.PredictProbBatch(m, d.X) {
 			p = math.Min(math.Max(p, 1e-9), 1-1e-9)
 			if d.Y[i] >= 0.5 {
 				s -= math.Log(p)
@@ -87,10 +89,11 @@ func TestConstantLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := m.PredictLabel([]float64{0.25}); l != 0 {
+	probe := [][]float64{{0.25}}
+	if l := metamodel.PredictLabelBatch(m, probe)[0]; l != 0 {
 		t.Errorf("constant-0 data predicts %g", l)
 	}
-	if p := m.PredictProb([]float64{0.25}); p > 0.05 {
+	if p := metamodel.PredictProbBatch(m, probe)[0]; p > 0.05 {
 		t.Errorf("constant-0 prob = %g, want near 0", p)
 	}
 }
@@ -172,8 +175,10 @@ func TestMarginAdditivity(t *testing.T) {
 	for _, tree := range gm.table.Decode() {
 		want += gm.eta * tree[flattree.Descend(tree, x)].Value
 	}
-	if got := gm.Margin(x); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Margin = %g, want %g", got, want)
+	var got [1]float64
+	gm.table.SumInto(got[:], [][]float64{x}, len(x), gm.base, gm.eta)
+	if math.Abs(got[0]-want) > 1e-12 {
+		t.Errorf("margin = %g, want %g", got[0], want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // cancellation are observable.
 type slowModel struct{}
 
-func (slowModel) PredictProb(x []float64) float64 {
+func (slowModel) prob(x []float64) float64 {
 	s := 0.0
 	for i := 0; i < 50; i++ {
 		s += math.Sin(x[0] + float64(i))
@@ -21,12 +21,22 @@ func (slowModel) PredictProb(x []float64) float64 {
 	return math.Abs(math.Mod(s, 1))
 }
 
-func (m slowModel) PredictLabel(x []float64) float64 {
-	if m.PredictProb(x) > 0.5 {
-		return 1
+func (m slowModel) PredictProbBatchInto(dst []float64, pts [][]float64) {
+	for i, x := range pts {
+		dst[i] = m.prob(x)
 	}
-	return 0
 }
+
+func (m slowModel) PredictLabelBatchInto(dst []float64, pts [][]float64) {
+	for i, x := range pts {
+		dst[i] = 0
+		if m.prob(x) > 0.5 {
+			dst[i] = 1
+		}
+	}
+}
+
+func (slowModel) ApproxMemoryBytes() int64 { return 0 }
 
 func randPoints(n, m int, rng *rand.Rand) [][]float64 {
 	pts := make([][]float64, n)
@@ -40,15 +50,17 @@ func randPoints(n, m int, rng *rand.Rand) [][]float64 {
 }
 
 // TestParallelMatchesSerial: at the GOMAXPROCS the test runs with (0)
-// and at 1, 2 and 7, the parallel batch equals the serial scan.
+// and at 1, 2 and 7, the chunk driver equals one whole-slice kernel
+// call.
 func TestParallelMatchesSerial(t *testing.T) {
 	pts := randPoints(5000, 3, rand.New(rand.NewSource(1)))
 	var m slowModel
-	want := PredictBatchSerial(pts, m.PredictProb)
+	want := make([]float64, len(pts))
+	m.PredictProbBatchInto(want, pts)
 	for _, procs := range []int{0, 1, 2, 7} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			got, err := PredictBatchParallel(context.Background(), pts, m.PredictProb, BatchOptions{})
+			got, err := predictChunks(context.Background(), pts, m.PredictProbBatchInto, nil)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 			}
@@ -67,19 +79,17 @@ func TestBatchProgressCoversAllPoints(t *testing.T) {
 	var mu sync.Mutex
 	sum, max := 0, 0
 	prev := 0
-	_, err := PredictBatchParallel(context.Background(), pts, slowModel{}.PredictProb, BatchOptions{
-		Progress: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total != len(pts) {
-				t.Errorf("total = %d, want %d", total, len(pts))
-			}
-			sum += done - prev
-			prev = done
-			if done > max {
-				max = done
-			}
-		},
+	_, err := PredictProbBatchCtx(context.Background(), slowModel{}, pts, func(done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if total != len(pts) {
+			t.Errorf("total = %d, want %d", total, len(pts))
+		}
+		sum += done - prev
+		prev = done
+		if done > max {
+			max = done
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +104,8 @@ func TestBatchCancellation(t *testing.T) {
 	pts := randPoints(200000, 2, rand.New(rand.NewSource(3)))
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	out, err := PredictBatchParallel(ctx, pts, slowModel{}.PredictProb, BatchOptions{
-		Progress: func(done, total int) {
-			once.Do(cancel) // cancel after the first chunk
-		},
+	out, err := PredictProbBatchCtx(ctx, slowModel{}, pts, func(done, total int) {
+		once.Do(cancel) // cancel after the first chunk
 	})
 	if err == nil {
 		t.Fatalf("cancelled batch returned no error (out len %d)", len(out))
@@ -111,22 +119,18 @@ func TestBatchCancellation(t *testing.T) {
 }
 
 func TestBatchEmptyInput(t *testing.T) {
-	out, err := PredictBatchParallel(context.Background(), nil, slowModel{}.PredictProb, BatchOptions{})
+	out, err := PredictProbBatchCtx(context.Background(), slowModel{}, nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: out=%v err=%v", out, err)
 	}
 }
 
-// chunkRecordingModel implements BatchModel and records the chunks the
-// batch path hands it, so the dispatch itself is testable without a
-// real flattened ensemble.
+// chunkRecordingModel records the chunks the batch path hands it, so
+// the dispatch itself is testable without a real flattened ensemble.
 type chunkRecordingModel struct {
 	mu     sync.Mutex
 	chunks []int
 }
-
-func (m *chunkRecordingModel) PredictProb(x []float64) float64  { return x[0] }
-func (m *chunkRecordingModel) PredictLabel(x []float64) float64 { return 1 - x[0] }
 
 func (m *chunkRecordingModel) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	m.record(len(pts))
@@ -142,6 +146,8 @@ func (m *chunkRecordingModel) PredictLabelBatchInto(dst []float64, pts [][]float
 	}
 }
 
+func (*chunkRecordingModel) ApproxMemoryBytes() int64 { return 0 }
+
 func (m *chunkRecordingModel) record(n int) {
 	m.mu.Lock()
 	m.chunks = append(m.chunks, n)
@@ -149,7 +155,7 @@ func (m *chunkRecordingModel) record(n int) {
 }
 
 // TestBatchModelDispatch asserts PredictProbBatchCtx/PredictLabelBatchCtx
-// route every point through the vectorized kernel exactly once, in
+// route every point through the model's kernel exactly once, in
 // bounded chunks with the uneven tail intact, at any GOMAXPROCS.
 func TestBatchModelDispatch(t *testing.T) {
 	pts := randPoints(2*batchChunk+37, 2, rand.New(rand.NewSource(5)))
@@ -157,11 +163,11 @@ func TestBatchModelDispatch(t *testing.T) {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			m := &chunkRecordingModel{}
-			probs, err := PredictProbBatchCtx(context.Background(), m, pts, BatchOptions{})
+			probs, err := PredictProbBatchCtx(context.Background(), m, pts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			labels, err := PredictLabelBatchCtx(context.Background(), m, pts, BatchOptions{})
+			labels, err := PredictLabelBatchCtx(context.Background(), m, pts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,13 +15,27 @@ import (
 	"github.com/reds-go/reds/internal/par"
 )
 
-// Model is a trained metamodel f_am.
+// Model is a trained metamodel f_am. REDS labels 10^4-10^5 points per
+// run (Algorithm 4, lines 4-6), so a model labels whole slices of
+// points over its compiled state: rf and gbt descend one contiguous
+// node table, svm evaluates its kernel in blocks over its
+// support-vector matrix. Both methods are safe for concurrent calls on
+// disjoint dst/pts slices, and len(dst) must equal len(pts).
 type Model interface {
-	// PredictProb returns the estimated P(y=1|x), in [0,1].
-	PredictProb(x []float64) float64
-	// PredictLabel returns the hard 0/1 label, i.e. I(f_am(x) > bnd) with
-	// the model's native decision boundary.
-	PredictLabel(x []float64) float64
+	// PredictProbBatchInto fills dst[i] with the estimated
+	// P(y=1|pts[i]), in [0,1].
+	PredictProbBatchInto(dst []float64, pts [][]float64)
+	// PredictLabelBatchInto fills dst[i] with the hard 0/1 label of
+	// pts[i], i.e. I(f_am(x) > bnd) with the model's native decision
+	// boundary (not a fixed 0.5 threshold on probabilities: gbt and svm
+	// threshold their raw margin).
+	PredictLabelBatchInto(dst []float64, pts [][]float64)
+	// ApproxMemoryBytes estimates the model's resident size in bytes.
+	// The engine's model cache weighs its entries by it (a tuned
+	// 500-tree forest should not cost the same cache budget as a
+	// 20-vector SVM). It only needs to be proportional to reality, not
+	// exact.
+	ApproxMemoryBytes() int64
 }
 
 // Trainer fits a Model to a dataset. Implementations must be deterministic
@@ -33,110 +47,44 @@ type Trainer interface {
 	Train(d *dataset.Dataset, rng *rand.Rand) (Model, error)
 }
 
-// BatchModel is optionally implemented by models with a vectorized
-// fast path: instead of walking the model once per point through the
-// Model interface, a whole slice of points is evaluated in one call
-// over flattened model state (rf and gbt keep only a contiguous node
-// table, which their per-point methods descend one point at a time;
-// svm evaluates its kernel in blocks over its support-vector matrix).
-// Implementations must be byte-identical to the per-point methods —
-// the differential tests in rf, gbt and svm assert it — so callers may
-// pick either path freely.
-type BatchModel interface {
-	// PredictProbBatchInto fills dst[i] with PredictProb(pts[i]).
-	// len(dst) must equal len(pts). Safe for concurrent calls on
-	// disjoint dst/pts slices.
-	PredictProbBatchInto(dst []float64, pts [][]float64)
-	// PredictLabelBatchInto fills dst[i] with PredictLabel(pts[i]),
-	// using the model's native decision boundary (not a fixed 0.5
-	// threshold on probabilities — gbt and svm threshold their raw
-	// margin, exactly like their per-point PredictLabel).
-	PredictLabelBatchInto(dst []float64, pts [][]float64)
-}
-
-// MemorySizer is optionally implemented by models that can estimate
-// their own in-memory footprint. The engine's metamodel cache weighs
-// LRU entries by this size (a tuned 500-tree forest should not cost the
-// same cache budget as a 20-vector SVM); models without it are charged
-// a pessimistic default.
-type MemorySizer interface {
-	// ApproxMemoryBytes estimates the model's resident size in bytes.
-	// It only needs to be proportional to reality, not exact.
-	ApproxMemoryBytes() int64
-}
-
-// PredictProbBatch evaluates PredictProb on every point in parallel.
-// REDS labels 10^4-10^5 points per run, which makes this the hot path
-// of the whole pipeline. Models implementing BatchModel are evaluated
-// through their vectorized fast path.
+// PredictProbBatch evaluates P(y=1|x) on every point in parallel.
 func PredictProbBatch(m Model, pts [][]float64) []float64 {
-	out, _ := PredictProbBatchCtx(context.Background(), m, pts, BatchOptions{})
+	out, _ := PredictProbBatchCtx(context.Background(), m, pts, nil)
 	return out
 }
 
-// PredictLabelBatch evaluates PredictLabel on every point in parallel,
-// through the model's BatchModel fast path when it has one.
+// PredictLabelBatch evaluates the hard label on every point in
+// parallel.
 func PredictLabelBatch(m Model, pts [][]float64) []float64 {
-	out, _ := PredictLabelBatchCtx(context.Background(), m, pts, BatchOptions{})
+	out, _ := PredictLabelBatchCtx(context.Background(), m, pts, nil)
 	return out
 }
 
 // PredictProbBatchCtx is PredictProbBatch with cancellation and
-// progress: it detects a BatchModel and hands its vectorized
-// kernel to PredictBatchParallel, falling back to the per-point
-// closure otherwise.
-func PredictProbBatchCtx(ctx context.Context, m Model, pts [][]float64, opts BatchOptions) ([]float64, error) {
-	if bm, ok := m.(BatchModel); ok {
-		opts.BatchInto = bm.PredictProbBatchInto
-	}
-	return PredictBatchParallel(ctx, pts, m.PredictProb, opts)
+// progress. progress, when non-nil, is called after every completed
+// chunk with the running total of labeled points; it may be called
+// concurrently from several goroutines and must be safe for that.
+// Cancelling ctx stops the scan between chunks and returns ctx.Err().
+func PredictProbBatchCtx(ctx context.Context, m Model, pts [][]float64, progress func(done, total int)) ([]float64, error) {
+	return predictChunks(ctx, pts, m.PredictProbBatchInto, progress)
 }
 
-// PredictLabelBatchCtx is the PredictLabel counterpart of
+// PredictLabelBatchCtx is the hard-label counterpart of
 // PredictProbBatchCtx.
-func PredictLabelBatchCtx(ctx context.Context, m Model, pts [][]float64, opts BatchOptions) ([]float64, error) {
-	if bm, ok := m.(BatchModel); ok {
-		opts.BatchInto = bm.PredictLabelBatchInto
-	}
-	return PredictBatchParallel(ctx, pts, m.PredictLabel, opts)
+func PredictLabelBatchCtx(ctx context.Context, m Model, pts [][]float64, progress func(done, total int)) ([]float64, error) {
+	return predictChunks(ctx, pts, m.PredictLabelBatchInto, progress)
 }
 
-// batchChunk is the unit of work handed to one prediction worker. It
-// bounds how stale a Progress report or a cancellation check can be.
+// batchChunk is the number of points one kernel call labels. It
+// bounds how stale a progress report or a cancellation check can be.
 const batchChunk = 512
 
-// BatchOptions configure PredictBatchParallel.
-type BatchOptions struct {
-	// Progress, when non-nil, is called after every completed chunk with
-	// the running total of labeled points. It may be called concurrently
-	// from several workers and must be safe for that.
-	Progress func(done, total int)
-	// BatchInto, when non-nil, replaces the per-point closure: each
-	// worker evaluates whole chunks through it (dst[i] receives the
-	// prediction for pts[i]). PredictProbBatchCtx/PredictLabelBatchCtx
-	// set it from the model's BatchModel implementation; chunking,
-	// cancellation and progress behave exactly as on the per-point
-	// path.
-	BatchInto func(dst []float64, pts [][]float64)
-}
-
-// PredictBatchSerial evaluates f on every point on the calling
-// goroutine. It is the baseline the parallel path is benchmarked
-// against.
-func PredictBatchSerial(pts [][]float64, f func([]float64) float64) []float64 {
-	out := make([]float64, len(pts))
-	for i, x := range pts {
-		out[i] = f(x)
-	}
-	return out
-}
-
-// PredictBatchParallel shards the evaluation of f over pts with par.For.
-// Points are handed out in fixed-size chunks so workers stay balanced
-// even when per-point cost varies (deep trees vs early exits).
-// Cancelling ctx stops the scan between chunks and returns ctx.Err();
-// the partially-filled slice is discarded.
-func PredictBatchParallel(ctx context.Context, pts [][]float64, f func([]float64) float64, opts BatchOptions) ([]float64, error) {
+// predictChunks shards kernel over pts with par.For. Points are handed
+// out in fixed-size chunks so workers stay balanced even when per-point
+// cost varies (deep trees vs early exits); dst[i] receives the
+// prediction for pts[i]. On cancellation the partially-filled slice is
+// discarded.
+func predictChunks(ctx context.Context, pts [][]float64, kernel func(dst []float64, pts [][]float64), progress func(done, total int)) ([]float64, error) {
 	out := make([]float64, len(pts))
 	var done atomic.Int64
 	par.For((len(pts)+batchChunk-1)/batchChunk, func(_, c int) {
@@ -145,15 +93,9 @@ func PredictBatchParallel(ctx context.Context, pts [][]float64, f func([]float64
 		}
 		lo := c * batchChunk
 		hi := min(lo+batchChunk, len(pts))
-		if opts.BatchInto != nil {
-			opts.BatchInto(out[lo:hi], pts[lo:hi])
-		} else {
-			for i := lo; i < hi; i++ {
-				out[i] = f(pts[i])
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress(int(done.Add(int64(hi-lo))), len(pts))
+		kernel(out[lo:hi], pts[lo:hi])
+		if progress != nil {
+			progress(int(done.Add(int64(hi-lo))), len(pts))
 		}
 	})
 	if err := ctx.Err(); err != nil {

@@ -11,19 +11,33 @@ import (
 // thresholdModel is a trivial model: y = 1 iff x[0] > cut.
 type thresholdModel struct{ cut float64 }
 
-func (m thresholdModel) PredictProb(x []float64) float64 {
+func (m thresholdModel) label(x []float64) float64 {
+	if x[0] > m.cut {
+		return 1
+	}
+	return 0
+}
+
+func (m thresholdModel) prob(x []float64) float64 {
 	if x[0] > m.cut {
 		return 0.9
 	}
 	return 0.1
 }
 
-func (m thresholdModel) PredictLabel(x []float64) float64 {
-	if x[0] > m.cut {
-		return 1
+func (m thresholdModel) PredictProbBatchInto(dst []float64, pts [][]float64) {
+	for i, x := range pts {
+		dst[i] = m.prob(x)
 	}
-	return 0
 }
+
+func (m thresholdModel) PredictLabelBatchInto(dst []float64, pts [][]float64) {
+	for i, x := range pts {
+		dst[i] = m.label(x)
+	}
+}
+
+func (thresholdModel) ApproxMemoryBytes() int64 { return 0 }
 
 // cutTrainer "learns" nothing: it returns a fixed threshold model. Useful
 // to test the tuner's selection logic.
@@ -75,13 +89,13 @@ func TestBatchPredictionMatchesSerial(t *testing.T) {
 	probs := PredictProbBatch(m, d.X)
 	labels := PredictLabelBatch(m, d.X)
 	for i, x := range d.X {
-		if probs[i] != m.PredictProb(x) || labels[i] != m.PredictLabel(x) {
+		if probs[i] != m.prob(x) || labels[i] != m.label(x) {
 			t.Fatalf("batch mismatch at %d", i)
 		}
 	}
 	// Tiny inputs exercise the serial path.
 	one := PredictProbBatch(m, d.X[:1])
-	if len(one) != 1 || one[0] != m.PredictProb(d.X[0]) {
+	if len(one) != 1 || one[0] != m.prob(d.X[0]) {
 		t.Error("single-point batch wrong")
 	}
 	if out := PredictProbBatch(m, nil); len(out) != 0 {

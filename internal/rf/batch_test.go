@@ -73,9 +73,9 @@ func batchQueryPoints(d *dataset.Dataset, n int, seed int64) [][]float64 {
 	return pts
 }
 
-// TestForestBatchMatchesPerPoint holds the table's kernels and the
-// forest's per-point methods to a per-point flattree.Descend walk over
-// the decoded trees, probabilities and labels alike.
+// TestForestBatchMatchesPerPoint holds the table's kernels to a
+// per-point flattree.Descend walk over the decoded trees,
+// probabilities and labels alike.
 func TestForestBatchMatchesPerPoint(t *testing.T) {
 	d := tiedTrainData(300, 6, 1)
 	model, err := (&Trainer{NTrees: 30}).Train(d, rand.New(rand.NewSource(2)))
@@ -99,32 +99,30 @@ func TestForestBatchMatchesPerPoint(t *testing.T) {
 		if want > 0.5 {
 			wantLabel = 1
 		}
-		if probs[i] != want || f.PredictProb(x) != want {
-			t.Fatalf("point %d: batch prob %v, PredictProb %v, descent %v", i, probs[i], f.PredictProb(x), want)
+		if probs[i] != want {
+			t.Fatalf("point %d: batch prob %v, descent %v", i, probs[i], want)
 		}
-		if labels[i] != wantLabel || f.PredictLabel(x) != wantLabel {
-			t.Fatalf("point %d: batch label %v, PredictLabel %v, descent %v", i, labels[i], f.PredictLabel(x), wantLabel)
+		if labels[i] != wantLabel {
+			t.Fatalf("point %d: batch label %v, descent %v", i, labels[i], wantLabel)
 		}
 	}
 }
 
-// TestForestBatchThroughMetamodel asserts the metamodel wrappers
-// detect the forest's BatchModel implementation and still return the
-// per-point answers, across GOMAXPROCS settings.
+// TestForestBatchThroughMetamodel asserts the metamodel's chunked
+// labeling returns what one whole-slice kernel call does, across
+// GOMAXPROCS settings.
 func TestForestBatchThroughMetamodel(t *testing.T) {
 	d := tiedTrainData(200, 5, 4)
 	model, err := (&Trainer{NTrees: 20}).Train(d, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := model.(metamodel.BatchModel); !ok {
-		t.Fatal("Forest does not implement metamodel.BatchModel")
-	}
 	pts := batchQueryPoints(d, 999, 6)
-	want := metamodel.PredictBatchSerial(pts, model.PredictProb)
+	want := make([]float64, len(pts))
+	model.PredictProbBatchInto(want, pts)
 	for _, procs := range []int{1, 3} {
 		prev := runtime.GOMAXPROCS(procs)
-		got, err := metamodel.PredictProbBatchCtx(t.Context(), model, pts, metamodel.BatchOptions{})
+		got, err := metamodel.PredictProbBatchCtx(t.Context(), model, pts, nil)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package rf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -59,12 +60,9 @@ func TestBinnedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, fb := a.(*Forest), b.(*Forest)
 	probe := randomDataset(200, 6, 9)
-	for _, x := range probe.X {
-		if fa.PredictProb(x) != fb.PredictProb(x) {
-			t.Fatal("binned training is not deterministic")
-		}
+	if !slices.Equal(metamodel.PredictProbBatch(a, probe.X), metamodel.PredictProbBatch(b, probe.X)) {
+		t.Fatal("binned training is not deterministic")
 	}
 }
 
@@ -99,10 +97,8 @@ func TestBinnedTrainSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range holdout.X {
-		if sm.PredictProb(x) != sm2.PredictProb(x) {
-			t.Fatal("TrainSubset is not deterministic")
-		}
+	if !slices.Equal(metamodel.PredictProbBatch(sm, holdout.X), metamodel.PredictProbBatch(sm2, holdout.X)) {
+		t.Fatal("TrainSubset is not deterministic")
 	}
 }
 

@@ -122,25 +122,8 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	return newForest(trees), nil
 }
 
-// PredictProb implements metamodel.Model: mean leaf value across trees,
-// an estimate of P(y=1|x), by the batch kernel on one point.
-func (f *Forest) PredictProb(x []float64) float64 {
-	var dst [1]float64
-	f.PredictProbBatchInto(dst[:], [][]float64{x})
-	return dst[0]
-}
-
-// PredictLabel implements metamodel.Model with the majority-vote boundary
-// bnd = 0.5.
-func (f *Forest) PredictLabel(x []float64) float64 {
-	if f.PredictProb(x) > 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// PredictProbBatchInto implements metamodel.BatchModel: mean leaf value
-// across trees for every point.
+// PredictProbBatchInto implements metamodel.Model: mean leaf value
+// across trees, an estimate of P(y=1|x), for every point.
 func (f *Forest) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	if len(pts) == 0 {
 		return
@@ -152,9 +135,9 @@ func (f *Forest) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	}
 }
 
-// PredictLabelBatchInto implements metamodel.BatchModel with the same
-// majority-vote boundary as PredictLabel: the table's hard-label kernel
-// stops descending a point's trees once its vote is settled.
+// PredictLabelBatchInto implements metamodel.Model with the
+// majority-vote boundary bnd = 0.5: the table's hard-label kernel stops
+// descending a point's trees once its vote is settled.
 func (f *Forest) PredictLabelBatchInto(dst []float64, pts [][]float64) {
 	if len(pts) == 0 {
 		return
@@ -173,8 +156,7 @@ func (f *Forest) DistillSource() flattree.Ensemble {
 // NumTrees returns the number of trees in the forest.
 func (f *Forest) NumTrees() int { return len(f.table.Roots) }
 
-// ApproxMemoryBytes implements metamodel.MemorySizer: the compiled
-// table.
+// ApproxMemoryBytes implements metamodel.Model: the compiled table.
 func (f *Forest) ApproxMemoryBytes() int64 { return f.table.MemoryBytes() }
 
 // TunedTrainer returns the caret-style grid-search trainer for random

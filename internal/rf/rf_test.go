@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,14 +48,16 @@ func TestForestProbabilitiesInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		p := m.PredictProb(x)
+	pts := make([][]float64, 200)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	labels := metamodel.PredictLabelBatch(m, pts)
+	for i, p := range metamodel.PredictProbBatch(m, pts) {
 		if p < 0 || p > 1 || math.IsNaN(p) {
 			t.Fatalf("prob %g out of range", p)
 		}
-		l := m.PredictLabel(x)
-		if (p > 0.5) != (l == 1) {
+		if l := labels[i]; (p > 0.5) != (l == 1) {
 			t.Fatalf("label %g inconsistent with prob %g", l, p)
 		}
 	}
@@ -64,11 +67,12 @@ func TestForestDeterministicGivenSeed(t *testing.T) {
 	d := boxData(150, rand.New(rand.NewSource(3)))
 	m1, _ := (&Trainer{NTrees: 20}).Train(d, rand.New(rand.NewSource(7)))
 	m2, _ := (&Trainer{NTrees: 20}).Train(d, rand.New(rand.NewSource(7)))
-	for i := 0; i < 50; i++ {
-		x := []float64{float64(i) / 50, 0.4, 0.6}
-		if m1.PredictProb(x) != m2.PredictProb(x) {
-			t.Fatal("forest must be deterministic for a fixed seed")
-		}
+	pts := make([][]float64, 50)
+	for i := range pts {
+		pts[i] = []float64{float64(i) / 50, 0.4, 0.6}
+	}
+	if !slices.Equal(metamodel.PredictProbBatch(m1, pts), metamodel.PredictProbBatch(m2, pts)) {
+		t.Fatal("forest must be deterministic for a fixed seed")
 	}
 }
 
@@ -110,7 +114,7 @@ func TestPureNodeIsLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := m.PredictProb([]float64{0.42}); p != 1 {
+	if p := metamodel.PredictProbBatch(m, [][]float64{{0.42}})[0]; p != 1 {
 		t.Errorf("constant forest predicts %g, want 1", p)
 	}
 }

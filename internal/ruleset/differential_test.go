@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
+	"github.com/reds-go/reds/internal/flattree"
 	"github.com/reds-go/reds/internal/gbt"
 	"github.com/reds-go/reds/internal/metamodel"
 	"github.com/reds-go/reds/internal/rf"
@@ -176,11 +177,11 @@ func TestDifferentialAgainstParent(t *testing.T) {
 	}
 }
 
-// TestDistilledBatchMatchesPerPoint asserts the distilled model's
-// batch path is byte-identical to its per-point path on adversarial
-// inputs (±Inf, NaN, exact split values, duplicate rows) — the same
-// contract rf/gbt enforce for their own flat kernels. The early-exit
-// labels must also equal the full table sum thresholded at the parent
+// TestDistilledBatchMatchesPerPoint holds the distilled model's batch
+// kernels to a per-point flattree.Descend walk over its decoded trees
+// on adversarial inputs (±Inf, NaN, exact split values, duplicate
+// rows) — the same oracle rf/gbt hold their own flat kernels to. The
+// early-exit labels must equal the full sum thresholded at the parent
 // family's boundary.
 func TestDistilledBatchMatchesPerPoint(t *testing.T) {
 	train := tiedTrainData(300, 6, 21)
@@ -198,25 +199,26 @@ func TestDistilledBatchMatchesPerPoint(t *testing.T) {
 			labels := make([]float64, len(pts))
 			dist.PredictProbBatchInto(probs, pts)
 			dist.PredictLabelBatchInto(labels, pts)
-			sums := make([]float64, len(pts))
-			dist.table.SumInto(sums, pts, len(pts[0]), dist.init, dist.scale)
+			trees := dist.table.Decode()
 			for i, x := range pts {
-				if p := dist.PredictProb(x); math.Float64bits(p) != math.Float64bits(probs[i]) {
-					t.Fatalf("point %d: batch prob %v != per-point %v", i, probs[i], p)
+				sum := dist.init
+				for _, tree := range trees {
+					sum += dist.scale * tree[flattree.Descend(tree, x)].Value
 				}
-				if l := dist.PredictLabel(x); l != labels[i] {
-					t.Fatalf("point %d: batch label %v != per-point %v", i, labels[i], l)
-				}
-				above := sums[i]/float64(dist.trees) > 0.5
+				prob := sum / float64(dist.trees)
+				above := prob > 0.5
 				if dist.margin {
-					above = sums[i] > 0
+					prob, above = sigmoid(sum), sum > 0
+				}
+				if math.Float64bits(prob) != math.Float64bits(probs[i]) {
+					t.Fatalf("point %d: batch prob %v != per-point %v", i, probs[i], prob)
 				}
 				want := 0.0
 				if above {
 					want = 1
 				}
 				if labels[i] != want {
-					t.Fatalf("point %d: label %v, full sum %v gives %v", i, labels[i], sums[i], want)
+					t.Fatalf("point %d: label %v, full sum %v gives %v", i, labels[i], sum, want)
 				}
 			}
 		})
@@ -290,5 +292,12 @@ func TestNotDistillable(t *testing.T) {
 
 type opaqueModel struct{}
 
-func (opaqueModel) PredictProb(x []float64) float64  { return 0.5 }
-func (opaqueModel) PredictLabel(x []float64) float64 { return 0 }
+func (opaqueModel) PredictProbBatchInto(dst []float64, _ [][]float64) {
+	for i := range dst {
+		dst[i] = 0.5
+	}
+}
+
+func (opaqueModel) PredictLabelBatchInto(dst []float64, _ [][]float64) { clear(dst) }
+
+func (opaqueModel) ApproxMemoryBytes() int64 { return 0 }

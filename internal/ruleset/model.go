@@ -10,14 +10,12 @@ import (
 // simplified trees recompiled into a flattree.Table so predictions run
 // the same branch-free lockstep descent as the parent ensemble — over
 // K selected trees instead of the parent's T, which is where the
-// speedup comes from. It implements metamodel.Model,
-// metamodel.BatchModel and metamodel.MemorySizer, so it drops into
+// speedup comes from. It implements metamodel.Model, so it drops into
 // core.PseudoLabel and the engine's caches unchanged. Immutable after
 // Distill; safe for concurrent use.
 type Model struct {
 	table       *flattree.Table
 	trees       int
-	dim         int
 	init, scale float64
 	margin      bool
 	export      *Export
@@ -36,21 +34,7 @@ func (m *Model) Export() *Export { return m.export }
 // computed once at distillation time.
 func (m *Model) ExportJSON() []byte { return m.exportJSON }
 
-// PredictProb implements metamodel.Model.
-func (m *Model) PredictProb(x []float64) float64 {
-	var dst [1]float64
-	m.PredictProbBatchInto(dst[:], [][]float64{x})
-	return dst[0]
-}
-
-// PredictLabel implements metamodel.Model.
-func (m *Model) PredictLabel(x []float64) float64 {
-	var dst [1]float64
-	m.PredictLabelBatchInto(dst[:], [][]float64{x})
-	return dst[0]
-}
-
-// PredictProbBatchInto implements metamodel.BatchModel: the mean leaf
+// PredictProbBatchInto implements metamodel.Model: the mean leaf
 // value over the selected trees (mean kind) or the logistic link on
 // the accumulated margin (margin kind).
 func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
@@ -70,7 +54,7 @@ func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	}
 }
 
-// PredictLabelBatchInto implements metamodel.BatchModel with the
+// PredictLabelBatchInto implements metamodel.Model with the
 // parent families' decision boundaries, raw margin > 0 for margin
 // kinds (like gbt) and mean vote > 0.5 for mean kinds (like rf),
 // through the table's early-exit hard-label kernel.
@@ -81,7 +65,7 @@ func (m *Model) PredictLabelBatchInto(dst []float64, pts [][]float64) {
 	m.table.LabelInto(dst, pts, len(pts[0]), m.init, m.scale, m.margin)
 }
 
-// ApproxMemoryBytes implements metamodel.MemorySizer: the compiled
+// ApproxMemoryBytes implements metamodel.Model: the compiled
 // table plus the retained export (rules dominate it; the JSON copy is
 // charged too since the model keeps it alive).
 func (m *Model) ApproxMemoryBytes() int64 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/reds-go/reds/internal/flattree"
+	"github.com/reds-go/reds/internal/metamodel"
 )
 
 // randomEnsemble grows random depth-bounded trees over dim features
@@ -183,10 +184,7 @@ func TestExportRoundTripsByteIdentically(t *testing.T) {
 	models := map[string]*Model{}
 	rfParent := trainRF(t, train, 60, 52)
 	gbtParent := trainGBT(t, train, 52)
-	for name, parent := range map[string]interface {
-		PredictProb(x []float64) float64
-		PredictLabel(x []float64) float64
-	}{"rf": rfParent, "gbt": gbtParent} {
+	for name, parent := range map[string]metamodel.Model{"rf": rfParent, "gbt": gbtParent} {
 		m, err := Distill(parent, Options{Dim: 6, Seed: 53, MergeEps: 0.02})
 		if err != nil {
 			t.Fatalf("%s distill: %v", name, err)

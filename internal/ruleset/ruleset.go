@@ -9,7 +9,7 @@
 //     as JSON by GET /v1/jobs/{id}/rules; and
 //   - a labeling kernel: the selected, simplified trees are recompiled
 //     into a flattree.Table, so the Model implements
-//     metamodel.BatchModel and drops into the chunked batch labeling
+//     metamodel.Model and drops into the chunked batch labeling
 //     path at a fraction of the parent's per-point cost (the descent
 //     cost is linear in the tree count; distillation keeps the
 //     smallest tree subset that reproduces the parent's labels on a
@@ -158,7 +158,6 @@ func Distill(parent metamodel.Model, opts Options) (*Model, error) {
 	m := &Model{
 		table:  flattree.Compile(selTrees),
 		trees:  len(selected),
-		dim:    opts.Dim,
 		init:   src.Init,
 		scale:  src.Scale,
 		margin: src.Margin,

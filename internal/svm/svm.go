@@ -33,12 +33,13 @@ type Trainer struct {
 // Name implements metamodel.Trainer.
 func (t *Trainer) Name() string { return "svm" }
 
-// Model is a trained SVM. Its support vectors are one row-major
-// matrix, which the per-point decision function and the blocked batch
-// kernel both scan. A fit that collapsed to one class (a single-class
-// training set, or every α at zero) has no support vectors and an
-// infinite bias: b = −Inf labels every point 1 and b = +Inf labels
-// every point 0, at probability exactly 1 or 0.
+// Model is a trained SVM with decision function
+// f(x) = −b + Σ coefᵢ·exp(−γ‖svᵢ − x‖²). Its support vectors are one
+// row-major matrix, which the blocked batch kernel scans. A fit that
+// collapsed to one class (a single-class training set, or every α at
+// zero) has no support vectors and an infinite bias: b = −Inf labels
+// every point 1 and b = +Inf labels every point 0, at probability
+// exactly 1 or 0.
 type Model struct {
 	sv    []float64 // support vectors, row-major, dim values per row
 	dim   int
@@ -47,40 +48,16 @@ type Model struct {
 	gamma float64
 }
 
-// Decision returns the signed distance surrogate f(x).
-func (m *Model) Decision(x []float64) float64 {
-	s := -m.b
-	for i, c := range m.coef {
-		s += c * rbf(m.sv[i*m.dim:(i+1)*m.dim], x, m.gamma)
-	}
-	return s
-}
-
-// PredictLabel implements metamodel.Model: 1 iff the decision value is
-// positive (bnd = 0 in Algorithm 4).
-func (m *Model) PredictLabel(x []float64) float64 {
-	if m.Decision(x) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// PredictProb implements metamodel.Model with a fixed logistic link on the
-// decision value; adequate because REDS uses SVM only through hard labels.
-func (m *Model) PredictProb(x []float64) float64 {
-	return 1 / (1 + math.Exp(-2*m.Decision(x)))
-}
-
 // svBlock is the number of support vectors evaluated per block: a
 // block of 64 vectors of typical width stays L1-resident while the
 // chunk's points stream past it.
 const svBlock = 64
 
-// decisionBatchInto fills dst with the decision value of every point
-// by blocked kernel evaluation: support vectors are processed in
+// decisionBatchInto fills dst with the decision value f(x) of every
+// point by blocked kernel evaluation: support vectors are processed in
 // blocks that stay cache-resident across the chunk, accumulating onto
-// dst in ascending support-vector order — the exact floating-point
-// sequence of the per-point Decision.
+// dst in ascending support-vector order, so each point's sum is the
+// same floating-point sequence whatever the chunking.
 func (m *Model) decisionBatchInto(dst []float64, pts [][]float64) {
 	for i := range dst {
 		dst[i] = -m.b
@@ -108,8 +85,9 @@ func (m *Model) decisionBatchInto(dst []float64, pts [][]float64) {
 	}
 }
 
-// PredictProbBatchInto implements metamodel.BatchModel with the same
-// fixed logistic link as PredictProb.
+// PredictProbBatchInto implements metamodel.Model with a fixed logistic
+// link on the decision value; adequate because REDS uses SVM only
+// through hard labels.
 func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	m.decisionBatchInto(dst, pts)
 	for i, s := range dst {
@@ -117,8 +95,8 @@ func (m *Model) PredictProbBatchInto(dst []float64, pts [][]float64) {
 	}
 }
 
-// PredictLabelBatchInto implements metamodel.BatchModel with the same
-// decision > 0 boundary as PredictLabel.
+// PredictLabelBatchInto implements metamodel.Model: 1 iff the decision
+// value is positive (bnd = 0 in Algorithm 4).
 func (m *Model) PredictLabelBatchInto(dst []float64, pts [][]float64) {
 	m.decisionBatchInto(dst, pts)
 	for i, s := range dst {
@@ -133,7 +111,7 @@ func (m *Model) PredictLabelBatchInto(dst []float64, pts [][]float64) {
 // NumSupport returns the number of support vectors.
 func (m *Model) NumSupport() int { return len(m.coef) }
 
-// ApproxMemoryBytes implements metamodel.MemorySizer: the support-vector
+// ApproxMemoryBytes implements metamodel.Model: the support-vector
 // matrix and the coefficients, 8 bytes per value.
 func (m *Model) ApproxMemoryBytes() int64 {
 	return int64(len(m.sv)+len(m.coef)) * 8

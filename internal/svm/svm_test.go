@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -74,13 +75,18 @@ func TestDecisionConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := m.(*Model)
-	for i := 0; i < 100; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		dec := sm.Decision(x)
-		if (dec > 0) != (sm.PredictLabel(x) == 1) {
+	pts := make([][]float64, 100)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64(), rng.Float64()}
+	}
+	probs := metamodel.PredictProbBatch(sm, pts)
+	labels := metamodel.PredictLabelBatch(sm, pts)
+	for i, x := range pts {
+		dec := decision(sm, x)
+		if (dec > 0) != (labels[i] == 1) {
 			t.Fatal("label inconsistent with decision sign")
 		}
-		p := sm.PredictProb(x)
+		p := probs[i]
 		if p < 0 || p > 1 || math.IsNaN(p) {
 			t.Fatalf("prob %g invalid", p)
 		}
@@ -100,14 +106,15 @@ func TestSingleClassDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PredictLabel([]float64{0.5, 0.5}) != 1 {
+	probe := [][]float64{{0.5, 0.5}}
+	if metamodel.PredictLabelBatch(m, probe)[0] != 1 {
 		t.Error("all-positive training must predict 1")
 	}
 	m0, err := (&Trainer{}).Train(dataset.MustNew(x, []float64{0, 0, 0}), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m0.PredictLabel([]float64{0.5, 0.5}) != 0 {
+	if metamodel.PredictLabelBatch(m0, probe)[0] != 0 {
 		t.Error("all-negative training must predict 0")
 	}
 }
@@ -169,6 +176,37 @@ func TestTunedTrainer(t *testing.T) {
 	}
 }
 
+// TestTunedWorkersBitIdentical: GOMAXPROCS cannot change the model the
+// tuner returns, though its fold × grid cells fan out on par.For. Every
+// fifth label is flipped so the grid's CV accuracies differ, and a
+// selection that depended on the cells' schedule would show.
+func TestTunedWorkersBitIdentical(t *testing.T) {
+	d := svmTrainData(240, 5, 31)
+	for i := 0; i < d.N(); i += 5 {
+		d.Y[i] = 1 - d.Y[i]
+	}
+	probe := svmTrainData(300, 5, 32)
+	var want []float64
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		m, err := TunedTrainer().Train(d, rand.New(rand.NewSource(33)))
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := metamodel.PredictProbBatch(m, probe.X)
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("GOMAXPROCS=%d: point %d predicts %v, GOMAXPROCS=1 %v", procs, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestZeroValueDefaults pins the zero Trainer to its documented
 // defaults: it must train the same model from the same seed.
 func TestZeroValueDefaults(t *testing.T) {
@@ -193,8 +231,8 @@ func TestZeroValueDefaults(t *testing.T) {
 // TestCollapsedModels: a single-class training set and a fit that
 // leaves every α at zero (a KKT tolerance no example violates) both
 // give a *Model without support vectors that scores and labels every
-// point, NaN and ±Inf included, exactly as its class, per point and in
-// batch, before and after a codec round trip.
+// point, NaN and ±Inf included, exactly as its class, before and after
+// a codec round trip.
 func TestCollapsedModels(t *testing.T) {
 	x := [][]float64{{0.1, 0.2}, {0.8, 0.9}, {0.4, 0.6}}
 	cases := []struct {
@@ -228,7 +266,7 @@ func TestCollapsedModels(t *testing.T) {
 			m.PredictProbBatchInto(probs, pts)
 			m.PredictLabelBatchInto(labels, pts)
 			for i, x := range pts {
-				for _, got := range []float64{m.PredictProb(x), m.PredictLabel(x), probs[i], labels[i]} {
+				for _, got := range []float64{probs[i], labels[i]} {
 					if got != c.class {
 						t.Fatalf("%s: point %v scored %v, want %v", c.name, x, got, c.class)
 					}

@@ -159,29 +159,13 @@ var TunedGradientBoostingBinned = gbt.TunedTrainerBinned
 // TunedSVM returns a cross-validated SVM trainer.
 var TunedSVM = svm.TunedTrainer
 
-// BatchOptions configure PredictBatchParallel (progress, batch kernel).
-type BatchOptions = metamodel.BatchOptions
-
-// PredictBatchSerial evaluates a prediction function on every point on
-// the calling goroutine — the baseline for the parallel path.
-var PredictBatchSerial = metamodel.PredictBatchSerial
-
-// PredictBatchParallel shards prediction across the process's compute
-// budget with cooperative cancellation; the hot path of pseudo-labeling.
-var PredictBatchParallel = metamodel.PredictBatchParallel
-
-// BatchMetamodel is the vectorized fast path a metamodel may offer:
-// whole slices of points evaluated over flattened model state,
-// byte-identical to the per-point methods. The shipped rf, gbt and svm
-// models all implement it.
-type BatchMetamodel = metamodel.BatchModel
-
-// PredictProbBatch evaluates P(y=1|x) for every point in parallel,
-// through the model's batch fast path when it has one.
+// PredictProbBatch evaluates P(y=1|x) for every point in chunks the
+// model's batch kernel labels, sharded across the process's compute
+// budget, with cooperative cancellation and an optional progress
+// callback (nil for none); the hot path of pseudo-labeling.
 var PredictProbBatch = metamodel.PredictProbBatchCtx
 
-// PredictLabelBatch evaluates the hard 0/1 label for every point in
-// parallel, through the model's batch fast path when it has one.
+// PredictLabelBatch is PredictProbBatch for the hard 0/1 label.
 var PredictLabelBatch = metamodel.PredictLabelBatchCtx
 
 // PseudoLabel runs the sample and label stages of Algorithm 4 (lines

@@ -29,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,6 +43,7 @@ import (
 
 	"github.com/reds-go/reds/internal/cluster"
 	"github.com/reds-go/reds/internal/engine"
+	"github.com/reds-go/reds/scripts/internal/smoke"
 )
 
 const (
@@ -66,6 +66,8 @@ var (
 	worker2URL = "http://" + worker2Addr
 	worker3URL = "http://" + worker3Addr
 	gatewayURL = "http://" + gatewayAddr
+
+	client = smoke.Client{Gateway: gatewayURL, Token: chaosToken}
 )
 
 func main() {
@@ -153,14 +155,14 @@ func run() error {
 	}()
 
 	for _, base := range []string{worker1URL, worker2URL, worker3URL, gatewayURL} {
-		if err := waitHealthy(base, 30*time.Second); err != nil {
+		if err := smoke.WaitHealthy(base, 30*time.Second); err != nil {
 			return err
 		}
 	}
-	if err := waitReady(gatewayURL, 30*time.Second); err != nil {
+	if err := smoke.WaitReady(gatewayURL, 30*time.Second); err != nil {
 		return err
 	}
-	if err := waitGatewaySeesWorkers(2, 30*time.Second); err != nil {
+	if err := client.WaitGatewaySeesWorkers(2, 30*time.Second); err != nil {
 		return err
 	}
 	changes0, err := ringChanges()
@@ -173,7 +175,7 @@ func run() error {
 	if err := adminWorker("POST", worker3URL); err != nil {
 		return fmt.Errorf("registering w3: %w", err)
 	}
-	if err := waitGatewaySeesWorkers(3, 30*time.Second); err != nil {
+	if err := client.WaitGatewaySeesWorkers(3, 30*time.Second); err != nil {
 		return err
 	}
 	if got, err := ringChanges(); err != nil || got != changes0+1 {
@@ -190,7 +192,7 @@ func run() error {
 	// rather than after finishing it.
 	seed := ownedSeed(worker1URL)
 	log.Printf("chaos job seed %d routes to w1", seed)
-	chaosID, err := submit(fmt.Sprintf(
+	chaosID, err := client.Submit(fmt.Sprintf(
 		`{"function":"morris","n":120,"l":60000,"seed":%d,"sd":["prim","bumping","bi"]}`, seed), "")
 	if err != nil {
 		return fmt.Errorf("submitting chaos job: %w", err)
@@ -212,7 +214,7 @@ func run() error {
 		return fmt.Errorf("exec.exit-after fault never fired on w1")
 	}
 
-	if err := waitDone(chaosID, 180*time.Second); err != nil {
+	if err := client.WaitDone(chaosID, 180*time.Second); err != nil {
 		return fmt.Errorf("chaos job after worker death: %w", err)
 	}
 	if err := checkChaosTrace(chaosID, died); err != nil {
@@ -232,20 +234,20 @@ func run() error {
 	if err := adminWorker("DELETE", worker1URL); err != nil {
 		return fmt.Errorf("deregistering dead w1: %w", err)
 	}
-	if err := waitGatewaySeesWorkers(2, 30*time.Second); err != nil {
+	if err := client.WaitGatewaySeesWorkers(2, 30*time.Second); err != nil {
 		return err
 	}
 	w1replacement = worker(worker1Addr, "w1", "")
 	if err := w1replacement.Start(); err != nil {
 		return fmt.Errorf("restarting w1: %w", err)
 	}
-	if err := waitHealthy(worker1URL, 30*time.Second); err != nil {
+	if err := smoke.WaitHealthy(worker1URL, 30*time.Second); err != nil {
 		return err
 	}
 	if err := adminWorker("POST", worker1URL); err != nil {
 		return fmt.Errorf("re-registering w1: %w", err)
 	}
-	if err := waitGatewaySeesWorkers(3, 30*time.Second); err != nil {
+	if err := client.WaitGatewaySeesWorkers(3, 30*time.Second); err != nil {
 		return err
 	}
 	if got, err := ringChanges(); err != nil || got != changes0+3 {
@@ -257,14 +259,14 @@ func run() error {
 	// the dead worker used to own, and w2's one dropped poll connection.
 	ids := make([]string, 0, 6)
 	for s := 1; s <= 6; s++ {
-		id, err := submit(fmt.Sprintf(`{"function":"morris","n":120,"l":2000,"seed":%d}`, s), "")
+		id, err := client.Submit(fmt.Sprintf(`{"function":"morris","n":120,"l":2000,"seed":%d}`, s), "")
 		if err != nil {
 			return fmt.Errorf("submitting batch job (seed %d): %w", s, err)
 		}
 		ids = append(ids, id)
 	}
 	for _, id := range ids {
-		if err := waitDone(id, 120*time.Second); err != nil {
+		if err := client.WaitDone(id, 120*time.Second); err != nil {
 			return err
 		}
 	}
@@ -316,7 +318,7 @@ func checkChaosTrace(id string, died time.Time) error {
 			Stage string `json:"stage"`
 		} `json:"timings"`
 	}
-	if err := getJSON(fmt.Sprintf("%s/v1/jobs/%s", gatewayURL, id), &snap); err != nil {
+	if err := client.GetJSON(fmt.Sprintf("%s/v1/jobs/%s", gatewayURL, id), &snap); err != nil {
 		return fmt.Errorf("chaos job snapshot: %w", err)
 	}
 	var res struct {
@@ -324,7 +326,7 @@ func checkChaosTrace(id string, died time.Time) error {
 			Resumed bool `json:"resumed"`
 		} `json:"variants"`
 	}
-	if err := getJSON(fmt.Sprintf("%s/v1/jobs/%s/result", gatewayURL, id), &res); err != nil {
+	if err := client.GetJSON(fmt.Sprintf("%s/v1/jobs/%s/result", gatewayURL, id), &res); err != nil {
 		return fmt.Errorf("chaos job result: %w", err)
 	}
 	rerun := 0
@@ -357,20 +359,12 @@ func checkChaosTrace(id string, died time.Time) error {
 // with the chaos token's admin role.
 func adminWorker(method, workerURL string) error {
 	body, _ := json.Marshal(map[string]string{"url": workerURL})
-	req, err := http.NewRequest(method, gatewayURL+"/internal/v1/workers", bytes.NewReader(body))
+	status, raw, _, err := smoke.Request(method, gatewayURL+"/internal/v1/workers", string(body), "", chaosToken)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Authorization", "Bearer "+chaosToken)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s /internal/v1/workers (%s): %s: %.200s", method, workerURL, resp.Status, raw)
+	if status != http.StatusOK {
+		return fmt.Errorf("%s /internal/v1/workers (%s): %d: %.200s", method, workerURL, status, raw)
 	}
 	return nil
 }
@@ -382,7 +376,7 @@ func ringChanges() (int, error) {
 			Changes int `json:"changes"`
 		} `json:"ring"`
 	}
-	if err := getJSON(gatewayURL+"/v1/healthz", &hz); err != nil {
+	if err := client.GetJSON(gatewayURL+"/v1/healthz", &hz); err != nil {
 		return 0, err
 	}
 	return hz.Ring.Changes, nil
@@ -422,142 +416,4 @@ func sumSeries(family string, bases ...string) (float64, error) {
 		}
 	}
 	return total, nil
-}
-
-func waitGatewaySeesWorkers(want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var ghz struct {
-			OK      bool `json:"ok"`
-			Workers []struct {
-				Alive bool `json:"alive"`
-			} `json:"workers"`
-		}
-		err := getJSON(gatewayURL+"/v1/healthz", &ghz)
-		if err == nil && ghz.OK && len(ghz.Workers) == want {
-			alive := 0
-			for _, w := range ghz.Workers {
-				if w.Alive {
-					alive++
-				}
-			}
-			if alive == want {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("gateway never saw %d workers alive: %+v (%v)", want, ghz, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-func waitReady(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/readyz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s/v1/readyz never answered 200 (last error: %v)", base, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-func waitHealthy(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never became healthy: %v", base, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-func submit(body, requestID string) (string, error) {
-	req, err := http.NewRequest("POST", gatewayURL+"/v1/jobs", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Authorization", "Bearer "+chaosToken)
-	if requestID != "" {
-		req.Header.Set("X-Request-Id", requestID)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusCreated {
-		return "", fmt.Errorf("POST /v1/jobs: %s: %s", resp.Status, raw)
-	}
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil || out.ID == "" {
-		return "", fmt.Errorf("undecodable submit response: %s", raw)
-	}
-	return out.ID, nil
-}
-
-func waitDone(id string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var snap struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}
-		if err := getJSON(fmt.Sprintf("%s/v1/jobs/%s", gatewayURL, id), &snap); err != nil {
-			return fmt.Errorf("polling %s: %w", id, err)
-		}
-		switch snap.Status {
-		case "done":
-			return nil
-		case "failed", "canceled":
-			return fmt.Errorf("job %s ended %s: %s", id, snap.Status, snap.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s still %s after %v", id, snap.Status, timeout)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-// getJSON GETs url as the chaos client (open endpoints ignore the
-// token; authenticated ones need its read role).
-func getJSON(url string, v any) error {
-	req, err := http.NewRequest("GET", url, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+chaosToken)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s: %.200s", url, resp.Status, raw)
-	}
-	return json.Unmarshal(raw, v)
 }

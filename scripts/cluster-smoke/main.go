@@ -23,7 +23,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,6 +36,7 @@ import (
 	"time"
 
 	"github.com/reds-go/reds/internal/telemetry"
+	"github.com/reds-go/reds/scripts/internal/smoke"
 )
 
 const (
@@ -57,6 +57,9 @@ const (
 		{"token":"` + burstToken + `","client":"burst","roles":["submit","read"],"rps":1,"burst":2}
 	]}`
 )
+
+// client is the unthrottled submitter the main flow uses.
+var client = smoke.Client{Gateway: "http://" + gatewayAddr, Token: smokeToken}
 
 func main() {
 	log.SetFlags(0)
@@ -124,19 +127,19 @@ func run() error {
 	}()
 
 	for _, base := range []string{"http://" + worker1Addr, "http://" + worker2Addr, "http://" + gatewayAddr} {
-		if err := waitHealthy(base, 30*time.Second); err != nil {
+		if err := smoke.WaitHealthy(base, 30*time.Second); err != nil {
 			return err
 		}
 	}
 	// The gateway's readiness gate: /v1/readyz stays 503 until the first
 	// probe round completes and a worker is alive — exactly the startup
 	// race this smoke used to work around by polling healthz.
-	if err := waitReady("http://"+gatewayAddr, 30*time.Second); err != nil {
+	if err := smoke.WaitReady("http://"+gatewayAddr, 30*time.Second); err != nil {
 		return err
 	}
 	// readyz needs one alive worker; the routing assertions below need
 	// both, so let the prober finish marking the second one too.
-	if err := waitGatewaySeesWorkers(2, 30*time.Second); err != nil {
+	if err := client.WaitGatewaySeesWorkers(2, 30*time.Second); err != nil {
 		return err
 	}
 	log.Printf("2 workers + gateway ready")
@@ -147,7 +150,7 @@ func run() error {
 	// run to run).
 	ids := make([]string, 0, jobCount)
 	for seed := 1; seed <= jobCount; seed++ {
-		id, err := submit(fmt.Sprintf(`{"function":"morris","n":120,"l":2000,"seed":%d}`, seed), "", smokeToken)
+		id, err := client.Submit(fmt.Sprintf(`{"function":"morris","n":120,"l":2000,"seed":%d}`, seed), "")
 		if err != nil {
 			return fmt.Errorf("submitting job (seed %d): %w", seed, err)
 		}
@@ -156,13 +159,13 @@ func run() error {
 	log.Printf("submitted %d jobs through the gateway", len(ids))
 
 	for _, id := range ids {
-		if err := waitDone(id, 120*time.Second); err != nil {
+		if err := client.WaitDone(id, 120*time.Second); err != nil {
 			return err
 		}
 		var result struct {
 			DatasetHash string `json:"dataset_hash"`
 		}
-		if err := getJSON(fmt.Sprintf("http://%s/v1/jobs/%s/result", gatewayAddr, id), &result); err != nil {
+		if err := client.GetJSON(fmt.Sprintf("http://%s/v1/jobs/%s/result", gatewayAddr, id), &result); err != nil {
 			return fmt.Errorf("result of %s: %w", id, err)
 		}
 		if result.DatasetHash == "" {
@@ -175,7 +178,7 @@ func run() error {
 		var hz struct {
 			Executions int64 `json:"executions"`
 		}
-		if err := getJSON(base+"/v1/healthz", &hz); err != nil {
+		if err := client.GetJSON(base+"/v1/healthz", &hz); err != nil {
 			return fmt.Errorf("healthz of %s: %w", base, err)
 		}
 		if hz.Executions == 0 {
@@ -187,7 +190,7 @@ func run() error {
 	// A single probe round can transiently fail while the host is
 	// saturated by the job burst, so allow the prober a few rounds to
 	// settle before judging.
-	if err := waitGatewaySeesWorkers(2, 10*time.Second); err != nil {
+	if err := client.WaitGatewaySeesWorkers(2, 10*time.Second); err != nil {
 		return err
 	}
 
@@ -209,7 +212,7 @@ func run() error {
 // reds_admission_* counters.
 func checkAdmission() error {
 	for _, token := range []string{"", "not-a-real-token"} {
-		status, body, _, err := request("GET", fmt.Sprintf("http://%s/v1/jobs", gatewayAddr), "", "", token)
+		status, body, _, err := smoke.Request("GET", fmt.Sprintf("http://%s/v1/jobs", gatewayAddr), "", "", token)
 		if err != nil {
 			return err
 		}
@@ -232,7 +235,7 @@ func checkAdmission() error {
 	// the rest.
 	admitted, rejected := []string{}, 0
 	for i := 0; i < 6; i++ {
-		status, body, hdr, err := request("POST", fmt.Sprintf("http://%s/v1/jobs", gatewayAddr),
+		status, body, hdr, err := smoke.Request("POST", fmt.Sprintf("http://%s/v1/jobs", gatewayAddr),
 			`{"function":"morris","n":120,"l":2000,"seed":77}`, "", burstToken)
 		if err != nil {
 			return err
@@ -271,7 +274,7 @@ func checkAdmission() error {
 
 	// Admitted jobs still run at full fidelity.
 	for _, id := range admitted {
-		if err := waitDone(id, 120*time.Second); err != nil {
+		if err := client.WaitDone(id, 120*time.Second); err != nil {
 			return err
 		}
 	}
@@ -290,43 +293,16 @@ func checkAdmission() error {
 	return nil
 }
 
-// request performs one HTTP call with an optional bearer token and
-// returns status, body and headers.
-func request(method, url, body, requestID, token string) (int, []byte, http.Header, error) {
-	var rd io.Reader
-	if body != "" {
-		rd = bytes.NewReader([]byte(body))
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if requestID != "" {
-		req.Header.Set(telemetry.RequestIDHeader, requestID)
-	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, raw, resp.Header, nil
-}
-
 // checkTrace submits one job with an explicit X-Request-Id and asserts
 // the id survives the gateway -> worker round trip onto the job
 // snapshot, together with a per-stage trace led by queue_wait.
 func checkTrace() error {
 	const rid = "cafef00dcafef00d"
-	id, err := submit(`{"function":"morris","n":120,"l":2000,"seed":99}`, rid, smokeToken)
+	id, err := client.Submit(`{"function":"morris","n":120,"l":2000,"seed":99}`, rid)
 	if err != nil {
 		return fmt.Errorf("submitting traced job: %w", err)
 	}
-	if err := waitDone(id, 120*time.Second); err != nil {
+	if err := client.WaitDone(id, 120*time.Second); err != nil {
 		return err
 	}
 	var snap struct {
@@ -336,7 +312,7 @@ func checkTrace() error {
 			Seconds float64 `json:"seconds"`
 		} `json:"timings"`
 	}
-	if err := getJSON(fmt.Sprintf("http://%s/v1/jobs/%s", gatewayAddr, id), &snap); err != nil {
+	if err := client.GetJSON(fmt.Sprintf("http://%s/v1/jobs/%s", gatewayAddr, id), &snap); err != nil {
 		return fmt.Errorf("traced job snapshot: %w", err)
 	}
 	if snap.RequestID != rid {
@@ -462,128 +438,4 @@ func scrapeMetrics(base string) (*metricsDump, error) {
 		return nil, fmt.Errorf("%s/metrics exposed no metric families", base)
 	}
 	return m, nil
-}
-
-// waitGatewaySeesWorkers polls the gateway's healthz until its health
-// prober reports `want` workers alive (ok + per-worker alive flags).
-func waitGatewaySeesWorkers(want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var ghz struct {
-			OK      bool `json:"ok"`
-			Workers []struct {
-				Node  string `json:"node"`
-				Alive bool   `json:"alive"`
-				Error string `json:"error"`
-			} `json:"workers"`
-		}
-		err := getJSON(fmt.Sprintf("http://%s/v1/healthz", gatewayAddr), &ghz)
-		if err == nil && ghz.OK && len(ghz.Workers) == want {
-			alive := 0
-			for _, w := range ghz.Workers {
-				if w.Alive {
-					alive++
-				}
-			}
-			if alive == want {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("gateway never saw %d workers alive: %+v (%v)", want, ghz, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// waitReady polls the gateway's /v1/readyz until it answers 200.
-func waitReady(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/readyz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s/v1/readyz never answered 200 (last error: %v)", base, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-func waitHealthy(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never became healthy: %v", base, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// submit POSTs a job to the gateway as the given client token; a
-// non-empty requestID is sent as the X-Request-Id header.
-func submit(body, requestID, token string) (string, error) {
-	status, raw, _, err := request("POST", fmt.Sprintf("http://%s/v1/jobs", gatewayAddr), body, requestID, token)
-	if err != nil {
-		return "", err
-	}
-	if status != http.StatusCreated {
-		return "", fmt.Errorf("POST /v1/jobs: %d: %s", status, raw)
-	}
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil || out.ID == "" {
-		return "", fmt.Errorf("undecodable submit response: %s", raw)
-	}
-	return out.ID, nil
-}
-
-func waitDone(id string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var snap struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}
-		if err := getJSON(fmt.Sprintf("http://%s/v1/jobs/%s", gatewayAddr, id), &snap); err != nil {
-			return fmt.Errorf("polling %s: %w", id, err)
-		}
-		switch snap.Status {
-		case "done":
-			return nil
-		case "failed", "canceled":
-			return fmt.Errorf("job %s ended %s: %s", id, snap.Status, snap.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s still %s after %v", id, snap.Status, timeout)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-// getJSON GETs url as the smoke client (open endpoints ignore the
-// token; authenticated ones need its read role).
-func getJSON(url string, v any) error {
-	status, raw, _, err := request("GET", url, "", "", smokeToken)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("GET %s: %d: %.200s", url, status, raw)
-	}
-	return json.Unmarshal(raw, v)
 }
