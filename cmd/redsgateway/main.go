@@ -394,7 +394,7 @@ func addWorker(disp *cluster.Dispatcher, logger *slog.Logger) http.HandlerFunc {
 			return
 		}
 		if err := disp.AddWorker(url); err != nil {
-			writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})
+			admission.WriteEnvelope(w, http.StatusConflict, "conflict", err.Error(), 0)
 			return
 		}
 		logger.Info("worker registered", "worker", url, "ring_size", disp.Ring().Len())
@@ -413,11 +413,11 @@ func removeWorker(disp *cluster.Dispatcher, logger *slog.Logger) http.HandlerFun
 			return
 		}
 		if err := disp.RemoveWorker(url); err != nil {
-			status := http.StatusNotFound
+			status, code := http.StatusNotFound, "not_found"
 			if strings.Contains(err.Error(), "last worker") {
-				status = http.StatusConflict
+				status, code = http.StatusConflict, "conflict"
 			}
-			writeJSON(w, status, map[string]any{"error": err.Error()})
+			admission.WriteEnvelope(w, status, code, err.Error(), 0)
 			return
 		}
 		logger.Info("worker deregistered", "worker", url, "ring_size", disp.Ring().Len())
@@ -439,7 +439,7 @@ func workerURL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	}
 	url := strings.TrimRight(strings.TrimSpace(req.URL), "/")
 	if url == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "missing worker url (JSON body {\"url\":...} or ?url=)"})
+		admission.WriteEnvelope(w, http.StatusBadRequest, "bad_request", `missing worker url (JSON body {"url":...} or ?url=)`, 0)
 		return "", false
 	}
 	return url, true

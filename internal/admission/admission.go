@@ -384,7 +384,6 @@ func (c *Controller) Middleware(next http.Handler) http.Handler {
 		if class == routeSubmit && ident.Client != InternalClient {
 			if rps, burst := c.quotaFor(ident); rps > 0 {
 				if ok, retryAfter := c.limiter.Allow(ident.Client, rps, burst); !ok {
-					w.Header().Set("Retry-After", retryAfterHeader(retryAfter))
 					c.rejectAfter(w, r, http.StatusTooManyRequests, ReasonRateLimited,
 						ident.Client, retryAfter,
 						fmt.Errorf("client %s is over its %g req/s submission rate", ident.Client, rps))
@@ -415,13 +414,18 @@ func (c *Controller) rejectAfter(w http.ResponseWriter, r *http.Request, status 
 	WriteEnvelope(w, status, reason, err.Error(), retryAfter)
 }
 
-// WriteEnvelope writes the API's JSON error envelope — the same shape
-// engine handlers produce — with an optional retry_after_seconds hint.
+// WriteEnvelope writes the API's JSON error envelope, the one shape of
+// every error the engine, the gateway and admission control answer. A
+// retryAfter > 0 also sets the Retry-After header and the envelope's
+// retry_after_seconds hint.
 func WriteEnvelope(w http.ResponseWriter, status int, code, message string, retryAfter time.Duration) {
 	type envError struct {
 		Code              string  `json:"code"`
 		Message           string  `json:"message"`
 		RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
+	}
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", retryAfterHeader(retryAfter))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

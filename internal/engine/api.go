@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -24,7 +22,8 @@ type apiJobRequest struct {
 }
 
 // apiError is the error envelope every /v1 endpoint uses, including the
-// router's own 404/405 responses (see jsonErrors):
+// router's own 404/405 responses (see jsonErrors); admission.WriteEnvelope
+// writes it, adding retry_after_seconds on a 429:
 //
 //	{"error": {"code": "not_found", "message": "unknown job job-000042"}}
 //
@@ -32,9 +31,6 @@ type apiJobRequest struct {
 type apiError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
-	// RetryAfterSeconds hints when a throttled request (429) is worth
-	// retrying; mirrors the Retry-After header.
-	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
 }
 
 // Error codes used by the /v1 API (documented in docs/API.md).
@@ -179,9 +175,8 @@ func NewHandler(e *Engine, opts ...HandlerOption) http.Handler {
 			req.DeadlineSeconds = d
 			release, retryAfter := cfg.admission.AcquireJob(client)
 			if release == nil {
-				writeErrorRetry(w, http.StatusTooManyRequests, errInflightLimit,
-					fmt.Errorf("client is at its in-flight job limit; wait for a job to finish"),
-					retryAfter)
+				admission.WriteEnvelope(w, http.StatusTooManyRequests, errInflightLimit,
+					"client is at its in-flight job limit; wait for a job to finish", retryAfter)
 				return
 			}
 			onDone = release
@@ -205,7 +200,7 @@ func NewHandler(e *Engine, opts ...HandlerOption) http.Handler {
 				if cfg.admission != nil {
 					cfg.admission.RecordRejected(client, admission.ReasonQueueFull)
 				}
-				writeErrorRetry(w, http.StatusTooManyRequests, errQueueFull, err, time.Second)
+				admission.WriteEnvelope(w, http.StatusTooManyRequests, errQueueFull, err.Error(), time.Second)
 				return
 			}
 			writeError(w, http.StatusBadRequest, errBadRequest, err)
@@ -425,23 +420,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, map[string]any{"error": apiError{Code: code, Message: err.Error()}})
-}
-
-// writeErrorRetry is writeError for throttled requests: it sets the
-// Retry-After header (integral seconds, rounded up, min 1) and mirrors
-// the hint in the envelope's retry_after_seconds field.
-func writeErrorRetry(w http.ResponseWriter, status int, code string, err error, retryAfter time.Duration) {
-	secs := int64(math.Ceil(retryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, status, map[string]any{"error": apiError{
-		Code:              code,
-		Message:           err.Error(),
-		RetryAfterSeconds: retryAfter.Seconds(),
-	}})
+	admission.WriteEnvelope(w, status, code, err.Error(), 0)
 }
 
 // jsonErrors converts the plain-text 404/405 responses of the standard
@@ -477,12 +456,8 @@ func (w *envelopeWriter) WriteHeader(status int) {
 				msg += " (allowed: " + allow + ")"
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
 		w.Header().Del("X-Content-Type-Options")
-		w.ResponseWriter.WriteHeader(status)
-		enc := json.NewEncoder(w.ResponseWriter)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(map[string]any{"error": apiError{Code: code, Message: msg}})
+		admission.WriteEnvelope(w.ResponseWriter, status, code, msg, 0)
 		return
 	}
 	w.ResponseWriter.WriteHeader(status)

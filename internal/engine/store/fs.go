@@ -19,23 +19,18 @@ import (
 //	snapshot.jsonl   compacted full state, rewritten atomically
 //	wal.jsonl        write-ahead log of entries since the snapshot
 //
-// Every mutation appends one JSON line to the write-ahead log (fsynced
-// by default) before it is acknowledged. Open replays the snapshot and
-// then the log; a partial trailing line — the footprint of a crash
+// Every commit appends its entries, one JSON line each, to the
+// write-ahead log (fsynced by default) before it is applied and
+// acknowledged. Open replays the snapshot and then the log through the
+// same apply; a partial trailing line — the footprint of a crash
 // mid-append — is discarded and truncated away, which is exactly the
 // WAL contract: an append whose write never completed was never
-// acknowledged to the engine. Once the log grows past CompactEvery
-// entries it is folded into a fresh snapshot (written to a temp file,
-// fsynced, renamed) and truncated.
+// acknowledged to the engine. A log that holds CompactEvery entries is
+// folded into a fresh snapshot (written to a temp file, fsynced,
+// renamed) and truncated before the next append.
 const (
 	snapshotFile = "snapshot.jsonl"
 	walFile      = "wal.jsonl"
-
-	opJob        = "job"
-	opResult     = "result"
-	opDelete     = "delete"
-	opMeta       = "meta"
-	opCheckpoint = "checkpoint"
 )
 
 // faultWALTorn is the fault-injection point for torn log writes: when
@@ -44,18 +39,10 @@ const (
 // truncate the torn tail away.
 const faultWALTorn = "store.wal.torn"
 
-// walEntry is one JSON line of the log or the snapshot.
-type walEntry struct {
-	Op     string          `json:"op"`
-	Job    *Record         `json:"job,omitempty"`
-	ID     string          `json:"id,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
 // FSOptions tune the file store.
 type FSOptions struct {
-	// CompactEvery folds the write-ahead log into the snapshot after
-	// this many appended entries (default 4096).
+	// CompactEvery folds the write-ahead log into the snapshot once it
+	// holds this many entries, before the next append (default 4096).
 	CompactEvery int
 	// NoSync skips the per-append fsync. Appends then survive process
 	// crashes (the OS page cache holds them) but not power loss; meant
@@ -83,10 +70,10 @@ func (o FSOptions) withDefaults() FSOptions {
 	return o
 }
 
-// FS is the durable Store: an in-memory mirror of the current state
-// (reads never touch the disk) fronted by the append-only log described
-// above.
+// FS is the durable Store: the shared state (reads never touch the
+// disk) with the append-only log described above as its log.
 type FS struct {
+	state
 	dir  string
 	opts FSOptions
 
@@ -105,15 +92,11 @@ type FS struct {
 	mReplayEntries *telemetry.Counter
 	mReplaySkipped *telemetry.Counter
 
-	mu          sync.Mutex
-	wal         *os.File
-	walCount    int
-	dirty       bool // unsynced log appends (batched-fsync mode only)
-	jobs        map[string]Record
-	results     map[string]json.RawMessage
-	metas       map[string]json.RawMessage
-	checkpoints map[string]json.RawMessage
-	skipped     int
+	// Guarded by state.mu.
+	wal      *os.File
+	walCount int
+	dirty    bool // unsynced log appends (batched-fsync mode only)
+	skipped  int
 }
 
 // OpenFS opens (creating if needed) a file store in dir and replays its
@@ -130,12 +113,8 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 		reg = telemetry.NewRegistry()
 	}
 	f := &FS{
-		dir:         dir,
-		opts:        opts,
-		jobs:        make(map[string]Record),
-		results:     make(map[string]json.RawMessage),
-		metas:       make(map[string]json.RawMessage),
-		checkpoints: make(map[string]json.RawMessage),
+		dir:  dir,
+		opts: opts,
 		mAppends: reg.Counter("reds_store_wal_appends_total",
 			"Entries appended to the write-ahead log."),
 		mFsync: reg.Histogram("reds_store_fsync_seconds",
@@ -151,6 +130,7 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 		mReplaySkipped: reg.Counter("reds_store_replay_skipped_total",
 			"Corrupt lines skipped during replay."),
 	}
+	f.init(f.appendLocked)
 	reg.GaugeFunc("reds_store_wal_length_entries",
 		"Entries currently in the write-ahead log since the last compaction.",
 		func() float64 {
@@ -173,9 +153,9 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 		return nil, fmt.Errorf("store: opening log: %w", err)
 	}
 	f.wal = wal
-	// A process that crash-restarts repeatedly may never reach the
-	// in-flight compaction threshold; fold an oversized replayed log
-	// into the snapshot now so it cannot grow without bound.
+	// A replayed log at the threshold is folded into the snapshot now,
+	// not at the next append, so a process that crash-restarts before
+	// appending does not replay it again.
 	if f.walCount >= f.opts.CompactEvery {
 		if err := f.compactLocked(); err != nil {
 			wal.Close()
@@ -224,7 +204,7 @@ func (f *FS) stopFlusher() {
 }
 
 // replayFile applies every complete entry of a JSONL file to the
-// in-memory state. For the write-ahead log (truncateTail) a partial
+// state. For the write-ahead log (truncateTail) a partial
 // final line is removed from the file so subsequent appends start on a
 // clean line boundary; unparseable complete lines are counted and
 // skipped rather than failing the whole store.
@@ -251,13 +231,12 @@ func (f *FS) replayFile(path string, truncateTail bool) error {
 			f.walCount++ // replayed log entries count toward compaction
 		}
 		var e walEntry
-		if err := json.Unmarshal(line, &e); err != nil {
+		if json.Unmarshal(line, &e) != nil || !f.apply(e) {
 			f.skipped++
 			f.mReplaySkipped.Inc()
 			continue
 		}
 		f.mReplayEntries.Inc()
-		f.apply(e)
 	}
 	if truncateTail {
 		if fi, err := os.Stat(path); err == nil && fi.Size() > int64(validLen) {
@@ -269,47 +248,6 @@ func (f *FS) replayFile(path string, truncateTail bool) error {
 	return nil
 }
 
-// apply folds one entry into the in-memory state. Entries are full-state
-// upserts or deletes, so replay is idempotent in any snapshot/log
-// interleaving.
-func (f *FS) apply(e walEntry) {
-	switch e.Op {
-	case opJob:
-		// A job entry without an id cannot have been written by the
-		// engine (ids are assigned at submission); treat it as a corrupt
-		// line rather than inserting an unaddressable record.
-		if e.Job == nil || e.Job.ID == "" {
-			f.skipped++
-			f.mReplaySkipped.Inc()
-			return
-		}
-		rec := *e.Job
-		if rec.Request == nil {
-			if old, ok := f.jobs[rec.ID]; ok {
-				rec.Request = old.Request
-			}
-		}
-		f.jobs[rec.ID] = rec
-	case opResult:
-		f.results[e.ID] = e.Result
-	case opDelete:
-		delete(f.jobs, e.ID)
-		delete(f.results, e.ID)
-		delete(f.checkpoints, e.ID)
-	case opMeta:
-		f.metas[e.ID] = e.Result
-	case opCheckpoint:
-		if len(e.Result) == 0 {
-			delete(f.checkpoints, e.ID)
-		} else {
-			f.checkpoints[e.ID] = e.Result
-		}
-	default:
-		f.skipped++
-		f.mReplaySkipped.Inc()
-	}
-}
-
 // syncWAL is wal.Sync with its latency recorded — the store's dominant
 // cost under fsync-per-append, worth watching in production.
 func (f *FS) syncWAL() error {
@@ -319,26 +257,28 @@ func (f *FS) syncWAL() error {
 	return err
 }
 
-// appendLocked writes entries to the log as one buffer with a single
-// fsync, then compacts if the log has grown past the threshold. Caller
-// holds mu.
-func (f *FS) appendLocked(entries ...walEntry) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false) // keep rule strings like "x <= 1" readable
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("store: encoding log entry: %w", err)
+// appendLocked is the store's log: it writes entries to the write-ahead
+// log as one buffer with a single fsync. A log that already holds
+// CompactEvery entries is compacted first; every entry in it has been
+// applied by then, so the snapshot misses none. Caller holds mu.
+func (f *FS) appendLocked(entries []walEntry) error {
+	if f.walCount >= f.opts.CompactEvery {
+		if err := f.compactLocked(); err != nil {
+			return err
 		}
+	}
+	lines, err := encodeLines(entries)
+	if err != nil {
+		return fmt.Errorf("store: encoding log entry: %w", err)
 	}
 	if faultinject.Enabled() && faultinject.Once(faultWALTorn) {
 		// Simulate a crash mid-append: half the buffer reaches the file,
-		// the append fails, and nothing is applied to the in-memory
-		// state. Replay truncates the torn tail on the next open.
-		_, _ = f.wal.Write(buf.Bytes()[:buf.Len()/2])
+		// the append fails, and nothing is applied to the state. Replay
+		// truncates the torn tail on the next open.
+		_, _ = f.wal.Write(lines[:len(lines)/2])
 		return fmt.Errorf("store: %s fault injected: torn log write", faultWALTorn)
 	}
-	if _, err := f.wal.Write(buf.Bytes()); err != nil {
+	if _, err := f.wal.Write(lines); err != nil {
 		return fmt.Errorf("store: appending to log: %w", err)
 	}
 	switch {
@@ -352,9 +292,6 @@ func (f *FS) appendLocked(entries ...walEntry) error {
 	}
 	f.walCount += len(entries)
 	f.mAppends.Add(int64(len(entries)))
-	if f.walCount >= f.opts.CompactEvery {
-		return f.compactLocked()
-	}
 	return nil
 }
 
@@ -367,36 +304,28 @@ func (f *FS) appendLocked(entries ...walEntry) error {
 func (f *FS) compactLocked() error {
 	start := time.Now()
 	defer func() { f.mSnapshot.Observe(time.Since(start).Seconds()) }()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
+	var entries []walEntry
 	for _, rec := range sortedRecords(f.jobs) {
-		rec := rec
-		if err := enc.Encode(walEntry{Op: opJob, Job: &rec}); err != nil {
-			return fmt.Errorf("store: encoding snapshot: %w", err)
+		entries = append(entries, walEntry{Op: opJob, Job: &rec})
+	}
+	for _, payloads := range []struct {
+		op string
+		m  map[string]json.RawMessage
+	}{{opResult, f.results}, {opMeta, f.metas}, {opCheckpoint, f.checkpoints}} {
+		for _, id := range sortedKeys(payloads.m) {
+			entries = append(entries, walEntry{Op: payloads.op, ID: id, Result: payloads.m[id]})
 		}
 	}
-	for _, id := range sortedResultIDs(f.results) {
-		if err := enc.Encode(walEntry{Op: opResult, ID: id, Result: f.results[id]}); err != nil {
-			return fmt.Errorf("store: encoding snapshot: %w", err)
-		}
-	}
-	for _, key := range sortedResultIDs(f.metas) {
-		if err := enc.Encode(walEntry{Op: opMeta, ID: key, Result: f.metas[key]}); err != nil {
-			return fmt.Errorf("store: encoding snapshot: %w", err)
-		}
-	}
-	for _, id := range sortedResultIDs(f.checkpoints) {
-		if err := enc.Encode(walEntry{Op: opCheckpoint, ID: id, Result: f.checkpoints[id]}); err != nil {
-			return fmt.Errorf("store: encoding snapshot: %w", err)
-		}
+	lines, err := encodeLines(entries)
+	if err != nil {
+		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
 	tmp := filepath.Join(f.dir, snapshotFile+".tmp")
 	file, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot: %w", err)
 	}
-	if _, err := file.Write(buf.Bytes()); err != nil {
+	if _, err := file.Write(lines); err != nil {
 		file.Close()
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
@@ -425,158 +354,6 @@ func (f *FS) compactLocked() error {
 	f.dirty = false // the snapshot now holds everything the log did
 	f.mCompactions.Inc()
 	return nil
-}
-
-// PutJob implements Store. A nil rec.Request is logged as-is (the
-// transition entry stays a few hundred bytes even for jobs with inline
-// datasets); the in-memory record and replay both merge the previously
-// stored request back in.
-func (f *FS) PutJob(rec Record) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if rec.Request != nil {
-		rec.Request = append(json.RawMessage(nil), rec.Request...)
-	}
-	if err := f.appendLocked(walEntry{Op: opJob, Job: &rec}); err != nil {
-		return err
-	}
-	if rec.Request == nil {
-		if old, ok := f.jobs[rec.ID]; ok {
-			rec.Request = old.Request
-		}
-	}
-	f.jobs[rec.ID] = rec
-	return nil
-}
-
-// PutResult implements Store.
-func (f *FS) PutResult(id string, result json.RawMessage) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	result = append(json.RawMessage(nil), result...)
-	if err := f.appendLocked(walEntry{Op: opResult, ID: id, Result: result}); err != nil {
-		return err
-	}
-	f.results[id] = result
-	return nil
-}
-
-// GetResult implements Store.
-func (f *FS) GetResult(id string) (json.RawMessage, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	res, ok := f.results[id]
-	if !ok {
-		return nil, false, nil
-	}
-	return append(json.RawMessage(nil), res...), true, nil
-}
-
-// List implements Store.
-func (f *FS) List() ([]Record, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return sortedRecords(f.jobs), nil
-}
-
-// Delete implements Store.
-func (f *FS) Delete(id string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, okJ := f.jobs[id]
-	_, okR := f.results[id]
-	_, okC := f.checkpoints[id]
-	if !okJ && !okR && !okC {
-		return nil // unknown id: nothing to log
-	}
-	if err := f.appendLocked(walEntry{Op: opDelete, ID: id}); err != nil {
-		return err
-	}
-	delete(f.jobs, id)
-	delete(f.results, id)
-	delete(f.checkpoints, id)
-	return nil
-}
-
-// Sweep implements Store. All expired records are logged and removed
-// under one append (single fsync).
-func (f *FS) Sweep(cutoff time.Time) ([]string, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	expired := expiredIDs(f.jobs, cutoff)
-	if len(expired) == 0 {
-		return nil, nil
-	}
-	entries := make([]walEntry, len(expired))
-	for i, id := range expired {
-		entries[i] = walEntry{Op: opDelete, ID: id}
-	}
-	if err := f.appendLocked(entries...); err != nil {
-		return nil, err
-	}
-	for _, id := range expired {
-		delete(f.jobs, id)
-		delete(f.results, id)
-		delete(f.checkpoints, id)
-	}
-	return expired, nil
-}
-
-// PutCheckpoint implements Store. An empty payload logs a deletion so
-// replay converges on the same state.
-func (f *FS) PutCheckpoint(id string, cp json.RawMessage) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(cp) == 0 {
-		if _, ok := f.checkpoints[id]; !ok {
-			return nil // nothing stored: nothing to log
-		}
-		if err := f.appendLocked(walEntry{Op: opCheckpoint, ID: id}); err != nil {
-			return err
-		}
-		delete(f.checkpoints, id)
-		return nil
-	}
-	cp = append(json.RawMessage(nil), cp...)
-	if err := f.appendLocked(walEntry{Op: opCheckpoint, ID: id, Result: cp}); err != nil {
-		return err
-	}
-	f.checkpoints[id] = cp
-	return nil
-}
-
-// GetCheckpoint implements Store.
-func (f *FS) GetCheckpoint(id string) (json.RawMessage, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cp, ok := f.checkpoints[id]
-	if !ok {
-		return nil, false, nil
-	}
-	return append(json.RawMessage(nil), cp...), true, nil
-}
-
-// PutMeta implements Store.
-func (f *FS) PutMeta(key string, value json.RawMessage) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	value = append(json.RawMessage(nil), value...)
-	if err := f.appendLocked(walEntry{Op: opMeta, ID: key, Result: value}); err != nil {
-		return err
-	}
-	f.metas[key] = value
-	return nil
-}
-
-// GetMeta implements Store.
-func (f *FS) GetMeta(key string) (json.RawMessage, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v, ok := f.metas[key]
-	if !ok {
-		return nil, false, nil
-	}
-	return append(json.RawMessage(nil), v...), true, nil
 }
 
 // Skipped returns the number of corrupt lines ignored during replay —
@@ -610,11 +387,25 @@ func (f *FS) Close() error {
 	return err
 }
 
-func sortedResultIDs(results map[string]json.RawMessage) []string {
-	ids := make([]string, 0, len(results))
-	for id := range results {
-		ids = append(ids, id)
+// encodeLines renders entries as JSON lines, the format of the log and
+// the snapshot alike.
+func encodeLines(entries []walEntry) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false) // keep rule strings like "x <= 1" readable
+	for _, e := range entries {
+		if err := enc.Encode(e); err != nil {
+			return nil, err
+		}
 	}
-	sort.Strings(ids)
-	return ids
+	return buf.Bytes(), nil
+}
+
+func sortedKeys(m map[string]json.RawMessage) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

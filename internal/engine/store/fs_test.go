@@ -3,8 +3,11 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -170,9 +173,19 @@ func TestFSCorruptMidLine(t *testing.T) {
 	}
 }
 
+// crash drops an FS the way a killed process does: its log handle
+// closes, and nothing is synced or compacted.
+func crash(t *testing.T, f *FS) {
+	t.Helper()
+	if err := f.wal.Close(); err != nil {
+		t.Fatalf("dropping the log handle: %v", err)
+	}
+}
+
 // TestFSCompaction drives the log past CompactEvery and asserts the
-// state folds into the snapshot, the log empties, and reopen still sees
-// everything.
+// state folds into the snapshot, the log empties, and a reopen right
+// after the compacting put, with no Close to re-snapshot, sees every
+// acknowledged put.
 func TestFSCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, FSOptions{CompactEvery: 4})
@@ -191,18 +204,150 @@ func TestFSCompaction(t *testing.T) {
 	if strings.Count(string(wal), "\n") >= 5 {
 		t.Fatalf("log not truncated by compaction: %d bytes", len(wal))
 	}
-	s.Close()
+	crash(t, s)
 
 	re := mustOpen(t, dir, FSOptions{})
 	defer re.Close()
 	recs, _ := re.List()
 	if len(recs) != 5 {
-		t.Fatalf("after compaction+reopen: %d records, want 5", len(recs))
+		t.Fatalf("after compaction+crash reopen: %d records, want 5", len(recs))
 	}
 	for i, r := range recs {
 		if want := []string{"job-1", "job-2", "job-3", "job-4", "job-5"}[i]; r.ID != want {
 			t.Fatalf("order after compaction: got %s at %d, want %s", r.ID, i, want)
 		}
+	}
+}
+
+// TestFSNoOpCallsLogNothing asserts that deleting an unknown id or an
+// absent checkpoint appends nothing to the log.
+func TestFSNoOpCallsLogNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, FSOptions{})
+	defer s.Close()
+	if err := s.PutJob(rec("job-1", "pending", time.Now())); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	before, _ := os.ReadFile(filepath.Join(dir, walFile))
+	if err := s.Delete("no-such-job"); err != nil {
+		t.Fatalf("delete unknown: %v", err)
+	}
+	if err := s.PutCheckpoint("job-1", nil); err != nil {
+		t.Fatalf("delete absent checkpoint: %v", err)
+	}
+	if after, _ := os.ReadFile(filepath.Join(dir, walFile)); len(after) != len(before) {
+		t.Fatalf("no-op calls grew the log from %d to %d bytes", len(before), len(after))
+	}
+}
+
+// TestFSMatchesMemAcrossReopen sends seeded random call sequences to a
+// Mem and to an FS that compacts every 1–3 entries: reopened after a
+// crash and after Close, the FS must hold exactly what the Mem does.
+func TestFSMatchesMemAcrossReopen(t *testing.T) {
+	base := t.TempDir()
+	for seed := 0; seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		ops := make([]byte, 1+2*(1+rng.Intn(24)))
+		rng.Read(ops)
+		checkFSMatchesMem(t, filepath.Join(base, strconv.Itoa(seed)), ops)
+	}
+}
+
+// opIDs are the job ids and meta keys the op sequences of
+// checkFSMatchesMem write; few, so calls collide.
+var opIDs = []string{"job-a", "job-b", "job-c"}
+
+// checkFSMatchesMem decodes ops into a CompactEvery of 1–3 (first byte)
+// and a sequence of store calls (two bytes each), sends every call to a
+// Mem and to an FS over dir, and asserts that both answer it alike and
+// that the FS, reopened after a crash and after Close, holds exactly
+// what the Mem does. One call kind drops and reopens the FS
+// mid-sequence.
+func checkFSMatchesMem(t *testing.T, dir string, ops []byte) {
+	t.Helper()
+	if len(ops) == 0 {
+		return
+	}
+	defer func() {
+		if t.Failed() {
+			t.Logf("ops %x", ops)
+		}
+	}()
+	opts := FSOptions{CompactEvery: 1 + int(ops[0]%3), NoSync: true}
+	t0 := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
+	mem := NewMem()
+	fs := mustOpen(t, dir, opts)
+	both := func(call string, do func(Store) (any, error)) {
+		t.Helper()
+		want, wantErr := do(mem)
+		got, gotErr := do(fs)
+		if (wantErr == nil) != (gotErr == nil) || !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: mem (%v, %v), fs (%v, %v)", call, want, wantErr, got, gotErr)
+		}
+	}
+	for i := 1; i+1 < len(ops); i += 2 {
+		a, b := ops[i], ops[i+1]
+		id := opIDs[int(a>>4)%len(opIDs)]
+		payload := json.RawMessage(fmt.Sprintf(`{"v":%d}`, b))
+		switch kind := a % 9; kind {
+		case 0, 1: // a submission (with a request) or a transition (without)
+			r := Record{ID: id, Status: "pending", SubmittedAt: t0.Add(time.Duration(b%4) * time.Second)}
+			if b&4 != 0 {
+				r.Status, r.FinishedAt = "done", t0.Add(time.Duration(b>>3)*time.Minute)
+			}
+			if kind == 0 {
+				r.Request = payload
+			}
+			both(fmt.Sprintf("PutJob(%+v)", r), func(s Store) (any, error) { return nil, s.PutJob(r) })
+		case 2:
+			both("PutResult "+id, func(s Store) (any, error) { return nil, s.PutResult(id, payload) })
+		case 3:
+			both("PutCheckpoint "+id, func(s Store) (any, error) { return nil, s.PutCheckpoint(id, payload) })
+		case 4:
+			both("PutCheckpoint(empty) "+id, func(s Store) (any, error) { return nil, s.PutCheckpoint(id, nil) })
+		case 5:
+			both("PutMeta "+id, func(s Store) (any, error) { return nil, s.PutMeta(id, payload) })
+		case 6:
+			both("Delete "+id, func(s Store) (any, error) { return nil, s.Delete(id) })
+		case 7:
+			cutoff := t0.Add(time.Duration(b>>3) * time.Minute)
+			both("Sweep", func(s Store) (any, error) { return s.Sweep(cutoff) })
+		case 8:
+			crash(t, fs)
+			fs = mustOpen(t, dir, opts)
+		}
+	}
+	sameState(t, "live", mem, fs)
+	crash(t, fs)
+	fs = mustOpen(t, dir, opts)
+	sameState(t, "reopened after a crash", mem, fs)
+	if err := fs.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	fs = mustOpen(t, dir, opts)
+	defer fs.Close()
+	sameState(t, "reopened after Close", mem, fs)
+}
+
+// sameState asserts that got lists and returns exactly what want does
+// for every id and meta key in opIDs.
+func sameState(t *testing.T, when string, want, got Store) {
+	t.Helper()
+	dump := func(s Store) string {
+		recs, err := s.List()
+		var b strings.Builder
+		fmt.Fprintf(&b, "list err=%v\n", err)
+		_ = json.NewEncoder(&b).Encode(recs)
+		for _, id := range opIDs {
+			for _, get := range []func(string) (json.RawMessage, bool, error){s.GetResult, s.GetCheckpoint, s.GetMeta} {
+				v, ok, err := get(id)
+				fmt.Fprintf(&b, "%s %s %v %v\n", id, v, ok, err)
+			}
+		}
+		return b.String()
+	}
+	if w, g := dump(want), dump(got); w != g {
+		t.Fatalf("%s: fs state differs from mem\nmem:\n%s\nfs:\n%s", when, w, g)
 	}
 }
 

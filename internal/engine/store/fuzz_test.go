@@ -74,3 +74,19 @@ func FuzzReplayWAL(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFSMatchesMem is TestFSMatchesMemAcrossReopen over arbitrary
+// input: the first byte picks CompactEvery (1–3), each following byte
+// pair one store call, and the FS reopened after a crash and after
+// Close must hold exactly what a Mem given the same calls does.
+func FuzzFSMatchesMem(f *testing.F) {
+	f.Add([]byte{1, 0x00, 0x11, 0x12, 0x12})                                     // two submissions, CompactEvery 2
+	f.Add([]byte{0, 0x00, 0x05, 0x01, 0x0c, 0x02, 0x01, 0x07, 0xff})             // submit, finish, result, sweep, CompactEvery 1
+	f.Add([]byte{2, 0x03, 0x01, 0x04, 0x00, 0x05, 0x02, 0x08, 0x00, 0x06, 0x00}) // checkpoint, its delete, meta, reopen, delete
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 129 {
+			ops = ops[:129] // 64 calls keep one input fast
+		}
+		checkFSMatchesMem(t, t.TempDir(), ops)
+	})
+}

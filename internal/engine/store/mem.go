@@ -1,169 +1,18 @@
 package store
 
-import (
-	"encoding/json"
-	"sort"
-	"sync"
-	"time"
-)
-
-// Mem is the in-process Store: plain maps behind a mutex, no files. An
-// engine over a Mem store behaves exactly like the pre-store engine —
-// state dies with the process. It is also the reference implementation
-// the FS store is tested against.
-type Mem struct {
-	mu          sync.Mutex
-	jobs        map[string]Record
-	results     map[string]json.RawMessage
-	metas       map[string]json.RawMessage
-	checkpoints map[string]json.RawMessage
-}
+// Mem is the in-process Store: the shared state with no log, so no
+// files. An engine over a Mem store behaves exactly like the pre-store
+// engine — state dies with the process. FS is tested against it: an FS
+// reopened from its files must hold what a Mem given the same calls
+// holds.
+type Mem struct{ state }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{
-		jobs:        make(map[string]Record),
-		results:     make(map[string]json.RawMessage),
-		metas:       make(map[string]json.RawMessage),
-		checkpoints: make(map[string]json.RawMessage),
-	}
-}
-
-// PutMeta implements Store.
-func (m *Mem) PutMeta(key string, value json.RawMessage) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.metas[key] = append(json.RawMessage(nil), value...)
-	return nil
-}
-
-// GetMeta implements Store.
-func (m *Mem) GetMeta(key string) (json.RawMessage, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.metas[key]
-	if !ok {
-		return nil, false, nil
-	}
-	return append(json.RawMessage(nil), v...), true, nil
-}
-
-// PutJob implements Store.
-func (m *Mem) PutJob(rec Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rec.Request == nil {
-		if old, ok := m.jobs[rec.ID]; ok {
-			rec.Request = old.Request
-		}
-	} else {
-		rec.Request = append(json.RawMessage(nil), rec.Request...)
-	}
-	m.jobs[rec.ID] = rec
-	return nil
-}
-
-// PutResult implements Store.
-func (m *Mem) PutResult(id string, result json.RawMessage) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.results[id] = append(json.RawMessage(nil), result...)
-	return nil
-}
-
-// GetResult implements Store.
-func (m *Mem) GetResult(id string) (json.RawMessage, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res, ok := m.results[id]
-	if !ok {
-		return nil, false, nil
-	}
-	return append(json.RawMessage(nil), res...), true, nil
-}
-
-// List implements Store.
-func (m *Mem) List() ([]Record, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sortedRecords(m.jobs), nil
-}
-
-// Delete implements Store.
-func (m *Mem) Delete(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.jobs, id)
-	delete(m.results, id)
-	delete(m.checkpoints, id)
-	return nil
-}
-
-// Sweep implements Store.
-func (m *Mem) Sweep(cutoff time.Time) ([]string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	expired := expiredIDs(m.jobs, cutoff)
-	for _, id := range expired {
-		delete(m.jobs, id)
-		delete(m.results, id)
-		delete(m.checkpoints, id)
-	}
-	return expired, nil
-}
-
-// PutCheckpoint implements Store.
-func (m *Mem) PutCheckpoint(id string, cp json.RawMessage) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(cp) == 0 {
-		delete(m.checkpoints, id)
-		return nil
-	}
-	m.checkpoints[id] = append(json.RawMessage(nil), cp...)
-	return nil
-}
-
-// GetCheckpoint implements Store.
-func (m *Mem) GetCheckpoint(id string) (json.RawMessage, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cp, ok := m.checkpoints[id]
-	if !ok {
-		return nil, false, nil
-	}
-	return append(json.RawMessage(nil), cp...), true, nil
+	m := &Mem{}
+	m.init(nil)
+	return m
 }
 
 // Close implements Store; it is a no-op for Mem.
 func (m *Mem) Close() error { return nil }
-
-// sortedRecords copies a record map into a slice ordered by SubmittedAt,
-// ties broken by ID, so List is deterministic for both implementations.
-func sortedRecords(jobs map[string]Record) []Record {
-	out := make([]Record, 0, len(jobs))
-	for _, rec := range jobs {
-		rec.Request = append(json.RawMessage(nil), rec.Request...)
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if !out[a].SubmittedAt.Equal(out[b].SubmittedAt) {
-			return out[a].SubmittedAt.Before(out[b].SubmittedAt)
-		}
-		return out[a].ID < out[b].ID
-	})
-	return out
-}
-
-// expiredIDs returns the sorted ids of terminal records finished before
-// cutoff.
-func expiredIDs(jobs map[string]Record, cutoff time.Time) []string {
-	var expired []string
-	for id, rec := range jobs {
-		if rec.Terminal() && rec.FinishedAt.Before(cutoff) {
-			expired = append(expired, id)
-		}
-	}
-	sort.Strings(expired)
-	return expired
-}

@@ -4,12 +4,14 @@
 // Store; on boot it lists the store back and re-enqueues the jobs that
 // never ran.
 //
-// Two implementations ship with the package:
+// Two implementations ship with the package, over one state: the same
+// maps, and one apply that folds each mutation into them.
 //
 //   - Mem keeps everything in process memory — the engine's historical
 //     behavior, used when no -store.dir is configured.
-//   - FS is an append-only JSON-lines file store with a write-ahead log,
-//     periodic snapshot+compaction, and crash-safe replay on open.
+//   - FS logs each mutation to an append-only JSON-lines write-ahead log
+//     before applying it, compacts the log into a snapshot, and replays
+//     both through the same apply on open, crash-safely.
 //
 // The store is deliberately decoupled from the engine's types: jobs and
 // results travel as opaque json.RawMessage payloads plus the few fields
@@ -64,7 +66,8 @@ func (r Record) Terminal() bool { return !r.FinishedAt.IsZero() }
 // retain what they get back.
 type Store interface {
 	// PutJob inserts or replaces the record for rec.ID; a nil
-	// rec.Request keeps the stored request of an existing record.
+	// rec.Request keeps the stored request of an existing record. A
+	// record without an ID is refused.
 	PutJob(rec Record) error
 	// PutResult attaches the encoded final result to a job id. Results
 	// are stored separately from records so status upserts stay cheap.

@@ -67,6 +67,10 @@ func TestPutListDelete(t *testing.T) {
 		if err := s.Delete("no-such-job"); err != nil {
 			t.Fatalf("delete unknown: %v", err)
 		}
+		// A record without an id is refused, not acknowledged.
+		if err := s.PutJob(rec("", "pending", t0)); err == nil {
+			t.Fatalf("put of a record without an id succeeded")
+		}
 		recs, _ = s.List()
 		if len(recs) != 1 || recs[0].ID != "job-2" {
 			t.Fatalf("after delete: %+v", recs)

@@ -31,13 +31,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -387,33 +385,11 @@ func ringChanges() (int, error) {
 func sumSeries(family string, bases ...string) (float64, error) {
 	var total float64
 	for _, base := range bases {
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			return 0, fmt.Errorf("GET %s/metrics: %w", base, err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		m, err := smoke.ScrapeMetrics(base)
 		if err != nil {
 			return 0, err
 		}
-		for _, line := range strings.Split(string(raw), "\n") {
-			if !strings.HasPrefix(line, family) {
-				continue
-			}
-			rest := line[len(family):]
-			if rest != "" && rest[0] != ' ' && rest[0] != '{' {
-				continue // a longer family name sharing the prefix
-			}
-			sp := strings.LastIndexByte(line, ' ')
-			if sp < 0 {
-				continue
-			}
-			v, err := strconv.ParseFloat(line[sp+1:], 64)
-			if err != nil {
-				return 0, fmt.Errorf("%s/metrics: bad value in %q: %w", base, line, err)
-			}
-			total += v
-		}
+		total += m.Series[family]
 	}
 	return total, nil
 }

@@ -25,17 +25,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
-	"github.com/reds-go/reds/internal/telemetry"
 	"github.com/reds-go/reds/scripts/internal/smoke"
 )
 
@@ -279,14 +275,14 @@ func checkAdmission() error {
 		}
 	}
 
-	gw, err := scrapeMetrics("http://" + gatewayAddr)
+	gw, err := smoke.ScrapeMetrics("http://" + gatewayAddr)
 	if err != nil {
 		return err
 	}
-	if gw.series["reds_admission_rejected_total"] == 0 {
+	if gw.Series["reds_admission_rejected_total"] == 0 {
 		return fmt.Errorf("gateway /metrics: no admission rejections recorded despite the 401s/429s above")
 	}
-	if gw.series["reds_admission_allowed_total"] == 0 {
+	if gw.Series["reds_admission_allowed_total"] == 0 {
 		return fmt.Errorf("gateway /metrics: no admitted requests recorded")
 	}
 	log.Printf("reds_admission_{allowed,rejected}_total both live on the gateway")
@@ -339,103 +335,38 @@ func checkMetrics() error {
 	const totalJobs = jobCount + 1 // + the traced job
 
 	for _, base := range []string{"http://" + worker1Addr, "http://" + worker2Addr} {
-		m, err := scrapeMetrics(base)
+		m, err := smoke.ScrapeMetrics(base)
 		if err != nil {
 			return err
 		}
-		if m.series["reds_exec_executions_total"] == 0 {
+		if m.Series["reds_exec_executions_total"] == 0 {
 			return fmt.Errorf("%s /metrics: no executions recorded", base)
 		}
-		if m.series["reds_exec_stage_seconds_count"] == 0 {
+		if m.Series["reds_exec_stage_seconds_count"] == 0 {
 			return fmt.Errorf("%s /metrics: no stage spans observed", base)
 		}
-		if m.series["reds_http_requests_total"] == 0 {
+		if m.Series["reds_http_requests_total"] == 0 {
 			return fmt.Errorf("%s /metrics: no http requests recorded", base)
 		}
-		log.Printf("%s /metrics: %d families, all names conformant", base, len(m.families))
+		log.Printf("%s /metrics: %d families, all names conformant", base, len(m.Families))
 	}
 
-	gw, err := scrapeMetrics("http://" + gatewayAddr)
+	gw, err := smoke.ScrapeMetrics("http://" + gatewayAddr)
 	if err != nil {
 		return err
 	}
-	if got := gw.series["reds_cluster_dispatches_total"]; got != totalJobs {
+	if got := gw.Series["reds_cluster_dispatches_total"]; got != totalJobs {
 		return fmt.Errorf("gateway dispatched %v executions, want %d", got, totalJobs)
 	}
-	if got := gw.series["reds_cluster_alive_workers"]; got != 2 {
+	if got := gw.Series["reds_cluster_alive_workers"]; got != 2 {
 		return fmt.Errorf("gateway sees %v alive workers on /metrics, want 2", got)
 	}
-	if got := gw.series["reds_engine_jobs_finished_total"]; got != totalJobs {
+	if got := gw.Series["reds_engine_jobs_finished_total"]; got != totalJobs {
 		return fmt.Errorf("gateway finished %v jobs on /metrics, want %d", got, totalJobs)
 	}
-	if gw.series["reds_store_wal_appends_total"] == 0 {
+	if gw.Series["reds_store_wal_appends_total"] == 0 {
 		return fmt.Errorf("gateway store recorded no WAL appends despite -store.dir")
 	}
-	log.Printf("gateway /metrics: %d families, core series consistent", len(gw.families))
+	log.Printf("gateway /metrics: %d families, core series consistent", len(gw.Families))
 	return nil
-}
-
-// metricsDump is a parsed text exposition: family name -> type, plus
-// every series name (including _bucket/_sum/_count) summed over its
-// label sets.
-type metricsDump struct {
-	families map[string]string
-	series   map[string]float64
-}
-
-func scrapeMetrics(base string) (*metricsDump, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return nil, fmt.Errorf("GET %s/metrics: %w", base, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s/metrics: %s", base, resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != telemetry.TextContentType {
-		return nil, fmt.Errorf("%s/metrics Content-Type = %q, want %q", base, ct, telemetry.TextContentType)
-	}
-
-	m := &metricsDump{families: map[string]string{}, series: map[string]float64{}}
-	for ln, line := range strings.Split(string(raw), "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("%s/metrics line %d: malformed TYPE comment %q", base, ln+1, line)
-			}
-			name, typ := fields[2], fields[3]
-			if err := telemetry.CheckName(name); err != nil {
-				return nil, fmt.Errorf("%s/metrics exposes non-conformant family: %w", base, err)
-			}
-			m.families[name] = typ
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			return nil, fmt.Errorf("%s/metrics line %d: unparseable series %q", base, ln+1, line)
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s/metrics line %d: bad value in %q: %w", base, ln+1, line, err)
-		}
-		name := line[:sp]
-		if br := strings.IndexByte(name, '{'); br >= 0 {
-			name = name[:br]
-		}
-		m.series[name] += v
-	}
-	if len(m.families) == 0 {
-		return nil, fmt.Errorf("%s/metrics exposed no metric families", base)
-	}
-	return m, nil
 }

@@ -1,8 +1,8 @@
 // Package smoke is the HTTP client the multi-process smoke commands
 // (scripts/cluster-smoke and scripts/chaos-smoke) drive a real
 // redsgateway fleet with: submit a job, poll it to completion, read
-// JSON, and wait for processes, readiness and the gateway's view of
-// its workers.
+// JSON and /metrics, and wait for processes, readiness and the
+// gateway's view of its workers.
 package smoke
 
 import (
@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/reds-go/reds/internal/telemetry"
@@ -170,4 +172,75 @@ func waitOK(url string, timeout time.Duration) error {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+}
+
+// Metrics is a parsed text exposition of one process's /metrics.
+type Metrics struct {
+	// Families maps each family name to its TYPE.
+	Families map[string]string
+	// Series maps every series name (including _bucket, _sum and
+	// _count) to its values summed over their label sets.
+	Series map[string]float64
+}
+
+// ScrapeMetrics GETs base's /metrics and parses it. It fails unless the
+// response is 200 with the Prometheus text Content-Type, every TYPE
+// line names a family that follows the reds_<subsystem>_<name>_<unit>
+// convention, every series line carries a number, and at least one
+// family is exposed.
+func ScrapeMetrics(base string) (*Metrics, error) {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return nil, fmt.Errorf("GET %s/metrics: %w", base, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s/metrics: %s", base, resp.Status)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != telemetry.TextContentType {
+		return nil, fmt.Errorf("%s/metrics Content-Type = %q, want %q", base, ct, telemetry.TextContentType)
+	}
+
+	m := &Metrics{Families: map[string]string{}, Series: map[string]float64{}}
+	for ln, line := range strings.Split(string(raw), "\n") {
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			fields := strings.Fields(line)
+			if len(fields) != 4 {
+				return nil, fmt.Errorf("%s/metrics line %d: malformed TYPE comment %q", base, ln+1, line)
+			}
+			name, typ := fields[2], fields[3]
+			if err := telemetry.CheckName(name); err != nil {
+				return nil, fmt.Errorf("%s/metrics exposes non-conformant family: %w", base, err)
+			}
+			m.Families[name] = typ
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			return nil, fmt.Errorf("%s/metrics line %d: unparseable series %q", base, ln+1, line)
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s/metrics line %d: bad value in %q: %w", base, ln+1, line, err)
+		}
+		name := line[:sp]
+		if br := strings.IndexByte(name, '{'); br >= 0 {
+			name = name[:br]
+		}
+		m.Series[name] += v
+	}
+	if len(m.Families) == 0 {
+		return nil, fmt.Errorf("%s/metrics exposed no metric families", base)
+	}
+	return m, nil
 }
