@@ -34,6 +34,12 @@
 // the gateway sends it on every dispatch and fan-out to workers started
 // with the same secret, and requires it (or an admin token) on its own
 // /internal/v1/workers admin API.
+//
+// The flags, start-up and shutdown it shares with redsserver live in
+// cmd/internal/daemon. On SIGTERM the gateway closes its listener, then
+// gives the jobs it has dispatched -drain.timeout to finish (their
+// checkpoints are persisted along the way, so whatever is cut off
+// resumes after restart).
 package main
 
 import (
@@ -43,254 +49,60 @@ import (
 	"flag"
 	"log/slog"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"github.com/reds-go/reds/cmd/internal/daemon"
 	"github.com/reds-go/reds/internal/admission"
 	"github.com/reds-go/reds/internal/cluster"
 	"github.com/reds-go/reds/internal/engine"
-	"github.com/reds-go/reds/internal/engine/store"
-	"github.com/reds-go/reds/internal/faultinject"
-	"github.com/reds-go/reds/internal/telemetry"
 )
-
-// HTTP server timeouts: generous enough for a paper-scale inline-CSV
-// upload or a slow scrape, small enough that stuck clients cannot pin
-// connections forever.
-const (
-	httpReadTimeout  = 2 * time.Minute
-	httpWriteTimeout = 2 * time.Minute
-	httpIdleTimeout  = 5 * time.Minute
-)
-
-// buildAdmission assembles the admission controller: token store (when
-// -auth.tokens is set), quotas, caps and the internal secret.
-func buildAdmission(opts admission.Options, tokensPath string, logger *slog.Logger) (*admission.Controller, error) {
-	if tokensPath != "" {
-		tokens, err := admission.LoadTokens(tokensPath)
-		if err != nil {
-			return nil, err
-		}
-		opts.Tokens = tokens
-		logger.Info("bearer-token authentication enabled", "path", tokensPath, "tokens", tokens.Len())
-	}
-	opts.Logger = logger
-	return admission.New(opts), nil
-}
-
-// reloadOnSIGHUP re-reads the token file whenever the process receives
-// SIGHUP, so operators rotate tokens without a restart. A bad file
-// keeps the previous table (and logs the parse error).
-func reloadOnSIGHUP(ctrl *admission.Controller, logger *slog.Logger) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGHUP)
-	go func() {
-		for range ch {
-			if err := ctrl.ReloadTokens(); err != nil {
-				logger.Error("token reload failed; keeping the previous table", "error", err)
-				continue
-			}
-			logger.Info("token file reloaded")
-		}
-	}()
-}
 
 func main() {
-	addr := flag.String("addr", ":8090", "listen address")
+	cfg := daemon.RegisterFlags(":8090", 256)
 	workersFlag := flag.String("workers", "", "comma-separated redsserver base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
 	dispatch := flag.Int("dispatch", 0, "jobs dispatched concurrently (default 2 per worker)")
-	queue := flag.Int("queue", 256, "max pending jobs before submissions are rejected")
 	replicas := flag.Int("hash.replicas", 128, "virtual nodes per worker on the consistent-hash ring")
 	healthInterval := flag.Duration("health.interval", 2*time.Second, "worker health-probe period")
 	healthTimeout := flag.Duration("health.timeout", time.Second, "single health-probe timeout")
-	storeDir := flag.String("store.dir", "", "directory for the durable job store (empty: in-memory only)")
-	storeTTL := flag.Duration("store.ttl", 0, "retention of finished jobs before garbage collection (0: keep forever)")
-	storeSweep := flag.Duration("store.sweep-interval", time.Minute, "how often the TTL sweeper runs")
-	storeFsync := flag.Duration("store.fsync-interval", 0, "batching window for job-store fsyncs (0: fsync every append)")
-	drainTimeout := flag.Duration("drain.timeout", 10*time.Second, "how long shutdown waits for in-flight jobs to finish before canceling them")
-	internalSecret := flag.String("internal.secret", "", "shared secret sent to workers on every dispatch and required on /internal/v1/workers (also read from REDS_INTERNAL_SECRET); empty: no secret")
-	authTokens := flag.String("auth.tokens", "", "path to the bearer-token JSON file enabling authentication (hot-reloaded on SIGHUP); empty: no auth")
-	quotaRPS := flag.Float64("quota.rps", 0, "per-client job-submission rate limit in requests/second (0: unlimited; token-file entries may override)")
-	quotaBurst := flag.Int("quota.burst", 0, "per-client submission burst on top of -quota.rps (min 1 when rate limiting)")
-	quotaInflight := flag.Int("quota.inflight", 0, "max unfinished jobs one client may have at once (0: unlimited)")
-	capMaxL := flag.Int("caps.max-l", 0, "max Monte Carlo label budget l one job may request (0: unlimited)")
-	capMaxN := flag.Int("caps.max-n", 0, "max design size n / inline dataset rows one job may submit (0: unlimited)")
-	capMaxVariants := flag.Int("caps.max-variants", 0, "max metamodel variant-grid size one job may request (0: unlimited)")
-	capMaxBody := flag.Int64("caps.max-body-bytes", 64<<20, "max POST /v1/jobs request body size in bytes (0: unlimited)")
-	maxRuntime := flag.Duration("job.max-runtime", 0, "hard wall-clock ceiling on any job's execution, and the ceiling on deadline_seconds requests (0: none)")
-	faults := flag.String("faults", "", "arm fault-injection points, e.g. store.wal.torn=1 (testing only; also read from REDS_FAULTS)")
-	logLevel := flag.String("log.level", "info", "minimum log level: debug, info, warn, error")
-	logFormat := flag.String("log.format", "json", "log output format: json or text")
-	debugAddr := flag.String("debug.addr", "", "listen address for the debug server (pprof + metrics); empty: disabled")
 	flag.Parse()
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		slog.Error("redsgateway: bad logging flags", "error", err)
-		os.Exit(1)
-	}
-	logger = logger.With("service", "redsgateway")
-	slog.SetDefault(logger)
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "error", err)
-		os.Exit(1)
-	}
+	d := daemon.Start("redsgateway", cfg)
 
 	workers := splitWorkers(*workersFlag)
 	if len(workers) == 0 {
-		fatal("-workers is required", errors.New("comma-separated redsserver base URLs"))
+		d.Fatal("-workers is required", errors.New("comma-separated redsserver base URLs"))
 	}
 	if *dispatch <= 0 {
 		*dispatch = 2 * len(workers)
 	}
-
-	if spec := firstNonEmpty(*faults, os.Getenv("REDS_FAULTS")); spec != "" {
-		if err := faultinject.Arm(spec); err != nil {
-			fatal("bad -faults spec", err)
-		}
-		logger.Warn("fault injection armed", "spec", spec)
-	}
-
-	// One registry per process: dispatcher, prober, engine, store and
-	// the HTTP middleware all record here; /metrics serves it.
-	reg := telemetry.NewRegistry()
-
-	secret := firstNonEmpty(*internalSecret, os.Getenv("REDS_INTERNAL_SECRET"))
 	client := &http.Client{Timeout: 15 * time.Second}
 	disp, err := cluster.NewDispatcher(workers, cluster.DispatcherOptions{
 		Replicas:       *replicas,
 		Client:         client,
-		Metrics:        reg,
-		InternalSecret: secret,
+		Metrics:        d.Metrics,
+		InternalSecret: d.InternalSecret,
 		Health: cluster.HealthOptions{
 			Interval: *healthInterval,
 			Timeout:  *healthTimeout,
 		},
 	})
 	if err != nil {
-		fatal("building dispatcher failed", err)
+		d.Fatal("building dispatcher failed", err)
 	}
-
-	var st store.Store
-	if *storeDir != "" {
-		fs, err := store.OpenFS(*storeDir, store.FSOptions{FsyncInterval: *storeFsync, Metrics: reg})
-		if err != nil {
-			fatal("opening job store failed", err)
-		}
-		if n := fs.Skipped(); n > 0 {
-			logger.Warn("job store replay skipped corrupt lines", "skipped", n, "dir", *storeDir)
-		}
-		st = fs
-	}
-
-	eng, err := engine.New(engine.Options{
-		Workers:       *dispatch,
-		QueueSize:     *queue,
-		Executor:      disp,
-		Store:         st,
-		TTL:           *storeTTL,
-		SweepInterval: *storeSweep,
-		Metrics:       reg,
-		Logger:        logger,
-	})
-	if err != nil {
-		fatal("starting engine failed", err)
-	}
-	if rec := eng.Recovery(); rec.Recovered > 0 {
-		logger.Info("recovered jobs from store", "dir", *storeDir,
-			"recovered", rec.Recovered, "reenqueued", rec.Reenqueued, "orphaned", rec.Orphaned)
-	}
-
-	ctrl, err := buildAdmission(admission.Options{
-		RPS:         *quotaRPS,
-		Burst:       *quotaBurst,
-		MaxInFlight: *quotaInflight,
-		Caps: admission.Caps{
-			MaxL:         *capMaxL,
-			MaxN:         *capMaxN,
-			MaxVariants:  *capMaxVariants,
-			MaxBodyBytes: *capMaxBody,
-			MaxRuntime:   *maxRuntime,
-		},
-		InternalSecret: secret,
-		Metrics:        reg,
-	}, *authTokens, logger)
-	if err != nil {
-		fatal("loading -auth.tokens failed", err)
-	}
-	reloadOnSIGHUP(ctrl, logger)
+	eng := d.Engine(*dispatch, disp)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", gatewayHealthz(eng, disp))
 	mux.HandleFunc("GET /v1/readyz", gatewayReadyz(disp))
-	mux.HandleFunc("GET /v1/jobs", gatewayJobs(eng, disp, client, secret))
+	mux.HandleFunc("GET /v1/jobs", gatewayJobs(eng, disp, client, d.InternalSecret))
 	mux.HandleFunc("GET /internal/v1/workers", listWorkers(disp))
-	mux.HandleFunc("POST /internal/v1/workers", addWorker(disp, logger))
-	mux.HandleFunc("DELETE /internal/v1/workers", removeWorker(disp, logger))
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.Handle("/", engine.NewHandler(eng, engine.WithAdmission(ctrl)))
+	mux.HandleFunc("POST /internal/v1/workers", addWorker(disp, d.Log))
+	mux.HandleFunc("DELETE /internal/v1/workers", removeWorker(disp, d.Log))
+	mux.Handle("GET /metrics", d.Metrics.Handler())
+	mux.Handle("/", engine.NewHandler(eng, engine.WithAdmission(d.Admission)))
 
-	// Admission sits inside Instrument so rejected requests still get
-	// request IDs and access-log lines.
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           telemetry.Instrument(ctrl.Middleware(mux), reg, logger),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       httpReadTimeout,
-		WriteTimeout:      httpWriteTimeout,
-		IdleTimeout:       httpIdleTimeout,
-	}
-
-	var debugSrv *http.Server
-	if *debugAddr != "" {
-		debugSrv = &http.Server{
-			Addr:              *debugAddr,
-			Handler:           telemetry.DebugHandler(reg),
-			ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout:       httpReadTimeout,
-			// No WriteTimeout: pprof profile streams (?seconds=N) may
-			// legitimately run long.
-			IdleTimeout: httpIdleTimeout,
-		}
-		go func() {
-			logger.Info("debug server listening", "addr", *debugAddr)
-			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug server failed", "error", err)
-			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		<-ctx.Done()
-		logger.Info("shutting down", "drain_timeout", drainTimeout.String())
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-		if debugSrv != nil {
-			_ = debugSrv.Shutdown(shutdownCtx)
-		}
-		// Drain before teardown: jobs already dispatched to workers get
-		// drain.timeout to finish (their checkpoints are persisted along
-		// the way, so whatever is cut off resumes after restart).
-		if !eng.Drain(*drainTimeout) {
-			logger.Warn("drain timeout: canceling remaining jobs")
-		}
-		eng.Close()
-		disp.Close()
-	}()
-
-	logger.Info("listening", "addr", *addr, "workers", strings.Join(workers, ", "))
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal("server failed", err)
-	}
-	<-shutdownDone
+	d.Log.Info("dispatching to workers", "workers", strings.Join(workers, ", "))
+	d.Serve(mux, eng, nil, disp.Close)
 }
 
 // splitWorkers parses the -workers flag, trimming blanks and trailing
@@ -443,17 +255,6 @@ func workerURL(w http.ResponseWriter, r *http.Request) (string, bool) {
 		return "", false
 	}
 	return url, true
-}
-
-// firstNonEmpty returns the first non-empty string, so the -faults flag
-// wins over the REDS_FAULTS environment variable.
-func firstNonEmpty(vals ...string) string {
-	for _, v := range vals {
-		if v != "" {
-			return v
-		}
-	}
-	return ""
 }
 
 // gatewayJobs aggregates the cluster's job listings: the gateway's own

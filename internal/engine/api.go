@@ -246,47 +246,13 @@ func NewHandler(e *Engine, opts ...HandlerOption) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"id": id, "canceled": canceled})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		id := JobID(r.PathValue("id"))
-		snap, ok := e.Job(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, errNotFound, fmt.Errorf("unknown job %s", id))
-			return
+		if res := jobResult(e, w, r); res != nil {
+			writeJSON(w, http.StatusOK, stripRulesets(res))
 		}
-		res, err := e.Result(id)
-		if err != nil {
-			// A done job whose stored result cannot load is a server-side
-			// failure, not something a client should retry as not-ready.
-			if snap.Status == StatusDone {
-				writeError(w, http.StatusInternalServerError, errInternal, err)
-				return
-			}
-			// Not ready, canceled or failed: the envelope carries the
-			// reason, "status" the job's current lifecycle state.
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":  apiError{Code: errNotReady, Message: err.Error()},
-				"status": snap.Status,
-			})
-			return
-		}
-		writeJSON(w, http.StatusOK, stripRulesets(res))
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/rules", func(w http.ResponseWriter, r *http.Request) {
-		id := JobID(r.PathValue("id"))
-		snap, ok := e.Job(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, errNotFound, fmt.Errorf("unknown job %s", id))
-			return
-		}
-		res, err := e.Result(id)
-		if err != nil {
-			if snap.Status == StatusDone {
-				writeError(w, http.StatusInternalServerError, errInternal, err)
-				return
-			}
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":  apiError{Code: errNotReady, Message: err.Error()},
-				"status": snap.Status,
-			})
+		res := jobResult(e, w, r)
+		if res == nil {
 			return
 		}
 		// One entry per metamodel family: the SD variants of a family
@@ -306,7 +272,7 @@ func NewHandler(e *Engine, opts ...HandlerOption) http.Handler {
 			entries = append(entries, rulesetEntry{Metamodel: vr.Metamodel, KernelReport: vr.KernelReport})
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"id":           id,
+			"id":           r.PathValue("id"),
 			"dataset_hash": res.DatasetHash,
 			"rulesets":     entries,
 		})
@@ -363,6 +329,36 @@ func NewHandler(e *Engine, opts ...HandlerOption) http.Handler {
 		writeJSON(w, http.StatusOK, body)
 	})
 	return jsonErrors(mux)
+}
+
+// jobResult returns the result of the job the request names, or nil
+// once it has answered instead: 404 for an unknown job, 500 for a done
+// job whose stored result will not load, and 409 with the not-ready
+// envelope and the job's status otherwise.
+func jobResult(e *Engine, w http.ResponseWriter, r *http.Request) *Result {
+	id := JobID(r.PathValue("id"))
+	snap, ok := e.Job(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, errNotFound, fmt.Errorf("unknown job %s", id))
+		return nil
+	}
+	res, err := e.Result(id)
+	switch {
+	case err == nil:
+		return res
+	case snap.Status == StatusDone:
+		// A done job whose stored result cannot load is a server-side
+		// failure, not something a client should retry as not-ready.
+		writeError(w, http.StatusInternalServerError, errInternal, err)
+	default:
+		// Not ready, canceled or failed: the envelope carries the
+		// reason, "status" the job's current lifecycle state.
+		writeJSON(w, http.StatusConflict, map[string]any{
+			"error":  apiError{Code: errNotReady, Message: err.Error()},
+			"status": snap.Status,
+		})
+	}
+	return nil
 }
 
 // stripRulesets shallow-copies a result without the variants' inline

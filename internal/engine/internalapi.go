@@ -125,6 +125,11 @@ type ExecServer struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
+	// drained is closed once the server is closed and every execution
+	// has been released; Drain waits on it.
+	drained     chan struct{}
+	drainedOnce sync.Once
+
 	mu      sync.Mutex
 	execs   map[string]*execution
 	nextID  uint64
@@ -172,13 +177,14 @@ func NewExecServer(exec Executor, opts ExecServerOptions) *ExecServer {
 		logger = slog.Default()
 	}
 	s := &ExecServer{
-		exec:   exec,
-		opts:   opts,
-		log:    logger,
-		bootID: hex.EncodeToString(nonce),
-		ctx:    ctx,
-		cancel: cancel,
-		execs:  make(map[string]*execution),
+		exec:    exec,
+		opts:    opts,
+		log:     logger,
+		bootID:  hex.EncodeToString(nonce),
+		ctx:     ctx,
+		cancel:  cancel,
+		drained: make(chan struct{}),
+		execs:   make(map[string]*execution),
 		mStarted: reg.Counter("reds_exec_executions_total",
 			"Executions accepted over the internal execution API."),
 	}
@@ -209,24 +215,38 @@ func (s *ExecServer) Close() {
 }
 
 // Drain stops accepting new executions (POSTs get 503; the gateway
-// re-routes them) and waits up to timeout for the running ones to
-// finish on their own. It reports whether the server fully drained;
-// either way the caller should follow up with Close, which cancels
-// whatever is left.
+// re-routes them) and waits up to timeout until every execution has
+// been released: ended and acknowledged by its gateway's DELETE, or
+// canceled by it, or swept after Retention. The caller keeps the
+// listener open meanwhile, so a gateway collects the result of work
+// that ends during the drain instead of running it again elsewhere. It
+// reports whether the server fully drained; either way the caller
+// should follow up with Close, which cancels whatever is left.
 func (s *ExecServer) Drain(timeout time.Duration) bool {
 	s.mu.Lock()
 	s.closed = true
+	s.sweepLocked()
+	s.checkDrainedLocked()
 	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-s.drained:
 		return true
 	case <-time.After(timeout):
 		return false
+	}
+}
+
+// releaseLocked forgets execution id. Caller holds s.mu.
+func (s *ExecServer) releaseLocked(id string) {
+	delete(s.execs, id)
+	s.checkDrainedLocked()
+}
+
+// checkDrainedLocked wakes Drain once the server is closed and holds
+// no execution. Caller holds s.mu.
+func (s *ExecServer) checkDrainedLocked() {
+	if s.closed && len(s.execs) == 0 {
+		s.drainedOnce.Do(func() { close(s.drained) })
 	}
 }
 
@@ -377,7 +397,7 @@ func (s *ExecServer) sweepLocked() {
 		expired := ex.status.Terminal() && !ex.finishedAt.IsZero() && ex.finishedAt.Before(cutoff)
 		ex.mu.Unlock()
 		if expired {
-			delete(s.execs, id)
+			s.releaseLocked(id)
 		}
 	}
 }
@@ -456,26 +476,24 @@ func (s *ExecServer) maybeFaultExit(p Progress) {
 	}
 }
 
-// handleCancel cancels a running execution; for a terminal one it acts
-// as the gateway's acknowledgement and releases the entry.
+// handleCancel releases an execution: it cancels a running one, and
+// for a terminal one it is the gateway's acknowledgement. Either way
+// the gateway is done with it, so later calls for the id get 404.
 func (s *ExecServer) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	ex, ok := s.execs[id]
-	terminal := false
 	if ok {
-		ex.mu.Lock()
-		terminal = ex.status.Terminal()
-		if terminal {
-			delete(s.execs, id)
-		}
-		ex.mu.Unlock()
+		s.releaseLocked(id)
 	}
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, errNotFound, fmt.Errorf("unknown execution %s", id))
 		return
 	}
+	ex.mu.Lock()
+	terminal := ex.status.Terminal()
+	ex.mu.Unlock()
 	ex.cancel()
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "canceled": !terminal})
 }

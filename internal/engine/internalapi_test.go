@@ -354,6 +354,54 @@ func TestExecServerHoldsStatusUntilDone(t *testing.T) {
 	wg.Wait()
 }
 
+// TestExecServerDrainWaitsForRelease: Drain returns once every
+// execution has been released, and not before. A running execution
+// its gateway canceled is released by that DELETE; a finished one
+// holds the drain until its gateway acknowledges it.
+func TestExecServerDrainWaitsForRelease(t *testing.T) {
+	release := make(chan struct{})
+	es := NewExecServer(execFunc(func(ctx context.Context, _ Request, _ func(Progress)) (*Result, error) {
+		select {
+		case <-release:
+			return &Result{DatasetHash: "h"}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}), ExecServerOptions{})
+	srv := httptest.NewServer(es.Handler())
+	defer func() {
+		srv.Close()
+		es.Close()
+	}()
+	remote := &RemoteExecutor{BaseURL: srv.URL}
+	body, _ := json.Marshal(Request{Function: "morris"})
+	canceled, err := remote.start(context.Background(), body)
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	finished, err := remote.start(context.Background(), body)
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	drained := make(chan bool, 1)
+	go func() { drained <- es.Drain(5 * time.Second) }()
+
+	remote.release(canceled)
+	close(release)
+	if st, err := remote.poll(context.Background(), finished); err != nil || st.Status != StatusDone {
+		t.Fatalf("poll of the finished execution: %+v, %v", st, err)
+	}
+	select {
+	case <-drained:
+		t.Fatalf("Drain returned before the finished execution was acknowledged")
+	default:
+	}
+	remote.release(finished)
+	if !<-drained {
+		t.Fatalf("Drain timed out with every execution released")
+	}
+}
+
 // TestExecServerKeepsNewestCheckpoint: recorders publish snapshots
 // after releasing their lock, so two variants finishing together can
 // deliver them out of Seq order. Through one sink, Seq 2 then Seq 1:

@@ -2,6 +2,8 @@ package store
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -158,5 +160,76 @@ func TestFSCheckpointTornWALFault(t *testing.T) {
 	// The fault fired its once; the reopened store accepts appends again.
 	if err := re.PutCheckpoint("job-1", json.RawMessage(`{"seq":2}`)); err != nil {
 		t.Fatalf("append after torn write: %v", err)
+	}
+}
+
+// TestFSFailedAppendLeavesLogAsItWas fails one append at the torn-write
+// fault point and then acknowledges another. A reopen after a crash
+// must replay both acknowledged writes and skip nothing: a half line
+// left in the log would join the next append into one corrupt line.
+func TestFSFailedAppendLeavesLogAsItWas(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, FSOptions{})
+	if err := s.PutJob(rec("job-1", "running", time.Now())); err != nil {
+		t.Fatalf("put job-1: %v", err)
+	}
+	if err := faultinject.Arm("store.wal.torn=1"); err != nil {
+		t.Fatalf("arming: %v", err)
+	}
+	err := s.PutCheckpoint("job-1", json.RawMessage(`{"seq":1}`))
+	faultinject.Disarm()
+	if err == nil {
+		t.Fatalf("torn-write fault did not surface on the append")
+	}
+	if err := s.PutJob(rec("job-2", "pending", time.Now())); err != nil {
+		t.Fatalf("put job-2 after the failed append: %v", err)
+	}
+
+	// No Close: a crash, so replay reads the log as the appends left it.
+	re := mustOpen(t, dir, FSOptions{})
+	defer re.Close()
+	recs, _ := re.List()
+	if len(recs) != 2 || recs[0].ID != "job-1" || recs[1].ID != "job-2" {
+		t.Fatalf("replay after a failed append = %+v, want job-1 and job-2", recs)
+	}
+	if re.Skipped() != 0 {
+		t.Fatalf("replay skipped %d lines, want 0", re.Skipped())
+	}
+}
+
+// TestFSFailedUndoRefusesAppends fails an append whose truncate back
+// fails too. The store can no longer vouch for its log, so every later
+// append fails until a reopen, whose replay keeps what was
+// acknowledged.
+func TestFSFailedUndoRefusesAppends(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, FSOptions{})
+	if err := s.PutJob(rec("job-1", "running", time.Now())); err != nil {
+		t.Fatalf("put job-1: %v", err)
+	}
+	// A read-only handle fails both the write and the truncate.
+	ro, err := os.Open(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatalf("opening log read-only: %v", err)
+	}
+	defer ro.Close()
+	wal := s.wal
+	s.wal = ro
+	if err := s.PutJob(rec("job-2", "pending", time.Now())); err == nil {
+		t.Fatalf("append over a read-only log succeeded")
+	}
+	s.wal = wal
+	if err := s.PutJob(rec("job-3", "pending", time.Now())); err == nil {
+		t.Fatalf("append after an undo that failed succeeded; want the store to refuse until reopened")
+	}
+
+	re := mustOpen(t, dir, FSOptions{})
+	defer re.Close()
+	recs, _ := re.List()
+	if len(recs) != 1 || recs[0].ID != "job-1" {
+		t.Fatalf("replay = %+v, want only job-1", recs)
+	}
+	if err := re.PutJob(rec("job-4", "pending", time.Now())); err != nil {
+		t.Fatalf("append after reopen: %v", err)
 	}
 }

@@ -35,8 +35,9 @@ const (
 
 // faultWALTorn is the fault-injection point for torn log writes: when
 // armed (value "once" by convention), one append writes only half of
-// its buffer and fails, simulating a crash mid-write. Replay must
-// truncate the torn tail away.
+// its buffer and fails, like a short write. The store must truncate the
+// half line away before the next append, as replay must after a crash
+// mid-write.
 const faultWALTorn = "store.wal.torn"
 
 // FSOptions tune the file store.
@@ -94,6 +95,8 @@ type FS struct {
 
 	// Guarded by state.mu.
 	wal      *os.File
+	walSize  int64 // the log's length after its last good append
+	walErr   error // a failed append that could not be undone
 	walCount int
 	dirty    bool // unsynced log appends (batched-fsync mode only)
 	skipped  int
@@ -152,7 +155,12 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening log: %w", err)
 	}
-	f.wal = wal
+	fi, err := wal.Stat()
+	if err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("store: opening log: %w", err)
+	}
+	f.wal, f.walSize = wal, fi.Size()
 	// A replayed log at the threshold is folded into the snapshot now,
 	// not at the next append, so a process that crash-restarts before
 	// appending does not replay it again.
@@ -262,6 +270,9 @@ func (f *FS) syncWAL() error {
 // CompactEvery entries is compacted first; every entry in it has been
 // applied by then, so the snapshot misses none. Caller holds mu.
 func (f *FS) appendLocked(entries []walEntry) error {
+	if f.walErr != nil {
+		return f.walErr
+	}
 	if f.walCount >= f.opts.CompactEvery {
 		if err := f.compactLocked(); err != nil {
 			return err
@@ -272,15 +283,13 @@ func (f *FS) appendLocked(entries []walEntry) error {
 		return fmt.Errorf("store: encoding log entry: %w", err)
 	}
 	if faultinject.Enabled() && faultinject.Once(faultWALTorn) {
-		// Simulate a crash mid-append: half the buffer reaches the file,
-		// the append fails, and nothing is applied to the state. Replay
-		// truncates the torn tail on the next open.
 		_, _ = f.wal.Write(lines[:len(lines)/2])
-		return fmt.Errorf("store: %s fault injected: torn log write", faultWALTorn)
+		return f.undoAppendLocked(fmt.Errorf("store: %s fault injected: torn log write", faultWALTorn))
 	}
 	if _, err := f.wal.Write(lines); err != nil {
-		return fmt.Errorf("store: appending to log: %w", err)
+		return f.undoAppendLocked(fmt.Errorf("store: appending to log: %w", err))
 	}
+	f.walSize += int64(len(lines))
 	switch {
 	case f.opts.NoSync:
 	case f.opts.FsyncInterval > 0:
@@ -293,6 +302,19 @@ func (f *FS) appendLocked(entries []walEntry) error {
 	f.walCount += len(entries)
 	f.mAppends.Add(int64(len(entries)))
 	return nil
+}
+
+// undoAppendLocked truncates the log back to its last good append after
+// a write failed, so whatever part of the write reached the file cannot
+// join the next append's line into one that replay skips. If the
+// truncate fails too, every later append returns the error until the
+// store is reopened and replay decides what survived. Caller holds mu.
+func (f *FS) undoAppendLocked(err error) error {
+	if terr := f.wal.Truncate(f.walSize); terr != nil {
+		f.walErr = fmt.Errorf("store: log left with a failed append (truncating: %v); reopen the store: %w", terr, err)
+		return f.walErr
+	}
+	return err
 }
 
 // compactLocked folds the current state into a fresh snapshot and
@@ -350,7 +372,7 @@ func (f *FS) compactLocked() error {
 	if err := f.wal.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncating log: %w", err)
 	}
-	f.walCount = 0
+	f.walSize, f.walCount = 0, 0
 	f.dirty = false // the snapshot now holds everything the log did
 	f.mCompactions.Inc()
 	return nil

@@ -33,9 +33,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -78,40 +76,17 @@ func main() {
 }
 
 func run() error {
-	bin, err := os.MkdirTemp("", "reds-chaos-bin-")
+	fleet, err := smoke.NewFleet(tokenFileJSON, internalSecret)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(bin)
-
-	log.Printf("building binaries")
-	for _, target := range []string{"redsserver", "redsgateway"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, target), "./cmd/"+target)
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("building %s: %w", target, err)
-		}
-	}
-	stores, err := os.MkdirTemp("", "reds-chaos-store-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(stores)
-
-	tokenFile := filepath.Join(stores, "tokens.json")
-	if err := os.WriteFile(tokenFile, []byte(tokenFileJSON), 0o600); err != nil {
-		return fmt.Errorf("writing token file: %w", err)
-	}
-
-	worker := func(addr, storeDir, faults string) *exec.Cmd {
-		args := []string{"-addr", addr, "-workers", "2", "-store.dir", filepath.Join(stores, storeDir),
-			"-auth.tokens", tokenFile, "-internal.secret", internalSecret}
+	defer fleet.Close()
+	worker := func(addr, storeDir, faults string) (*exec.Cmd, error) {
+		args := []string{"-addr", addr, "-workers", "2", "-store.dir", fleet.Store(storeDir)}
 		if faults != "" {
 			args = append(args, "-faults", faults)
 		}
-		c := exec.Command(filepath.Join(bin, "redsserver"), args...)
-		c.Stdout, c.Stderr = os.Stderr, os.Stderr
-		return c
+		return fleet.Start("redsserver", args...)
 	}
 
 	// w1 carries the kill fault: once any discover span closes, the
@@ -121,36 +96,23 @@ func run() error {
 	// drops one status-poll connection to exercise the retry budget. w3
 	// starts clean and outside the gateway's initial worker set: it
 	// joins through the admin API.
-	w1 := worker(worker1Addr, "w1", "exec.exit-after=discover/,exec.exit.delay=3s")
-	w2 := worker(worker2Addr, "w2", "exec.status.drop=1")
-	w3 := worker(worker3Addr, "w3", "")
-	gw := exec.Command(filepath.Join(bin, "redsgateway"), "-addr", gatewayAddr,
+	w1, err := worker(worker1Addr, "w1", "exec.exit-after=discover/,exec.exit.delay=3s")
+	if err != nil {
+		return err
+	}
+	if _, err := worker(worker2Addr, "w2", "exec.status.drop=1"); err != nil {
+		return err
+	}
+	if _, err := worker(worker3Addr, "w3", ""); err != nil {
+		return err
+	}
+	if _, err := fleet.Start("redsgateway", "-addr", gatewayAddr,
 		"-workers", worker1URL+","+worker2URL,
 		"-health.interval", "500ms",
-		"-store.dir", filepath.Join(stores, "gw"),
-		"-auth.tokens", tokenFile, "-internal.secret", internalSecret,
-		"-quota.rps", "50", "-quota.burst", "50")
-	gw.Stdout, gw.Stderr = os.Stderr, os.Stderr
-
-	procs := []*exec.Cmd{w1, w2, w3, gw}
-	for _, p := range procs {
-		if err := p.Start(); err != nil {
-			return fmt.Errorf("starting %s: %w", p.Path, err)
-		}
+		"-store.dir", fleet.Store("gw"),
+		"-quota.rps", "50", "-quota.burst", "50"); err != nil {
+		return err
 	}
-	kill := func(p *exec.Cmd) {
-		if p != nil && p.Process != nil {
-			_ = p.Process.Kill()
-			_ = p.Wait()
-		}
-	}
-	var w1replacement *exec.Cmd
-	defer func() {
-		for _, p := range procs {
-			kill(p)
-		}
-		kill(w1replacement)
-	}()
 
 	for _, base := range []string{worker1URL, worker2URL, worker3URL, gatewayURL} {
 		if err := smoke.WaitHealthy(base, 30*time.Second); err != nil {
@@ -206,7 +168,6 @@ func run() error {
 		if code := w1.ProcessState.ExitCode(); code != 3 {
 			return fmt.Errorf("w1 exited with code %d, want the fault's exit code 3", code)
 		}
-		procs[0] = nil // already reaped
 		log.Printf("w1 killed itself mid-job (fault fired)")
 	case <-time.After(120 * time.Second):
 		return fmt.Errorf("exec.exit-after fault never fired on w1")
@@ -235,8 +196,7 @@ func run() error {
 	if err := client.WaitGatewaySeesWorkers(2, 30*time.Second); err != nil {
 		return err
 	}
-	w1replacement = worker(worker1Addr, "w1", "")
-	if err := w1replacement.Start(); err != nil {
+	if _, err := worker(worker1Addr, "w1", ""); err != nil {
 		return fmt.Errorf("restarting w1: %w", err)
 	}
 	if err := smoke.WaitHealthy(worker1URL, 30*time.Second); err != nil {

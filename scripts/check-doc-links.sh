@@ -11,8 +11,9 @@
 # token starting with _ is a suffix literal ("_test.go"), not a file.
 #
 # It also fails when the server flags and docs/API.md disagree: every
-# flag.*("name", …) in cmd/redsserver and cmd/redsgateway must appear
-# as `-name` in docs/API.md, and every flag a row of its flag tables
+# flag.*("name", …) or flag.*Var(&v, "name", …) in cmd/redsserver,
+# cmd/redsgateway and the cmd/internal/daemon package they share must
+# appear as `-name` in docs/API.md, and every flag a row of its flag tables
 # names must be defined. Any `-name` in README.md or docs/*.md must be
 # a flag of those servers or of bench/main.go. Likewise for job
 # requests: every json field of engine.Request and apiJobRequest must
@@ -66,7 +67,7 @@ for src in $(find . -name '*.go' -not -path './.bench_build/*' | sed 's|^\./||')
 done
 
 api=docs/API.md
-defined=$(grep -ohE 'flag\.[A-Za-z0-9]+\("[^"]+"' cmd/redsserver/*.go cmd/redsgateway/*.go |
+defined=$(grep -ohE 'flag\.[A-Za-z0-9]+\(([^,"()]+, *)?"[^"]+"' cmd/redsserver/*.go cmd/redsgateway/*.go cmd/internal/daemon/*.go |
     sed -E 's/^[^"]*"//; s/"$//' | sort -u)
 for name in $defined; do
     if ! grep -qF "\`-$name\`" "$api"; then

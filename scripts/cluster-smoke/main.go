@@ -27,9 +27,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"time"
 
 	"github.com/reds-go/reds/scripts/internal/smoke"
@@ -67,60 +64,25 @@ func main() {
 }
 
 func run() error {
-	bin, err := os.MkdirTemp("", "reds-smoke-bin-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(bin)
-
-	log.Printf("building binaries")
-	for _, target := range []string{"redsserver", "redsgateway"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, target), "./cmd/"+target)
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("building %s: %w", target, err)
-		}
-	}
-
-	// Store directories so the reds_store_* series are live too.
-	stores, err := os.MkdirTemp("", "reds-smoke-store-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(stores)
-
 	// The whole fleet runs with admission on: bearer tokens on the public
-	// API, a shared secret on the internal one.
-	tokenFile := filepath.Join(stores, "tokens.json")
-	if err := os.WriteFile(tokenFile, []byte(tokenFileJSON), 0o600); err != nil {
-		return fmt.Errorf("writing token file: %w", err)
+	// API, a shared secret on the internal one. Store directories make
+	// the reds_store_* series live too.
+	fleet, err := smoke.NewFleet(tokenFileJSON, internalSecret)
+	if err != nil {
+		return err
 	}
-
-	procs := []*exec.Cmd{
-		exec.Command(filepath.Join(bin, "redsserver"), "-addr", worker1Addr, "-workers", "2",
-			"-store.dir", filepath.Join(stores, "w1"),
-			"-auth.tokens", tokenFile, "-internal.secret", internalSecret),
-		exec.Command(filepath.Join(bin, "redsserver"), "-addr", worker2Addr, "-workers", "2",
-			"-store.dir", filepath.Join(stores, "w2"),
-			"-auth.tokens", tokenFile, "-internal.secret", internalSecret),
-		exec.Command(filepath.Join(bin, "redsgateway"), "-addr", gatewayAddr,
+	defer fleet.Close()
+	for _, args := range [][]string{
+		{"redsserver", "-addr", worker1Addr, "-workers", "2", "-store.dir", fleet.Store("w1")},
+		{"redsserver", "-addr", worker2Addr, "-workers", "2", "-store.dir", fleet.Store("w2")},
+		{"redsgateway", "-addr", gatewayAddr,
 			"-workers", fmt.Sprintf("http://%s,http://%s", worker1Addr, worker2Addr),
-			"-health.interval", "500ms",
-			"-store.dir", filepath.Join(stores, "gw"),
-			"-auth.tokens", tokenFile, "-internal.secret", internalSecret),
-	}
-	for _, p := range procs {
-		p.Stdout, p.Stderr = os.Stderr, os.Stderr
-		if err := p.Start(); err != nil {
-			return fmt.Errorf("starting %s: %w", p.Path, err)
+			"-health.interval", "500ms", "-store.dir", fleet.Store("gw")},
+	} {
+		if _, err := fleet.Start(args[0], args[1:]...); err != nil {
+			return err
 		}
 	}
-	defer func() {
-		for _, p := range procs {
-			_ = p.Process.Kill()
-			_ = p.Wait()
-		}
-	}()
 
 	for _, base := range []string{"http://" + worker1Addr, "http://" + worker2Addr, "http://" + gatewayAddr} {
 		if err := smoke.WaitHealthy(base, 30*time.Second); err != nil {

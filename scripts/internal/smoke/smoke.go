@@ -1,6 +1,7 @@
-// Package smoke is the HTTP client the multi-process smoke commands
-// (scripts/cluster-smoke and scripts/chaos-smoke) drive a real
-// redsgateway fleet with: submit a job, poll it to completion, read
+// Package smoke is what the multi-process smoke commands
+// (scripts/cluster-smoke and scripts/chaos-smoke) share: the fleet of
+// real redsserver and redsgateway processes they start, and the HTTP
+// client they drive it with: submit a job, poll it to completion, read
 // JSON and /metrics, and wait for processes, readiness and the
 // gateway's view of its workers.
 package smoke
