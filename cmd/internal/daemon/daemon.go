@@ -173,10 +173,11 @@ func (d *Daemon) Engine(workers int, exec engine.Executor) *engine.Engine {
 
 // Serve serves handler on -addr, behind the admission middleware and
 // the request instrumentation, and the debug handler on -debug.addr,
-// until SIGINT or SIGTERM. It then shuts down as serve orders it:
-// drain, when non-nil, runs while the listener still serves; after the
-// listeners close, eng drains within -drain.timeout and closes, and
-// closers run. It exits the process if the listener fails.
+// until SIGINT or SIGTERM. It then shuts down as serve orders it: job
+// submissions are refused, and drain, when non-nil, runs while the
+// listener still serves; after the listeners close, eng drains within
+// -drain.timeout and closes, and closers run. It exits the process if
+// the listener fails.
 func (d *Daemon) Serve(handler http.Handler, eng *engine.Engine, drain func(time.Duration) bool, closers ...func()) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -201,17 +202,8 @@ func (d *Daemon) Serve(handler http.Handler, eng *engine.Engine, drain func(time
 	if err != nil {
 		d.Fatal("server failed", err)
 	}
-	// Admission sits inside Instrument so rejected requests still get
-	// request IDs and access-log lines.
-	srv := &http.Server{
-		Handler:           telemetry.Instrument(d.Admission.Middleware(handler), d.Metrics, d.Log),
-		ReadHeaderTimeout: httpReadHeaderTimeout,
-		ReadTimeout:       httpReadTimeout,
-		WriteTimeout:      httpWriteTimeout,
-		IdleTimeout:       httpIdleTimeout,
-	}
 	d.Log.Info("listening", "addr", d.cfg.addr)
-	err = d.serve(ctx, srv, ln, drain, func() {
+	err = d.serve(ctx, ln, handler, drain, func() {
 		// Running jobs get -drain.timeout to finish; dequeued ones stay
 		// pending in the store for the next process.
 		if !eng.Drain(d.cfg.drainTimeout) {
@@ -227,15 +219,25 @@ func (d *Daemon) Serve(handler http.Handler, eng *engine.Engine, drain func(time
 	}
 }
 
-// serve serves srv on ln until ctx is done, then shuts down in order.
-// drain, when non-nil, runs first, bounded by -drain.timeout, while ln
-// still accepts connections: a worker's executions end and their
-// gateways collect the results over the open listener, where a closed
-// one would make each gateway run the finished work again elsewhere.
-// Then srv and the debug server close, letting in-flight requests
-// finish, and teardown runs. serve returns srv's error if srv failed
-// before ctx was done.
-func (d *Daemon) serve(ctx context.Context, srv *http.Server, ln net.Listener, drain func(time.Duration) bool, teardown func()) error {
+// serve serves handler on ln until ctx is done, then shuts down in
+// order. From then on a job submission gets 503 (see
+// refuseSubmissions). drain, when non-nil, runs first, bounded by
+// -drain.timeout, while ln still accepts connections: a worker's
+// executions end and their gateways collect the results over the open
+// listener, where a closed one would make each gateway run the
+// finished work again elsewhere. Then the server and the debug server
+// close, letting in-flight requests finish, and teardown runs. serve
+// returns the server's error if it failed before ctx was done.
+func (d *Daemon) serve(ctx context.Context, ln net.Listener, handler http.Handler, drain func(time.Duration) bool, teardown func()) error {
+	// Admission sits inside Instrument so rejected requests still get
+	// request IDs and access-log lines.
+	srv := &http.Server{
+		Handler:           telemetry.Instrument(d.Admission.Middleware(refuseSubmissions(ctx, handler)), d.Metrics, d.Log),
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	select {
@@ -258,6 +260,22 @@ func (d *Daemon) serve(ctx context.Context, srv *http.Server, ln net.Listener, d
 		return err
 	}
 	return nil
+}
+
+// refuseSubmissions answers POST /v1/jobs with 503 and Retry-After once
+// ctx is done. A draining worker keeps its listener open for its
+// gateways, but a job it accepted then would only be canceled at the
+// end of the drain, so its client is sent to retry elsewhere, as a
+// closed listener would. Every other route still answers.
+func refuseSubmissions(ctx context.Context, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ctx.Err() != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			admission.WriteEnvelope(w, http.StatusServiceUnavailable, "shutting_down",
+				"the server is shutting down; submit the job elsewhere or after its restart", time.Second)
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // buildAdmission assembles the admission controller: token store (when

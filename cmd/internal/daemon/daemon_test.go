@@ -2,15 +2,19 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/reds-go/reds/internal/admission"
 	"github.com/reds-go/reds/internal/engine"
+	"github.com/reds-go/reds/internal/telemetry"
 )
 
 // heldExecutor runs every execution until release is closed.
@@ -34,7 +38,7 @@ func (h *heldExecutor) Execute(ctx context.Context, _ engine.Request, _ func(eng
 type gate struct {
 	hold    atomic.Bool
 	waiting chan struct{}
-	open    chan struct{}
+	open    <-chan struct{}
 	wait    time.Duration
 }
 
@@ -52,6 +56,98 @@ func (g *gate) RoundTrip(r *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(r)
 }
 
+// outcome is what a RemoteExecutor's Execute returned.
+type outcome struct {
+	res *engine.Result
+	err error
+}
+
+// worker is a redsserver in miniature: an engine and an ExecServer
+// behind the shared serve loop, with one RemoteExecutor (sending
+// through gate) mid-execution against it.
+type worker struct {
+	url      string
+	eng      *engine.Engine
+	exec     *heldExecutor
+	gate     *gate
+	stop     context.CancelFunc // the SIGTERM
+	draining chan struct{}      // closed as the execution drain starts
+	tornDown chan struct{}      // closed as teardown starts
+	served   chan error
+	got      chan outcome
+}
+
+func startWorker(t *testing.T) *worker {
+	t.Helper()
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	w := &worker{
+		exec:     &heldExecutor{started: make(chan struct{}, 1), release: make(chan struct{})},
+		draining: make(chan struct{}),
+		tornDown: make(chan struct{}),
+		served:   make(chan error, 1),
+		got:      make(chan outcome, 1),
+	}
+	execSrv := engine.NewExecServer(w.exec, engine.ExecServerOptions{Logger: logger})
+	eng, err := engine.New(engine.Options{Workers: 1, Executor: w.exec, Logger: logger})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	w.eng = eng
+	t.Cleanup(func() {
+		eng.Close()
+		execSrv.Close()
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	w.url = "http://" + ln.Addr().String()
+
+	d := &Daemon{
+		Log:       logger,
+		Metrics:   telemetry.NewRegistry(),
+		Admission: admission.New(admission.Options{Logger: logger}),
+		cfg:       &Config{drainTimeout: 5 * time.Second},
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	t.Cleanup(stop)
+	w.stop = stop
+	go func() {
+		w.served <- d.serve(ctx, ln, engine.NewHandler(eng, engine.WithExecutionAPI(execSrv)),
+			func(timeout time.Duration) bool {
+				close(w.draining)
+				return execSrv.Drain(timeout)
+			},
+			func() { close(w.tornDown) })
+	}()
+
+	w.gate = &gate{waiting: make(chan struct{}, 1), open: w.tornDown, wait: 300 * time.Millisecond}
+	remote := &engine.RemoteExecutor{BaseURL: w.url, Client: &http.Client{Transport: w.gate}}
+	go func() {
+		res, err := remote.Execute(context.Background(), engine.Request{Function: "morris", N: 50}, nil)
+		w.got <- outcome{res, err}
+	}()
+	<-w.exec.started
+	return w
+}
+
+// finish releases the execution and checks that its RemoteExecutor got
+// the result and that serve returned cleanly.
+func (w *worker) finish(t *testing.T) {
+	t.Helper()
+	close(w.exec.release)
+	out := <-w.got
+	if out.err != nil {
+		t.Fatalf("execution that ended during the drain: %v, want its result", out.err)
+	}
+	if out.res == nil || out.res.DatasetHash != "drained" {
+		t.Fatalf("result = %+v, want the drained execution's", out.res)
+	}
+	if err := <-w.served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
 // TestServeDrainsExecutionsBeforeClosingListener cancels the serve
 // context while a gateway's RemoteExecutor is mid-execution, holds back
 // the executor's next status GET, and only then lets the execution
@@ -63,57 +159,46 @@ func (g *gate) RoundTrip(r *http.Request) (*http.Response, error) {
 // that closes the listener too early fails here every time, and after
 // wait otherwise.
 func TestServeDrainsExecutionsBeforeClosingListener(t *testing.T) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	exec := &heldExecutor{started: make(chan struct{}, 1), release: make(chan struct{})}
-	execSrv := engine.NewExecServer(exec, engine.ExecServerOptions{Logger: logger})
-	defer execSrv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	w := startWorker(t)
+	w.stop()
+	<-w.draining
+	w.gate.hold.Store(true)
+	<-w.gate.waiting // no status GET is in flight now
+	w.finish(t)
+}
+
+// TestServeRefusesSubmissionsWhileDraining: once shutdown begins, a
+// job submitted to the worker whose listener the drain keeps open gets
+// 503 with Retry-After and never enters the engine, while the read
+// routes still answer.
+func TestServeRefusesSubmissionsWhileDraining(t *testing.T) {
+	w := startWorker(t)
+	w.stop()
+	<-w.draining
+
+	resp, err := http.Post(w.url+"/v1/jobs", "application/json", strings.NewReader(`{"function":"morris","n":50}`))
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		t.Fatalf("submit during the drain: %v", err)
 	}
-
-	d := &Daemon{Log: logger, cfg: &Config{drainTimeout: 5 * time.Second}}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	draining := make(chan struct{})
-	tornDown := make(chan struct{})
-	served := make(chan error, 1)
-	go func() {
-		served <- d.serve(ctx, &http.Server{Handler: execSrv.Handler()}, ln,
-			func(timeout time.Duration) bool {
-				close(draining)
-				return execSrv.Drain(timeout)
-			},
-			func() { close(tornDown) })
-	}()
-
-	g := &gate{waiting: make(chan struct{}, 1), open: tornDown, wait: 300 * time.Millisecond}
-	remote := &engine.RemoteExecutor{BaseURL: "http://" + ln.Addr().String(), Client: &http.Client{Transport: g}}
-	type outcome struct {
-		res *engine.Result
-		err error
+	var env struct {
+		Error struct{ Code string } `json:"error"`
 	}
-	got := make(chan outcome, 1)
-	go func() {
-		res, err := remote.Execute(context.Background(), engine.Request{Function: "morris", N: 50}, nil)
-		got <- outcome{res, err}
-	}()
-
-	<-exec.started
-	cancel()
-	<-draining
-	g.hold.Store(true)
-	<-g.waiting // no status GET is in flight now
-	close(exec.release)
-
-	out := <-got
-	if out.err != nil {
-		t.Fatalf("execution that ended during the drain: %v, want its result", out.err)
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != "shutting_down" || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit during the drain: %d %q Retry-After %q, want 503 shutting_down with Retry-After",
+			resp.StatusCode, env.Error.Code, resp.Header.Get("Retry-After"))
 	}
-	if out.res == nil || out.res.DatasetHash != "drained" {
-		t.Fatalf("result = %+v, want the drained execution's", out.res)
+	if n := w.eng.JobCount(); n != 0 {
+		t.Fatalf("engine holds %d jobs, want the refused submission kept out", n)
 	}
-	if err := <-served; err != nil {
-		t.Fatalf("serve: %v", err)
+	resp, err = http.Get(w.url + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("list during the drain: %v", err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("list during the drain: %d, want 200", resp.StatusCode)
+	}
+	w.finish(t)
 }

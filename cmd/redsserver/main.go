@@ -46,10 +46,11 @@
 // docs/ARCHITECTURE.md "Sharding & cluster topology").
 //
 // The flags, start-up and shutdown it shares with redsgateway live in
-// cmd/internal/daemon. On SIGTERM the worker first drains the
-// executions gateways dispatched to it, while its listener still
-// serves, so each gateway collects its result instead of re-running
-// the work elsewhere; then the listener closes and the engine drains.
+// cmd/internal/daemon. On SIGTERM the worker refuses new job
+// submissions (503) and drains the executions gateways dispatched to
+// it, while its listener still serves, so each gateway collects its
+// result instead of re-running the work elsewhere; then the listener
+// closes and the engine drains.
 package main
 
 import (

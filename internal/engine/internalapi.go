@@ -58,6 +58,13 @@ const maxExecBodyBytes = 256 << 20
 // build) from being polled in a loop.
 const statusHold = 150 * time.Millisecond
 
+// drainCollectGrace is how long a draining ExecServer keeps a finished
+// execution that no gateway has collected. A live gateway polls at
+// least every statusHold and retries a failed poll within a second, so
+// an execution still held this long after its end has lost its gateway
+// (it died, or its DELETE was lost), and the drain stops waiting for it.
+const drainCollectGrace = 2 * time.Second
+
 // execStatusResponse is the wire form of one execution's state, shared
 // by the server (ExecServer) and the client (RemoteExecutor).
 type execStatusResponse struct {
@@ -125,11 +132,6 @@ type ExecServer struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// drained is closed once the server is closed and every execution
-	// has been released; Drain waits on it.
-	drained     chan struct{}
-	drainedOnce sync.Once
-
 	mu      sync.Mutex
 	execs   map[string]*execution
 	nextID  uint64
@@ -177,14 +179,13 @@ func NewExecServer(exec Executor, opts ExecServerOptions) *ExecServer {
 		logger = slog.Default()
 	}
 	s := &ExecServer{
-		exec:    exec,
-		opts:    opts,
-		log:     logger,
-		bootID:  hex.EncodeToString(nonce),
-		ctx:     ctx,
-		cancel:  cancel,
-		drained: make(chan struct{}),
-		execs:   make(map[string]*execution),
+		exec:   exec,
+		opts:   opts,
+		log:    logger,
+		bootID: hex.EncodeToString(nonce),
+		ctx:    ctx,
+		cancel: cancel,
+		execs:  make(map[string]*execution),
 		mStarted: reg.Counter("reds_exec_executions_total",
 			"Executions accepted over the internal execution API."),
 	}
@@ -217,36 +218,27 @@ func (s *ExecServer) Close() {
 // Drain stops accepting new executions (POSTs get 503; the gateway
 // re-routes them) and waits up to timeout until every execution has
 // been released: ended and acknowledged by its gateway's DELETE, or
-// canceled by it, or swept after Retention. The caller keeps the
-// listener open meanwhile, so a gateway collects the result of work
-// that ends during the drain instead of running it again elsewhere. It
-// reports whether the server fully drained; either way the caller
-// should follow up with Close, which cancels whatever is left.
+// canceled by it, or finished and left uncollected for
+// drainCollectGrace. The caller keeps the listener open meanwhile, so a
+// gateway collects the result of work that ends during the drain
+// instead of running it again elsewhere. It reports whether the server
+// fully drained; either way the caller should follow up with Close,
+// which cancels whatever is left.
 func (s *ExecServer) Drain(timeout time.Duration) bool {
-	s.mu.Lock()
-	s.closed = true
-	s.sweepLocked()
-	s.checkDrainedLocked()
-	s.mu.Unlock()
-	select {
-	case <-s.drained:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
-}
-
-// releaseLocked forgets execution id. Caller holds s.mu.
-func (s *ExecServer) releaseLocked(id string) {
-	delete(s.execs, id)
-	s.checkDrainedLocked()
-}
-
-// checkDrainedLocked wakes Drain once the server is closed and holds
-// no execution. Caller holds s.mu.
-func (s *ExecServer) checkDrainedLocked() {
-	if s.closed && len(s.execs) == 0 {
-		s.drainedOnce.Do(func() { close(s.drained) })
+	deadline := time.Now().Add(timeout)
+	for {
+		s.mu.Lock()
+		s.closed = true
+		s.sweepLocked()
+		n := len(s.execs)
+		s.mu.Unlock()
+		if n == 0 {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -389,15 +381,20 @@ func (s *ExecServer) lookup(id string) (*execution, bool) {
 
 // sweepLocked garbage-collects finished executions past retention — the
 // safety net for gateways that never sent the DELETE acknowledgement.
+// Once the server is closed, retention shrinks to drainCollectGrace.
 // Caller holds s.mu.
 func (s *ExecServer) sweepLocked() {
-	cutoff := time.Now().Add(-s.opts.Retention)
+	retention := s.opts.Retention
+	if s.closed {
+		retention = min(retention, drainCollectGrace)
+	}
+	cutoff := time.Now().Add(-retention)
 	for id, ex := range s.execs {
 		ex.mu.Lock()
 		expired := ex.status.Terminal() && !ex.finishedAt.IsZero() && ex.finishedAt.Before(cutoff)
 		ex.mu.Unlock()
 		if expired {
-			s.releaseLocked(id)
+			delete(s.execs, id)
 		}
 	}
 }
@@ -484,7 +481,7 @@ func (s *ExecServer) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	ex, ok := s.execs[id]
 	if ok {
-		s.releaseLocked(id)
+		delete(s.execs, id)
 	}
 	s.mu.Unlock()
 	if !ok {

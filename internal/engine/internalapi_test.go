@@ -357,7 +357,8 @@ func TestExecServerHoldsStatusUntilDone(t *testing.T) {
 // TestExecServerDrainWaitsForRelease: Drain returns once every
 // execution has been released, and not before. A running execution
 // its gateway canceled is released by that DELETE; a finished one
-// holds the drain until its gateway acknowledges it.
+// holds the drain until its gateway acknowledges it (or for
+// drainCollectGrace, which this test stays well inside).
 func TestExecServerDrainWaitsForRelease(t *testing.T) {
 	release := make(chan struct{})
 	es := NewExecServer(execFunc(func(ctx context.Context, _ Request, _ func(Progress)) (*Result, error) {
@@ -399,6 +400,33 @@ func TestExecServerDrainWaitsForRelease(t *testing.T) {
 	remote.release(finished)
 	if !<-drained {
 		t.Fatalf("Drain timed out with every execution released")
+	}
+}
+
+// TestExecServerDrainReleasesUncollected: a finished execution that
+// its gateway never collects (the gateway died, or its DELETE was lost)
+// holds the drain for drainCollectGrace, not until the execution's
+// retention or the drain's timeout.
+func TestExecServerDrainReleasesUncollected(t *testing.T) {
+	es := NewExecServer(execFunc(func(context.Context, Request, func(Progress)) (*Result, error) {
+		return &Result{DatasetHash: "h"}, nil
+	}), ExecServerOptions{})
+	srv := httptest.NewServer(es.Handler())
+	defer func() {
+		srv.Close()
+		es.Close()
+	}()
+	remote := &RemoteExecutor{BaseURL: srv.URL}
+	body, _ := json.Marshal(Request{Function: "morris"})
+	id, err := remote.start(context.Background(), body)
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	if st, err := remote.poll(context.Background(), id); err != nil || st.Status != StatusDone {
+		t.Fatalf("poll: %+v, %v", st, err)
+	}
+	if !es.Drain(drainCollectGrace + 2*time.Second) {
+		t.Fatalf("Drain timed out on a finished execution no gateway collects")
 	}
 }
 
