@@ -220,8 +220,8 @@ func (d *Daemon) Serve(handler http.Handler, eng *engine.Engine, drain func(time
 }
 
 // serve serves handler on ln until ctx is done, then shuts down in
-// order. From then on a job submission gets 503 (see
-// refuseSubmissions). drain, when non-nil, runs first, bounded by
+// order. From then on a job submission and a health check get 503 (see
+// refuseWhileDraining). drain, when non-nil, runs first, bounded by
 // -drain.timeout, while ln still accepts connections: a worker's
 // executions end and their gateways collect the results over the open
 // listener, where a closed one would make each gateway run the
@@ -232,7 +232,7 @@ func (d *Daemon) serve(ctx context.Context, ln net.Listener, handler http.Handle
 	// Admission sits inside Instrument so rejected requests still get
 	// request IDs and access-log lines.
 	srv := &http.Server{
-		Handler:           telemetry.Instrument(d.Admission.Middleware(refuseSubmissions(ctx, handler)), d.Metrics, d.Log),
+		Handler:           telemetry.Instrument(d.Admission.Middleware(refuseWhileDraining(ctx, handler)), d.Metrics, d.Log),
 		ReadHeaderTimeout: httpReadHeaderTimeout,
 		ReadTimeout:       httpReadTimeout,
 		WriteTimeout:      httpWriteTimeout,
@@ -262,17 +262,27 @@ func (d *Daemon) serve(ctx context.Context, ln net.Listener, handler http.Handle
 	return nil
 }
 
-// refuseSubmissions answers POST /v1/jobs with 503 and Retry-After once
-// ctx is done. A draining worker keeps its listener open for its
+// refuseWhileDraining answers POST /v1/jobs and the health checks
+// /v1/healthz and /v1/readyz with 503 shutting_down and Retry-After
+// once ctx is done. A draining worker keeps its listener open for its
 // gateways, but a job it accepted then would only be canceled at the
 // end of the drain, so its client is sent to retry elsewhere, as a
-// closed listener would. Every other route still answers.
-func refuseSubmissions(ctx context.Context, next http.Handler) http.Handler {
+// closed listener would. Its failing health checks take it out of its
+// gateways' rotation and out of a load balancer's. Every other route
+// still answers.
+func refuseWhileDraining(ctx context.Context, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ctx.Err() != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-			admission.WriteEnvelope(w, http.StatusServiceUnavailable, "shutting_down",
-				"the server is shutting down; submit the job elsewhere or after its restart", time.Second)
-			return
+		if ctx.Err() != nil {
+			switch {
+			case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+				admission.WriteEnvelope(w, http.StatusServiceUnavailable, "shutting_down",
+					"the server is shutting down; submit the job elsewhere or after its restart", time.Second)
+				return
+			case r.URL.Path == "/v1/healthz" || r.URL.Path == "/v1/readyz":
+				admission.WriteEnvelope(w, http.StatusServiceUnavailable, "shutting_down",
+					"the server is shutting down", time.Second)
+				return
+			}
 		}
 		next.ServeHTTP(w, r)
 	})

@@ -202,3 +202,44 @@ func TestServeRefusesSubmissionsWhileDraining(t *testing.T) {
 	}
 	w.finish(t)
 }
+
+// TestServeFailsHealthChecksWhileDraining: a worker's health checks
+// answer 200 until shutdown begins and 503 shutting_down with
+// Retry-After during the drain, so its gateways' probers take it out of
+// the rotation instead of sending it jobs it must refuse.
+func TestServeFailsHealthChecksWhileDraining(t *testing.T) {
+	w := startWorker(t)
+	check := func(path string, want int) {
+		t.Helper()
+		resp, err := http.Get(w.url + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		var env struct {
+			Error struct{ Code string } `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: %d, want %d", path, resp.StatusCode, want)
+		}
+		if want == http.StatusServiceUnavailable && (env.Error.Code != "shutting_down" || resp.Header.Get("Retry-After") == "") {
+			t.Fatalf("GET %s: code %q Retry-After %q, want shutting_down with Retry-After",
+				path, env.Error.Code, resp.Header.Get("Retry-After"))
+		}
+	}
+	check("/v1/healthz", http.StatusOK)
+	w.stop()
+	<-w.draining
+	check("/v1/healthz", http.StatusServiceUnavailable)
+	check("/v1/readyz", http.StatusServiceUnavailable)
+	resp, err := http.Head(w.url + "/v1/healthz")
+	if err != nil {
+		t.Fatalf("HEAD /v1/healthz: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("HEAD /v1/healthz: %d, want 503", resp.StatusCode)
+	}
+	w.finish(t)
+}

@@ -14,14 +14,17 @@ import (
 )
 
 // Circuit-breaker states. closed = healthy, the first failure opens it;
-// open = tripped, node out of rotation until the cooldown elapses;
-// half-open = cooldown over, trial probes decide whether the node
-// rejoins.
+// open = tripped, node out of rotation until the cooldown elapses and a
+// probe succeeds.
 const (
-	BreakerClosed   = "closed"
-	BreakerOpen     = "open"
-	BreakerHalfOpen = "half-open"
+	BreakerClosed = "closed"
+	BreakerOpen   = "open"
 )
+
+// breakerCooldown is the open-state cooldown before a probe success can
+// close the breaker, jittered over [d/2, 3d/2) so a fleet-wide outage
+// does not retry in lockstep.
+const breakerCooldown = 500 * time.Millisecond
 
 // NodeStatus is one worker's health as the gateway sees it.
 type NodeStatus struct {
@@ -33,11 +36,11 @@ type NodeStatus struct {
 	// CheckedAt is the time of the last probe (zero before the first
 	// one completes).
 	CheckedAt time.Time `json:"checked_at,omitzero"`
-	// Breaker is the node's circuit-breaker state (closed, open or
-	// half-open). A node is only Alive with a closed breaker.
+	// Breaker is the node's circuit-breaker state (closed or open). A
+	// node is only Alive with a closed breaker.
 	Breaker string `json:"breaker"`
-	// RetryAt is when an open breaker lets the next probe through as a
-	// trial; zero unless the breaker is open.
+	// RetryAt is when an open breaker's cooldown ends, after which the
+	// next probe success closes it; zero unless the breaker is open.
 	RetryAt time.Time `json:"retry_at,omitzero"`
 }
 
@@ -50,14 +53,6 @@ type HealthOptions struct {
 	// Client defaults to http.DefaultClient with Timeout applied per
 	// request context.
 	Client *http.Client
-	// SuccessThreshold is how many consecutive probe successes a
-	// half-open node needs before its breaker closes and it rejoins the
-	// rotation (default 1).
-	SuccessThreshold int
-	// BreakerCooldown is the open-state cooldown before the first trial
-	// probe is let through; each consecutive trip doubles it, jittered,
-	// capped at breakerMaxCooldown. Default 500ms.
-	BreakerCooldown time.Duration
 	// Metrics is the registry for the prober's instruments
 	// (reds_cluster_probes_total{worker,result}, the alive-workers
 	// gauge, and reds_cluster_breaker_transitions_total{worker,state}).
@@ -79,28 +74,10 @@ func (o HealthOptions) withDefaults() HealthOptions {
 	if o.Client == nil {
 		o.Client = http.DefaultClient
 	}
-	if o.SuccessThreshold <= 0 {
-		o.SuccessThreshold = 1
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 500 * time.Millisecond
-	}
 	if o.now == nil {
 		o.now = time.Now
 	}
 	return o
-}
-
-// breakerMaxCooldown caps the exponential growth of the open-state
-// cooldown.
-const breakerMaxCooldown = 30 * time.Second
-
-// breaker is the per-node circuit-breaker bookkeeping behind NodeStatus.
-type breaker struct {
-	state     string
-	successes int // consecutive successes while half-open
-	trips     int // consecutive opens; drives the cooldown growth
-	retryAt   time.Time
 }
 
 // Health probes each worker's GET /v1/healthz on a fixed interval and
@@ -108,10 +85,9 @@ type breaker struct {
 // first probe completes the dispatcher would otherwise have nowhere to
 // send work), and a dispatcher that watches an execution fail with
 // ErrUnavailable can MarkDead a node immediately instead of waiting for
-// the next probe round. Each node carries a circuit breaker: failures
-// open it (with an exponentially growing, jittered cooldown on repeated
-// trips), the cooldown elapsing half-opens it, and trial probe
-// successes close it again — so a flapping worker cannot rejoin the
+// the next probe round. Each node carries a circuit breaker: a failure
+// opens it for a jittered cooldown, and the first probe success after
+// the cooldown closes it again — so a flapping worker cannot rejoin the
 // rotation on every brief recovery. The node set is dynamic: Add and
 // Remove change who gets probed.
 type Health struct {
@@ -127,9 +103,8 @@ type Health struct {
 	ready     chan struct{}
 	readyOnce sync.Once
 
-	mu       sync.Mutex
-	status   map[string]*NodeStatus
-	breakers map[string]*breaker
+	mu     sync.Mutex
+	status map[string]*NodeStatus
 	// diedAt records the last MarkDead per node, so a probe success
 	// captured *before* the node died cannot resurrect it when its
 	// result is folded in after the MarkDead (the dispatcher's report
@@ -153,17 +128,15 @@ func NewHealth(nodes []string, opts HealthOptions) *Health {
 		mProbes: reg.CounterVec("reds_cluster_probes_total",
 			"Health probe outcomes per worker (result = ok|fail).", "worker", "result"),
 		mBreaker: reg.CounterVec("reds_cluster_breaker_transitions_total",
-			"Circuit-breaker state transitions per worker (state = closed|open|half-open).",
+			"Circuit-breaker state transitions per worker (state = closed|open).",
 			"worker", "state"),
-		ready:    make(chan struct{}),
-		status:   make(map[string]*NodeStatus, len(nodes)),
-		breakers: make(map[string]*breaker, len(nodes)),
-		diedAt:   make(map[string]time.Time, len(nodes)),
-		done:     make(chan struct{}),
+		ready:  make(chan struct{}),
+		status: make(map[string]*NodeStatus, len(nodes)),
+		diedAt: make(map[string]time.Time, len(nodes)),
+		done:   make(chan struct{}),
 	}
 	for _, n := range nodes {
 		h.status[n] = &NodeStatus{Node: n, Alive: true, Breaker: BreakerClosed}
-		h.breakers[n] = &breaker{state: BreakerClosed}
 	}
 	reg.GaugeFunc("reds_cluster_alive_workers",
 		"Workers whose most recent health probe succeeded.",
@@ -197,7 +170,6 @@ func (h *Health) Add(node string) {
 		return
 	}
 	h.status[node] = &NodeStatus{Node: node, Alive: true, Breaker: BreakerClosed}
-	h.breakers[node] = &breaker{state: BreakerClosed}
 }
 
 // Remove stops probing a node and forgets its state. Re-adding it later
@@ -206,7 +178,6 @@ func (h *Health) Remove(node string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.status, node)
-	delete(h.breakers, node)
 	delete(h.diedAt, node)
 }
 
@@ -270,8 +241,7 @@ func (h *Health) observe(node string, err error, started time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.status[node]
-	b := h.breakers[node]
-	if st == nil || b == nil { // removed while the probe was in flight
+	if st == nil { // removed while the probe was in flight
 		return
 	}
 	now := h.opts.now()
@@ -280,12 +250,11 @@ func (h *Health) observe(node string, err error, started time.Time) {
 	if err != nil {
 		st.Alive = false
 		st.Error = err.Error()
-		// The first failure opens a closed breaker, and a failed trial
-		// re-opens a half-open one with a longer cooldown. Failures of an
-		// open breaker neither trip it again nor extend the cooldown —
-		// the scheduled trial decides.
-		if b.state != BreakerOpen {
-			h.tripLocked(node, st, b, now)
+		// The first failure opens a closed breaker. Failures of an open
+		// one neither trip it again nor extend the cooldown.
+		if st.Breaker != BreakerOpen {
+			h.setBreakerLocked(node, st, BreakerOpen)
+			st.RetryAt = now.Add(breakerCooldown/2 + time.Duration(rand.Int63n(int64(breakerCooldown))))
 		}
 		return
 	}
@@ -295,60 +264,23 @@ func (h *Health) observe(node string, err error, started time.Time) {
 	if h.diedAt[node].After(started) {
 		return
 	}
-	switch b.state {
-	case BreakerOpen:
-		if now.Before(b.retryAt) {
-			// Still cooling down: the success does not rejoin the node;
-			// it would re-admit a flapping worker instantly.
-			return
-		}
-		h.setStateLocked(node, st, b, BreakerHalfOpen)
-		b.successes = 0
-		fallthrough
-	case BreakerHalfOpen:
-		b.successes++
-		if b.successes < h.opts.SuccessThreshold {
-			return // still on trial, still out of rotation
-		}
-		h.setStateLocked(node, st, b, BreakerClosed)
-		b.trips = 0
+	if st.Breaker == BreakerOpen && now.Before(st.RetryAt) {
+		// Still cooling down: the success does not rejoin the node; it
+		// would re-admit a flapping worker instantly.
+		return
 	}
+	h.setBreakerLocked(node, st, BreakerClosed)
 	st.Alive = true
 	st.Error = ""
 	st.RetryAt = time.Time{}
-	b.retryAt = time.Time{}
 }
 
-// tripLocked opens a node's breaker and schedules the next trial.
-func (h *Health) tripLocked(node string, st *NodeStatus, b *breaker, now time.Time) {
-	h.setStateLocked(node, st, b, BreakerOpen)
-	b.successes = 0
-	b.trips++
-	b.retryAt = now.Add(h.cooldown(b.trips))
-	st.RetryAt = b.retryAt
-}
-
-// cooldown returns the jittered open-state cooldown for the given
-// consecutive trip count: base doubling per trip, capped, then spread
-// over [d/2, 3d/2) so a fleet-wide outage does not retry in lockstep.
-func (h *Health) cooldown(trips int) time.Duration {
-	d := h.opts.BreakerCooldown
-	for i := 1; i < trips && d < breakerMaxCooldown; i++ {
-		d *= 2
-	}
-	if d > breakerMaxCooldown {
-		d = breakerMaxCooldown
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-// setStateLocked records a breaker transition on the status and the
+// setBreakerLocked records a breaker transition on the status and the
 // transitions counter.
-func (h *Health) setStateLocked(node string, st *NodeStatus, b *breaker, state string) {
-	if b.state == state {
+func (h *Health) setBreakerLocked(node string, st *NodeStatus, state string) {
+	if st.Breaker == state {
 		return
 	}
-	b.state = state
 	st.Breaker = state
 	h.mBreaker.With(node, state).Inc()
 }
@@ -390,8 +322,8 @@ func (h *Health) Alive(node string) bool {
 
 // MarkDead flags a node down immediately — dispatcher feedback for an
 // execution that failed with ErrUnavailable, faster than the next probe
-// round. The failure counts against the node's breaker like a probe
-// failure, so it also (re)opens the breaker at the failure threshold.
+// round. The failure counts like a probe failure, so it also opens the
+// node's breaker.
 func (h *Health) MarkDead(node string, reason error) {
 	if reason == nil {
 		reason = errors.New("marked dead by dispatcher")

@@ -194,78 +194,52 @@ func waitReady(t *testing.T, h *Health) {
 	}
 }
 
+// TestBreakerLifecycle: a MarkDead opens the breaker for the jittered
+// cooldown. A probe success inside it leaves the node out of rotation,
+// the first one after it closes the breaker and rejoins the node, and
+// the next failure opens it again.
 func TestBreakerLifecycle(t *testing.T) {
 	var nowNs atomic.Int64
 	nowNs.Store(time.Now().UnixNano())
 	clock := func() time.Time { return time.Unix(0, nowNs.Load()) }
 	h := NewHealth([]string{"w"}, HealthOptions{
-		Interval:         time.Hour,
-		Client:           &http.Client{Transport: okTransport{}},
-		SuccessThreshold: 2,
-		BreakerCooldown:  time.Second,
-		now:              clock,
+		Interval: time.Hour,
+		Client:   &http.Client{Transport: okTransport{}},
+		now:      clock,
 	})
 	defer h.Close()
 	waitReady(t, h)
 
+	opened := clock()
 	h.MarkDead("w", errors.New("dispatch failed"))
 	if h.Alive("w") {
 		t.Fatalf("node alive right after MarkDead")
 	}
 	st := h.Snapshot()[0]
-	if st.Breaker != BreakerOpen || st.RetryAt.IsZero() {
-		t.Fatalf("after MarkDead: %+v, want an open breaker with a retry time", st)
+	if st.Breaker != BreakerOpen {
+		t.Fatalf("after MarkDead: %+v, want an open breaker", st)
+	}
+	if cool := st.RetryAt.Sub(opened); cool < breakerCooldown/2 || cool >= 3*breakerCooldown/2 {
+		t.Fatalf("cooldown = %v, want within [%v, %v)", cool, breakerCooldown/2, 3*breakerCooldown/2)
 	}
 
 	// A probe success during the cooldown must not resurrect the node.
+	nowNs.Add(int64(breakerCooldown/2 - time.Millisecond))
 	h.observe("w", nil, clock())
 	if h.Alive("w") || h.Snapshot()[0].Breaker != BreakerOpen {
 		t.Fatalf("node rejoined during the breaker cooldown")
 	}
 
-	// Past the cooldown (max jittered cooldown is 1.5×base): the next
-	// success half-opens; with SuccessThreshold 2 the node stays out
-	// until a second success closes the breaker.
-	nowNs.Add(int64(2 * time.Second))
+	// Past the longest jittered cooldown, one success closes the breaker.
+	nowNs.Store(opened.Add(3 * breakerCooldown / 2).UnixNano())
 	h.observe("w", nil, clock())
-	if h.Alive("w") {
-		t.Fatalf("half-open node already back in rotation")
+	if st := h.Snapshot()[0]; !st.Alive || st.Breaker != BreakerClosed || !st.RetryAt.IsZero() {
+		t.Fatalf("breaker did not close after the cooldown: %+v", st)
 	}
-	if got := h.Snapshot()[0].Breaker; got != BreakerHalfOpen {
-		t.Fatalf("breaker after trial success = %s, want half-open", got)
-	}
-	h.observe("w", nil, clock())
-	if !h.Alive("w") || h.Snapshot()[0].Breaker != BreakerClosed {
-		t.Fatalf("breaker did not close after %d trial successes: %+v", 2, h.Snapshot()[0])
-	}
-}
 
-func TestBreakerReopensOnTrialFailure(t *testing.T) {
-	var nowNs atomic.Int64
-	nowNs.Store(time.Now().UnixNano())
-	clock := func() time.Time { return time.Unix(0, nowNs.Load()) }
-	h := NewHealth([]string{"w"}, HealthOptions{
-		Interval:         time.Hour,
-		Client:           &http.Client{Transport: okTransport{}},
-		SuccessThreshold: 2,
-		BreakerCooldown:  time.Second,
-		now:              clock,
-	})
-	defer h.Close()
-	waitReady(t, h)
-
-	h.MarkDead("w", errors.New("boom"))
-	nowNs.Add(int64(2 * time.Second))
-	h.observe("w", nil, clock()) // trial success → half-open
-	if got := h.Snapshot()[0].Breaker; got != BreakerHalfOpen {
-		t.Fatalf("breaker = %s, want half-open", got)
-	}
-	h.observe("w", errors.New("flapped"), clock()) // trial failure → open again
-	st := h.Snapshot()[0]
-	if st.Breaker != BreakerOpen || st.Alive {
+	// A flap: the next failure opens it again, for a fresh cooldown.
+	h.observe("w", errors.New("flapped"), clock())
+	if st := h.Snapshot()[0]; st.Alive || st.Breaker != BreakerOpen || !st.RetryAt.After(clock()) {
 		t.Fatalf("flapping node not re-opened: %+v", st)
-	}
-	if !st.RetryAt.After(clock()) {
-		t.Fatalf("re-opened breaker has no future retry time: %+v", st)
 	}
 }

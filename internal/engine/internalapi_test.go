@@ -99,6 +99,31 @@ func TestRemoteExecutorWorkerDown(t *testing.T) {
 	}
 }
 
+// TestRemoteExecutorShuttingDownWorkerFailsOverAtOnce: a worker whose
+// execution server is shutting down answers the start with 503 for the
+// rest of its drain. The start makes one POST and fails with
+// ErrUnavailable, with no retry, so its dispatcher fails over at once.
+func TestRemoteExecutorShuttingDownWorkerFailsOverAtOnce(t *testing.T) {
+	es := NewExecServer(NewLocalExecutor(LocalExecutorOptions{}), ExecServerOptions{})
+	es.Close()
+	var posts, retries atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		es.Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	remote := &RemoteExecutor{BaseURL: srv.URL, OnRetry: func(string) { retries.Add(1) }}
+	_, err := remote.Execute(context.Background(), Request{Function: "morris", L: 500}, nil)
+	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("err = %v, want ErrUnavailable from a 503", err)
+	}
+	if n, r := posts.Load(), retries.Load(); n != 1 || r != 0 {
+		t.Fatalf("%d POSTs and %d retries, want 1 and 0", n, r)
+	}
+}
+
 func TestRemoteExecutorWorkerDiesMidExecution(t *testing.T) {
 	srv, es := newTestWorker(t)
 	remote := &RemoteExecutor{BaseURL: srv.URL}

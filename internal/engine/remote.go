@@ -197,8 +197,8 @@ func (r *RemoteExecutor) Execute(ctx context.Context, req Request, onProgress fu
 }
 
 // start POSTs the request and returns the execution id. Transient
-// failures (connection errors, 5xx) are retried within the budget,
-// each attempt under its own deadline.
+// failures (connection errors, 5xx but 503) are retried within the
+// budget, each attempt under its own deadline.
 func (r *RemoteExecutor) start(ctx context.Context, body []byte) (string, error) {
 	var id string
 	err := r.withRetry(ctx, "start", func(actx context.Context) (bool, error) {
@@ -229,6 +229,10 @@ func (r *RemoteExecutor) start(ctx context.Context, body []byte) (string, error)
 			// fails loudly instead of burning the failover chain on every
 			// equally misconfigured worker.
 			return false, fmt.Errorf("engine: worker %s refused the internal secret (%s): check -internal.secret on both sides", r.BaseURL, resp.Status)
+		case resp.StatusCode == http.StatusServiceUnavailable:
+			// The worker is shutting down and refuses new executions for
+			// the rest of its drain: fail over now, not after the retries.
+			return false, fmt.Errorf("engine: worker %s returned %s: %w", r.BaseURL, resp.Status, ErrUnavailable)
 		case resp.StatusCode >= 500:
 			return true, fmt.Errorf("engine: worker %s returned %s: %w", r.BaseURL, resp.Status, ErrUnavailable)
 		case resp.StatusCode != http.StatusAccepted:

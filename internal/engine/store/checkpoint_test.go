@@ -197,6 +197,73 @@ func TestFSFailedAppendLeavesLogAsItWas(t *testing.T) {
 	}
 }
 
+// TestFSFailedSyncLeavesLogAsItWas fails the fsync of one append in
+// the default fsync-per-append mode and then acknowledges another. The
+// failed write reached the log before its fsync failed, so unless it is
+// taken out again a reopen after a crash replays a write its caller was
+// told had failed.
+func TestFSFailedSyncLeavesLogAsItWas(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, FSOptions{})
+	if err := s.PutJob(rec("job-1", "running", time.Now())); err != nil {
+		t.Fatalf("put job-1: %v", err)
+	}
+	if err := faultinject.Arm("store.wal.sync=1"); err != nil {
+		t.Fatalf("arming: %v", err)
+	}
+	err := s.PutJob(rec("job-2", "pending", time.Now()))
+	faultinject.Disarm()
+	if err == nil {
+		t.Fatalf("failed fsync did not surface on the append")
+	}
+	if err := s.PutJob(rec("job-3", "pending", time.Now())); err != nil {
+		t.Fatalf("put job-3 after the failed fsync: %v", err)
+	}
+
+	crash(t, s)
+	re := mustOpen(t, dir, FSOptions{})
+	defer re.Close()
+	recs, _ := re.List()
+	if len(recs) != 2 || recs[0].ID != "job-1" || recs[1].ID != "job-3" {
+		t.Fatalf("replay after a failed fsync = %+v, want job-1 and job-3", recs)
+	}
+	if re.Skipped() != 0 {
+		t.Fatalf("replay skipped %d lines, want 0", re.Skipped())
+	}
+}
+
+// TestFSFailedFlushRefusesAppends fails the batched flusher's fsync. A
+// retried fsync can report success for pages the failed one dropped, so
+// the store must refuse every later append until it is reopened.
+func TestFSFailedFlushRefusesAppends(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), FSOptions{FsyncInterval: time.Millisecond})
+	defer s.Close()
+	if err := faultinject.Arm("store.wal.sync=1"); err != nil {
+		t.Fatalf("arming: %v", err)
+	}
+	defer faultinject.Disarm()
+	if err := s.PutJob(rec("job-1", "running", time.Now())); err != nil {
+		t.Fatalf("put job-1: %v", err)
+	}
+	// Wait for the flusher to have synced job-1 or failed to.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		flushed := !s.dirty || s.walErr != nil
+		s.mu.Unlock()
+		if flushed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the flusher never synced the log")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.PutJob(rec("job-2", "pending", time.Now())); err == nil {
+		t.Fatalf("append after a failed flush succeeded; want the store to refuse until reopened")
+	}
+}
+
 // TestFSFailedUndoRefusesAppends fails an append whose truncate back
 // fails too. The store can no longer vouch for its log, so every later
 // append fails until a reopen, whose replay keeps what was

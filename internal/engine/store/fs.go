@@ -40,6 +40,11 @@ const (
 // mid-write.
 const faultWALTorn = "store.wal.torn"
 
+// faultWALSync is the fault-injection point for failed log fsyncs: when
+// armed, one fsync of the log fails after its write landed, as a disk
+// error would.
+const faultWALSync = "store.wal.sync"
+
 // FSOptions tune the file store.
 type FSOptions struct {
 	// CompactEvery folds the write-ahead log into the snapshot once it
@@ -178,9 +183,11 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 	return f, nil
 }
 
-// flusher syncs batched log appends once per FsyncInterval. Sync errors
-// here are swallowed — the appends are already acknowledged and stay in
-// the page cache; Close performs a final, error-checked sync.
+// flusher syncs batched log appends once per FsyncInterval. A failed
+// sync may have dropped the pages it could not write, and a later sync
+// can report success without them (Rebello et al., USENIX ATC 2020), so
+// it is not retried: the store stops taking appends until a reopen, and
+// replay decides what survived.
 func (f *FS) flusher() {
 	defer f.flushWG.Done()
 	t := time.NewTicker(f.opts.FsyncInterval)
@@ -191,8 +198,10 @@ func (f *FS) flusher() {
 			return
 		case <-t.C:
 			f.mu.Lock()
-			if f.dirty {
-				if err := f.syncWAL(); err == nil {
+			if f.dirty && f.walErr == nil {
+				if err := f.syncWAL(); err != nil {
+					f.walErr = fmt.Errorf("store: syncing log: %w; reopen the store", err)
+				} else {
 					f.dirty = false
 				}
 			}
@@ -262,6 +271,9 @@ func (f *FS) syncWAL() error {
 	start := time.Now()
 	err := f.wal.Sync()
 	f.mFsync.Observe(time.Since(start).Seconds())
+	if err == nil && faultinject.Enabled() && faultinject.Once(faultWALSync) {
+		err = fmt.Errorf("%s fault injected: failed fsync", faultWALSync)
+	}
 	return err
 }
 
@@ -289,24 +301,25 @@ func (f *FS) appendLocked(entries []walEntry) error {
 	if _, err := f.wal.Write(lines); err != nil {
 		return f.undoAppendLocked(fmt.Errorf("store: appending to log: %w", err))
 	}
-	f.walSize += int64(len(lines))
 	switch {
 	case f.opts.NoSync:
 	case f.opts.FsyncInterval > 0:
 		f.dirty = true // the flusher syncs within one interval
 	default:
 		if err := f.syncWAL(); err != nil {
-			return fmt.Errorf("store: syncing log: %w", err)
+			return f.undoAppendLocked(fmt.Errorf("store: syncing log: %w", err))
 		}
 	}
+	f.walSize += int64(len(lines))
 	f.walCount += len(entries)
 	f.mAppends.Add(int64(len(entries)))
 	return nil
 }
 
 // undoAppendLocked truncates the log back to its last good append after
-// a write failed, so whatever part of the write reached the file cannot
-// join the next append's line into one that replay skips. If the
+// a write or its fsync failed, so whatever part of the write reached the
+// file can neither join the next append's line into one that replay
+// skips nor replay as a write its caller was told had failed. If the
 // truncate fails too, every later append returns the error until the
 // store is reopened and replay decides what survived. Caller holds mu.
 func (f *FS) undoAppendLocked(err error) error {

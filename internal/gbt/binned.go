@@ -97,7 +97,7 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int) (metamodel.Mod
 		margin[i] = model.base
 	}
 
-	builder := newBinnedRoundBuilder(bins, d.M(), gh, margin, cfg, len(base))
+	builder := newBinnedRoundBuilder(bins.NewHist(gh), d.M(), gh, margin, cfg, len(base))
 	trees := make([][]flattree.Node, cfg.Rounds)
 	for round := range trees {
 		for _, i := range base {
@@ -111,10 +111,6 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int) (metamodel.Mod
 	return model, nil
 }
 
-// gbtHistCell is the number of float64 slots per (column, bin) histogram
-// cell: Σgrad, Σhess.
-const gbtHistCell = 2
-
 // gbtSplitCand accumulates the best bin cut seen during a sweep, with
 // the left child's gradient statistics at that cut.
 type gbtSplitCand struct {
@@ -126,37 +122,24 @@ type gbtSplitCand struct {
 // binnedRoundBuilder grows one boosting tree per round over the shared
 // quantization. Scratch buffers persist across rounds.
 type binnedRoundBuilder struct {
-	bins   *dataset.Bins
-	codes  [][]uint8 // per feature: bin code per dataset row
-	gh     []float64 // interleaved (grad, hess) per dataset row
-	margin []float64 // per dataset row; leaves push eta·weight directly
+	hists  *dataset.Hist // all-feature histograms of the (grad, hess) pairs
+	gh     []float64     // interleaved (grad, hess) per dataset row
+	margin []float64     // per dataset row; leaves push eta·weight directly
 	cfg    Trainer
 	m      int
-	stride int // gbtHistCell · max bins over features
 
 	rows    []int // node rows (dataset ids), segmented
 	scratch []int // partition staging buffer
-	free    [][]float64
 	t       tree
 }
 
-func newBinnedRoundBuilder(bins *dataset.Bins, m int, gh, margin []float64, cfg Trainer, nRows int) *binnedRoundBuilder {
-	codes := make([][]uint8, m)
-	maxNB := 1
-	for f := 0; f < m; f++ {
-		codes[f] = bins.ColumnCodes(f)
-		if nb := bins.NumBins(f); nb > maxNB {
-			maxNB = nb
-		}
-	}
+func newBinnedRoundBuilder(hists *dataset.Hist, m int, gh, margin []float64, cfg Trainer, nRows int) *binnedRoundBuilder {
 	return &binnedRoundBuilder{
-		bins:    bins,
-		codes:   codes,
+		hists:   hists,
 		gh:      gh,
 		margin:  margin,
 		cfg:     cfg,
 		m:       m,
-		stride:  gbtHistCell * maxNB,
 		rows:    make([]int, 0, nRows),
 		scratch: make([]int, nRows),
 	}
@@ -189,27 +172,27 @@ func (b *binnedRoundBuilder) leafAt(lo, hi int, w float64) int32 {
 
 // grow appends the subtree over the segment [lo, hi) and returns its
 // node index. gSum/hSum are threaded down from the parent's sweep; hist
-// is the node's all-column histogram (nil = build here), owned by this
+// is the node's all-feature histogram (nil = build here), owned by this
 // call.
 func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []float64) int32 {
 	cfg := b.cfg
 	leafWeight := -gSum / (hSum + cfg.Lambda)
 	if depth >= cfg.MaxDepth || hSum < 2*cfg.MinChildWeight || hi-lo < 2 {
-		b.releaseHist(hist)
+		b.hists.Put(hist)
 		return b.leafAt(lo, hi, leafWeight)
 	}
 	if hist == nil {
-		hist = b.allocHist()
-		b.buildHist(lo, hi, hist)
+		hist = b.hists.Get()
+		b.hists.Fill(hist, b.rows[lo:hi])
 	}
 
 	var best gbtSplitCand
 	parent := gSum * gSum / (hSum + cfg.Lambda)
 	for f := 0; f < b.m; f++ {
-		b.sweep(f, hist[f*b.stride:(f+1)*b.stride], gSum, hSum, parent, &best)
+		b.sweep(f, b.hists.Feature(hist, f), gSum, hSum, parent, &best)
 	}
 	if best.gain <= 1e-12 {
-		b.releaseHist(hist)
+		b.hists.Put(hist)
 		return b.leafAt(lo, hi, leafWeight)
 	}
 
@@ -217,7 +200,7 @@ func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []
 	// count the left half, then place both halves directly into their
 	// scratch segments (the sweep tracks hessian mass, not row counts,
 	// so the count pass stays).
-	code := b.codes[best.feat]
+	code := b.hists.ColumnCodes(best.feat)
 	cut := uint8(best.cut)
 	seg, scratch := b.rows[lo:hi], b.scratch
 	nl := 0
@@ -227,7 +210,7 @@ func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []
 		}
 	}
 	if nl == 0 || nl == len(seg) {
-		b.releaseHist(hist)
+		b.hists.Put(hist)
 		return b.leafAt(lo, hi, leafWeight)
 	}
 	p, q := 0, nl
@@ -244,23 +227,22 @@ func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []
 
 	gl, hl := best.gl, best.hl
 	gr, hr := gSum-gl, hSum-hl
-	lHist, rHist := b.childHists(lo, lo+nl, hi, depth, hl, hr, hist)
+	lHist, rHist := b.hists.Children(seg, nl, b.needHist(nl, hl, depth), b.needHist(len(seg)-nl, hr, depth), hist)
 	self := len(b.t)
-	b.t = append(b.t, flattree.Node{Feature: int32(best.feat), Split: b.bins.Edge(best.feat, best.cut)})
+	b.t = append(b.t, flattree.Node{Feature: int32(best.feat), Split: b.hists.Edge(best.feat, best.cut)})
 	l := b.grow(lo, lo+nl, depth+1, gl, hl, lHist)
 	r := b.grow(lo+nl, hi, depth+1, gr, hr, rHist)
 	b.t[self].Left, b.t[self].Right = l, r
 	return int32(self)
 }
 
-// sweep scans the bin cuts of column f (histogram cells) for the best
-// XGBoost structure gain.
+// sweep scans the bin cuts of feature f (its histogram cells) for the
+// best XGBoost structure gain.
 func (b *binnedRoundBuilder) sweep(f int, cells []float64, gSum, hSum, parent float64, best *gbtSplitCand) {
 	cfg := b.cfg
-	nb := b.bins.NumBins(f)
 	var gl, hl float64
-	for c := 0; c < nb-1; c++ {
-		g, h := cells[gbtHistCell*c], cells[gbtHistCell*c+1]
+	for c := 0; c < len(cells)/2-1; c++ {
+		g, h := cells[2*c], cells[2*c+1]
 		if g == 0 && h == 0 {
 			continue // empty bin: same partition as the previous cut
 		}
@@ -278,89 +260,21 @@ func (b *binnedRoundBuilder) sweep(f int, cells []float64, gSum, hSum, parent fl
 	}
 }
 
-// childHists derives the children's histograms from the parent's: the
-// smaller child's is built from its rows, the larger child's is
-// parent − smaller in place. Children that are guaranteed leaves by
-// depth, size or hessian mass get nil and skip the work.
-func (b *binnedRoundBuilder) childHists(lo, mid, hi, depth int, hl, hr float64, parent []float64) (lHist, rHist []float64) {
+// needHist reports whether a child of cnt rows and hessian mass h, one
+// level below depth, can split. A guaranteed leaf gets no histogram.
+func (b *binnedRoundBuilder) needHist(cnt int, h float64, depth int) bool {
 	cfg := b.cfg
-	needL := depth+1 < cfg.MaxDepth && mid-lo >= 2 && hl >= 2*cfg.MinChildWeight
-	needR := depth+1 < cfg.MaxDepth && hi-mid >= 2 && hr >= 2*cfg.MinChildWeight
-	switch {
-	case needL && needR:
-		small := b.allocHist()
-		if mid-lo <= hi-mid {
-			b.buildHist(lo, mid, small)
-			lHist, rHist = small, parent
-		} else {
-			b.buildHist(mid, hi, small)
-			lHist, rHist = parent, small
-		}
-		for i, v := range small {
-			parent[i] -= v
-		}
-	case needL:
-		b.zeroHist(parent)
-		b.buildHist(lo, mid, parent)
-		lHist = parent
-	case needR:
-		b.zeroHist(parent)
-		b.buildHist(mid, hi, parent)
-		rHist = parent
-	default:
-		b.releaseHist(parent)
-	}
-	return lHist, rHist
-}
-
-// buildHist accumulates the all-column histogram of the rows in
-// [lo, hi) into hist, which must be zeroed. Column-outer order keeps
-// each pass streaming through one byte array of codes and the
-// interleaved gradient pairs in ascending row order.
-func (b *binnedRoundBuilder) buildHist(lo, hi int, hist []float64) {
-	rows := b.rows[lo:hi]
-	gh := b.gh
-	for f, code := range b.codes {
-		cells := hist[f*b.stride : (f+1)*b.stride]
-		for _, r := range rows {
-			c := gbtHistCell * int(code[r])
-			cells[c] += gh[2*r]
-			cells[c+1] += gh[2*r+1]
-		}
-	}
-}
-
-func (b *binnedRoundBuilder) allocHist() []float64 {
-	if k := len(b.free); k > 0 {
-		h := b.free[k-1]
-		b.free = b.free[:k-1]
-		b.zeroHist(h)
-		return h
-	}
-	return make([]float64, b.m*b.stride)
-}
-
-func (b *binnedRoundBuilder) zeroHist(h []float64) {
-	for i := range h {
-		h[i] = 0
-	}
-}
-
-func (b *binnedRoundBuilder) releaseHist(h []float64) {
-	if h != nil {
-		b.free = append(b.free, h)
-	}
+	return depth+1 < cfg.MaxDepth && cnt >= 2 && h >= 2*cfg.MinChildWeight
 }
 
 // TunedTrainerBinned is TunedTrainer on the histogram-binned fast path:
-// the same depth × rounds grid, but every candidate trains binned at the
+// the same depth × rounds candidates, but every one trains binned at the
 // given bin budget and the tuner's shared-fold path reuses one
 // quantization of the parent dataset across all fold × candidate cells.
 func TunedTrainerBinned(bins int) metamodel.Trainer {
-	return &metamodel.Tuned{Family: "xgb", Grid: []metamodel.Trainer{
-		&BinnedTrainer{Trainer: Trainer{Rounds: 50, MaxDepth: 1, LearningRate: 0.3}, Bins: bins},
-		&BinnedTrainer{Trainer: Trainer{Rounds: 50, MaxDepth: 3, LearningRate: 0.3}, Bins: bins},
-		&BinnedTrainer{Trainer: Trainer{Rounds: 150, MaxDepth: 2, LearningRate: 0.1}, Bins: bins},
-		&BinnedTrainer{Trainer: Trainer{Rounds: 150, MaxDepth: 3, LearningRate: 0.1}, Bins: bins},
-	}}
+	tuned := &metamodel.Tuned{Family: "xgb"}
+	for _, c := range tuningGrid() {
+		tuned.Grid = append(tuned.Grid, &BinnedTrainer{Trainer: c, Bins: bins})
+	}
+	return tuned
 }

@@ -335,15 +335,26 @@ func (b *roundBuilder) partition(lo, hi, feat int, split float64, orders bool) i
 	return nl
 }
 
-// TunedTrainer returns the caret-style grid for boosting: depth x rounds
-// with a moderate learning rate, the dominant dimensions of the default
-// caret xgbTree grid (which caps max_depth at 3 — deeper trees overfit
-// label noise and fragment the pseudo-labeled region REDS peels).
+// TunedTrainer returns the caret-style grid-search trainer for boosting
+// over tuningGrid's candidates.
 func TunedTrainer() metamodel.Trainer {
-	return &metamodel.Tuned{Family: "xgb", Grid: []metamodel.Trainer{
-		&Trainer{Rounds: 50, MaxDepth: 1, LearningRate: 0.3},
-		&Trainer{Rounds: 50, MaxDepth: 3, LearningRate: 0.3},
-		&Trainer{Rounds: 150, MaxDepth: 2, LearningRate: 0.1},
-		&Trainer{Rounds: 150, MaxDepth: 3, LearningRate: 0.1},
-	}}
+	tuned := &metamodel.Tuned{Family: "xgb"}
+	for _, c := range tuningGrid() {
+		tuned.Grid = append(tuned.Grid, &c)
+	}
+	return tuned
+}
+
+// tuningGrid is the caret-style grid for boosting: depth x rounds with a
+// moderate learning rate, the dominant dimensions of the default caret
+// xgbTree grid (which caps max_depth at 3 — deeper trees overfit label
+// noise and fragment the pseudo-labeled region REDS peels). Every tuned
+// gbt trainer, exact or binned, tunes over it.
+func tuningGrid() []Trainer {
+	return []Trainer{
+		{Rounds: 50, MaxDepth: 1, LearningRate: 0.3},
+		{Rounds: 50, MaxDepth: 3, LearningRate: 0.3},
+		{Rounds: 150, MaxDepth: 2, LearningRate: 0.1},
+		{Rounds: 150, MaxDepth: 3, LearningRate: 0.1},
+	}
 }

@@ -67,13 +67,18 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 		budget = dataset.DefaultBins
 	}
 	bins := d.Bins(budget)
+	// Each row adds (1, y) to its histogram cells: a count and a label sum.
+	pairs := make([]float64, 2*d.N())
+	for i, y := range d.Y {
+		pairs[2*i], pairs[2*i+1] = 1, y
+	}
 	cfg, seeds := t.plan(d.M(), rng)
 	trees := make([]*tree, len(seeds))
 	builders := make([]*binnedTreeBuilder, len(seeds))
 	idxs := make([][]int, len(seeds))
 	par.For(len(seeds), func(w, ti int) {
 		if builders[w] == nil {
-			builders[w], idxs[w] = newBinnedTreeBuilder(bins, d.Y, d.M(), nRows, cfg), make([]int, nRows)
+			builders[w], idxs[w] = newBinnedTreeBuilder(bins.NewHist(pairs), d.Y, d.M(), nRows, cfg), make([]int, nRows)
 		}
 		idx := idxs[w]
 		local := binnedRNG(seeds[ti])
@@ -116,11 +121,6 @@ func (s *binnedRNG) intn(n int) int {
 	return int((s.next() >> 32) * uint64(n) >> 32)
 }
 
-// histCell is the number of float64 slots per (feature, bin) histogram
-// cell: count, Σy. Child Σy² (for the pure-node leaf check) is picked up
-// during the partition pass instead of riding in every cell.
-const histCell = 2
-
 // splitCand accumulates the best bin cut seen so far during a sweep,
 // together with the left child's row count and label sum at that cut —
 // the partition pass places rows in one sweep because the split already
@@ -146,16 +146,13 @@ type splitCand struct {
 //     budget.
 //   - sibling subtraction: when most features are swept per node anyway
 //     (2·mtry > M) and the node is large relative to the bin budget, an
-//     all-feature histogram is carried down the recursion — only the
-//     smaller child's is built from rows, and the larger child's is the
-//     classic subtraction larger = parent − smaller.
+//     all-feature histogram (dataset.Hist) is carried down the
+//     recursion, and each split derives its children's by the sibling
+//     step.
 type binnedTreeBuilder struct {
-	bins       *dataset.Bins
-	codes      [][]uint8 // per feature: bin code per dataset row
-	nb         []int     // per feature: bin count (avoids NumBins calls per node)
+	hists      *dataset.Hist // all-feature histograms of (1, y) pairs
 	y          []float64
 	m          int
-	stride     int // histCell · max bins over features
 	cfg        treeConfig
 	siblingOK  bool // sampled features cover most of M
 	siblingMin int  // minimum node rows for an all-feature histogram
@@ -164,27 +161,16 @@ type binnedTreeBuilder struct {
 	scratch []int // partition staging buffer
 	feats   []int // permutation buffer for per-node feature sampling
 
-	fhist []float64   // direct mode single-feature buffer, kept zeroed
-	free  [][]float64 // sibling mode all-feature histogram free list
-	recip []float64   // recip[k] = 1/k for node sizes, so sweeps multiply instead of divide
+	fhist []float64 // direct mode single-feature buffer, kept zeroed
+	recip []float64 // recip[k] = 1/k for node sizes, so sweeps multiply instead of divide
 
 	t   *tree
 	rng *binnedRNG
 }
 
-func newBinnedTreeBuilder(bins *dataset.Bins, y []float64, m, nRows int, cfg treeConfig) *binnedTreeBuilder {
+func newBinnedTreeBuilder(hists *dataset.Hist, y []float64, m, nRows int, cfg treeConfig) *binnedTreeBuilder {
 	if cfg.mtry <= 0 || cfg.mtry > m {
 		cfg.mtry = m
-	}
-	codes := make([][]uint8, m)
-	nb := make([]int, m)
-	maxNB := 1
-	for f := 0; f < m; f++ {
-		codes[f] = bins.ColumnCodes(f)
-		nb[f] = bins.NumBins(f)
-		if nb[f] > maxNB {
-			maxNB = nb[f]
-		}
 	}
 	feats := make([]int, m)
 	for f := range feats {
@@ -195,22 +181,20 @@ func newBinnedTreeBuilder(bins *dataset.Bins, y []float64, m, nRows int, cfg tre
 		recip[k] = 1 / float64(k)
 	}
 	return &binnedTreeBuilder{
-		bins:      bins,
-		codes:     codes,
-		nb:        nb,
+		hists:     hists,
 		y:         y,
 		m:         m,
-		stride:    histCell * maxNB,
 		cfg:       cfg,
 		siblingOK: 2*cfg.mtry > m,
-		// Below ~4 rows per bin the all-feature build + subtraction
-		// costs more than per-feature range-limited fills (measured on
-		// the paper-scale tuned benchmark).
-		siblingMin: 4 * maxNB,
+		// Below ~4 rows per bin of the widest feature (two per histogram
+		// slot) the all-feature build + subtraction costs more than
+		// per-feature range-limited fills (measured on the paper-scale
+		// tuned benchmark).
+		siblingMin: 2 * hists.Stride(),
 		rows:       make([]int, 0, nRows),
 		scratch:    make([]int, nRows),
 		feats:      feats,
-		fhist:      make([]float64, histCell*maxNB),
+		fhist:      make([]float64, hists.Stride()),
 		recip:      recip,
 	}
 }
@@ -264,20 +248,19 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 	variance := sq/n - mean*mean
 	if hi-lo < 2*cfg.minLeaf || variance < 1e-12 ||
 		(cfg.maxDepth > 0 && depth >= cfg.maxDepth) {
-		b.releaseHist(hist)
+		b.hists.Put(hist)
 		return t.leaf(mean)
 	}
 
 	feats := b.sampleFeats()
 	if hist == nil && b.siblingOK && hi-lo >= b.siblingMin {
-		hist = b.allocHist()
-		b.buildHist(lo, hi, hist)
+		hist = b.hists.Get()
+		b.hists.Fill(hist, b.rows[lo:hi])
 	}
 	var best splitCand
 	if hist != nil {
 		for _, f := range feats {
-			cells := hist[f*b.stride:]
-			b.sweepCells(f, cells, 0, b.nb[f]-1, hi-lo, sum, &best)
+			b.sweepCells(f, b.hists.Feature(hist, f), hi-lo, sum, &best)
 		}
 	} else {
 		for _, f := range feats {
@@ -285,7 +268,7 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 		}
 	}
 	if !best.ok {
-		b.releaseHist(hist)
+		b.hists.Put(hist)
 		return t.leaf(mean)
 	}
 
@@ -293,7 +276,7 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 	// the sweep already counted the left half, so lefts and rights land
 	// directly in their scratch segments. The left child's Σy² (for its
 	// pure-node leaf check) rides along.
-	code := b.codes[best.feat]
+	code := b.hists.ColumnCodes(best.feat)
 	cut := uint8(best.cut)
 	nl := best.lcount
 	seg, scratch := b.rows[lo:hi], b.scratch
@@ -316,10 +299,10 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 	rSum, rSq := sum-lSum, sq-lSq
 	var lHist, rHist []float64
 	if hist != nil {
-		lHist, rHist = b.childHists(lo, lo+nl, hi, depth, hist)
+		lHist, rHist = b.hists.Children(seg, nl, b.needHist(nl, depth), b.needHist(len(seg)-nl, depth), hist)
 	}
 	self := len(t.nodes)
-	t.nodes = append(t.nodes, flattree.Node{Feature: int32(best.feat), Split: b.bins.Edge(best.feat, best.cut)})
+	t.nodes = append(t.nodes, flattree.Node{Feature: int32(best.feat), Split: b.hists.Edge(best.feat, best.cut)})
 	l := b.grow(lo, lo+nl, depth+1, lSum, lSq, lHist)
 	r := b.grow(lo+nl, hi, depth+1, rSum, rSq, rHist)
 	t.nodes[self].Left, t.nodes[self].Right = l, r
@@ -334,13 +317,13 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 // Deep nodes (few rows scattered over a wide bin range) skip the empty
 // cells entirely instead of branching past them.
 func (b *binnedTreeBuilder) fillSweepZero(f, lo, hi int, total float64, best *splitCand) {
-	code := b.codes[f]
+	code := b.hists.ColumnCodes(f)
 	cells := b.fhist
 	var mask [(dataset.MaxBins + 63) / 64]uint64
 	for _, r := range b.rows[lo:hi] {
 		c := int(code[r])
 		mask[c>>6] |= 1 << (c & 63)
-		cc := histCell * c
+		cc := 2 * c
 		cells[cc]++
 		cells[cc+1] += b.y[r]
 	}
@@ -356,7 +339,7 @@ func (b *binnedTreeBuilder) fillSweepZero(f, lo, hi int, total float64, best *sp
 		for bm != 0 {
 			c := w<<6 + bits.TrailingZeros64(bm)
 			bm &= bm - 1
-			cc := histCell * c
+			cc := 2 * c
 			lc += int(cells[cc])
 			ls += cells[cc+1]
 			cells[cc], cells[cc+1] = 0, 0
@@ -374,22 +357,22 @@ func (b *binnedTreeBuilder) fillSweepZero(f, lo, hi int, total float64, best *sp
 	}
 }
 
-// sweepCells scans the cuts after bins [b0, b1) of feature f (cells in
-// histCell layout), updating best. An empty bin's cut induces the same
-// partition as the previous one, so it is skipped.
-func (b *binnedTreeBuilder) sweepCells(f int, cells []float64, b0, b1, nTotal int, total float64, best *splitCand) {
+// sweepCells scans the cuts after each bin but the last of feature f
+// (cells in dataset.Hist's layout), updating best. An empty bin's cut
+// induces the same partition as the previous one, so it is skipped.
+func (b *binnedTreeBuilder) sweepCells(f int, cells []float64, nTotal int, total float64, best *splitCand) {
 	minLeaf := b.cfg.minLeaf
 	recip := b.recip
 	parent := total * total * recip[nTotal]
 	var lc int
 	var ls float64
-	for c := b0; c < b1; c++ {
-		cnt := cells[histCell*c]
+	for c := 0; c < len(cells)/2-1; c++ {
+		cnt := cells[2*c]
 		if cnt == 0 {
 			continue
 		}
 		lc += int(cnt)
-		ls += cells[histCell*c+1]
+		ls += cells[2*c+1]
 		nl := lc
 		nr := nTotal - lc
 		if nl < minLeaf || nr < minLeaf {
@@ -403,99 +386,23 @@ func (b *binnedTreeBuilder) sweepCells(f int, cells []float64, b0, b1, nTotal in
 	}
 }
 
-// childHists derives the children's all-feature histograms from the
-// parent's after a split at [lo, mid, hi): the smaller child's is built
-// from its rows, the larger child's is the parent's minus the smaller's
-// (in place — the parent histogram is consumed). Children too small to
-// carry the sibling chain (they are cheaper on the direct path, or
-// guaranteed leaves) get nil.
-func (b *binnedTreeBuilder) childHists(lo, mid, hi, depth int, parent []float64) (lHist, rHist []float64) {
+// needHist reports whether a child of cnt rows, one level below depth,
+// carries the sibling chain. Smaller children are cheaper on the direct
+// path, and the rest are guaranteed leaves.
+func (b *binnedTreeBuilder) needHist(cnt, depth int) bool {
 	cfg := b.cfg
-	need := func(cnt int) bool {
-		return cnt >= b.siblingMin && cnt >= 2*cfg.minLeaf &&
-			(cfg.maxDepth == 0 || depth+1 < cfg.maxDepth)
-	}
-	needL, needR := need(mid-lo), need(hi-mid)
-	switch {
-	case needL && needR:
-		small := b.allocHist()
-		if mid-lo <= hi-mid {
-			b.buildHist(lo, mid, small)
-			lHist, rHist = small, parent
-		} else {
-			b.buildHist(mid, hi, small)
-			lHist, rHist = parent, small
-		}
-		for i, v := range small {
-			parent[i] -= v
-		}
-	case needL:
-		b.zeroHist(parent)
-		b.buildHist(lo, mid, parent)
-		lHist = parent
-	case needR:
-		b.zeroHist(parent)
-		b.buildHist(mid, hi, parent)
-		rHist = parent
-	default:
-		b.releaseHist(parent)
-	}
-	return lHist, rHist
-}
-
-// buildHist accumulates the all-feature histogram of the rows in
-// [lo, hi) into hist, which must be zeroed.
-func (b *binnedTreeBuilder) buildHist(lo, hi int, hist []float64) {
-	stride := b.stride
-	for _, r := range b.rows[lo:hi] {
-		yv := b.y[r]
-		for f := 0; f < b.m; f++ {
-			c := f*stride + histCell*int(b.codes[f][r])
-			hist[c]++
-			hist[c+1] += yv
-		}
-	}
-}
-
-func (b *binnedTreeBuilder) allocHist() []float64 {
-	if k := len(b.free); k > 0 {
-		h := b.free[k-1]
-		b.free = b.free[:k-1]
-		b.zeroHist(h)
-		return h
-	}
-	return make([]float64, b.m*b.stride)
-}
-
-func (b *binnedTreeBuilder) zeroHist(h []float64) {
-	for i := range h {
-		h[i] = 0
-	}
-}
-
-func (b *binnedTreeBuilder) releaseHist(h []float64) {
-	if h != nil {
-		b.free = append(b.free, h)
-	}
+	return cnt >= b.siblingMin && cnt >= 2*cfg.minLeaf &&
+		(cfg.maxDepth == 0 || depth+1 < cfg.maxDepth)
 }
 
 // TunedTrainerBinned is TunedTrainer on the histogram-binned fast path:
-// the same deduplicated mtry grid, but every candidate trains binned at
-// the given bin budget and the tuner's shared-fold path reuses one
-// quantization of the parent dataset across all fold × candidate cells.
+// the same mtry candidates, but every one trains binned at the given bin
+// budget and the tuner's shared-fold path reuses one quantization of the
+// parent dataset across all fold × candidate cells.
 func TunedTrainerBinned(m, bins int) metamodel.Trainer {
-	candidates := []int{intSqrt(m), max1(m / 3), max1(2 * m / 3)}
-	seen := map[int]bool{}
-	var grid []metamodel.Trainer
-	for _, c := range candidates {
-		if c > m {
-			c = m
-		}
-		if c < 1 || seen[c] {
-			continue
-		}
-		seen[c] = true
-		grid = append(grid, &BinnedTrainer{Trainer: Trainer{MTry: c}, Bins: bins})
+	tuned := &metamodel.Tuned{Family: "rf"}
+	for _, c := range tuningGrid(m) {
+		tuned.Grid = append(tuned.Grid, &BinnedTrainer{Trainer: c, Bins: bins})
 	}
-	return &metamodel.Tuned{Family: "rf", Grid: grid}
+	return tuned
 }

@@ -160,23 +160,30 @@ func (f *Forest) NumTrees() int { return len(f.table.Roots) }
 func (f *Forest) ApproxMemoryBytes() int64 { return f.table.MemoryBytes() }
 
 // TunedTrainer returns the caret-style grid-search trainer for random
-// forests: mtry over {sqrt(M), M/3, 2M/3} (deduplicated), matching the
-// default caret tuning dimension.
+// forests over tuningGrid's mtry candidates.
 func TunedTrainer(m int) metamodel.Trainer {
-	candidates := []int{intSqrt(m), max1(m / 3), max1(2 * m / 3)}
+	tuned := &metamodel.Tuned{Family: "rf"}
+	for _, c := range tuningGrid(m) {
+		tuned.Grid = append(tuned.Grid, &c)
+	}
+	return tuned
+}
+
+// tuningGrid is the default caret tuning dimension for m inputs: mtry
+// over {sqrt(M), M/3, 2M/3}, deduplicated. Every tuned rf trainer,
+// exact or binned, tunes over it.
+func tuningGrid(m int) []Trainer {
+	var grid []Trainer
 	seen := map[int]bool{}
-	var grid []metamodel.Trainer
-	for _, c := range candidates {
-		if c > m {
-			c = m
-		}
+	for _, c := range []int{intSqrt(m), max(1, m/3), max(1, 2*m/3)} {
+		c = min(c, m)
 		if c < 1 || seen[c] {
 			continue
 		}
 		seen[c] = true
-		grid = append(grid, &Trainer{MTry: c})
+		grid = append(grid, Trainer{MTry: c})
 	}
-	return &metamodel.Tuned{Family: "rf", Grid: grid}
+	return grid
 }
 
 func intSqrt(m int) int {
@@ -191,11 +198,4 @@ func intSqrt(m int) int {
 		r = 1
 	}
 	return r
-}
-
-func max1(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
 }
