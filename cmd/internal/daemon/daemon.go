@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -228,7 +229,14 @@ func (d *Daemon) Serve(handler http.Handler, eng *engine.Engine, drain func(time
 // finished work again elsewhere. Then the server and the debug server
 // close, letting in-flight requests finish, and teardown runs. serve
 // returns the server's error if it failed before ctx was done.
+//
+// Once the listener is closed, serve also closes every connection that
+// has not sent a request yet. Shutdown would count each one as active
+// until it is 5 s old, and a client transport that dialed a spare
+// connection it never used would hold the exit that long.
 func (d *Daemon) serve(ctx context.Context, ln net.Listener, handler http.Handler, drain func(time.Duration) bool, teardown func()) error {
+	var mu sync.Mutex
+	unused := map[net.Conn]bool{} // connections in http.StateNew
 	// Admission sits inside Instrument so rejected requests still get
 	// request IDs and access-log lines.
 	srv := &http.Server{
@@ -237,6 +245,15 @@ func (d *Daemon) serve(ctx context.Context, ln net.Listener, handler http.Handle
 		ReadTimeout:       httpReadTimeout,
 		WriteTimeout:      httpWriteTimeout,
 		IdleTimeout:       httpIdleTimeout,
+		ConnState: func(c net.Conn, state http.ConnState) {
+			mu.Lock()
+			defer mu.Unlock()
+			if state == http.StateNew {
+				unused[c] = true
+			} else {
+				delete(unused, c)
+			}
+		},
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
@@ -251,12 +268,26 @@ func (d *Daemon) serve(ctx context.Context, ln net.Listener, handler http.Handle
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
-	_ = srv.Shutdown(shutdownCtx)
+	shut := make(chan struct{})
+	go func() {
+		_ = srv.Shutdown(shutdownCtx)
+		close(shut)
+	}()
+	// Serve returns once Shutdown has closed the listener, and it
+	// reports every connection it accepted as new before that, so no
+	// unused connection can appear after this sweep.
+	err := <-served
+	mu.Lock()
+	for c := range unused {
+		_ = c.Close()
+	}
+	mu.Unlock()
+	<-shut
 	if d.debug != nil {
 		_ = d.debug.Shutdown(shutdownCtx)
 	}
 	teardown()
-	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+	if !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
 	return nil

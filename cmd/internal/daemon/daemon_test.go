@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,6 +78,16 @@ type worker struct {
 	got      chan outcome
 }
 
+// testDaemon is a Daemon with what serve reads, logging to logger.
+func testDaemon(logger *slog.Logger) *Daemon {
+	return &Daemon{
+		Log:       logger,
+		Metrics:   telemetry.NewRegistry(),
+		Admission: admission.New(admission.Options{Logger: logger}),
+		cfg:       &Config{drainTimeout: 5 * time.Second},
+	}
+}
+
 func startWorker(t *testing.T) *worker {
 	t.Helper()
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -103,17 +114,11 @@ func startWorker(t *testing.T) *worker {
 	}
 	w.url = "http://" + ln.Addr().String()
 
-	d := &Daemon{
-		Log:       logger,
-		Metrics:   telemetry.NewRegistry(),
-		Admission: admission.New(admission.Options{Logger: logger}),
-		cfg:       &Config{drainTimeout: 5 * time.Second},
-	}
 	ctx, stop := context.WithCancel(context.Background())
 	t.Cleanup(stop)
 	w.stop = stop
 	go func() {
-		w.served <- d.serve(ctx, ln, engine.NewHandler(eng, engine.WithExecutionAPI(execSrv)),
+		w.served <- testDaemon(logger).serve(ctx, ln, engine.NewHandler(eng, engine.WithExecutionAPI(execSrv)),
 			func(timeout time.Duration) bool {
 				close(w.draining)
 				return execSrv.Drain(timeout)
@@ -242,4 +247,64 @@ func TestServeFailsHealthChecksWhileDraining(t *testing.T) {
 		t.Fatalf("HEAD /v1/healthz: %d, want 503", resp.StatusCode)
 	}
 	w.finish(t)
+}
+
+// readSignal closes reading when the server first reads from a
+// connection it accepted, by which time the server has recorded the
+// connection as new.
+type readSignal struct {
+	net.Listener
+	reading chan struct{}
+	once    sync.Once
+}
+
+func (l *readSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &signalConn{Conn: c, l: l}, nil
+}
+
+type signalConn struct {
+	net.Conn
+	l *readSignal
+}
+
+func (c *signalConn) Read(p []byte) (int, error) {
+	c.l.once.Do(func() { close(c.l.reading) })
+	return c.Conn.Read(p)
+}
+
+// TestServeClosesUnusedConnections: a connection that was accepted but
+// never sent a request must not hold serve's return past the drain, as
+// a client transport's unused spare connection would. net/http's
+// Shutdown counts such a connection as active until it is 5 s old.
+func TestServeClosesUnusedConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	sig := &readSignal{Listener: ln, reading: make(chan struct{})}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	served := make(chan error, 1)
+	go func() {
+		served <- testDaemon(slog.New(slog.NewTextHandler(io.Discard, nil))).serve(ctx, sig, http.NotFoundHandler(), nil, func() {})
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	<-sig.reading
+	stop()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("serve has not returned 1 s after shutdown began: it waits on a connection that sent nothing")
+	}
 }

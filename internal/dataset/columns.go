@@ -233,40 +233,3 @@ func (d *Dataset) invalidate() {
 	d.cols, d.ords, d.bins = nil, nil, nil
 	d.mu.Unlock()
 }
-
-// StablePartition reorders the row-index segment seg so rows with goLeft
-// set come first, preserving relative order on both sides, and returns
-// the left count. The left half is compacted in place (writes trail
-// reads); the right half spills into scratch — which must be at least
-// len(seg) long — and is copied back.
-//
-// This is the kernel that keeps per-feature sorted orders (derived from
-// SortedOrders) sorted through recursive tree splits: partitioning a
-// sorted list stably by the split predicate leaves both halves sorted.
-//
-// The loop has no data-dependent branch: every row is written to both
-// sides and only the counter of its own side advances, so a balanced
-// split costs no mispredictions. A stale write is overwritten by the
-// next row of that side or lies past the side's final count.
-func StablePartition(seg []int, goLeft []bool, scratch []int) int {
-	scratch = scratch[:len(seg)]
-	nl, nr := 0, 0
-	for _, r := range seg {
-		left := b2i(goLeft[r])
-		seg[nl] = r
-		scratch[nr] = r
-		nl += left
-		nr += 1 - left
-	}
-	copy(seg[nl:], scratch[:nr])
-	return nl
-}
-
-// b2i is 1 for true and 0 for false; the compiler loads the bool's byte
-// instead of jumping on it.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}

@@ -81,6 +81,16 @@ type Node struct {
 	Value       float64
 }
 
+// Tree is one tree in source form while rf or gbt grows it: Nodes
+// rooted at index 0, a value Compile takes as one of its trees.
+type Tree []Node
+
+// Leaf appends a leaf with value v and returns its index.
+func (t *Tree) Leaf(v float64) int32 {
+	*t = append(*t, Node{Leaf: true, Value: v})
+	return int32(len(*t) - 1)
+}
+
 // Compile flattens the trees (each a slice of Nodes rooted at index 0)
 // into one table.
 func Compile(trees [][]Node) *Table {

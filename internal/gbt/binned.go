@@ -2,7 +2,6 @@ package gbt
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -64,51 +63,13 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int) (metamodel.Mod
 	if len(base) < 2 {
 		return nil, fmt.Errorf("gbt: need at least 2 examples, got %d", len(base))
 	}
-	cfg := t.withDefaults()
 	budget := t.Bins
 	if budget == 0 {
 		budget = dataset.DefaultBins
 	}
-	bins := d.Bins(budget)
-
-	mean := 0.0
-	for _, i := range base {
-		mean += d.Y[i]
-	}
-	mean /= float64(len(base))
-	if mean < 1e-6 {
-		mean = 1e-6
-	}
-	if mean > 1-1e-6 {
-		mean = 1 - 1e-6
-	}
-	model := &Model{
-		eta:  cfg.LearningRate,
-		base: math.Log(mean / (1 - mean)),
-	}
-
-	// Gradient state is indexed by dataset row id (only the subset rows
-	// are ever touched), so histogram fills can gather through the shared
-	// bin codes without an id translation. Grad and hess are interleaved
-	// (gh[2i], gh[2i+1]) — one cache line per row in the fill loop.
-	margin := make([]float64, d.N())
-	gh := make([]float64, 2*d.N())
-	for _, i := range base {
-		margin[i] = model.base
-	}
-
-	builder := newBinnedRoundBuilder(bins.NewHist(gh), d.M(), gh, margin, cfg, len(base))
-	trees := make([][]flattree.Node, cfg.Rounds)
-	for round := range trees {
-		for _, i := range base {
-			p := sigmoid(margin[i])
-			gh[2*i] = p - d.Y[i]
-			gh[2*i+1] = p * (1 - p)
-		}
-		trees[round] = builder.build(base)
-	}
-	model.table = flattree.Compile(trees)
-	return model, nil
+	bst := newBooster(t.withDefaults(), d, base, dataset.NewNodes(len(base), nil))
+	b := &binnedRoundBuilder{booster: bst, hists: d.Bins(budget).NewHist(bst.gh), m: d.M()}
+	return b.boost(b.growRoot), nil
 }
 
 // gbtSplitCand accumulates the best bin cut seen during a sweep, with
@@ -120,59 +81,28 @@ type gbtSplitCand struct {
 }
 
 // binnedRoundBuilder grows one boosting tree per round over the shared
-// quantization. Scratch buffers persist across rounds.
+// quantization.
 type binnedRoundBuilder struct {
-	hists  *dataset.Hist // all-feature histograms of the (grad, hess) pairs
-	gh     []float64     // interleaved (grad, hess) per dataset row
-	margin []float64     // per dataset row; leaves push eta·weight directly
-	cfg    Trainer
-	m      int
-
-	rows    []int // node rows (dataset ids), segmented
-	scratch []int // partition staging buffer
-	t       tree
+	*booster
+	hists *dataset.Hist // all-feature histograms of the (grad, hess) pairs
+	m     int
 }
 
-func newBinnedRoundBuilder(hists *dataset.Hist, m int, gh, margin []float64, cfg Trainer, nRows int) *binnedRoundBuilder {
-	return &binnedRoundBuilder{
-		hists:   hists,
-		gh:      gh,
-		margin:  margin,
-		cfg:     cfg,
-		m:       m,
-		rows:    make([]int, 0, nRows),
-		scratch: make([]int, nRows),
-	}
-}
-
-// build grows one tree over the rows and every column, pushing each
-// leaf's eta-scaled weight onto the margins of the rows that reached it.
-func (b *binnedRoundBuilder) build(rows []int) tree {
-	b.rows = append(b.rows[:0], rows...)
-	b.t = nil
+// growRoot grows the round's tree from the root, whose gradient sums it
+// takes here; every other node gets its own from its parent's sweep.
+func (b *binnedRoundBuilder) growRoot() {
+	gh := b.gh
 	var gSum, hSum float64
-	for _, i := range rows {
-		gSum += b.gh[2*i]
-		hSum += b.gh[2*i+1]
+	for _, i := range b.rows {
+		gSum += gh[2*i]
+		hSum += gh[2*i+1]
 	}
-	b.grow(0, len(rows), 0, gSum, hSum, nil)
-	return b.t
+	b.grow(0, len(b.rows), 0, gSum, hSum, nil)
 }
 
-// leafAt records a leaf with the given weight and advances the margins
-// of its rows in place — the growth pass already knows which rows landed
-// here, so no row pays a per-round tree traversal.
-func (b *binnedRoundBuilder) leafAt(lo, hi int, w float64) int32 {
-	upd := b.cfg.LearningRate * w
-	for _, r := range b.rows[lo:hi] {
-		b.margin[r] += upd
-	}
-	return b.t.leaf(w)
-}
-
-// grow appends the subtree over the segment [lo, hi) and returns its
-// node index. gSum/hSum are threaded down from the parent's sweep; hist
-// is the node's all-feature histogram (nil = build here), owned by this
+// grow appends the subtree over the node [lo, hi) and returns its node
+// index. gSum/hSum are threaded down from the parent's sweep; hist is
+// the node's all-feature histogram (nil = build here), owned by this
 // call.
 func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []float64) int32 {
 	cfg := b.cfg
@@ -183,7 +113,7 @@ func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []
 	}
 	if hist == nil {
 		hist = b.hists.Get()
-		b.hists.Fill(hist, b.rows[lo:hi])
+		b.hists.Fill(hist, b.nodes.Rows[lo:hi])
 	}
 
 	var best gbtSplitCand
@@ -196,37 +126,17 @@ func (b *binnedRoundBuilder) grow(lo, hi, depth int, gSum, hSum float64, hist []
 		return b.leafAt(lo, hi, leafWeight)
 	}
 
-	// Stable partition in two passes over the cache-hot code bytes:
-	// count the left half, then place both halves directly into their
-	// scratch segments (the sweep tracks hessian mass, not row counts,
-	// so the count pass stays).
-	code := b.hists.ColumnCodes(best.feat)
-	cut := uint8(best.cut)
-	seg, scratch := b.rows[lo:hi], b.scratch
-	nl := 0
-	for _, r := range seg {
-		if code[r] <= cut {
-			nl++
-		}
-	}
-	if nl == 0 || nl == len(seg) {
+	// The sweep tracks hessian mass, not row counts, so the split checks
+	// that both children hold rows.
+	nl := b.nodes.SplitCut(lo, hi, b.hists.ColumnCodes(best.feat), uint8(best.cut))
+	if nl == 0 || nl == hi-lo {
 		b.hists.Put(hist)
 		return b.leafAt(lo, hi, leafWeight)
 	}
-	p, q := 0, nl
-	for _, r := range seg {
-		if code[r] <= cut {
-			scratch[p] = r
-			p++
-		} else {
-			scratch[q] = r
-			q++
-		}
-	}
-	copy(seg, scratch[:len(seg)])
 
 	gl, hl := best.gl, best.hl
 	gr, hr := gSum-gl, hSum-hl
+	seg := b.nodes.Rows[lo:hi]
 	lHist, rHist := b.hists.Children(seg, nl, b.needHist(nl, hl, depth), b.needHist(len(seg)-nl, hr, depth), hist)
 	self := len(b.t)
 	b.t = append(b.t, flattree.Node{Feature: int32(best.feat), Split: b.hists.Edge(best.feat, best.cut)})

@@ -133,122 +133,124 @@ func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 // Train implements metamodel.Trainer. It ignores the RNG: every round
 // grows its tree on every row and column, so training draws nothing.
 func (t *Trainer) Train(d *dataset.Dataset, _ *rand.Rand) (metamodel.Model, error) {
-	if d.N() < 2 {
-		return nil, fmt.Errorf("gbt: need at least 2 examples, got %d", d.N())
-	}
-	cfg := t.withDefaults()
 	n := d.N()
+	if n < 2 {
+		return nil, fmt.Errorf("gbt: need at least 2 examples, got %d", n)
+	}
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	// The columnar view and per-feature sorted orders are computed once
+	// on the dataset and shared by every round; the node lists copy the
+	// orders at the start of each round.
+	b := &roundBuilder{cols: d.Columns()}
+	b.booster = newBooster(t.withDefaults(), d, rows, dataset.NewNodes(n, d.SortedOrders()))
+	return b.boost(func() { b.grow(0, n, 0) }), nil
+}
 
-	// Base score: log-odds of the global mean, clipped away from the
-	// degenerate extremes.
-	mean := d.PositiveShare()
+// booster is the boosting loop exact and binned gbt share: the base
+// score, the margins, each round's gradient pairs and node lists, and
+// the leaves' margin push. Each round builder embeds it and grows every
+// round's tree from the root; the node lists persist across rounds, so
+// steady-state growth allocates only the tree nodes.
+type booster struct {
+	cfg   Trainer
+	y     []float64
+	rows  []int // the rows every round grows on, ascending dataset ids
+	nodes *dataset.Nodes
+	// Gradient state is indexed by dataset row id (only rows are ever
+	// touched), so histogram fills gather through the shared bin codes
+	// without an id translation. Grad and hess are interleaved (gh[2i],
+	// gh[2i+1]): one cache line per row in the fill and sweep loops.
+	gh     []float64
+	margin []float64 // per dataset row; leaves push eta·weight onto their rows
+	base   float64   // initial log-odds
+	t      flattree.Tree
+}
+
+// newBooster starts the margins of rows, ascending dataset ids of d, at
+// the base score: the log-odds of their mean label, clipped away from
+// the degenerate extremes.
+func newBooster(cfg Trainer, d *dataset.Dataset, rows []int, nodes *dataset.Nodes) *booster {
+	mean := 0.0
+	for _, i := range rows {
+		mean += d.Y[i]
+	}
+	mean /= float64(len(rows))
 	if mean < 1e-6 {
 		mean = 1e-6
 	}
 	if mean > 1-1e-6 {
 		mean = 1 - 1e-6
 	}
-	model := &Model{
-		eta:  cfg.LearningRate,
-		base: math.Log(mean / (1 - mean)),
+	b := &booster{
+		cfg:    cfg,
+		y:      d.Y,
+		rows:   rows,
+		nodes:  nodes,
+		gh:     make([]float64, 2*d.N()),
+		margin: make([]float64, d.N()),
+		base:   math.Log(mean / (1 - mean)),
 	}
-
-	margin := make([]float64, n)
-	for i := range margin {
-		margin[i] = model.base
+	for _, i := range rows {
+		b.margin[i] = b.base
 	}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
-
-	// The columnar view and per-feature sorted orders are computed once
-	// on the dataset and shared by every round; the builder copies them
-	// per round and reuses its scratch buffers.
-	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, margin, cfg)
-	trees := make([][]flattree.Node, cfg.Rounds)
-	for round := range trees {
-		for i := 0; i < n; i++ {
-			p := sigmoid(margin[i])
-			grad[i] = p - d.Y[i]
-			hess[i] = p * (1 - p)
-		}
-		trees[round] = builder.build()
-	}
-	model.table = flattree.Compile(trees)
-	return model, nil
+	return b
 }
 
-// tree is one boosting tree in flattree's source form while it grows.
-// Leaves carry the leaf weight.
-type tree []flattree.Node
+// boost runs the rounds. Each one sets the rows' gradient pairs from
+// their margins, starts the node lists on the rows and calls grow, which
+// grows the round's tree into b.t from the root; the tree's leaves
+// advance the margins. It returns the compiled model.
+func (b *booster) boost(grow func()) *Model {
+	y, gh, margin := b.y, b.gh, b.margin
+	trees := make([][]flattree.Node, b.cfg.Rounds)
+	for round := range trees {
+		for _, i := range b.rows {
+			p := sigmoid(margin[i])
+			gh[2*i] = p - y[i]
+			gh[2*i+1] = p * (1 - p)
+		}
+		b.nodes.Start(b.rows)
+		b.t = nil
+		grow()
+		trees[round] = b.t
+	}
+	return &Model{table: flattree.Compile(trees), eta: b.cfg.LearningRate, base: b.base}
+}
 
-func (t *tree) leaf(w float64) int32 {
-	*t = append(*t, flattree.Node{Leaf: true, Value: w})
-	return int32(len(*t) - 1)
+// leafAt records a leaf with weight w for node [lo, hi) and advances the
+// margins of its rows in place, by the same product the tree's
+// prediction adds: the growth pass already knows which rows landed
+// here, so no round walks its tree per row.
+func (b *booster) leafAt(lo, hi int, w float64) int32 {
+	upd := b.cfg.LearningRate * w
+	margin := b.margin
+	for _, r := range b.nodes.Rows[lo:hi] {
+		margin[r] += upd
+	}
+	return b.t.Leaf(w)
 }
 
 // roundBuilder grows one boosting tree per round from presorted column
-// orders: the dataset-level sorted orders are copied once per round,
-// kept sorted through every split by stable partitioning, and swept
-// with running gradient/hessian prefix sums — O(n) per node-column
-// instead of the reference's O(n log n) sort. Scratch buffers persist
-// across rounds, so steady-state growth allocates only the tree nodes.
+// orders: the node lists keep every column's rows sorted through each
+// split, and each node sweeps them with running gradient/hessian prefix
+// sums — O(n) per node-column instead of the reference's O(n log n)
+// sort.
 type roundBuilder struct {
-	colsView [][]float64 // columnar view: colsView[j][row]
-	shared   [][]int     // dataset-level ascending row order per column
-	grad     []float64
-	hess     []float64
-	margin   []float64 // per dataset row; leaves push eta·weight onto their rows
-	cfg      Trainer
-
-	orders  [][]int // per column: rows in ascending order, segmented by node
-	rows    []int   // node rows in row order, segmented like orders
-	goLeft  []bool  // per dataset row: goes left at the split being applied
-	scratch []int   // right-half spill buffer for stable partitioning
-	t       tree
+	*booster
+	cols [][]float64 // columnar view: cols[j][row]
 }
 
-func newRoundBuilder(colsView [][]float64, shared [][]int, grad, hess, margin []float64, cfg Trainer) *roundBuilder {
-	n := len(grad)
-	orders := make([][]int, len(colsView))
-	for j := range orders {
-		orders[j] = make([]int, n)
-	}
-	return &roundBuilder{
-		colsView: colsView,
-		shared:   shared,
-		grad:     grad,
-		hess:     hess,
-		margin:   margin,
-		cfg:      cfg,
-		orders:   orders,
-		rows:     make([]int, n),
-		goLeft:   make([]bool, n),
-		scratch:  make([]int, n),
-	}
-}
-
-// build grows one tree over every row and column, pushing each leaf's
-// eta-scaled weight onto the margins of the rows that reached it.
-func (b *roundBuilder) build() tree {
-	for j, ord := range b.orders {
-		copy(ord, b.shared[j])
-	}
-	for i := range b.rows {
-		b.rows[i] = i
-	}
-	b.t = nil
-	b.grow(0, len(b.rows), 0)
-	return b.t
-}
-
-// grow appends the subtree over the segment [lo, hi) of the node lists
-// and returns its node index.
+// grow appends the subtree over the node [lo, hi) of the node lists and
+// returns its node index.
 func (b *roundBuilder) grow(lo, hi, depth int) int32 {
-	cfg := b.cfg
+	cfg, gh := b.cfg, b.gh
 	var gSum, hSum float64
-	for _, i := range b.rows[lo:hi] {
-		gSum += b.grad[i]
-		hSum += b.hess[i]
+	for _, i := range b.nodes.Rows[lo:hi] {
+		gSum += gh[2*i]
+		hSum += gh[2*i+1]
 	}
 	leafWeight := -gSum / (hSum + cfg.Lambda)
 	if depth >= cfg.MaxDepth || hSum < 2*cfg.MinChildWeight || hi-lo < 2 {
@@ -262,7 +264,7 @@ func (b *roundBuilder) grow(lo, hi, depth int) int32 {
 
 	// Children at MaxDepth are leaves, which read only rows: the column
 	// orders are partitioned only for children that may split again.
-	nl := b.partition(lo, hi, feat, split, depth+1 < cfg.MaxDepth)
+	nl := b.nodes.Split(lo, hi, b.cols[feat], split, depth+1 < cfg.MaxDepth)
 	if nl == 0 || nl == hi-lo {
 		return b.leafAt(lo, hi, leafWeight)
 	}
@@ -279,60 +281,42 @@ func (b *roundBuilder) grow(lo, hi, depth int) int32 {
 // column; each column is a single prefix-sum sweep over its presorted
 // node segment.
 func (b *roundBuilder) bestSplit(lo, hi int, gSum, hSum float64) (feat int, split, bestGain float64) {
-	cfg := b.cfg
-	n := hi - lo
-	parent := gSum * gSum / (hSum + cfg.Lambda)
-	for f, col := range b.colsView {
-		seg := b.orders[f][lo:hi]
-		var gl, hl float64
-		for k := 0; k < n-1; k++ {
-			i := seg[k]
-			gl += b.grad[i]
-			hl += b.hess[i]
-			if col[seg[k+1]] == col[i] {
-				continue
-			}
-			hr := hSum - hl
-			if hl < cfg.MinChildWeight || hr < cfg.MinChildWeight {
-				continue
-			}
-			gr := gSum - gl
-			gain := gl*gl/(hl+cfg.Lambda) + gr*gr/(hr+cfg.Lambda) - parent
-			if gain > bestGain {
-				bestGain = gain
-				feat = f
-				split = (col[i] + col[seg[k+1]]) / 2
-			}
+	lambda, orders := b.cfg.Lambda, b.nodes.Orders
+	parent := gSum * gSum / (hSum + lambda)
+	for f, col := range b.cols {
+		if s, gain := sweepSorted(orders[f][lo:hi], col, b.gh, gSum, hSum, parent, bestGain, b.cfg); gain > bestGain {
+			feat, split, bestGain = f, s, gain
 		}
 	}
 	return feat, split, bestGain
 }
 
-// leafAt records a leaf with the given weight and advances the margins
-// of its rows in place, by the same product the tree's prediction adds.
-func (b *roundBuilder) leafAt(lo, hi int, w float64) int32 {
-	upd := b.cfg.LearningRate * w
-	for _, r := range b.rows[lo:hi] {
-		b.margin[r] += upd
-	}
-	return b.t.leaf(w)
-}
-
-// partition stably splits the node segment [lo, hi) of the row list on
-// x[feat] <= split and, when orders is set, every column's sorted list
-// too, so both children remain sorted. Returns the left child size.
-func (b *roundBuilder) partition(lo, hi, feat int, split float64, orders bool) int {
-	col := b.colsView[feat]
-	for _, r := range b.rows[lo:hi] {
-		b.goLeft[r] = col[r] <= split
-	}
-	nl := dataset.StablePartition(b.rows[lo:hi], b.goLeft, b.scratch)
-	if orders {
-		for _, ord := range b.orders {
-			dataset.StablePartition(ord[lo:hi], b.goLeft, b.scratch)
+// sweepSorted scans the cuts between distinct values of col along seg,
+// a node's rows in ascending col order, and returns the split and gain
+// of the first cut with the highest gain above bestGain, or bestGain
+// when no cut beats it. A function of its own, the sweep keeps every
+// value it loops over in a register.
+func sweepSorted(seg []int, col, gh []float64, gSum, hSum, parent, bestGain float64, cfg Trainer) (split, gain float64) {
+	gain = bestGain
+	var gl, hl float64
+	for k, i := range seg[:len(seg)-1] {
+		gl += gh[2*i]
+		hl += gh[2*i+1]
+		next := col[seg[k+1]]
+		if next == col[i] {
+			continue
+		}
+		hr := hSum - hl
+		if hl < cfg.MinChildWeight || hr < cfg.MinChildWeight {
+			continue
+		}
+		gr := gSum - gl
+		if g := gl*gl/(hl+cfg.Lambda) + gr*gr/(hr+cfg.Lambda) - parent; g > gain {
+			gain = g
+			split = (col[i] + next) / 2
 		}
 	}
-	return nl
+	return split, gain
 }
 
 // TunedTrainer returns the caret-style grid-search trainer for boosting

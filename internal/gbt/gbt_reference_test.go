@@ -46,7 +46,7 @@ func trainReference(t *Trainer, d *dataset.Dataset) *Model {
 			grad[i] = p - d.Y[i]
 			hess[i] = p * (1 - p)
 		}
-		var tr tree
+		var tr flattree.Tree
 		growReference(&tr, d.X, grad, hess, rows, cfg, 0)
 		for i, x := range d.X {
 			margin[i] += cfg.LearningRate * tr[flattree.Descend(tr, x)].Value
@@ -59,7 +59,7 @@ func trainReference(t *Trainer, d *dataset.Dataset) *Model {
 
 // growReference appends the subtree over rows and returns its node
 // index.
-func growReference(t *tree, x [][]float64, grad, hess []float64, rows []int, cfg Trainer, depth int) int32 {
+func growReference(t *flattree.Tree, x [][]float64, grad, hess []float64, rows []int, cfg Trainer, depth int) int32 {
 	var gSum, hSum float64
 	for _, i := range rows {
 		gSum += grad[i]
@@ -67,12 +67,12 @@ func growReference(t *tree, x [][]float64, grad, hess []float64, rows []int, cfg
 	}
 	leafWeight := -gSum / (hSum + cfg.Lambda)
 	if depth >= cfg.MaxDepth || hSum < 2*cfg.MinChildWeight || len(rows) < 2 {
-		return t.leaf(leafWeight)
+		return t.Leaf(leafWeight)
 	}
 
 	feat, split, gain := bestSplitReference(x, grad, hess, rows, cfg, gSum, hSum)
 	if gain <= 1e-12 {
-		return t.leaf(leafWeight)
+		return t.Leaf(leafWeight)
 	}
 
 	var left, right []int
@@ -84,7 +84,7 @@ func growReference(t *tree, x [][]float64, grad, hess []float64, rows []int, cfg
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		return t.leaf(leafWeight)
+		return t.Leaf(leafWeight)
 	}
 	self := len(*t)
 	*t = append(*t, flattree.Node{Feature: int32(feat), Split: split})

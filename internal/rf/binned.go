@@ -73,7 +73,7 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 		pairs[2*i], pairs[2*i+1] = 1, y
 	}
 	cfg, seeds := t.plan(d.M(), rng)
-	trees := make([]*tree, len(seeds))
+	trees := make([][]flattree.Node, len(seeds))
 	builders := make([]*binnedTreeBuilder, len(seeds))
 	idxs := make([][]int, len(seeds))
 	par.For(len(seeds), func(w, ti int) {
@@ -93,7 +93,7 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 		}
 		trees[ti] = builders[w].build(idx, &local)
 	})
-	return newForest(trees), nil
+	return &Forest{table: flattree.Compile(trees)}, nil
 }
 
 // binnedRNG is a splitmix64 generator used on the binned path for
@@ -122,12 +122,9 @@ func (s *binnedRNG) intn(n int) int {
 }
 
 // splitCand accumulates the best bin cut seen so far during a sweep,
-// together with the left child's row count and label sum at that cut —
-// the partition pass places rows in one sweep because the split already
-// knows where the right half starts.
+// together with the left child's label sum at that cut.
 type splitCand struct {
 	feat, cut int
-	lcount    int
 	gain      float64
 	lsum      float64
 	ok        bool
@@ -157,14 +154,12 @@ type binnedTreeBuilder struct {
 	siblingOK  bool // sampled features cover most of M
 	siblingMin int  // minimum node rows for an all-feature histogram
 
-	rows    []int // node rows (dataset ids, bootstrap multiplicity), segmented
-	scratch []int // partition staging buffer
-	feats   []int // permutation buffer for per-node feature sampling
-
+	nodes *dataset.Nodes
+	feats []int     // permutation buffer for per-node feature sampling
 	fhist []float64 // direct mode single-feature buffer, kept zeroed
 	recip []float64 // recip[k] = 1/k for node sizes, so sweeps multiply instead of divide
 
-	t   *tree
+	t   flattree.Tree
 	rng *binnedRNG
 }
 
@@ -191,8 +186,7 @@ func newBinnedTreeBuilder(hists *dataset.Hist, y []float64, m, nRows int, cfg tr
 		// per-feature range-limited fills (measured on the paper-scale
 		// tuned benchmark).
 		siblingMin: 2 * hists.Stride(),
-		rows:       make([]int, 0, nRows),
-		scratch:    make([]int, nRows),
+		nodes:      dataset.NewNodes(nRows, nil),
 		feats:      feats,
 		fhist:      make([]float64, hists.Stride()),
 		recip:      recip,
@@ -201,7 +195,7 @@ func newBinnedTreeBuilder(hists *dataset.Hist, y []float64, m, nRows int, cfg tr
 
 // build grows one tree on the bootstrap rows idx (dataset row ids, with
 // multiplicity, in draw order).
-func (b *binnedTreeBuilder) build(idx []int, rng *binnedRNG) *tree {
+func (b *binnedTreeBuilder) build(idx []int, rng *binnedRNG) flattree.Tree {
 	// A builder is reused across trees and sampleFeats shuffles feats in
 	// place: restart from the identity so a tree's feature sampling
 	// depends on its own RNG only, not on which trees this builder grew
@@ -209,8 +203,8 @@ func (b *binnedTreeBuilder) build(idx []int, rng *binnedRNG) *tree {
 	for f := range b.feats {
 		b.feats[f] = f
 	}
-	b.rows = append(b.rows[:0], idx...)
-	b.t = &tree{}
+	b.nodes.Start(idx)
+	b.t = nil
 	b.rng = rng
 	var sum, sq float64
 	for _, r := range idx {
@@ -235,27 +229,27 @@ func (b *binnedTreeBuilder) sampleFeats() []int {
 	return fs[:mtry]
 }
 
-// grow appends the subtree over the segment [lo, hi) of the node row
-// list and returns its node index. sum and sq are the segment's label
+// grow appends the subtree over the node [lo, hi) of the node lists
+// and returns its node index. sum and sq are the segment's label
 // statistics, threaded down from the parent so no node rescans its rows
 // for them. hist is the node's all-feature histogram when the sibling
 // chain reaches it (nil otherwise); grow owns it and either hands it to
 // a child or releases it.
 func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []float64) int32 {
-	t, cfg := b.t, b.cfg
+	cfg := b.cfg
 	n := float64(hi - lo)
 	mean := sum / n
 	variance := sq/n - mean*mean
 	if hi-lo < 2*cfg.minLeaf || variance < 1e-12 ||
 		(cfg.maxDepth > 0 && depth >= cfg.maxDepth) {
 		b.hists.Put(hist)
-		return t.leaf(mean)
+		return b.t.Leaf(mean)
 	}
 
 	feats := b.sampleFeats()
 	if hist == nil && b.siblingOK && hi-lo >= b.siblingMin {
 		hist = b.hists.Get()
-		b.hists.Fill(hist, b.rows[lo:hi])
+		b.hists.Fill(hist, b.nodes.Rows[lo:hi])
 	}
 	var best splitCand
 	if hist != nil {
@@ -269,31 +263,17 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 	}
 	if !best.ok {
 		b.hists.Put(hist)
-		return t.leaf(mean)
+		return b.t.Leaf(mean)
 	}
 
-	// Stable-partition the node rows on the winning bin cut in one pass:
-	// the sweep already counted the left half, so lefts and rights land
-	// directly in their scratch segments. The left child's Σy² (for its
-	// pure-node leaf check) rides along.
-	code := b.hists.ColumnCodes(best.feat)
-	cut := uint8(best.cut)
-	nl := best.lcount
-	seg, scratch := b.rows[lo:hi], b.scratch
-	p, q := 0, nl
+	// The left child's Σy² (for its pure-node leaf check) sums its rows
+	// in their order.
+	nl := b.nodes.SplitCut(lo, hi, b.hists.ColumnCodes(best.feat), uint8(best.cut))
+	seg, y := b.nodes.Rows[lo:hi], b.y
 	var lSq float64
-	for _, r := range seg {
-		if code[r] <= cut {
-			scratch[p] = r
-			p++
-			yv := b.y[r]
-			lSq += yv * yv
-		} else {
-			scratch[q] = r
-			q++
-		}
+	for _, r := range seg[:nl] {
+		lSq += y[r] * y[r]
 	}
-	copy(seg, scratch[:len(seg)])
 
 	lSum := best.lsum
 	rSum, rSq := sum-lSum, sq-lSq
@@ -301,11 +281,11 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 	if hist != nil {
 		lHist, rHist = b.hists.Children(seg, nl, b.needHist(nl, depth), b.needHist(len(seg)-nl, depth), hist)
 	}
-	self := len(t.nodes)
-	t.nodes = append(t.nodes, flattree.Node{Feature: int32(best.feat), Split: b.hists.Edge(best.feat, best.cut)})
+	self := len(b.t)
+	b.t = append(b.t, flattree.Node{Feature: int32(best.feat), Split: b.hists.Edge(best.feat, best.cut)})
 	l := b.grow(lo, lo+nl, depth+1, lSum, lSq, lHist)
 	r := b.grow(lo+nl, hi, depth+1, rSum, rSq, rHist)
-	t.nodes[self].Left, t.nodes[self].Right = l, r
+	b.t[self].Left, b.t[self].Right = l, r
 	return int32(self)
 }
 
@@ -318,14 +298,14 @@ func (b *binnedTreeBuilder) grow(lo, hi, depth int, sum, sq float64, hist []floa
 // cells entirely instead of branching past them.
 func (b *binnedTreeBuilder) fillSweepZero(f, lo, hi int, total float64, best *splitCand) {
 	code := b.hists.ColumnCodes(f)
-	cells := b.fhist
+	cells, y := b.fhist, b.y
 	var mask [(dataset.MaxBins + 63) / 64]uint64
-	for _, r := range b.rows[lo:hi] {
+	for _, r := range b.nodes.Rows[lo:hi] {
 		c := int(code[r])
 		mask[c>>6] |= 1 << (c & 63)
 		cc := 2 * c
 		cells[cc]++
-		cells[cc+1] += b.y[r]
+		cells[cc+1] += y[r]
 	}
 
 	nTotal := hi - lo
@@ -351,7 +331,7 @@ func (b *binnedTreeBuilder) fillSweepZero(f, lo, hi int, total float64, best *sp
 			rs := total - ls
 			g := ls*ls*recip[nl] + rs*rs*recip[nr] - parent
 			if g > best.gain+1e-12 {
-				*best = splitCand{feat: f, cut: c, lcount: nl, gain: g, lsum: ls, ok: true}
+				*best = splitCand{feat: f, cut: c, gain: g, lsum: ls, ok: true}
 			}
 		}
 	}
@@ -381,7 +361,7 @@ func (b *binnedTreeBuilder) sweepCells(f int, cells []float64, nTotal int, total
 		rs := total - ls
 		g := ls*ls*recip[nl] + rs*rs*recip[nr] - parent
 		if g > best.gain+1e-12 {
-			*best = splitCand{feat: f, cut: c, lcount: nl, gain: g, lsum: ls, ok: true}
+			*best = splitCand{feat: f, cut: c, gain: g, lsum: ls, ok: true}
 		}
 	}
 }

@@ -67,15 +67,6 @@ type Forest struct {
 	table *flattree.Table
 }
 
-// newForest compiles the grown trees into a forest.
-func newForest(trees []*tree) *Forest {
-	nodes := make([][]flattree.Node, len(trees))
-	for i, t := range trees {
-		nodes[i] = t.nodes
-	}
-	return &Forest{table: flattree.Compile(nodes)}
-}
-
 // MarshalBinary implements encoding.BinaryMarshaler: the table in
 // flattree's layout, which is all a forest holds.
 func (f *Forest) MarshalBinary() ([]byte, error) {
@@ -101,16 +92,17 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	}
 	cfg, seeds := t.plan(d.M(), rng)
 	// The columnar view and per-feature sorted orders are computed once
-	// on the dataset and shared by every tree; each worker's builder
-	// specializes them to its tree's bootstrap by counting.
+	// on the dataset and shared by every tree; each worker's node lists
+	// specialize them to its tree's bootstrap by counting.
 	cols := d.Columns()
 	shared := d.SortedOrders()
-	trees := make([]*tree, len(seeds))
+	trees := make([][]flattree.Node, len(seeds))
 	builders := make([]*treeBuilder, len(seeds))
 	idxs := make([][]int, len(seeds))
 	par.For(len(seeds), func(w, ti int) {
 		if builders[w] == nil {
-			builders[w], idxs[w] = newTreeBuilder(cols, d.Y, shared, cfg), make([]int, d.N())
+			builders[w] = &treeBuilder{cols: cols, y: d.Y, cfg: cfg, nodes: dataset.NewNodes(d.N(), shared)}
+			idxs[w] = make([]int, d.N())
 		}
 		idx := idxs[w]
 		local := rand.New(rand.NewSource(seeds[ti]))
@@ -119,7 +111,7 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 		}
 		trees[ti] = builders[w].build(idx, local)
 	})
-	return newForest(trees), nil
+	return &Forest{table: flattree.Compile(trees)}, nil
 }
 
 // PredictProbBatchInto implements metamodel.Model: mean leaf value

@@ -22,7 +22,7 @@ import (
 // tie-breaking) can differ in the last float64 bit.
 func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) *Forest {
 	cfg, seeds := t.plan(d.M(), rng)
-	trees := make([]*tree, len(seeds))
+	trees := make([][]flattree.Node, len(seeds))
 	idx := make([]int, d.N())
 	for ti, seed := range seeds {
 		local := rand.New(rand.NewSource(seed))
@@ -31,20 +31,20 @@ func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) *Forest {
 		}
 		trees[ti] = buildTreeReference(d.X, d.Y, idx, cfg, local)
 	}
-	return newForest(trees)
+	return &Forest{table: flattree.Compile(trees)}
 }
 
 // buildTreeReference grows a tree on the rows idx of (x, y) by recursive
 // greedy variance-reduction splitting, sorting each candidate feature at
 // every node.
-func buildTreeReference(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand) *tree {
-	t := &tree{}
-	t.growReference(x, y, idx, cfg, rng, 0)
+func buildTreeReference(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand) flattree.Tree {
+	var t flattree.Tree
+	growReference(&t, x, y, idx, cfg, rng, 0)
 	return t
 }
 
 // growReference appends the subtree over idx and returns its node index.
-func (t *tree) growReference(x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, depth int) int32 {
+func growReference(t *flattree.Tree, x [][]float64, y []float64, idx []int, cfg treeConfig, rng *rand.Rand, depth int) int32 {
 	sum, sq := 0.0, 0.0
 	for _, i := range idx {
 		sum += y[i]
@@ -56,12 +56,12 @@ func (t *tree) growReference(x [][]float64, y []float64, idx []int, cfg treeConf
 	variance := sq/n - mean*mean
 	if len(idx) < 2*cfg.minLeaf || variance < 1e-12 ||
 		(cfg.maxDepth > 0 && depth >= cfg.maxDepth) {
-		return t.leaf(mean)
+		return t.Leaf(mean)
 	}
 
 	feat, split, ok := bestSplitReference(x, y, idx, cfg, rng, sum)
 	if !ok {
-		return t.leaf(mean)
+		return t.Leaf(mean)
 	}
 
 	var leftIdx, rightIdx []int
@@ -73,14 +73,14 @@ func (t *tree) growReference(x [][]float64, y []float64, idx []int, cfg treeConf
 		}
 	}
 	if len(leftIdx) == 0 || len(rightIdx) == 0 {
-		return t.leaf(mean)
+		return t.Leaf(mean)
 	}
 
-	self := len(t.nodes)
-	t.nodes = append(t.nodes, flattree.Node{Feature: int32(feat), Split: split})
-	l := t.growReference(x, y, leftIdx, cfg, rng, depth+1)
-	r := t.growReference(x, y, rightIdx, cfg, rng, depth+1)
-	t.nodes[self].Left, t.nodes[self].Right = l, r
+	self := len(*t)
+	*t = append(*t, flattree.Node{Feature: int32(feat), Split: split})
+	l := growReference(t, x, y, leftIdx, cfg, rng, depth+1)
+	r := growReference(t, x, y, rightIdx, cfg, rng, depth+1)
+	(*t)[self].Left, (*t)[self].Right = l, r
 	return int32(self)
 }
 

@@ -276,8 +276,9 @@ var Irrelevant = metrics.Irrelevant
 type Engine = engine.Engine
 
 // EngineOptions configure worker count, queue bound, the execution
-// layer (Executor, or cache budget/TTL for the default in-process one)
-// and the durable job store (Store/TTL/SweepInterval).
+// layer (Executor; nil runs jobs on an in-process LocalExecutor with
+// default cache budgets), the durable job store (Store/TTL/SweepInterval),
+// the metrics registry and the logger.
 type EngineOptions = engine.Options
 
 // NewEngine starts an engine and its worker pool, recovering any jobs a
@@ -350,8 +351,9 @@ type LocalExecutor = engine.LocalExecutor
 // NewLocalExecutor builds the in-process execution layer.
 var NewLocalExecutor = engine.NewLocalExecutor
 
-// LocalExecutorOptions bound the metamodel cache by approximate model
-// bytes and an optional TTL.
+// LocalExecutorOptions bound the executor's three caches (trained
+// models, pseudo-labeled datasets and distilled rule sets), each by
+// approximate bytes and an optional TTL, and name its metrics registry.
 type LocalExecutorOptions = engine.LocalExecutorOptions
 
 // RemoteExecutor runs requests on a redsserver worker through the
