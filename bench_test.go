@@ -10,6 +10,7 @@ package reds_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -218,6 +219,26 @@ func BenchmarkPRIMPeel(b *testing.B) {
 		if _, err := (&reds.PRIM{}).Discover(d, d, rng); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPRIMPeelREDS times the peel at the shapes the engine hands
+// PRIM: L pseudo-labeled training points and, as the validation set,
+// the far fewer simulated ones. L=20000,M=20 with 300 validation rows
+// is warm_gateway's morris job, and L=100000,M=8 with 400 is
+// paper_prim's borehole job. As in BenchmarkPRIMPeel, the training
+// set's sorted orders are cached after the first iteration.
+func BenchmarkPRIMPeelREDS(b *testing.B) {
+	for _, s := range []struct{ l, m, val int }{{20000, 20, 300}, {100000, 8, 400}} {
+		b.Run(fmt.Sprintf("L=%d,M=%d", s.l, s.m), func(b *testing.B) {
+			train, val := benchTrain(s.l, s.m, 1), benchTrain(s.val, s.m, 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := (&reds.PRIM{}).Discover(train, val, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -48,17 +48,22 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 
 	// Draw every replica's bootstrap rows and column subset on the
 	// caller's goroutine first — the RNG stream is exactly that of a
-	// serial run — then peel the independent replicas in parallel.
+	// serial run — then peel the independent replicas in parallel. A
+	// subset of every input is the identity, so that replica peels its
+	// bootstrap as drawn, without a copy of its rows.
 	type replica struct {
 		sub  *dataset.Dataset
 		cols []int
 	}
 	reps := make([]replica, q)
 	for rep := range reps {
-		bs := train.Bootstrap(rng)
+		sub := train.Bootstrap(rng)
 		cols := rng.Perm(m)[:subset]
 		sort.Ints(cols)
-		reps[rep] = replica{sub: bs.SelectColumns(cols), cols: cols}
+		if subset < m {
+			sub = sub.SelectColumns(cols)
+		}
+		reps[rep] = replica{sub: sub, cols: cols}
 	}
 	results := make([]*sd.Result, q)
 	errs := make([]error, q)

@@ -3,20 +3,26 @@
 // α-quantile slab with the lowest output mean, optional pasting, and the
 // bumping ensemble variant of Kwakkel & Cunningham 2016 (Algorithm 2).
 //
-// Peeling runs on a columnar fast path: per-dimension sorted orders
-// (seeded from dataset.SortedOrders) are maintained across peel steps by
-// compaction, so every candidate peel is a boundary walk plus an
-// O(α·n) prefix sum instead of the original implementation's α-quantile
+// Peeling runs on a columnar fast path over per-dimension sorted
+// orders, so every candidate peel is a boundary walk plus an O(α·n)
+// prefix sum instead of the original implementation's α-quantile
 // selection and three full passes, which the tests keep as their oracle
-// (peel_reference_test.go). A step's dimensions are independent: par.For
-// evaluates each one's low and high peel. Bumping peels its replicas
-// and scores their boxes the same way.
+// (peel_reference_test.go). A peel step rewrites no order. Rows that
+// left the box stay in an order, and the walks step over them by their
+// in-box mark, until at most half of the order's rows are in the box
+// and it is compacted. Until then an order is the dataset's shared
+// dataset.SortedOrders one, read and never written; its first
+// compaction copies it out. One pass per step over the in-box rows
+// filters them and sums the kept labels. A step's dimensions are
+// independent: par.For evaluates each one's low and high peel. Bumping
+// peels its replicas and scores their boxes the same way.
 package prim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/reds-go/reds/internal/box"
 	"github.com/reds-go/reds/internal/dataset"
@@ -76,47 +82,34 @@ func (p *Peeler) Discover(train, val *dataset.Dataset, _ *rand.Rand) (*sd.Result
 		mp = 20
 	}
 
-	m := train.M()
-	cur := box.Full(m)
-	trainIdx := allIndices(train.N())
+	cur := box.Full(train.M())
+	eng := newPeelEngine(train, p.Objective)
+	valCols := val.Columns()
 	valIdx := allIndices(val.N())
 
 	res := &sd.Result{}
 	res.Steps = append(res.Steps, sd.Step{
 		Box:   cur.Clone(),
-		Train: statsOf(train, trainIdx),
+		Train: sd.Stats{N: len(eng.idx), NPos: eng.total},
 		Val:   statsOf(val, valIdx),
 	})
 
-	// The candidate search maintains sorted per-dimension orders in a
-	// peelEngine; the box filters through reusable ping-pong buffers.
-	eng := newPeelEngine(train, p.Objective)
-	valCols := val.Columns()
-	trainSpare := make([]int, 0, train.N())
-	valSpare := make([]int, 0, val.N())
-
 	for {
-		cand, ok := eng.bestPeel(trainIdx, alpha)
+		cand, ok := eng.bestPeel(alpha)
 		if !ok {
 			break
 		}
-		// Apply tentatively to measure the support floor on both sets.
-		newTrainIdx := filterIdxInto(trainSpare[:0], eng.cols[cand.dim], trainIdx, cand.lo, cand.hi)
-		newValIdx := filterIdxInto(valSpare[:0], valCols[cand.dim], valIdx, cand.lo, cand.hi)
-		if len(newTrainIdx) < mp || len(newValIdx) < mp {
+		// Apply the peel to both sets, then check the support floor. A
+		// peel that breaks it ends the search, so nothing undoes it.
+		trainSt := eng.peel(cand)
+		var valSt sd.Stats
+		valIdx, valSt = keepWithin(valIdx, valCols[cand.dim], val.Y, cand.lo, cand.hi)
+		if trainSt.N < mp || valSt.N < mp {
 			break
 		}
 		cur.Lo[cand.dim] = math.Max(cur.Lo[cand.dim], cand.lo)
 		cur.Hi[cand.dim] = math.Min(cur.Hi[cand.dim], cand.hi)
-		eng.applied(trainIdx, newTrainIdx)
-		// The outgoing index slices become the next step's spares.
-		trainSpare, valSpare = trainIdx, valIdx
-		trainIdx, valIdx = newTrainIdx, newValIdx
-		res.Steps = append(res.Steps, sd.Step{
-			Box:   cur.Clone(),
-			Train: statsOf(train, trainIdx),
-			Val:   statsOf(val, valIdx),
-		})
+		res.Steps = append(res.Steps, sd.Step{Box: cur.Clone(), Train: trainSt, Val: valSt})
 	}
 
 	if p.Paste {
@@ -144,16 +137,20 @@ func statsOf(d *dataset.Dataset, idx []int) sd.Stats {
 	return st
 }
 
-// filterIdxInto appends to dst the indices of idx whose value in the
-// column col lies within [lo, hi].
-func filterIdxInto(dst []int, col []float64, idx []int, lo, hi float64) []int {
-	for _, i := range idx {
-		v := col[i]
-		if v >= lo && v <= hi {
-			dst = append(dst, i)
+// keepWithin filters the rows idx in place to those whose value in col
+// lies within [lo, hi], and returns them with their statistics: the
+// kept rows' labels y summed in row order, as statsOf sums them.
+func keepWithin(idx []int, col, y []float64, lo, hi float64) ([]int, sd.Stats) {
+	w := 0
+	var pos float64
+	for _, r := range idx {
+		if v := col[r]; v >= lo && v <= hi {
+			idx[w] = r
+			w++
+			pos += y[r]
 		}
 	}
-	return dst
+	return idx[:w], sd.Stats{N: w, NPos: pos}
 }
 
 // peelCand describes a candidate peel: restrict dim to [lo, hi].
@@ -195,16 +192,26 @@ func selectFinal(steps []sd.Step) int {
 	return best
 }
 
-// peelEngine holds the state the fast candidate search maintains across
-// peel steps: the training columns, one sorted row order per dimension
-// (compacted lazily against the in-box set), and per-dimension result
-// slots that par.For fills.
+// peelEngine holds the state the fast candidate search keeps across
+// peel steps: the training columns and labels, the in-box rows, one
+// ascending row order per dimension, and per-dimension result slots
+// that par.For fills.
+//
+// An order may still hold rows that left the box. Each evaluation trims
+// them off its ends, and the candidate walks step over the rest without
+// a branch: a row's in-box mark advances the count and masks its label.
+// Only once at most half of an order's rows are still in the box is it
+// compacted. Until its first compaction an order is the dataset's
+// shared one, which the engine reads and never writes; that compaction
+// copies it out.
 type peelEngine struct {
 	cols  [][]float64
 	y     []float64
-	ords  [][]int // per-dim ascending orders of the current in-box rows
-	inbox []bool  // row is inside the current box
-	stale bool    // a peel was applied; orders need compaction
+	idx   []int   // the in-box rows, ascending
+	total float64 // their labels summed in row order
+	in    []uint8 // 1 while the row is in the box, 0 after
+	ords  [][]int // per-dim ascending orders, in-box rows at both ends
+	own   [][]int // per-dim private order buffers, nil until needed
 
 	obj   Objective
 	cands []peelCand
@@ -212,50 +219,54 @@ type peelEngine struct {
 }
 
 func newPeelEngine(train *dataset.Dataset, obj Objective) *peelEngine {
-	cols := train.Columns()
-	shared := train.SortedOrders()
 	n, m := train.N(), train.M()
-	// Private copies of the shared orders: the engine compacts them in
-	// place as the box shrinks.
-	backing := make([]int, n*m)
-	ords := make([][]int, m)
-	for j := range ords {
-		ords[j] = backing[j*n : (j+1)*n]
-		copy(ords[j], shared[j])
-	}
-	inbox := make([]bool, n)
-	for i := range inbox {
-		inbox[i] = true
+	idx := allIndices(n)
+	in := make([]uint8, n)
+	for i := range in {
+		in[i] = 1
 	}
 	return &peelEngine{
-		cols:  cols,
+		cols:  train.Columns(),
 		y:     train.Y,
-		ords:  ords,
-		inbox: inbox,
+		idx:   idx,
+		total: statsOf(train, idx).NPos,
+		in:    in,
+		// A copy of the headers only: trimming reslices ords[j], and
+		// the dataset's own view must keep its full orders.
+		ords:  slices.Clone(train.SortedOrders()),
+		own:   make([][]int, m),
 		obj:   obj,
 		cands: make([]peelCand, m),
 		found: make([]bool, m),
 	}
 }
 
-// applied records that the box shrank from the rows of old to the rows
-// of cur; the per-dimension orders compact against the new in-box set on
-// their next evaluation.
-func (e *peelEngine) applied(old, cur []int) {
-	for _, i := range old {
-		e.inbox[i] = false
+// peel applies cand in one pass over the in-box rows: it keeps the rows
+// within the new bounds, marks the others out of the box, and sums the
+// kept labels in row order. The sum is both the step's statistic and
+// the next step's total.
+func (e *peelEngine) peel(cand peelCand) sd.Stats {
+	col, idx := e.cols[cand.dim], e.idx
+	w := 0
+	var pos float64
+	for _, r := range idx {
+		if v := col[r]; v >= cand.lo && v <= cand.hi {
+			idx[w] = r
+			w++
+			pos += e.y[r]
+		} else {
+			e.in[r] = 0
+		}
 	}
-	for _, i := range cur {
-		e.inbox[i] = true
-	}
-	e.stale = true
+	e.idx, e.total = idx[:w], pos
+	return sd.Stats{N: w, NPos: pos}
 }
 
 // bestPeel evaluates the 2M candidate peels (Step 3 of Algorithm 1) over
-// the in-box rows idx and returns the one maximizing the objective. ok
-// is false when no candidate removes at least one but not all points.
-func (e *peelEngine) bestPeel(idx []int, alpha float64) (peelCand, bool) {
-	n := len(idx)
+// the in-box rows and returns the one maximizing the objective. ok is
+// false when no candidate removes at least one but not all points.
+func (e *peelEngine) bestPeel(alpha float64) (peelCand, bool) {
+	n := len(e.idx)
 	if n < 2 {
 		return peelCand{}, false
 	}
@@ -263,16 +274,11 @@ func (e *peelEngine) bestPeel(idx []int, alpha float64) (peelCand, bool) {
 	if k < 1 {
 		k = 1
 	}
-	var total float64
-	for _, i := range idx {
-		total += e.y[i]
-	}
 
 	m := len(e.cols)
 	par.For(m, func(_, j int) {
-		e.evalDim(j, n, k, total)
+		e.evalDim(j, n, k)
 	})
-	e.stale = false
 
 	best := peelCand{mean: math.Inf(-1)}
 	found := false
@@ -284,91 +290,121 @@ func (e *peelEngine) bestPeel(idx []int, alpha float64) (peelCand, bool) {
 	return best, found
 }
 
-// evalDim compacts dimension j's sorted order if needed, then evaluates
-// its low- and high-side peel candidates into the engine's result slots.
-func (e *peelEngine) evalDim(j, n, k int, total float64) {
+// evalDim trims dimension j's sorted order, compacts it once at most
+// half its rows are in the box, then evaluates its low- and high-side
+// peel candidates over the n in-box rows into the engine's result
+// slots.
+func (e *peelEngine) evalDim(j, n, k int) {
+	in, y := e.in, e.y
 	ord := e.ords[j]
-	if e.stale {
+	lo, hi := 0, len(ord)
+	for in[ord[lo]] == 0 {
+		lo++
+	}
+	for in[ord[hi-1]] == 0 {
+		hi--
+	}
+	ord = ord[lo:hi]
+	if 2*n <= len(ord) {
+		if e.own[j] == nil {
+			e.own[j] = make([]int, n)
+		}
 		// Branch-free compaction: every row is written, and only a row
-		// still in the box advances w past itself. Writes trail reads.
-		inbox, w := e.inbox, 0
+		// still in the box advances w past itself. In the private
+		// buffer writes trail reads; the in-box ends keep a first
+		// compaction's writes within its n slots.
+		dst, w := e.own[j], 0
 		for _, r := range ord {
-			ord[w] = r
-			w += b2i(inbox[r])
+			dst[w] = r
+			w += int(in[r])
 		}
-		ord = ord[:w]
-		e.ords[j] = ord
+		ord = dst[:w]
 	}
+	e.ords[j] = ord
 	col := e.cols[j]
-	var dimBest peelCand
-	dimFound := false
+	var best peelCand
+	found := false
 
-	// Low-side peel: remove all points with value <= the k-th smallest
-	// (ties removed together so the peel always makes progress).
-	t := col[ord[k-1]]
-	b := k
-	for b < n && col[ord[b]] <= t {
-		b++
+	// Low-side peel: remove all in-box points with value <= the k-th
+	// smallest (ties removed together so the peel always makes
+	// progress). The walk stops at the first in-box row above t.
+	p, c := 0, 0
+	var removedSum float64
+	for c < k {
+		r := ord[p]
+		c += int(in[r])
+		removedSum += masked(y[r], in[r])
+		p++
 	}
-	if b < n {
-		var removedSum float64
-		for _, r := range ord[:b] {
-			removedSum += e.y[r]
+	t := col[ord[p-1]]
+	for ; p < len(ord); p++ {
+		r := ord[p]
+		if in[r] == 1 && !(col[r] <= t) {
+			break
 		}
-		remain := n - b
-		score := (total - removedSum) / float64(remain)
-		if e.obj == ObjectiveLift {
-			score *= math.Sqrt(float64(remain))
-		}
+		c += int(in[r])
+		removedSum += masked(y[r], in[r])
+	}
+	if c < n {
 		// The new bound is the midpoint between the last removed and the
-		// first remaining value — the least-biased cut for fresh data.
-		dimBest = peelCand{
-			dim:    j,
-			lo:     (t + col[ord[b]]) / 2,
-			hi:     math.Inf(1),
-			mean:   score,
-			remain: remain,
+		// first remaining value — the least-biased cut for fresh data —
+		// or that remaining value itself where the midpoint would not
+		// cut above t (t = -Inf, or the two values are adjacent floats).
+		next := col[ord[p]]
+		cut := (t + next) / 2
+		if cut <= t {
+			cut = next
 		}
-		dimFound = true
+		best, found = e.candidate(j, cut, math.Inf(1), removedSum, n-c), true
 	}
 
-	// High-side peel: remove all points with value >= the k-th largest.
-	t = col[ord[n-k]]
-	b = n - k
-	for b > 0 && col[ord[b-1]] >= t {
-		b--
+	// High-side peel: remove all in-box points with value >= the k-th
+	// largest. The walk goes down to the first in-box row below t, and
+	// the removed labels are then summed upward, in ascending order.
+	p, c = len(ord), 0
+	for c < k {
+		p--
+		c += int(in[ord[p]])
 	}
-	if b > 0 {
-		var removedSum float64
-		for _, r := range ord[b:] {
-			removedSum += e.y[r]
+	t = col[ord[p]]
+	for ; p > 0; p-- {
+		r := ord[p-1]
+		if in[r] == 1 && !(col[r] >= t) {
+			break
 		}
-		remain := b
-		score := (total - removedSum) / float64(remain)
-		if e.obj == ObjectiveLift {
-			score *= math.Sqrt(float64(remain))
+		c += int(in[r])
+	}
+	if c < n {
+		removedSum = 0
+		for _, r := range ord[p:] {
+			removedSum += masked(y[r], in[r])
 		}
-		hc := peelCand{
-			dim:    j,
-			lo:     math.Inf(-1),
-			hi:     (t + col[ord[b-1]]) / 2,
-			mean:   score,
-			remain: remain,
+		prev := col[ord[p-1]]
+		cut := (t + prev) / 2
+		if cut >= t {
+			cut = prev
 		}
-		if !dimFound || better(hc, dimBest) {
-			dimBest = hc
-			dimFound = true
+		if hc := e.candidate(j, math.Inf(-1), cut, removedSum, n-c); !found || better(hc, best) {
+			best, found = hc, true
 		}
 	}
-	e.cands[j] = dimBest
-	e.found[j] = dimFound
+	e.cands[j], e.found[j] = best, found
 }
 
-// b2i is 1 for true and 0 for false; the compiler loads the bool's byte
-// instead of jumping on it.
-func b2i(b bool) int {
-	if b {
-		return 1
+// candidate is dimension j's peel to [lo, hi], which removes in-box
+// labels summing to removedSum and leaves remain rows, scored by the
+// engine's objective.
+func (e *peelEngine) candidate(j int, lo, hi, removedSum float64, remain int) peelCand {
+	mean := (e.total - removedSum) / float64(remain)
+	if e.obj == ObjectiveLift {
+		mean *= math.Sqrt(float64(remain))
 	}
-	return 0
+	return peelCand{dim: j, lo: lo, hi: hi, mean: mean, remain: remain}
+}
+
+// masked is y for a row in the box (in = 1) and +0 for one that left
+// it (in = 0): a bit mask, not a product, since 0·y is NaN for an
+// infinite y. Adding +0 leaves a sum begun at +0 unchanged.
+func masked(y float64, in uint8) float64 {
+	return math.Float64frombits(math.Float64bits(y) & -uint64(in))
 }

@@ -158,7 +158,9 @@ func evalPeel(d *dataset.Dataset, idx []int, j int, t float64, low bool, total f
 
 // boundAfterPeel places the new bound at the midpoint between the last
 // removed and the first remaining value — the least-biased cut for
-// evaluating the box on fresh data.
+// evaluating the box on fresh data — or at that remaining value itself
+// where the midpoint does not separate the two (t = ±Inf, or adjacent
+// floats), so the bound always removes the peeled points.
 func boundAfterPeel(d *dataset.Dataset, idx []int, j int, t float64, low bool) float64 {
 	if low {
 		remainMin := math.Inf(1)
@@ -168,7 +170,10 @@ func boundAfterPeel(d *dataset.Dataset, idx []int, j int, t float64, low bool) f
 				remainMin = v
 			}
 		}
-		return (t + remainMin) / 2
+		if mid := (t + remainMin) / 2; !(mid <= t) {
+			return mid
+		}
+		return remainMin
 	}
 	remainMax := math.Inf(-1)
 	for _, i := range idx {
@@ -177,7 +182,10 @@ func boundAfterPeel(d *dataset.Dataset, idx []int, j int, t float64, low bool) f
 			remainMax = v
 		}
 	}
-	return (t + remainMax) / 2
+	if mid := (t + remainMax) / 2; !(mid >= t) {
+		return mid
+	}
+	return remainMax
 }
 
 // kthSmallest returns the k-th smallest value (1-based) of vals,

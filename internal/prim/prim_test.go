@@ -1,11 +1,13 @@
 package prim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/reds-go/reds/internal/dataset"
 	"github.com/reds-go/reds/internal/sd"
@@ -325,4 +327,81 @@ func TestObjectiveLift(t *testing.T) {
 	if st := sd.Compute(lift.Final(), d); st.Precision() < 0.8 {
 		t.Errorf("lift objective precision %.3f", st.Precision())
 	}
+}
+
+// TestPeelCutsWhereTheMidpointCannot peels one column whose peeled
+// values have no midpoint beyond them: ten -Inf at its low end, ten
+// +Inf at its high end, or five 1s beside math.Nextafter(1, 2), where
+// the midpoint rounds back onto 1. The first peel's bound must then be
+// the next value itself, and every step must remove a row. A bound at
+// the midpoint there keeps every row, and Discover would append the
+// same box forever.
+func TestPeelCutsWhereTheMidpointCannot(t *testing.T) {
+	const limit = 10 * time.Second
+	inf, up := math.Inf(1), math.Nextafter(1, 2)
+	cases := []struct {
+		name   string
+		x, y   func(i int) float64
+		lo, hi float64 // the first peel's box
+	}{
+		{"-Inf at the low end",
+			func(i int) float64 { return cond(i < 10, -inf, float64(i)/100) },
+			func(i int) float64 { return cond(i < 10 || i%7 == 0, 0, 1) },
+			0.1, inf},
+		{"+Inf at the high end",
+			func(i int) float64 { return cond(i >= 90, inf, float64(i)/100) },
+			func(i int) float64 { return cond(i >= 90 || i%7 == 0, 0, 1) },
+			-inf, 0.89},
+		{"adjacent floats at the cut",
+			func(i int) float64 { return cond(i < 5, 1, cond(i == 5, up, 1+float64(i)/100)) },
+			func(i int) float64 { return cond(i < 5 || i%7 == 0, 0, 1) },
+			up, inf},
+	}
+	for _, c := range cases {
+		x := make([][]float64, 100)
+		y := make([]float64, 100)
+		for i := range x {
+			x[i], y[i] = []float64{c.x(i)}, c.y(i)
+		}
+		d := dataset.MustNew(x, y)
+		done := make(chan *sd.Result, 1)
+		go func() {
+			res, err := (&Peeler{}).Discover(d, d, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- res
+		}()
+		var res *sd.Result
+		select {
+		case res = <-done:
+		case <-time.After(limit):
+			// A peel that removes nothing loops forever and grows its
+			// trajectory without bound: stop the test binary, not just
+			// this test.
+			panic(fmt.Sprintf("%s: Discover did not return within %v", c.name, limit))
+		}
+		if res == nil {
+			continue
+		}
+		if len(res.Steps) < 2 {
+			t.Errorf("%s: %d steps, want a peel at least", c.name, len(res.Steps))
+			continue
+		}
+		if b := res.Steps[1].Box; b.Lo[0] != c.lo || b.Hi[0] != c.hi {
+			t.Errorf("%s: first peel [%v, %v], want [%v, %v]", c.name, b.Lo[0], b.Hi[0], c.lo, c.hi)
+		}
+		for k := 1; k < len(res.Steps); k++ {
+			if prev, cur := res.Steps[k-1].Train.N, res.Steps[k].Train.N; cur >= prev {
+				t.Errorf("%s: step %d kept %d of %d training rows", c.name, k, cur, prev)
+			}
+		}
+	}
+}
+
+func cond(c bool, a, b float64) float64 {
+	if c {
+		return a
+	}
+	return b
 }

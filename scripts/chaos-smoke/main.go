@@ -96,7 +96,7 @@ func run() error {
 	// drops one status-poll connection to exercise the retry budget. w3
 	// starts clean and outside the gateway's initial worker set: it
 	// joins through the admin API.
-	w1, err := worker(worker1Addr, "w1", "exec.exit-after=discover/,exec.exit.delay=3s")
+	w1, err := worker(worker1Addr, "w1", "exec.exit-after=discover/,exec.exit.delay=1s")
 	if err != nil {
 		return err
 	}
@@ -148,8 +148,8 @@ func run() error {
 	// runs) so the job lands on the fault-armed w1. The first finished
 	// discover variant pulls the trigger; the forwarded checkpoint must
 	// carry the failover. L=6·10^4 keeps the variants after the first
-	// running well past the fault's 3s exit delay, so w1 dies mid-job
-	// rather than after finishing it.
+	// running past the fault's 1s exit delay (bumping takes about 2.3s
+	// on 2 cores), so w1 dies mid-job rather than after finishing it.
 	seed := ownedSeed(worker1URL)
 	log.Printf("chaos job seed %d routes to w1", seed)
 	chaosID, err := client.Submit(fmt.Sprintf(
